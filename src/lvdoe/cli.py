@@ -423,12 +423,16 @@ def _parse_constraints(raw: str) -> frozenset[LimitKind]:
 def _cmd_oracle(args) -> int:
     case = load_network(args.network, args.loads)
     cs = _parse_constraints(args.constraints)
+    top = oracle.BRACKET_CAP_MULTIPLE * case.generators[case.gen_index(args.generator)].p_cap
     periods = [args.period] if args.period is not None else list(range(case.horizon))
     for t in periods:
         if not 0 <= t < case.horizon:
             raise InputError(f"period {t} outside horizon {case.horizon}")
         limit_pu = oracle.doe_bisection(case, args.generator, cs, t)
-        print(f"period {t}: {limit_pu * case.s_base:.6f} kW")
+        note = ""
+        if limit_pu >= top:
+            note = f" (bracket top: no limit found at or below {oracle.BRACKET_CAP_MULTIPLE:g} x p_cap)"
+        print(f"period {t}: {limit_pu * case.s_base:.6f} kW{note}")
     return 0
 
 

@@ -148,11 +148,10 @@ class NetworkCase:
                 f"load {ld.id}: profile length {ld.p.shape[1]} does not match horizon {self.horizon}",
             )
 
-        _validate_radial(self.buses, self.branches, bus_pos, slacks[0])
-
         object.__setattr__(self, "bus_pos", bus_pos)
         object.__setattr__(self, "branch_pos", branch_pos)
         object.__setattr__(self, "slack", slacks[0])
+        TreeIndex(self)  # raises InputError unless the branches span the buses as a tree
 
     # Base quantities used by the per-unit transform.
     @property
@@ -165,6 +164,10 @@ class NetworkCase:
         """Current base in ampere, per phase."""
         return self.s_base * 1e3 / self.v_base
 
+    def branch_z(self) -> np.ndarray:
+        """(n_branch, 3, 3) complex series impedances, stacked."""
+        return np.array([br.z for br in self.branches]).reshape(-1, 3, 3)
+
     def gen_entries(self) -> list[tuple[int, int]]:
         """(generator index, phase index) pairs, one per connected phase."""
         return [(g, PHASE_INDEX[ph]) for g, gen in enumerate(self.generators) for ph in gen.phases]
@@ -172,28 +175,12 @@ class NetworkCase:
     def load_entries(self) -> list[tuple[int, int]]:
         return [(d, PHASE_INDEX[ph]) for d, ld in enumerate(self.loads) for ph in ld.phases]
 
-
-def _validate_radial(buses, branches, bus_pos, slack: int) -> None:
-    n = len(buses)
-    if len(branches) != n - 1:
-        raise InputError(
-            f"network is not radial: {len(branches)} branches for {n} buses (expected {n - 1})"
-        )
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for br in branches:
-        i, j = bus_pos[br.from_bus], bus_pos[br.to_bus]
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {slack}
-    stack = [slack]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != n:
-        missing = sorted(buses[i].id for i in range(n) if i not in seen)
-        raise InputError(f"disconnected graph: buses unreachable from slack: {missing}")
+    def gen_index(self, gen_id: str) -> int:
+        """Position of the generator with this id; InputError if there is none."""
+        for g, gen in enumerate(self.generators):
+            if gen.id == gen_id:
+                return g
+        raise InputError(f"unknown generator {gen_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,51 +417,56 @@ def slack_reference(case: NetworkCase, vm: float = 1.0) -> np.ndarray:
 
 
 class TreeIndex:
-    """Radial topology helpers: orientation away from the slack and subtrees.
+    """Feeder topology as arrays, from one walk outward from the slack.
 
-    down_sign[l] is +1 when branch l's stored from->to direction points away
-    from the slack; subtree[l] lists the buses fed through branch l.
+    The walk raises InputError unless the branches form a tree spanning all
+    buses.  For n_branch branches and n_bus buses it yields:
+
+    - A (n_branch, n_bus): branch-bus incidence, +1 at a branch's to_bus and
+      -1 at its from_bus, so A @ u is the voltage rise along each branch;
+    - down_sign[l]: +1 when branch l's stored from->to direction points away
+      from the slack, -1 when it points towards it;
+    - P (n_branch, n_bus): signed path matrix, P[l, m] = down_sign[l] when
+      bus m is fed through branch l.  For net bus demand currents i_net,
+      the branch currents in stored direction are P @ i_net (the
+      bus-injection-to-branch-current matrix of a radial feeder);
+    - load_bus[d], gen_bus[g]: bus position of each load and generator, the
+      element-bus incidence in index form.
     """
 
     def __init__(self, case: NetworkCase):
-        n = len(case.buses)
+        n, n_br = len(case.buses), len(case.branches)
+        if n_br != n - 1:
+            raise InputError(f"network is not radial: {n_br} branches for {n} buses (expected {n - 1})")
+        frm = np.array([case.bus_pos[br.from_bus] for br in case.branches], dtype=np.intp)
+        to = np.array([case.bus_pos[br.to_bus] for br in case.branches], dtype=np.intp)
+        self.A = np.zeros((n_br, n))
+        self.A[np.arange(n_br), to] = 1.0
+        self.A[np.arange(n_br), frm] = -1.0
+        self.load_bus = np.array([case.bus_pos[ld.bus] for ld in case.loads], dtype=np.intp)
+        self.gen_bus = np.array([case.bus_pos[g.bus] for g in case.generators], dtype=np.intp)
+
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbor, branch)
-        for l, br in enumerate(case.branches):
-            i, j = case.bus_pos[br.from_bus], case.bus_pos[br.to_bus]
-            adj[i].append((j, l))
-            adj[j].append((i, l))
-        self.child_of_branch = np.zeros(len(case.branches), dtype=int)
-        self.down_sign = np.zeros(len(case.branches))
-        self.order: list[int] = []  # buses, slack first
-        parent_branch = [-1] * n
-        seen = [False] * n
-        stack = [case.slack]
+        for l in range(n_br):
+            adj[frm[l]].append((to[l], l))
+            adj[to[l]].append((frm[l], l))
+        self.down_sign = np.zeros(n_br)
+        # fed[:, m] marks the branches on the path from the slack to bus m; a
+        # bus inherits its parent's path, complete by the time it is reached.
+        fed = np.zeros((n_br, n), dtype=bool)
+        seen = np.zeros(n, dtype=bool)
         seen[case.slack] = True
+        stack = [case.slack]
         while stack:
             b = stack.pop()
-            self.order.append(b)
             for nb, l in adj[b]:
                 if not seen[nb]:
                     seen[nb] = True
-                    parent_branch[nb] = l
-                    self.child_of_branch[l] = nb
-                    self.down_sign[l] = 1.0 if case.bus_pos[case.branches[l].from_bus] == b else -1.0
+                    self.down_sign[l] = 1.0 if frm[l] == b else -1.0
+                    fed[:, nb] = fed[:, b]
+                    fed[l, nb] = True
                     stack.append(nb)
-        self.parent_branch = parent_branch
-        # Accumulate each branch's downstream buses bottom-up; reverse BFS
-        # order guarantees a branch is complete before it merges upward.
-        subtree: list[set[int]] = [set() for _ in case.branches]
-        for b in reversed(self.order):
-            l = parent_branch[b]
-            if l < 0:
-                continue
-            subtree[l].add(b)
-            parent_bus = (
-                case.bus_pos[case.branches[l].from_bus]
-                if self.down_sign[l] > 0
-                else case.bus_pos[case.branches[l].to_bus]
-            )
-            lp = parent_branch[parent_bus]
-            if lp >= 0:
-                subtree[lp] |= subtree[l]
-        self.subtree = [sorted(s) for s in subtree]
+        if not seen.all():
+            missing = sorted(case.buses[i].id for i in np.flatnonzero(~seen))
+            raise InputError(f"disconnected graph: buses unreachable from slack: {missing}")
+        self.P = np.where(fed, self.down_sign[:, None], 0.0)

@@ -9,6 +9,7 @@ this structure directly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -430,28 +431,27 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> QuadBl
         eq.quad(k, layout.u_re(n, p), layout.ig_im(e), -1.0)
         eq.lin(k, layout.qg(e), -1.0)
 
-    # Nodal current balance at every non-slack bus:
-    # demand - generation - inflow + outflow = 0.
+    # Nodal current balance at every non-slack bus, a re and an im row per
+    # phase: demand - generation - A' i_branch = 0.  One pass over the
+    # elements files each term under its bus and phase; a row lists its
+    # loads, then its generators, then its branches in index order.
+    tree = TreeIndex(case)
+    terms: dict[tuple[int, int], list[tuple[int, int, float]]] = defaultdict(list)  # (re col, im col, coef)
+    for e, (d, p) in enumerate(layout.load_entries):
+        terms[tree.load_bus[d], p].append((layout.il_re(e), layout.il_im(e), 1.0))
+    for e, (g, p) in enumerate(layout.gen_entries):
+        terms[tree.gen_bus[g], p].append((layout.ig_re(e), layout.ig_im(e), -1.0))
+    for l, n in zip(*np.nonzero(tree.A)):
+        for p in range(3):
+            terms[n, p].append((layout.ib_re(l, p), layout.ib_im(l, p), -tree.A[l, n]))
     for n, bus in enumerate(case.buses):
         if n == case.slack:
             continue
         for p in range(3):
-            for part, il_of, ig_of, ib_of in (
-                ("re", layout.il_re, layout.ig_re, layout.ib_re),
-                ("im", layout.il_im, layout.ig_im, layout.ib_im),
-            ):
-                k = eq.new_row(f"kcl_{part}[{bus.id},{PHASES[p]}]")
-                for e, (d, ph) in enumerate(layout.load_entries):
-                    if ph == p and case.bus_pos[case.loads[d].bus] == n:
-                        eq.lin(k, il_of(e), 1.0)
-                for e, (g, ph) in enumerate(layout.gen_entries):
-                    if ph == p and case.bus_pos[case.generators[g].bus] == n:
-                        eq.lin(k, ig_of(e), -1.0)
-                for l, br in enumerate(case.branches):
-                    if case.bus_pos[br.to_bus] == n:
-                        eq.lin(k, ib_of(l, p), -1.0)
-                    if case.bus_pos[br.from_bus] == n:
-                        eq.lin(k, ib_of(l, p), 1.0)
+            for part, name in enumerate(("re", "im")):
+                k = eq.new_row(f"kcl_{name}[{bus.id},{PHASES[p]}]")
+                for term in terms[n, p]:
+                    eq.lin(k, term[part], term[2])
 
     # Reactive import/export split for the margin objective.
     if layout.with_reactive_split:
@@ -585,66 +585,41 @@ def eval_objective(problem: NlpProblem, x: np.ndarray) -> tuple[float, np.ndarra
     return float(problem.obj_coef @ x), problem.obj_coef.copy()
 
 
+def _entry_arrays(entries: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(element indices, phase indices) of (element, phase) entries."""
+    return tuple(np.array(entries, dtype=np.intp).reshape(len(entries), 2).T)
+
+
 def decode_state(problem: NlpProblem, x: np.ndarray) -> PhasorState:
     """Unpack a solution vector into a single-period phasor state."""
     lay = problem.layout
     case = problem.case
-    u = np.zeros((lay.n_bus, 3, 1), dtype=complex)
-    for n in range(lay.n_bus):
-        for p in range(3):
-            u[n, p, 0] = x[lay.u_re(n, p)] + 1j * x[lay.u_im(n, p)]
-    i_branch = np.zeros((lay.n_branch, 3, 1), dtype=complex)
-    for l in range(lay.n_branch):
-        for p in range(3):
-            i_branch[l, p, 0] = x[lay.ib_re(l, p)] + 1j * x[lay.ib_im(l, p)]
+
+    def block(off_re: int, off_im: int, size: int) -> np.ndarray:
+        return x[off_re : off_re + size] + 1j * x[off_im : off_im + size]
+
     i_load = np.zeros((len(case.loads), 3, 1), dtype=complex)
-    for e, (d, p) in enumerate(lay.load_entries):
-        i_load[d, p, 0] = x[lay.il_re(e)] + 1j * x[lay.il_im(e)]
+    i_load[(*_entry_arrays(lay.load_entries), 0)] = block(lay.off_il_re, lay.off_il_im, len(lay.load_entries))
     i_gen = np.zeros((len(case.generators), 3, 1), dtype=complex)
-    for e, (g, p) in enumerate(lay.gen_entries):
-        i_gen[g, p, 0] = x[lay.ig_re(e)] + 1j * x[lay.ig_im(e)]
-    return PhasorState(case=case, u=u, i_branch=i_branch, i_load=i_load, i_gen=i_gen)
+    i_gen[(*_entry_arrays(lay.gen_entries), 0)] = block(lay.off_ig_re, lay.off_ig_im, len(lay.gen_entries))
+    return PhasorState(
+        case=case,
+        u=block(lay.off_u_re, lay.off_u_im, 3 * lay.n_bus).reshape(lay.n_bus, 3, 1),
+        i_branch=block(lay.off_ib_re, lay.off_ib_im, 3 * lay.n_branch).reshape(lay.n_branch, 3, 1),
+        i_load=i_load,
+        i_gen=i_gen,
+    )
 
 
 def decode_generation(problem: NlpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-generator (n_gen, 3) active/reactive outputs from a solution."""
     lay = problem.layout
+    entries = _entry_arrays(lay.gen_entries)
     pg = np.zeros((len(problem.case.generators), 3))
     qg = np.zeros_like(pg)
-    for e, (g, p) in enumerate(lay.gen_entries):
-        pg[g, p] = x[lay.pg(e)]
-        qg[g, p] = x[lay.qg(e)]
+    pg[entries] = x[lay.off_pg : lay.off_qg]
+    qg[entries] = x[lay.off_qg : lay.off_qplus]
     return pg, qg
-
-
-def encode_state(problem: NlpProblem, state: PhasorState, state_period: int = 0) -> np.ndarray:
-    """Pack a phasor state (plus implied generation) into a vector for tests."""
-    lay = problem.layout
-    case = problem.case
-    x = np.zeros(lay.n_vars)
-    for n in range(lay.n_bus):
-        for p in range(3):
-            x[lay.u_re(n, p)] = state.u[n, p, state_period].real
-            x[lay.u_im(n, p)] = state.u[n, p, state_period].imag
-    for l in range(lay.n_branch):
-        for p in range(3):
-            x[lay.ib_re(l, p)] = state.i_branch[l, p, state_period].real
-            x[lay.ib_im(l, p)] = state.i_branch[l, p, state_period].imag
-    for e, (d, p) in enumerate(lay.load_entries):
-        x[lay.il_re(e)] = state.i_load[d, p, state_period].real
-        x[lay.il_im(e)] = state.i_load[d, p, state_period].imag
-    for e, (g, p) in enumerate(lay.gen_entries):
-        cur = state.i_gen[g, p, state_period]
-        x[lay.ig_re(e)] = cur.real
-        x[lay.ig_im(e)] = cur.imag
-        n = case.bus_pos[case.generators[g].bus]
-        s = state.u[n, p, state_period] * np.conj(cur)
-        x[lay.pg(e)] = s.real
-        x[lay.qg(e)] = s.imag
-        if lay.with_reactive_split:
-            x[lay.qplus(e)] = max(s.imag, 0.0)
-            x[lay.qminus(e)] = max(-s.imag, 0.0)
-    return x
 
 
 def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray:
@@ -660,10 +635,8 @@ def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray
     case = problem.case
     x = np.zeros(lay.n_vars)
     ref = slack_reference(case, vm=voltage_scale)
-    for n in range(lay.n_bus):
-        for p in range(3):
-            x[lay.u_re(n, p)] = ref[p].real
-            x[lay.u_im(n, p)] = ref[p].imag
+    x[lay.off_u_re : lay.off_u_im] = np.tile(ref.real, lay.n_bus)
+    x[lay.off_u_im : lay.off_ib_re] = np.tile(ref.imag, lay.n_bus)
 
     i_net = np.zeros((lay.n_bus, 3), dtype=complex)
     for e, (d, p) in enumerate(lay.load_entries):
@@ -684,12 +657,11 @@ def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray
             x[lay.ig_im(e)] = cur.imag
             i_net[case.bus_pos[case.generators[g].bus], p] -= cur
 
-    tree = TreeIndex(case)
-    for l in range(lay.n_branch):
-        cur = tree.down_sign[l] * i_net[tree.subtree[l]].sum(axis=0)
-        for p in range(3):
-            x[lay.ib_re(l, p)] = cur[p].real
-            x[lay.ib_im(l, p)] = cur[p].imag
+    # Real and imaginary parts are multiplied apart: a complex product would
+    # turn some zero currents into -0.0.
+    path = TreeIndex(case).P
+    x[lay.off_ib_re : lay.off_ib_im] = (path @ i_net.real).ravel()
+    x[lay.off_ib_im : lay.off_il_re] = (path @ i_net.imag).ravel()
 
     fixed = problem.lb == problem.ub
     x[fixed] = problem.lb[fixed]

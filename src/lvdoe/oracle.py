@@ -48,23 +48,13 @@ class InjectionSet:
         return cls(p_load, q_load, np.zeros((n_g, 3, T)), np.zeros((n_g, 3, T)))
 
     def with_generator(self, case: NetworkCase, gen_id: str, p: float, q: float, period: int) -> "InjectionSet":
-        g = next(i for i, gen in enumerate(case.generators) if gen.id == gen_id)
+        g = case.gen_index(gen_id)
         p_gen = self.p_gen.copy()
         q_gen = self.q_gen.copy()
         for ph in case.generators[g].phases:
             p_gen[g, PHASE_INDEX[ph], period] = p
             q_gen[g, PHASE_INDEX[ph], period] = q
         return replace(self, p_gen=p_gen, q_gen=q_gen)
-
-
-def _net_injection(case: NetworkCase, inj: InjectionSet, period: int) -> np.ndarray:
-    """Net complex power drawn per bus and phase: demand minus generation."""
-    s_net = np.zeros((len(case.buses), 3), dtype=complex)
-    for d, ld in enumerate(case.loads):
-        s_net[case.bus_pos[ld.bus], :] += inj.p_load[d, :, period] + 1j * inj.q_load[d, :, period]
-    for g, gen in enumerate(case.generators):
-        s_net[case.bus_pos[gen.bus], :] -= inj.p_gen[g, :, period] + 1j * inj.q_gen[g, :, period]
-    return s_net
 
 
 def solve_pf(
@@ -77,15 +67,28 @@ def solve_pf(
     """Newton power flow at fixed injections; returns a single-period state.
 
     Unknowns are the rectangular non-slack voltages.  Branch currents are
-    recovered from the injection currents by accumulation down the tree, so
-    nodal balance holds exactly by construction and the residual being
-    driven to zero is the branch voltage-drop law.
+    the path matrix applied to the injection currents, so nodal balance
+    holds exactly by construction and the residual being driven to zero is
+    the branch voltage-drop law, A u + Z i_branch.
     """
     tree = TreeIndex(case)
     n = len(case.buses)
-    nb = [b for b in range(n) if b != case.slack]
-    col = {b: k for k, b in enumerate(nb)}
-    s_net = _net_injection(case, injections, period)
+    s_load = injections.p_load[:, :, period] + 1j * injections.q_load[:, :, period]
+    s_gen = injections.p_gen[:, :, period] + 1j * injections.q_gen[:, :, period]
+    s_net = np.zeros((n, 3), dtype=complex)  # drawn per bus and phase: demand minus generation
+    np.add.at(s_net, tree.load_bus, s_load)
+    np.subtract.at(s_net, tree.gen_bus, s_gen)
+
+    z = case.branch_z()
+    # Real form of each impedance, acting on (re a..c, im a..c) currents,
+    # indexed [branch, re/im, phase, re/im, phase].
+    z_real = np.block([[z.real, -z.imag], [z.imag, z.real]]).reshape(-1, 2, 3, 2, 3)
+    # blockdiag(Z) (P x I): each branch's drop per unit of bus injection
+    # current, as a stack over [bus, phase] of (branch re/im phase, re/im).
+    zp = np.einsum("lm,lapcq->mqlapc", tree.P, z_real).reshape(n, 3, 6 * len(z), 2)
+    unknown = np.delete(np.arange(n), case.slack)
+    cols = (6 * unknown[:, None] + np.arange(6)).ravel()
+    jac_volt = np.kron(tree.A, np.eye(6))[:, cols]
 
     u = np.tile(phasecalc.slack_reference(case)[None, :], (n, 1)).astype(complex)
 
@@ -94,76 +97,31 @@ def solve_pf(
             raise PowerFlowDivergedError("voltage collapsed during Newton iteration")
         return np.conj(s_net / volt)
 
-    def branch_currents(i_net: np.ndarray) -> np.ndarray:
-        i_br = np.zeros((len(case.branches), 3), dtype=complex)
-        for l in range(len(case.branches)):
-            i_br[l] = tree.down_sign[l] * i_net[tree.subtree[l]].sum(axis=0)
-        return i_br
-
     for _ in range(max_iter):
-        i_net = injection_currents(u)
-        i_br = branch_currents(i_net)
-        res = np.zeros(6 * len(nb))
-        for l, br in enumerate(case.branches):
-            fi, ti = case.bus_pos[br.from_bus], case.bus_pos[br.to_bus]
-            r = u[ti] - u[fi] + br.z @ i_br[l]
-            res[6 * l : 6 * l + 3] = r.real
-            res[6 * l + 3 : 6 * l + 6] = r.imag
+        i_br = tree.P @ injection_currents(u)
+        r = tree.A @ u + np.einsum("lpq,lq->lp", z, i_br)
+        res = np.concatenate([r.real, r.imag], axis=1).ravel()
         if np.abs(res).max() <= tol:
             break
 
-        jac = np.zeros((6 * len(nb), 6 * len(nb)))
-        # Voltage-difference terms.
-        for l, br in enumerate(case.branches):
-            for end, sgn in ((case.bus_pos[br.to_bus], 1.0), (case.bus_pos[br.from_bus], -1.0)):
-                if end == case.slack:
-                    continue
-                k = col[end]
-                for p in range(3):
-                    jac[6 * l + p, 6 * k + p] += sgn
-                    jac[6 * l + 3 + p, 6 * k + 3 + p] += sgn
-        # Impedance-drop terms through the injection currents.
+        # Impedance drops move with the voltages through the injection
+        # currents: blockdiag(Z) (P x I) blockdiag(d i_net / d u).
         dnet = _injection_current_jacobian(s_net, u)
-        for l, br in enumerate(case.branches):
-            for m in tree.subtree[l]:
-                if m == case.slack:
-                    continue
-                k = col[m]
-                for p in range(3):
-                    for q in range(3):
-                        z = tree.down_sign[l] * br.z[p, q]
-                        blk = np.array([[z.real, -z.imag], [z.imag, z.real]]) @ dnet[m, q]
-                        jac[6 * l + p, 6 * k + q] += blk[0, 0]
-                        jac[6 * l + p, 6 * k + 3 + q] += blk[0, 1]
-                        jac[6 * l + 3 + p, 6 * k + q] += blk[1, 0]
-                        jac[6 * l + 3 + p, 6 * k + 3 + q] += blk[1, 1]
-
+        jac_drop = (zp @ dnet).transpose(2, 0, 3, 1).reshape(6 * len(z), 6 * n)
         try:
-            dv = np.linalg.solve(jac, -res)
+            dv = np.linalg.solve(jac_volt + jac_drop[:, cols], -res).reshape(-1, 2, 3)
         except np.linalg.LinAlgError as exc:
             raise PowerFlowDivergedError(f"singular Jacobian: {exc}") from None
-        for b in nb:
-            k = col[b]
-            u[b] += dv[6 * k : 6 * k + 3] + 1j * dv[6 * k + 3 : 6 * k + 6]
+        u[unknown] += dv[:, 0] + 1j * dv[:, 1]
     else:
         raise PowerFlowDivergedError(f"no convergence in {max_iter} iterations")
 
-    i_net = injection_currents(u)
-    i_br = branch_currents(i_net)
-    i_load = np.zeros((len(case.loads), 3, 1), dtype=complex)
-    for d, ld in enumerate(case.loads):
-        s = injections.p_load[d, :, period] + 1j * injections.q_load[d, :, period]
-        i_load[d, :, 0] = np.conj(s / u[case.bus_pos[ld.bus]])
-    i_gen = np.zeros((len(case.generators), 3, 1), dtype=complex)
-    for g, gen in enumerate(case.generators):
-        s = injections.p_gen[g, :, period] + 1j * injections.q_gen[g, :, period]
-        i_gen[g, :, 0] = np.conj(s / u[case.bus_pos[gen.bus]])
     return PhasorState(
         case=case,
         u=u[:, :, None],
-        i_branch=i_br[:, :, None],
-        i_load=i_load,
-        i_gen=i_gen,
+        i_branch=(tree.P @ injection_currents(u))[:, :, None],
+        i_load=np.conj(s_load / u[tree.load_bus])[:, :, None],
+        i_gen=np.conj(s_gen / u[tree.gen_bus])[:, :, None],
     )
 
 
@@ -191,6 +149,9 @@ def _injection_current_jacobian(s_net: np.ndarray, u: np.ndarray) -> np.ndarray:
 # Envelope search by bisection
 # ---------------------------------------------------------------------------
 
+BRACKET_CAP_MULTIPLE = 10.0  # default bracket top, in units of the target's grid-code cap
+
+
 def doe_bisection(
     case: NetworkCase,
     target_generator: str,
@@ -205,12 +166,14 @@ def doe_bisection(
     All other elements stay at the provided injections (other generators
     silent by default).  A candidate is feasible when the power flow
     converges and no selected limit is violated.  The default search
-    bracket tops out at ten times the generator's grid-code cap.
+    bracket tops out at BRACKET_CAP_MULTIPLE times the generator's
+    grid-code cap; a generator that is feasible there gets that top back.
+    An unknown generator id raises InputError.
     """
-    gen = next(g for g in case.generators if g.id == target_generator)
+    gen = case.generators[case.gen_index(target_generator)]
     base = injections if injections is not None else InjectionSet.from_case(case)
     if hi is None:
-        hi = 10.0 * gen.p_cap
+        hi = BRACKET_CAP_MULTIPLE * gen.p_cap
 
     def feasible(p: float) -> bool:
         try:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .netmodel import Branch, Generator, Load, NetworkCase, PHASES, slack_reference
+from .netmodel import Generator, Load, NetworkCase, PHASES, TreeIndex, slack_reference
 
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 # Anything below this (relative to the phasor scale) is roundoff, not unbalance.
@@ -102,17 +102,20 @@ def flat_state(case: NetworkCase, n_periods: int = 1, vm: float = 1.0) -> Phasor
 # Branch / element laws
 # ---------------------------------------------------------------------------
 
+def _voltage_drop_residuals(state: PhasorState) -> np.ndarray:
+    """(n_branch, 3, T) mismatch of the series voltage-drop law, A u + Z i_branch."""
+    case = state.case
+    rise = np.einsum("lm,mpt->lpt", TreeIndex(case).A, state.u)
+    return rise + np.einsum("lpq,lqt->lpt", case.branch_z(), state.i_branch)
+
+
 def voltage_drop_residual(state: PhasorState, branch: int, phase: int, period: int) -> tuple[float, float]:
     """Mismatch of the series voltage-drop law on one branch phase.
 
     Zero iff the receiving-end voltage equals the sending-end voltage minus
     the full mutual-coupled impedance drop.
     """
-    br = state.case.branches[branch]
-    i = state.case.bus_pos[br.from_bus]
-    j = state.case.bus_pos[br.to_bus]
-    drop = br.z[phase, :] @ state.i_branch[branch, :, period]
-    res = state.u[j, phase, period] - state.u[i, phase, period] + drop
+    res = _voltage_drop_residuals(state)[branch, phase, period]
     return (res.real, res.imag)
 
 
@@ -135,25 +138,22 @@ def element_power(state: PhasorState, element: Load | Generator, phase: int, per
     return (s.real, s.imag)
 
 
+def _kcl_residuals(state: PhasorState) -> np.ndarray:
+    """(n_bus, 3, T) nodal balance: demand - generation - A' i_branch."""
+    tree = TreeIndex(state.case)
+    total = -np.einsum("lm,lpt->mpt", tree.A, state.i_branch)
+    np.add.at(total, tree.load_bus, state.i_load)
+    np.subtract.at(total, tree.gen_bus, state.i_gen)
+    return total
+
+
 def kcl_residual(state: PhasorState, bus: int, phase: int, period: int) -> tuple[float, float]:
     """Nodal current balance: demand minus generation minus net branch inflow.
 
     At the slack bus the balance is absorbed by the external grid and the
     returned value is the (unconstrained) surplus handed to it.
     """
-    case = state.case
-    total = 0.0 + 0.0j
-    for d, ld in enumerate(case.loads):
-        if ld.bus == case.buses[bus].id:
-            total += state.i_load[d, phase, period]
-    for g, gen in enumerate(case.generators):
-        if gen.bus == case.buses[bus].id:
-            total -= state.i_gen[g, phase, period]
-    for l, br in enumerate(case.branches):
-        if case.bus_pos[br.to_bus] == bus:
-            total -= state.i_branch[l, phase, period]
-        if case.bus_pos[br.from_bus] == bus:
-            total += state.i_branch[l, phase, period]
+    total = _kcl_residuals(state)[bus, phase, period]
     return (total.real, total.imag)
 
 
@@ -243,24 +243,14 @@ def check_limits(
 # Aggregate residuals (used to certify solver output)
 # ---------------------------------------------------------------------------
 
+def _max_part(res: np.ndarray) -> float:
+    return float(max(np.abs(res.real).max(initial=0.0), np.abs(res.imag).max(initial=0.0)))
+
+
 def max_voltage_drop_residual(state: PhasorState) -> float:
-    worst = 0.0
-    for l in range(len(state.case.branches)):
-        for p in range(3):
-            for t in range(state.n_periods):
-                re, im = voltage_drop_residual(state, l, p, t)
-                worst = max(worst, abs(re), abs(im))
-    return worst
+    return _max_part(_voltage_drop_residuals(state))
 
 
 def max_kcl_residual(state: PhasorState) -> float:
     """Worst nodal current mismatch over all non-slack buses."""
-    worst = 0.0
-    for n in range(len(state.case.buses)):
-        if n == state.case.slack:
-            continue
-        for p in range(3):
-            for t in range(state.n_periods):
-                re, im = kcl_residual(state, n, p, t)
-                worst = max(worst, abs(re), abs(im))
-    return worst
+    return _max_part(np.delete(_kcl_residuals(state), state.case.slack, axis=0))

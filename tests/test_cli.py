@@ -134,6 +134,21 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "period 12:" in out and "kW" in out
 
+    def test_bracket_top_is_not_reported_as_a_limit(self, capsys):
+        # g43 stays feasible at 10 x p_cap in period 19; its limit lies higher
+        rc = main(
+            ["oracle", "--network", str(fixture_path("feeder_hr.json")), "--generator", "g43",
+             "--period", "19"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out == "period 19: 36.800000 kW (bracket top: no limit found at or below 10 x p_cap)\n"
+
+    def test_unknown_generator_exits_1(self, capsys):
+        rc = main(["oracle", "--network", SYNTH2, "--generator", "nope", "--period", "0"])
+        assert rc == 1
+        assert "unknown generator 'nope'" in capsys.readouterr().err
+
     def test_bad_constraint_name_exits_1(self):
         rc = main(
             ["oracle", "--network", SYNTH2, "--generator", "g1",

@@ -227,3 +227,15 @@ class TestValidation:
     def test_branch_self_loop(self):
         with pytest.raises(InputError, match="from_bus equals"):
             nm.Branch("l", "a", "a", r=np.zeros((3, 3)), x=np.zeros((3, 3)), i_max=1.0)
+
+
+class TestTreeIndex:
+    @pytest.mark.parametrize("name", ["synth2", "synth4", "synth4_unbal", "feeder_hr", "feeder_au"])
+    def test_path_matrix_inverts_incidence(self, name):
+        # Branch currents P @ i_net must balance every non-slack bus,
+        # A' (P @ i_net) = i_net there; on a tree that fixes P, signs included.
+        case = load_network(fixture_path(f"{name}.json"))
+        tree = nm.TreeIndex(case)
+        others = np.delete(np.arange(len(case.buses)), case.slack)
+        np.testing.assert_array_equal(tree.A[:, others].T @ tree.P[:, others], np.eye(len(others)))
+        assert not tree.P[:, case.slack].any()

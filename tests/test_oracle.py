@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lvdoe import nlp, oracle, phasecalc as pc, solver
-from lvdoe.netmodel import slack_reference
+from lvdoe.netmodel import TreeIndex, slack_reference
 from lvdoe.nlp import Objective, ScenarioSpec, build_custom, build_problem
 from lvdoe.oracle import (
     InfeasibleAtZeroExportError,
@@ -70,11 +70,27 @@ class TestSolvePf:
             solve_pf(case, inj, 0)
 
     def test_multi_branch_tree_orientation(self, synth4):
-        # synth4 stores all branches pointing away from the slack; flip one
-        # by constructing a reversed copy and confirm identical physics
-        state = solve_pf(synth4, InjectionSet.from_case(synth4), 12)
+        # synth4 stores all branches pointing away from the slack; flip ln1,
+        # which feeds two buses, in a copy and confirm identical physics
+        l = synth4.branch_pos["ln1"]
+        flipped = dataclasses.replace(synth4, branches=tuple(
+            dataclasses.replace(br, from_bus=br.to_bus, to_bus=br.from_bus) if k == l else br
+            for k, br in enumerate(synth4.branches)
+        ))
+        assert TreeIndex(flipped).down_sign[l] == -1.0
+        inj = InjectionSet.from_case(synth4).with_generator(synth4, "g1", 0.02, 0.0, 12)
+        stored = solve_pf(synth4, inj, 12)
+        state = solve_pf(flipped, inj, 12)
+        np.testing.assert_allclose(state.u, stored.u, rtol=0.0, atol=1e-12)
+        expect = stored.i_branch.copy()
+        expect[l] *= -1.0
+        np.testing.assert_allclose(state.i_branch, expect, rtol=0.0, atol=1e-12)
         assert pc.max_kcl_residual(state) <= 1e-10
         assert pc.max_voltage_drop_residual(state) <= 1e-10
+
+        prob = build_problem(flipped, ScenarioSpec(5), 12)
+        kcl = np.array([label.startswith("kcl_") for label in prob.eq.labels])
+        assert np.abs(prob.eq.value(nlp.initial_point(prob))[kcl]).max() <= 1e-12
 
 
 class TestBisection:
