@@ -188,34 +188,28 @@ def _ldlt(kdense: np.ndarray):
     if info < 0:
         raise ValueError(f"sytrf illegal argument {-info}")
     tiny = 1e-12
-    pos = neg = zero = 0
-    i = 0
-    while i < n:
-        if ipiv[i] >= 0:
-            v = ldu[i, i]
-            if v > tiny:
-                pos += 1
-            elif v < -tiny:
-                neg += 1
-            else:
-                zero += 1
-            i += 1
-        else:
-            a, b, c = ldu[i, i], ldu[i + 1, i], ldu[i + 1, i + 1]
-            det = a * c - b * b
-            if abs(det) <= tiny * max(1.0, abs(a), abs(c)):
-                zero += 1
-                tr = a + c
-                if tr > tiny:
-                    pos += 1
-                elif tr < -tiny:
-                    neg += 1
-                else:
-                    zero += 1
-            else:
-                pos += 1
-                neg += 1
-            i += 2
+    d = np.diagonal(ldu)
+    # A 2x2 pivot marks both of its rows with a negative ipiv, so the blocks
+    # start at every other negative entry.
+    two = np.flatnonzero(ipiv < 0)[::2]
+    one = np.ones(n, dtype=bool)
+    one[two] = one[two + 1] = False
+    v = d[one]
+    pos = int(np.count_nonzero(v > tiny))
+    neg = int(np.count_nonzero(v < -tiny))
+    zero = v.size - pos - neg
+    a, b, c = d[two], ldu[two + 1, two], d[two + 1]
+    det = a * c - b * b
+    singular = np.abs(det) <= tiny * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(c))
+    # A regular 2x2 pivot has one eigenvalue of each sign; a singular one
+    # counts one zero, and its trace signs the other eigenvalue.
+    tr = (a + c)[singular]
+    tr_pos = int(np.count_nonzero(tr > tiny))
+    tr_neg = int(np.count_nonzero(tr < -tiny))
+    regular = two.size - tr.size
+    pos += regular + tr_pos
+    neg += regular + tr_neg
+    zero += tr.size + (tr.size - tr_pos - tr_neg)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         out, sinfo = sytrs(ldu, ipiv, rhs, lower=1)
@@ -267,7 +261,8 @@ def solve(
     small_steps = 0
     it = 0
 
-    def kkt_error(mu_val: float) -> float:
+    def feasibility_error() -> float:
+        """Largest dual and primal residual at the current point."""
         jg = form.eq.jacobian(x)
         jh = form.ineq.jacobian(x)
         r_d = form.c + jg.T @ y + jh.T @ z
@@ -276,8 +271,12 @@ def solve(
             terms.append(np.abs(form.eq.value(x)).max())
         if mi:
             terms.append(np.abs(form.ineq.value(x) + s).max())
-            terms.append(np.abs(s * z - mu_val).max())
         return max(terms)
+
+    def kkt_error(mu_val: float, feas: float | None = None) -> float:
+        """KKT error for barrier mu_val; feas reuses feasibility_error()."""
+        feas = feasibility_error() if feas is None else feas
+        return max(feas, np.abs(s * z - mu_val).max()) if mi else feas
 
     def theta(xv: np.ndarray, sv: np.ndarray) -> float:
         t = np.abs(form.eq.value(xv)).max() if me else 0.0
@@ -286,14 +285,14 @@ def solve(
         return t
 
     while it < opts.max_iter:
-        err0 = kkt_error(0.0)
-        if err0 <= opts.tol_kkt:
+        feas = feasibility_error()
+        if kkt_error(0.0, feas) <= opts.tol_kkt:
             status = "optimal"
             break
         # Monotone Fiacco-McCormick barrier reduction, gated on the inner
         # problem being solved to within a multiple of the current mu; the
         # target blends the fixed shrink with the measured complementarity.
-        if mi and mu > opts.tol_kkt / 100.0 and kkt_error(mu) <= 10.0 * mu:
+        if mi and mu > opts.tol_kkt / 100.0 and kkt_error(mu, feas) <= 10.0 * mu:
             compl = float(s @ z) / mi
             mu = max(
                 opts.tol_kkt / 100.0,
@@ -302,16 +301,20 @@ def solve(
 
         duals = Duals(y=y, z=z, s=s)
         kkt, rhs = kkt_assemble(form, x, duals, mu)
-        base = kkt.toarray()
+        # Fortran order hands LAPACK a plain copy instead of a transposed one.
+        # sytrf leaves its input intact, so a retry rewrites the diagonal from
+        # the saved one rather than copying the whole dense matrix; the
+        # regularizations only grow, so every entry it sets is rewritten.
+        kdense = kkt.toarray(order="F")
         diag = np.arange(n + me + mi)
+        base_diag = kdense[diag, diag]
         solve_fn, inertia = None, None
         delta_w, delta_c = 0.0, 0.0
         for _ in range(60):
-            kdense = base if delta_w == 0.0 and delta_c == 0.0 else base.copy()
             if delta_w > 0.0:
-                kdense[diag[:n], diag[:n]] += delta_w
+                kdense[diag[:n], diag[:n]] = base_diag[:n] + delta_w
             if delta_c > 0.0:
-                kdense[diag[n:], diag[n:]] -= delta_c
+                kdense[diag[n:], diag[n:]] = base_diag[n:] - delta_c
             solve_fn, inertia = _ldlt(kdense)
             ok = inertia[0] == n and inertia[2] == 0
             if ok:
