@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -69,7 +68,6 @@ def run_scenario(
     options: SolverOptions | None = None,
     *,
     reactive_p: str = "two_stage",
-    jobs: int = 1,
     starts: int = 2,
 ) -> EnvelopeResult:
     """Solve every period independently and aggregate the daily envelope.
@@ -84,14 +82,13 @@ def run_scenario(
     if spec.scenario == 1:
         return _run_scenario_1(case, spec)
     if spec.objective is Objective.ACTIVE_EXPORT:
-        return _run_periods(case, spec, options, jobs=jobs, starts=starts)
+        return _run_periods(case, spec, options, starts=starts)
 
     if reactive_p == "two_stage":
         stage1 = _run_periods(
             case,
             ScenarioSpec(spec.scenario, Objective.ACTIVE_EXPORT),
             options,
-            jobs=jobs,
             starts=starts,
             bound_q_by_rating=True,
         )
@@ -99,7 +96,7 @@ def run_scenario(
         # sits exactly on a network limit, and the margin stage needs a
         # strictly feasible interior to search for reactive headroom.
         fixed = _entries_from_dense(case, stage1.p_kw / case.s_base) * (1.0 - 1e-4)
-        result = _run_periods(case, spec, options, jobs=jobs, starts=starts, fixed_p=fixed)
+        result = _run_periods(case, spec, options, starts=starts, fixed_p=fixed)
         return EnvelopeResult(
             case=case,
             spec=spec,
@@ -110,7 +107,7 @@ def run_scenario(
             stage1=stage1,
         )
     if reactive_p == "free":
-        return _run_periods(case, spec, options, jobs=jobs, starts=starts)
+        return _run_periods(case, spec, options, starts=starts)
     raise ValueError(f"unknown reactive_p mode {reactive_p!r}")
 
 
@@ -140,7 +137,6 @@ def _run_periods(
     spec: ScenarioSpec,
     options: SolverOptions | None,
     *,
-    jobs: int = 1,
     starts: int = 2,
     bound_q_by_rating: bool = False,
     fixed_p: np.ndarray | None = None,
@@ -149,7 +145,11 @@ def _run_periods(
     T = case.horizon
     scales = START_SCALES[: max(1, starts)]
 
-    def solve_period(t: int):
+    p_kw = np.zeros((len(case.generators), 3, T))
+    q_kvar = np.zeros_like(p_kw)
+    objective = np.zeros(T)
+    diags = []
+    for t in range(T):
         problem = nlp.build_problem(
             case,
             spec,
@@ -167,12 +167,15 @@ def _run_periods(
         if sol.status != "optimal":
             raise ScenarioSolveError(t, sol.status)
         pg, qg = nlp.decode_generation(problem, sol.x)
-        diag = {
+        p_kw[:, :, t] = pg * case.s_base
+        q_kvar[:, :, t] = qg * case.s_base
+        objective[t] = sol.objective
+        diags.append({
             "period": t,
             "status": sol.status,
             "iterations": sol.iterations,
             "kkt_residual": sol.max_kkt_residual,
-        }
+        })
         if opts.trace:
             for rec in sol.trace:
                 print(
@@ -180,23 +183,6 @@ def _run_periods(
                     f"obj {rec['objective']:12.6f}  kkt {rec['kkt_error']:9.2e}  "
                     f"theta {rec['theta']:9.2e}  alpha {rec['alpha']:6.4f}"
                 )
-        return pg, qg, sol.objective, diag
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_period, range(T)))
-    else:
-        results = [solve_period(t) for t in range(T)]
-
-    p_kw = np.zeros((len(case.generators), 3, T))
-    q_kvar = np.zeros_like(p_kw)
-    objective = np.zeros(T)
-    diags = []
-    for t, (pg, qg, obj, diag) in enumerate(results):
-        p_kw[:, :, t] = pg * case.s_base
-        q_kvar[:, :, t] = qg * case.s_base
-        objective[t] = obj
-        diags.append(diag)
     return EnvelopeResult(
         case=case,
         spec=spec,
@@ -372,7 +358,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--out", required=True, help="output directory")
     ps.add_argument("--tol", type=float, default=1e-8)
     ps.add_argument("--max-iter", type=int, default=300)
-    ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--starts", type=int, default=2, choices=range(1, len(START_SCALES) + 1),
                     help="deterministic multi-start attempts per period")
     ps.add_argument("--trace", action="store_true", help="stream per-iteration solver diagnostics")
@@ -399,9 +384,7 @@ def _cmd_solve(args) -> int:
     spec = ScenarioSpec(args.scenario, Objective.ACTIVE_EXPORT if args.objective == "active" else Objective.REACTIVE_MARGIN)
     opts = SolverOptions(tol_kkt=args.tol, max_iter=args.max_iter, trace=args.trace)
     try:
-        result = run_scenario(
-            case, spec, opts, reactive_p=args.reactive_p, jobs=args.jobs, starts=args.starts
-        )
+        result = run_scenario(case, spec, opts, reactive_p=args.reactive_p, starts=args.starts)
     except ScenarioSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

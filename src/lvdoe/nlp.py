@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .netmodel import NetworkCase, PHASES, TreeIndex, slack_reference
 from .phasecalc import LimitKind, PhasorState, _HALF_SQRT3
@@ -116,6 +115,9 @@ class QuadBlock:
         self.li = np.asarray(self._li, dtype=np.intp)
         self.lv = np.asarray(self._lv, dtype=float)
         self.c0 = np.asarray(self._c0, dtype=float)
+        # Flat positions (row * n_vars + col) of the Jacobian entries: one per
+        # linear triplet, then one per quadratic triplet.
+        self.jac_index = np.concatenate([self.lk * self.n_vars + self.li, self.qk * self.n_vars + self.qi])
         self._sealed = True
 
     @property
@@ -131,18 +133,11 @@ class QuadBlock:
             out += 0.5 * np.bincount(self.qk, weights=self.qv * x[self.qi] * x[self.qj], minlength=self.n_rows)
         return out
 
-    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        rows = np.concatenate([self.lk, self.qk])
-        cols = np.concatenate([self.li, self.qi])
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Dense (n_rows, n_vars) Jacobian at x."""
         data = np.concatenate([self.lv, self.qv * x[self.qj]])
-        return sp.coo_matrix((data, (rows, cols)), shape=(self.n_rows, self.n_vars)).tocsr()
-
-    def weighted_hessian_triplets(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """COO triplets of sum_k lam_k A_k."""
-        if not self.qk.size:
-            z = np.zeros(0)
-            return z.astype(np.intp), z.astype(np.intp), z
-        return self.qi, self.qj, lam[self.qk] * self.qv
+        flat = np.bincount(self.jac_index, weights=data, minlength=self.n_rows * self.n_vars)
+        return flat.reshape(self.n_rows, self.n_vars)
 
 
 def concat_blocks(n_vars: int, blocks: list[QuadBlock]) -> QuadBlock:

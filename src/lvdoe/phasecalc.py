@@ -161,18 +161,19 @@ def kcl_residual(state: PhasorState, bus: int, phase: int, period: int) -> tuple
 # Sequence components / unbalance
 # ---------------------------------------------------------------------------
 
-def _sequence_squares(ua: complex, ub: complex, uc: complex) -> tuple[float, float, float]:
+def _sequence_squares(ua, ub, uc) -> tuple:
     """Un-normalized squared negative/positive sequence magnitudes.
 
     The common 1/3 factor of the symmetrical-component transform is dropped
-    since it cancels in the unbalance ratio.  Returns (|U2|^2, |U1|^2, scale)
-    where scale is the magnitude level used for roundoff classification.
+    since it cancels in the unbalance ratio.  Elementwise on complex scalars
+    or arrays, returns (|U2|^2, |U1|^2, scale) where scale is the magnitude
+    level used for roundoff classification.
     """
     u2_re = ua.real - 0.5 * (ub.real + uc.real) + _HALF_SQRT3 * (ub.imag - uc.imag)
     u2_im = ua.imag - 0.5 * (ub.imag + uc.imag) - _HALF_SQRT3 * (ub.real - uc.real)
     u1_re = ua.real - 0.5 * (ub.real + uc.real) - _HALF_SQRT3 * (ub.imag - uc.imag)
     u1_im = ua.imag - 0.5 * (ub.imag + uc.imag) + _HALF_SQRT3 * (ub.real - uc.real)
-    scale = max(abs(ua), abs(ub), abs(uc), 1e-300)
+    scale = np.maximum(np.maximum(abs(ua), abs(ub)), np.maximum(abs(uc), 1e-300))
     return (u2_re * u2_re + u2_im * u2_im, u1_re * u1_re + u1_im * u1_im, scale)
 
 
@@ -209,32 +210,36 @@ def check_limits(
     """Every exceedance of the selected technical limits, largest first.
 
     Voltage magnitude and unbalance are checked at every bus, current at
-    every branch phase, over all periods held by the state.
+    every branch phase, over all periods held by the state.  Ties keep the
+    order voltage, current, unbalance, each by element, phase and period.
     """
     case = state.case
     out: list[Violation] = []
     if LimitKind.VOLTAGE in constraint_set:
         vmag = np.abs(state.u)
-        for n, bus in enumerate(case.buses):
-            for p in range(3):
-                for t in range(state.n_periods):
-                    if vmag[n, p, t] > bus.vmax + tol:
-                        out.append(Violation("voltage_high", bus.id, PHASES[p], t, vmag[n, p, t] - bus.vmax))
-                    elif vmag[n, p, t] < bus.vmin - tol:
-                        out.append(Violation("voltage_low", bus.id, PHASES[p], t, bus.vmin - vmag[n, p, t]))
+        vmax = np.array([bus.vmax for bus in case.buses])
+        vmin = np.array([bus.vmin for bus in case.buses])
+        high = vmag > vmax[:, None, None] + tol
+        for n, p, t in zip(*np.nonzero(high | (vmag < vmin[:, None, None] - tol))):
+            if high[n, p, t]:
+                out.append(Violation("voltage_high", case.buses[n].id, PHASES[p], int(t), vmag[n, p, t] - vmax[n]))
+            else:
+                out.append(Violation("voltage_low", case.buses[n].id, PHASES[p], int(t), vmin[n] - vmag[n, p, t]))
     if LimitKind.CURRENT in constraint_set:
         imag = np.abs(state.i_branch)
-        for l, br in enumerate(case.branches):
-            for p in range(3):
-                for t in range(state.n_periods):
-                    if imag[l, p, t] > br.i_max + tol:
-                        out.append(Violation("current", br.id, PHASES[p], t, imag[l, p, t] - br.i_max))
+        imax = np.array([br.i_max for br in case.branches])
+        for l, p, t in zip(*np.nonzero(imag > imax[:, None, None] + tol)):
+            out.append(Violation("current", case.branches[l].id, PHASES[p], int(t), imag[l, p, t] - imax[l]))
     if LimitKind.VUF in constraint_set:
-        for n, bus in enumerate(case.buses):
-            for t in range(state.n_periods):
-                ratio = vuf(state, n, t)
-                if ratio > bus.vuf_max + tol:
-                    out.append(Violation("vuf", bus.id, None, t, ratio - bus.vuf_max))
+        # vuf_from_phasors at every bus and period at once
+        u2_sq, u1_sq, scale = _sequence_squares(state.u[:, 0], state.u[:, 1], state.u[:, 2])
+        floor = _SEQ_ROUNDOFF * scale
+        if np.any(u1_sq <= floor * floor):
+            raise DegenerateStateError("undefined VUF: positive-sequence voltage is zero")
+        ratio = np.where(u2_sq <= floor * floor, 0.0, np.sqrt(u2_sq / u1_sq))
+        vuf_max = np.array([bus.vuf_max for bus in case.buses])
+        for n, t in zip(*np.nonzero(ratio > vuf_max[:, None] + tol)):
+            out.append(Violation("vuf", case.buses[n].id, None, int(t), ratio[n, t] - vuf_max[n]))
     out.sort(key=lambda v: -v.magnitude)
     return out
 

@@ -8,21 +8,27 @@ fraction-to-boundary rule plus a divergence guard; on this problem class
 (quadratic rows, per-unit scaling) that plain damped-Newton scheme converges
 faster and more reliably than a merit line search.
 
-Variable bounds are expanded internally: equal lower/upper bounds become
-equality rows, finite one-sided bounds become affine inequality rows, so the
-core iteration only ever sees the two constraint blocks.
+Fixed variables (equal bounds) stay out of the step; finite one-sided bounds
+become affine inequality rows.  The inequality block is condensed into the
+Hessian, so the dense KKT matrix has a row per free variable and equality
+row: [W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I], as in MATPOWER's MIPS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import nlp as nlp_mod
 from .nlp import NlpProblem, QuadBlock, concat_blocks
+
+MU_INIT = 0.1
+MU_SHRINK = 0.2
+STEP_FRACTION = 0.995
+REGULARIZATION_MIN = 1e-10
 
 
 class KktSingularError(RuntimeError):
@@ -33,24 +39,18 @@ class KktSingularError(RuntimeError):
 class SolverOptions:
     tol_kkt: float = 1e-8
     max_iter: int = 300
-    mu_init: float = 0.1
-    mu_shrink: float = 0.2
-    step_fraction: float = 0.995
-    regularization_min: float = 1e-10
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.mu_shrink < 1.0):
-            raise ValueError("mu_shrink must be in (0, 1)")
-        for name in ("tol_kkt", "max_iter", "mu_init", "step_fraction", "regularization_min"):
+        for name in ("tol_kkt", "max_iter"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
 class Duals:
-    y: np.ndarray  # equality multipliers (internal rows)
-    z: np.ndarray  # inequality multipliers, > 0
+    y: np.ndarray  # equality multipliers
+    z: np.ndarray  # inequality multipliers (internal rows), > 0
     s: np.ndarray  # inequality slacks, > 0
 
 
@@ -70,30 +70,29 @@ class Solution:
 
 @dataclass(frozen=True)
 class InternalForm:
-    """Minimization form with bounds expanded into constraint rows."""
+    """Minimization form over the free variables, bounds expanded into rows.
+
+    The positions that the Hessian terms take in the dense KKT matrix depend
+    only on the row structure and the free set, so they are built once here.
+    """
 
     n_vars: int
     c: np.ndarray          # minimize c . x
-    eq: QuadBlock
-    ineq: QuadBlock
-    n_user_eq: int
-    n_user_ineq: int
+    eq: QuadBlock          # user equality rows
+    ineq: QuadBlock        # user inequality rows, then bound rows
+    free: np.ndarray       # variables with lb != ub; the step moves only these
+    w_index: np.ndarray    # KKT position of each eq, ineq and condensed Hessian term
+    pair_a: np.ndarray     # flat Jh positions (row * n_vars + col) of entry pairs
+    pair_b: np.ndarray     # that share a row; their products condense Jh' diag(z/s) Jh
 
 
 def internalize(problem: NlpProblem) -> InternalForm:
     n = problem.n_vars
     lb, ub = problem.lb, problem.ub
 
-    fix = QuadBlock(n)
-    for i in np.flatnonzero(lb == ub):
-        k = fix.new_row(f"fix[x{i}]", const=-lb[i])
-        fix.lin(k, int(i), 1.0)
-    fix.seal()
-
+    free = np.flatnonzero(lb != ub)
     bnd = QuadBlock(n)
-    for i in range(n):
-        if lb[i] == ub[i]:
-            continue
+    for i in free:
         if np.isfinite(ub[i]):
             k = bnd.new_row(f"ub[x{i}]", const=-ub[i])
             bnd.lin(k, i, 1.0)
@@ -101,14 +100,33 @@ def internalize(problem: NlpProblem) -> InternalForm:
             k = bnd.new_row(f"lb[x{i}]", const=lb[i])
             bnd.lin(k, i, -1.0)
     bnd.seal()
+    ineq = concat_blocks(n, [problem.ineq, bnd])
 
+    dim = free.size + problem.eq.n_rows
+    pos = np.full(n, -1)
+    pos[free] = np.arange(free.size)
+
+    def w_pos(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Flat (Fortran) KKT position of W[i, j]; a sink past the end if i or j is fixed."""
+        return np.where((pos[i] >= 0) & (pos[j] >= 0), pos[i] + pos[j] * dim, dim * dim)
+
+    nz = np.unique(ineq.jac_index)
+    nz = nz[pos[nz % n] >= 0]
+    a, b = np.nonzero((nz // n)[:, None] == (nz // n)[None, :])
+    pair_a, pair_b = nz[a], nz[b]
     return InternalForm(
         n_vars=n,
         c=-problem.obj_coef,  # maximize -> minimize
-        eq=concat_blocks(n, [problem.eq, fix]),
-        ineq=concat_blocks(n, [problem.ineq, bnd]),
-        n_user_eq=problem.eq.n_rows,
-        n_user_ineq=problem.ineq.n_rows,
+        eq=problem.eq,
+        ineq=ineq,
+        free=free,
+        w_index=np.concatenate([
+            w_pos(problem.eq.qi, problem.eq.qj),
+            w_pos(ineq.qi, ineq.qj),
+            w_pos(pair_a % n, pair_b % n),
+        ]),
+        pair_a=pair_a,
+        pair_b=pair_b,
     )
 
 
@@ -117,56 +135,50 @@ def internalize(problem: NlpProblem) -> InternalForm:
 # ---------------------------------------------------------------------------
 
 def kkt_assemble(
-    problem: NlpProblem | InternalForm,
+    form: InternalForm,
     x: np.ndarray,
     duals: Duals,
     mu: float,
-    delta_w: float = 0.0,
-    delta_c: float = 0.0,
-) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Sparse symmetric KKT system and right-hand side at the current point.
+) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """Dense condensed KKT matrix (Fortran order), right-hand side, and expand.
 
-    Layout: [W + dw*I, Jg', Jh'; Jg, -dc*I, 0; Jh, 0, -diag(s/z)] acting on
-    (dx, dy, dz); the slack step is recovered afterwards.  Constraint
-    Hessians are constant, so W is a fixed-sparsity weighted sum.
+    Layout: [W + Jh' diag(z/s) Jh, Jg'; Jg, 0] acting on (dx[free], dy);
+    solve adds the regularizations dw*I and -dc*I to its diagonal.
+    Constraint Hessians are constant, so W is a weighted sum over a fixed
+    set of positions.  expand(step) maps a solution to (dx, dy, dz, ds).
     """
-    form = problem if isinstance(problem, InternalForm) else internalize(problem)
     if mu <= 0.0:
         raise ValueError("barrier parameter mu must be positive")
-    n, me, mi = form.n_vars, form.eq.n_rows, form.ineq.n_rows
+    n, nf, me = form.n_vars, form.free.size, form.eq.n_rows
+    dim = nf + me
     y, z, s = duals.y, duals.z, duals.s
+    sigma = z / s
+    jg = form.eq.jacobian(x)
+    jh = form.ineq.jacobian(x)
+    h = form.ineq.value(x)
 
-    wi_e, wj_e, wv_e = form.eq.weighted_hessian_triplets(y)
-    wi_i, wj_i, wv_i = form.ineq.weighted_hessian_triplets(z)
-    jg = form.eq.jacobian(x).tocoo()
-    jh = form.ineq.jacobian(x).tocoo()
+    weights = np.concatenate([
+        y[form.eq.qk] * form.eq.qv,
+        z[form.ineq.qk] * form.ineq.qv,
+        sigma[form.pair_a // n] * jh.take(form.pair_a) * jh.take(form.pair_b),
+    ])
+    kkt = np.bincount(form.w_index, weights=weights, minlength=dim * dim + 1)[:-1]
+    # Fortran order hands LAPACK a plain copy instead of a transposed one.
+    kkt = kkt.reshape(dim, dim, order="F")
+    kkt[nf:, :nf] = jg[:, form.free]
+    kkt[:nf, nf:] = kkt[nf:, :nf].T
+    grad = form.c + jg.T @ y + jh.T @ (z + sigma * (h + mu / z))
+    rhs = np.concatenate([-grad[form.free], -form.eq.value(x)])
 
-    rows = [wi_e, wi_i, jg.row + n, jg.col, jh.row + n + me, jh.col]
-    cols = [wj_e, wj_i, jg.col, jg.row + n, jh.col, jh.row + n + me]
-    vals = [wv_e, wv_i, jg.data, jg.data, jh.data, jh.data]
-    if delta_w > 0.0:
-        rows.append(np.arange(n))
-        cols.append(np.arange(n))
-        vals.append(np.full(n, delta_w))
-    # Dual regularization applies to both constraint blocks: redundant active
-    # inequalities (degenerate active sets) singularize the KKT system just
-    # like rank-deficient equality rows do.
-    rows.append(np.arange(n, n + me))
-    cols.append(np.arange(n, n + me))
-    vals.append(np.full(me, -delta_c))
-    rows.append(np.arange(n + me, n + me + mi))
-    cols.append(np.arange(n + me, n + me + mi))
-    vals.append(-s / z - delta_c)
+    def expand(step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """dx is zero on fixed variables; the condensed inequality rows give
+        dz = (z/s)(Jh dx + h + mu/z), and the complementarity rows give ds."""
+        dx = np.zeros(n)
+        dx[form.free] = step[:nf]
+        dz = sigma * (jh @ dx + h + mu / z)
+        return dx, step[nf:], dz, mu / z - s - (s / z) * dz
 
-    dim = n + me + mi
-    kkt = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsc()
-
-    grad_lag = form.c + jg.T @ y + jh.T @ z
-    rhs = np.concatenate([-grad_lag, -form.eq.value(x), -(form.ineq.value(x) + mu / z)])
-    return kkt, rhs
+    return kkt, rhs, expand
 
 
 def _ldlt(kdense: np.ndarray):
@@ -237,24 +249,25 @@ def solve(
     """
     opts = options or SolverOptions()
     form = internalize(problem)
-    n, me, mi = form.n_vars, form.eq.n_rows, form.ineq.n_rows
+    nf, me, mi = form.free.size, form.eq.n_rows, form.ineq.n_rows
 
     x = nlp_mod.initial_point(problem) if x0 is None else x0.astype(float).copy()
+    # Fixed variables start on their pins; the step never moves them.
+    x[problem.lb == problem.ub] = problem.lb[problem.lb == problem.ub]
     h0 = form.ineq.value(x)
     s = np.maximum(-h0, 1e-2)
-    z = np.minimum(np.maximum(opts.mu_init / s, 1e-8), 1e8)
+    z = np.minimum(np.maximum(MU_INIT / s, 1e-8), 1e8)
     # Least-squares multiplier estimate for the equalities; a poor guess here
     # costs many early iterations on feasibility-dominated steps.
     y = np.zeros(me)
     if me:
-        jg0 = form.eq.jacobian(x).toarray()
-        rhs0 = -(form.c + form.ineq.jacobian(x).T @ z)
+        jg0 = form.eq.jacobian(x)[:, form.free]
+        rhs0 = -(form.c + form.ineq.jacobian(x).T @ z)[form.free]
         y_ls, *_ = np.linalg.lstsq(jg0.T, rhs0, rcond=None)
         if np.abs(y_ls).max() <= 1e3:
             y = y_ls
 
-    mu = opts.mu_init
-    tau = opts.step_fraction
+    mu = MU_INIT
     delta_last = 0.0
     trace: list[dict] = []
     status = "iteration_limit"
@@ -263,15 +276,8 @@ def solve(
 
     def feasibility_error() -> float:
         """Largest dual and primal residual at the current point."""
-        jg = form.eq.jacobian(x)
-        jh = form.ineq.jacobian(x)
-        r_d = form.c + jg.T @ y + jh.T @ z
-        terms = [np.abs(r_d).max() if n else 0.0]
-        if me:
-            terms.append(np.abs(form.eq.value(x)).max())
-        if mi:
-            terms.append(np.abs(form.ineq.value(x) + s).max())
-        return max(terms)
+        r_d = (form.c + form.eq.jacobian(x).T @ y + form.ineq.jacobian(x).T @ z)[form.free]
+        return max(np.abs(r_d).max() if nf else 0.0, theta(x, s))
 
     def kkt_error(mu_val: float, feas: float | None = None) -> float:
         """KKT error for barrier mu_val; feas reuses feasibility_error()."""
@@ -296,33 +302,31 @@ def solve(
             compl = float(s @ z) / mi
             mu = max(
                 opts.tol_kkt / 100.0,
-                min(opts.mu_shrink * mu, max(0.1 * compl, mu**1.5)),
+                min(MU_SHRINK * mu, max(0.1 * compl, mu**1.5)),
             )
 
         duals = Duals(y=y, z=z, s=s)
-        kkt, rhs = kkt_assemble(form, x, duals, mu)
-        # Fortran order hands LAPACK a plain copy instead of a transposed one.
+        kkt, rhs, expand = kkt_assemble(form, x, duals, mu)
         # sytrf leaves its input intact, so a retry rewrites the diagonal from
         # the saved one rather than copying the whole dense matrix; the
         # regularizations only grow, so every entry it sets is rewritten.
-        kdense = kkt.toarray(order="F")
-        diag = np.arange(n + me + mi)
-        base_diag = kdense[diag, diag]
+        diag = np.arange(nf + me)
+        base_diag = kkt[diag, diag]
         solve_fn, inertia = None, None
         delta_w, delta_c = 0.0, 0.0
         for _ in range(60):
             if delta_w > 0.0:
-                kdense[diag[:n], diag[:n]] = base_diag[:n] + delta_w
+                kkt[diag[:nf], diag[:nf]] = base_diag[:nf] + delta_w
             if delta_c > 0.0:
-                kdense[diag[n:], diag[n:]] = base_diag[n:] - delta_c
-            solve_fn, inertia = _ldlt(kdense)
-            ok = inertia[0] == n and inertia[2] == 0
+                kkt[diag[nf:], diag[nf:]] = base_diag[nf:] - delta_c
+            solve_fn, inertia = _ldlt(kkt)
+            ok = inertia[0] == nf and inertia[2] == 0
             if ok:
                 break
             if inertia[2] > 0:
                 delta_c = 10.0 * delta_c if delta_c > 0.0 else np.sqrt(np.finfo(float).eps) * max(mu, 1e-6)
             if delta_w == 0.0:
-                delta_w = max(opts.regularization_min, delta_last / 3.0)
+                delta_w = max(REGULARIZATION_MIN, delta_last / 3.0)
             else:
                 delta_w *= 10.0
             if delta_w > 1e12:
@@ -331,23 +335,17 @@ def solve(
                 )
         delta_last = delta_w
 
-        step = solve_fn(rhs)
-        dx = step[:n]
-        dy = step[n : n + me]
-        dz = step[n + me :]
-        ds = mu / z - s - (s / z) * dz if mi else np.zeros(0)
+        dx, dy, dz, ds = expand(solve_fn(rhs))
 
         # Fraction-to-boundary limits keep s and z strictly positive.
         alpha = 1.0
-        if mi:
-            neg = ds < 0.0
-            if np.any(neg):
-                alpha = min(1.0, float(np.min(-tau * s[neg] / ds[neg])))
+        neg = ds < 0.0
+        if np.any(neg):
+            alpha = min(1.0, float(np.min(-STEP_FRACTION * s[neg] / ds[neg])))
         alpha_z = 1.0
-        if mi:
-            neg = dz < 0.0
-            if np.any(neg):
-                alpha_z = min(1.0, float(np.min(-tau * z[neg] / dz[neg])))
+        neg = dz < 0.0
+        if np.any(neg):
+            alpha_z = min(1.0, float(np.min(-STEP_FRACTION * z[neg] / dz[neg])))
 
         # No merit line search: the fraction-to-boundary step is taken as is,
         # with a divergence guard that halves the step while the infeasibility
@@ -357,7 +355,7 @@ def solve(
         accepted = False
         for _ in range(30):
             x_new = x + alpha * dx
-            s_new = s + alpha * ds if mi else s
+            s_new = s + alpha * ds
             val = theta(x_new, s_new)
             if np.isfinite(val) and val <= guard:
                 accepted = True
@@ -368,12 +366,11 @@ def solve(
             small_steps = 0
             x = x + alpha * dx
             y = y + alpha * dy
-            if mi:
-                s = s + alpha * ds
-                z = np.maximum(z + alpha_z * dz, 1e-16)
-                # Upper dual safeguard: degenerate active sets have unbounded
-                # multipliers, which would blow up the Lagrangian Hessian.
-                z = np.minimum(z, np.maximum(1e10 * mu / s, 1e4))
+            s = s + alpha * ds
+            z = np.maximum(z + alpha_z * dz, 1e-16)
+            # Upper dual safeguard: degenerate active sets have unbounded
+            # multipliers, which would blow up the Lagrangian Hessian.
+            z = np.minimum(z, np.maximum(1e10 * mu / s, 1e4))
         else:
             small_steps += 1
             delta_last = max(delta_last, 1e-4)
@@ -408,7 +405,6 @@ def solve(
     if status == "optimal" and mi and np.any(form.ineq.value(x) > opts.tol_kkt):
         status = "iteration_limit"
 
-    ineq_vals_user = problem.ineq.value(x) if problem.ineq.n_rows else np.zeros(0)
     return Solution(
         problem=problem,
         x=x,
@@ -416,8 +412,8 @@ def solve(
         status=status,
         iterations=it,
         max_kkt_residual=final_err,
-        eq_duals=y[: form.n_user_eq].copy(),
-        ineq_duals=z[: form.n_user_ineq].copy() if mi else np.zeros(0),
-        ineq_active=ineq_vals_user > -1e-6,
+        eq_duals=y.copy(),
+        ineq_duals=z[: problem.ineq.n_rows].copy(),
+        ineq_active=problem.ineq.value(x) > -1e-6,
         trace=tuple(trace),
     )

@@ -166,7 +166,7 @@ def test_criterion_6_derivative_correctness(synth2, synth4):
             free = ~(prob.lb == prob.ub)
             x[free] += 0.25 * rng.standard_normal(int(free.sum()))
             for block in (prob.eq, prob.ineq):
-                j_an = block.jacobian(x).toarray()
+                j_an = block.jacobian(x)
                 j_fd = np.empty_like(j_an)
                 for i in range(x.size):
                     xp, xm = x.copy(), x.copy()

@@ -204,7 +204,7 @@ class TestDerivatives:
         for _ in range(5):
             x = random_x(prob, rng)
             for block in (prob.eq, prob.ineq):
-                j_an = block.jacobian(x).toarray()
+                j_an = block.jacobian(x)
                 j_fd = self.fd_jacobian(block, x)
                 scale = max(1.0, np.abs(j_an).max())
                 assert np.abs(j_an - j_fd).max() <= 1e-6 * scale

@@ -273,6 +273,64 @@ class TestCheckLimits:
         assert {"voltage_low", "current"} <= kinds
 
 
+    @staticmethod
+    def loop_check_limits(state, constraint_set, tol):
+        """Element-by-element reference for check_limits."""
+        case, out = state.case, []
+        if pc.LimitKind.VOLTAGE in constraint_set:
+            vmag = np.abs(state.u)
+            for n, bus in enumerate(case.buses):
+                for p in range(3):
+                    for t in range(state.n_periods):
+                        if vmag[n, p, t] > bus.vmax + tol:
+                            out.append(pc.Violation("voltage_high", bus.id, nm.PHASES[p], t, vmag[n, p, t] - bus.vmax))
+                        elif vmag[n, p, t] < bus.vmin - tol:
+                            out.append(pc.Violation("voltage_low", bus.id, nm.PHASES[p], t, bus.vmin - vmag[n, p, t]))
+        if pc.LimitKind.CURRENT in constraint_set:
+            imag = np.abs(state.i_branch)
+            for l, br in enumerate(case.branches):
+                for p in range(3):
+                    for t in range(state.n_periods):
+                        if imag[l, p, t] > br.i_max + tol:
+                            out.append(pc.Violation("current", br.id, nm.PHASES[p], t, imag[l, p, t] - br.i_max))
+        if pc.LimitKind.VUF in constraint_set:
+            for n, bus in enumerate(case.buses):
+                for t in range(state.n_periods):
+                    ratio = pc.vuf_from_phasors(*state.u[n, :, t])
+                    if ratio > bus.vuf_max + tol:
+                        out.append(pc.Violation("vuf", bus.id, None, t, ratio - bus.vuf_max))
+        out.sort(key=lambda v: -v.magnitude)
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loop_reference(self, synth4_unbal, seed):
+        case = synth4_unbal
+        rng = np.random.default_rng(seed)
+        base = pc.flat_state(case, n_periods=5)
+        shape_u, shape_i = base.u.shape, base.i_branch.shape
+        u = base.u * (1.0 + 0.08 * rng.standard_normal(shape_u)) + 0.03j * rng.standard_normal(shape_u)
+        i_max = np.array([br.i_max for br in case.branches])[:, None, None]
+        ib = i_max * (0.9 + 0.15 * rng.standard_normal(shape_i)) * np.exp(1j * rng.uniform(0, 6, shape_i))
+        # A repeated period ties every magnitude: the sort must keep loop order.
+        u[:, :, 4], ib[:, :, 4] = u[:, :, 1], ib[:, :, 1]
+        state = make_state(case, u=u, i_branch=ib, i_load=np.zeros((len(case.loads), 3, 5)),
+                           i_gen=np.zeros((len(case.generators), 3, 5)))
+        for cs in ({pc.LimitKind.VOLTAGE}, {pc.LimitKind.CURRENT, pc.LimitKind.VUF}, pc.ALL_LIMITS):
+            for tol in (0.0, 1e-3):
+                got = pc.check_limits(state, cs, tol)
+                assert got == self.loop_check_limits(state, cs, tol)
+        assert {v.kind for v in pc.check_limits(state)} == {"voltage_high", "voltage_low", "current", "vuf"}
+
+    def test_degenerate_bus_raises_only_when_vuf_checked(self):
+        case = two_bus_case()
+        u = pc.flat_state(case).u.copy()
+        u[1] = 0.0
+        state = make_state(case, u=u)
+        assert {v.kind for v in pc.check_limits(state, {pc.LimitKind.VOLTAGE})} == {"voltage_low"}
+        with pytest.raises(pc.DegenerateStateError):
+            pc.check_limits(state, {pc.LimitKind.VUF})
+
+
 class TestOracleStatesSatisfyPhysics:
     def test_power_flow_states_have_tiny_residuals(self):
         case = two_bus_case(load_kw=1.0)

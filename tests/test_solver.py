@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,75 +7,141 @@ import pytest
 from lvdoe import nlp, oracle, phasecalc as pc, solver
 from lvdoe.nlp import Objective, QuadBlock, ScenarioSpec, build_custom, build_problem
 from lvdoe.phasecalc import LimitKind
-from lvdoe.solver import Duals, InternalForm, SolverOptions, internalize, kkt_assemble, solve
+from lvdoe.solver import Duals, SolverOptions, internalize, kkt_assemble, solve
 
 from conftest import two_bus_case
 
 
-def toy_bound_form(ub: float = 2.0) -> InternalForm:
-    """min -x subject to x <= ub: one variable, one inequality row."""
+def toy_form(ub: float = 2.0, eq_row: bool = False) -> solver.InternalForm:
+    """min -x subject to x <= ub, optionally with the equality row x - 1 = 0."""
     eq = QuadBlock(1)
+    if eq_row:
+        eq.lin(eq.new_row("x-1", const=-1.0), 0, 1.0)
     eq.seal()
     ineq = QuadBlock(1)
-    k = ineq.new_row("ub[x0]", const=-ub)
-    ineq.lin(k, 0, 1.0)
     ineq.seal()
-    return InternalForm(n_vars=1, c=np.array([-1.0]), eq=eq, ineq=ineq, n_user_eq=0, n_user_ineq=1)
+    toy = SimpleNamespace(
+        n_vars=1, lb=np.array([-np.inf]), ub=np.array([ub]), eq=eq, ineq=ineq, obj_coef=np.array([1.0])
+    )
+    return internalize(toy)
+
+
+def perturbed_point(prob, form, seed):
+    rng = np.random.default_rng(seed)
+    x = nlp.initial_point(prob)
+    x[form.free] += 0.05 * rng.standard_normal(form.free.size)
+    mi = form.ineq.n_rows
+    duals = Duals(
+        y=rng.standard_normal(form.eq.n_rows),
+        z=rng.uniform(0.2, 1.0, mi),
+        s=rng.uniform(0.2, 1.0, mi),
+    )
+    return x, duals
+
+
+def full_augmented_system(prob, form, x, duals, mu, delta_w, y_fix):
+    """The uncondensed reference: fixed variables as equality rows, inequality
+    rows kept with their -s/z diagonal.  Unknowns (dx, dy, dy_fix, dz)."""
+    n, me, mi = prob.n_vars, prob.eq.n_rows, form.ineq.n_rows
+    fixed = np.flatnonzero(prob.lb == prob.ub)
+    y, z, s = duals.y, duals.z, duals.s
+    w = delta_w * np.eye(n)
+    for block, lam in ((form.eq, y), (form.ineq, z)):
+        np.add.at(w, (block.qi, block.qj), lam[block.qk] * block.qv)
+    jg, jh = form.eq.jacobian(x), form.ineq.jacobian(x)
+    jf = np.eye(n)[fixed]
+    cons = np.vstack([jg, jf, jh])
+    dim = n + me + fixed.size + mi
+    k = np.zeros((dim, dim))
+    k[:n, :n] = w
+    k[n:, :n] = cons
+    k[:n, n:] = cons.T
+    k[n + me + fixed.size :, n + me + fixed.size :] = -np.diag(s / z)
+    grad = form.c + jg.T @ y + jf.T @ y_fix + jh.T @ z
+    rhs = np.concatenate([-grad, -form.eq.value(x), -(x[fixed] - prob.lb[fixed]), -(form.ineq.value(x) + mu / z)])
+    return k, rhs
 
 
 class TestKktAssemble:
-    def test_two_by_two_matches_hand_algebra(self):
-        form = toy_bound_form(ub=2.0)
-        x = np.array([0.5])
-        s = np.array([1.5])
-        z = np.array([0.1])
-        mu = 0.15
-        delta_w = 0.01
-        kkt, rhs = kkt_assemble(form, x, Duals(y=np.zeros(0), z=z, s=s), mu, delta_w=delta_w)
-        k = kkt.toarray()
-        # [[delta_w, dh/dx], [dh/dx, -s/z]]
-        np.testing.assert_allclose(k, [[0.01, 1.0], [1.0, -15.0]], atol=1e-15)
-        # rhs: [-(c + Jh' z), -(h + mu/z)] with h = x - ub = -1.5
-        np.testing.assert_allclose(rhs, [-(-1.0 + 0.1), -(-1.5 + 1.5)], atol=1e-15)
+    def test_one_by_one_matches_hand_algebra(self):
+        form = toy_form(ub=2.0)
+        x, s, z, mu = np.array([0.5]), np.array([1.5]), np.array([0.1]), 0.3
+        kkt, rhs, expand = kkt_assemble(form, x, Duals(y=np.zeros(0), z=z, s=s), mu)
+        # [z/s]: the bound row x - ub <= 0 condensed into the Hessian
+        np.testing.assert_allclose(kkt, [[0.1 / 1.5]], rtol=1e-15)
+        # rhs: -(c + Jh' z + Jh' (z/s)(h + mu/z)) with h = x - ub = -1.5
+        np.testing.assert_allclose(rhs, [-(-1.0 + 0.1 + (0.1 / 1.5) * (-1.5 + 3.0))], rtol=1e-15)
+        # with the regularization dw = 0.01 that solve adds on a retry
+        dx, dy, dz, ds = expand(np.linalg.solve(kkt + 0.01, rhs))
+        np.testing.assert_allclose(dx, rhs / (0.01 + 0.1 / 1.5), rtol=1e-15)
+        np.testing.assert_allclose(dz, (0.1 / 1.5) * (dx + (-1.5 + 3.0)), rtol=1e-15)
+        np.testing.assert_allclose(ds, 3.0 - 1.5 - 15.0 * dz, rtol=1e-15)
+        assert dy.size == 0
 
     def test_symmetry_on_real_problem(self):
         case = two_bus_case()
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
-        rng = np.random.default_rng(2)
-        x = nlp.initial_point(prob) + 0.1 * rng.standard_normal(prob.n_vars)
-        mi = form.ineq.n_rows
-        duals = Duals(y=rng.standard_normal(form.eq.n_rows), z=np.full(mi, 0.3), s=np.full(mi, 0.7))
-        kkt, _ = kkt_assemble(form, x, duals, mu=0.1)
-        dense = kkt.toarray()
-        assert np.abs(dense - dense.T).max() <= 1e-14
+        x, duals = perturbed_point(prob, form, 2)
+        kkt, _, _ = kkt_assemble(form, x, duals, mu=0.1)
+        assert isinstance(kkt, np.ndarray) and kkt.flags.f_contiguous
+        assert kkt.shape[0] == np.count_nonzero(prob.lb != prob.ub) + prob.eq.n_rows
+        assert np.abs(kkt - kkt.T).max() <= 1e-14
 
     def test_rejects_nonpositive_mu(self):
-        form = toy_bound_form()
+        form = toy_form()
         with pytest.raises(ValueError, match="mu"):
             kkt_assemble(form, np.zeros(1), Duals(np.zeros(0), np.ones(1), np.ones(1)), 0.0)
 
-    def test_accepts_nlp_problem_directly(self):
-        # duals are sized to the internal rows (bounds expanded)
-        case = two_bus_case()
+    @pytest.mark.parametrize("network", ["two_bus", "synth4"])
+    def test_condensed_step_matches_full_augmented_system(self, network, synth4):
+        case = two_bus_case() if network == "two_bus" else synth4
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
-        x = nlp.initial_point(prob)
-        duals = Duals(
-            y=np.zeros(form.eq.n_rows),
-            z=np.full(form.ineq.n_rows, 0.5),
-            s=np.full(form.ineq.n_rows, 0.5),
-        )
-        via_problem, _ = kkt_assemble(prob, x, duals, 0.1)
-        via_form, _ = kkt_assemble(form, x, duals, 0.1)
-        assert (via_problem != via_form).nnz == 0
+        x, duals = perturbed_point(prob, form, 7)
+        mu, delta_w = 0.1, 0.5
+        y_fix = np.random.default_rng(8).standard_normal(np.count_nonzero(prob.lb == prob.ub))
+        kkt, rhs, expand = kkt_assemble(form, x, duals, mu)
+        kkt[np.arange(form.free.size), np.arange(form.free.size)] += delta_w
+        dx, dy, dz, ds = expand(np.linalg.solve(kkt, rhs))
+
+        k_full, rhs_full = full_augmented_system(prob, form, x, duals, mu, delta_w, y_fix)
+        ref = np.linalg.solve(k_full, rhs_full)
+        n, me = prob.n_vars, prob.eq.n_rows
+        dx_ref, dy_ref, dz_ref = ref[:n], ref[n : n + me], ref[n + me + y_fix.size :]
+        ds_ref = mu / duals.z - duals.s - (duals.s / duals.z) * dz_ref
+        for got, want in ((dx, dx_ref), (dy, dy_ref), (dz, dz_ref), (ds, ds_ref)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+        assert np.all(dx[prob.lb == prob.ub] == 0.0)
+
+    @pytest.mark.parametrize("network", ["two_bus", "synth4"])
+    def test_inertia_test_agrees_with_full_system(self, network, synth4):
+        case = two_bus_case() if network == "two_bus" else synth4
+        prob = build_problem(case, ScenarioSpec(5), 0)
+        form = internalize(prob)
+        x, duals = perturbed_point(prob, form, 3)
+        y_fix = np.zeros(np.count_nonzero(prob.lb == prob.ub))
+        outcomes = set()
+        # A negative shift stands in for negative curvature of W.
+        for delta_w in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 100.0):
+            kkt, _, _ = kkt_assemble(form, x, duals, 0.1)
+            kkt[np.arange(form.free.size), np.arange(form.free.size)] += delta_w
+            _, (pos, _, zero) = solver._ldlt(kkt)
+            k_full, _ = full_augmented_system(prob, form, x, duals, 0.1, delta_w, y_fix)
+            full_pos = int(np.count_nonzero(np.linalg.eigvalsh(k_full) > 0.0))
+            condensed_ok = pos == form.free.size and zero == 0
+            assert condensed_ok == (full_pos == prob.n_vars)
+            outcomes.add(condensed_ok)
+        assert outcomes == {True, False}
 
 
 class TestLdlt:
     def test_inertia_of_saddle(self):
-        form = toy_bound_form()
-        kkt, _ = kkt_assemble(form, np.array([0.0]), Duals(np.zeros(0), np.ones(1), np.ones(1)), 0.1)
-        _, inertia = solver._ldlt(kkt.toarray())
+        # [[z/s, 1], [1, 0]]: one free variable, one equality row
+        form = toy_form(eq_row=True)
+        kkt, _, _ = kkt_assemble(form, np.array([1.0]), Duals(np.zeros(1), np.ones(1), np.ones(1)), 0.1)
+        np.testing.assert_allclose(kkt, [[1.0, 1.0], [1.0, 0.0]])
+        _, inertia = solver._ldlt(kkt)
         assert inertia == (1, 1, 0)
 
     def test_solve_matches_dense_reference(self):
@@ -167,6 +234,23 @@ class TestSolve:
         sol = solve(prob, SolverOptions(max_iter=2))
         assert sol.status == "iteration_limit"
 
+    def test_pinned_variables_stay_on_their_pins(self, synth4_unbal):
+        # Slack voltages in an active-export solve, and every pinned P as
+        # well in a two-stage stage-2 (reactive-margin) solve.
+        case = synth4_unbal
+        stage1 = build_problem(case, ScenarioSpec(5), 19, bound_q_by_rating=True)
+        sol1 = solve(stage1)
+        assert sol1.status == "optimal"
+        lay = stage1.layout
+        fixed_p = sol1.x[lay.off_pg : lay.off_qg] * (1.0 - 1e-4)
+        stage2 = build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 19, fixed_p=fixed_p)
+        sol2 = solve(stage2)
+        assert sol2.status == "optimal"
+        assert np.count_nonzero(stage2.lb == stage2.ub) > np.count_nonzero(stage1.lb == stage1.ub) == 6
+        for prob, sol in ((stage1, sol1), (stage2, sol2)):
+            pinned = prob.lb == prob.ub
+            np.testing.assert_array_equal(sol.x[pinned], prob.lb[pinned])
+
     def test_reactive_freedom_never_hurts(self):
         case = two_bus_case()
         free = solve(build_problem(case, ScenarioSpec(5), 0))
@@ -187,13 +271,7 @@ class TestOptions:
         opts = SolverOptions()
         assert opts.tol_kkt == 1e-8
         assert opts.max_iter == 300
-        assert opts.mu_init == 0.1
-        assert opts.mu_shrink == 0.2
-        assert opts.step_fraction == 0.995
-        assert opts.regularization_min == 1e-10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(mu_shrink=1.5)
         with pytest.raises(ValueError):
             SolverOptions(tol_kkt=-1e-8)
