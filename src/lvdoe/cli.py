@@ -11,22 +11,25 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, nlp, oracle, solver
 from .netmodel import InputError, NetworkCase, PHASE_INDEX, PHASES, load_network
-from .phasecalc import LimitKind, check_limits
+from .phasecalc import LimitKind
 from .nlp import Objective, ScenarioSpec
 from .solver import SolverOptions
 
 
 class ScenarioSolveError(RuntimeError):
+    """A period ended without an optimum, or the oracle rejected its optimum."""
+
     def __init__(self, period: int, status: str):
-        super().__init__(f"solver returned status {status!r} in period {period}")
+        super().__init__(f"period {period} failed with status {status!r}")
         self.period = period
         self.status = status
 
@@ -48,6 +51,8 @@ class EnvelopeResult:
     objective_pu: np.ndarray  # (T,) optimizer objective per period
     diagnostics: tuple[dict, ...]
     stage1: "EnvelopeResult | None" = None
+    starts: int = 2
+    reactive_p: str = "two_stage"
 
     @property
     def total_kwh(self) -> float:
@@ -77,14 +82,14 @@ def run_scenario(
     pass with device-limited reactive power pins each generator's P, then
     the margin program optimizes the Q split around it; reactive_p="free"
     leaves P unconstrained in a single margin pass instead.  Each period is
-    solved from `starts` deterministic initial points, keeping the best.
+    solved from `starts` deterministic initial points, keeping the best,
+    and every optimum is re-checked by the power-flow oracle.
     """
     if spec.scenario == 1:
-        return _run_scenario_1(case, spec)
-    if spec.objective is Objective.ACTIVE_EXPORT:
-        return _run_periods(case, spec, options, starts=starts)
-
-    if reactive_p == "two_stage":
+        result = _run_scenario_1(case, spec)
+    elif spec.objective is Objective.ACTIVE_EXPORT or reactive_p == "free":
+        result = _run_periods(case, spec, options, starts=starts)
+    elif reactive_p == "two_stage":
         stage1 = _run_periods(
             case,
             ScenarioSpec(spec.scenario, Objective.ACTIVE_EXPORT),
@@ -96,19 +101,10 @@ def run_scenario(
         # sits exactly on a network limit, and the margin stage needs a
         # strictly feasible interior to search for reactive headroom.
         fixed = _entries_from_dense(case, stage1.p_kw / case.s_base) * (1.0 - 1e-4)
-        result = _run_periods(case, spec, options, starts=starts, fixed_p=fixed)
-        return EnvelopeResult(
-            case=case,
-            spec=spec,
-            p_kw=result.p_kw,
-            q_kvar=result.q_kvar,
-            objective_pu=result.objective_pu,
-            diagnostics=result.diagnostics,
-            stage1=stage1,
-        )
-    if reactive_p == "free":
-        return _run_periods(case, spec, options, starts=starts)
-    raise ValueError(f"unknown reactive_p mode {reactive_p!r}")
+        result = replace(_run_periods(case, spec, options, starts=starts, fixed_p=fixed), stage1=stage1)
+    else:
+        raise ValueError(f"unknown reactive_p mode {reactive_p!r}")
+    return replace(result, starts=starts, reactive_p=reactive_p)
 
 
 def _run_scenario_1(case: NetworkCase, spec: ScenarioSpec) -> EnvelopeResult:
@@ -132,6 +128,22 @@ def _entries_from_dense(case: NetworkCase, dense: np.ndarray) -> np.ndarray:
     return np.array([dense[g, ph, :] for g, ph in case.gen_entries()])
 
 
+def _shared_q_groups(case: NetworkCase) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """(generators, phase, share of the group's Q) for each bus and phase
+    that more than one generator feeds; shares follow q_abs_max, or are
+    equal when every unit in the group has q_abs_max 0."""
+    groups: dict[tuple[str, int], list[int]] = {}
+    for g, ph in case.gen_entries():
+        groups.setdefault((case.generators[g].bus, ph), []).append(g)
+    out = []
+    for (_, ph), gens in groups.items():
+        if len(gens) > 1:
+            w = np.array([case.generators[g].q_abs_max for g in gens])
+            share = w / w.sum() if w.sum() > 0.0 else np.full(len(gens), 1.0 / len(gens))
+            out.append((np.array(gens), ph, share))
+    return out
+
+
 def _run_periods(
     case: NetworkCase,
     spec: ScenarioSpec,
@@ -145,8 +157,12 @@ def _run_periods(
     T = case.horizon
     scales = START_SCALES[: max(1, starts)]
 
-    p_kw = np.zeros((len(case.generators), 3, T))
-    q_kvar = np.zeros_like(p_kw)
+    # Generation per period in pu, filled in as the periods are solved; the
+    # oracle only reads the period it checks.
+    injections = oracle.InjectionSet.from_case(case)
+    # Units that share a bus and phase see the same voltage, so an
+    # active-export optimum fixes only the sum of their Q, not its split.
+    shared = _shared_q_groups(case) if spec.objective is Objective.ACTIVE_EXPORT else []
     objective = np.zeros(T)
     diags = []
     for t in range(T):
@@ -167,14 +183,22 @@ def _run_periods(
         if sol.status != "optimal":
             raise ScenarioSolveError(t, sol.status)
         pg, qg = nlp.decode_generation(problem, sol.x)
-        p_kw[:, :, t] = pg * case.s_base
-        q_kvar[:, :, t] = qg * case.s_base
+        for gens, ph, share in shared:
+            qg[gens, ph] = qg[gens, ph].sum() * share
+        injections.p_gen[:, :, t] = pg
+        injections.q_gen[:, :, t] = qg
+        u = nlp.decode_state(problem, sol.x).u[:, :, 0]
+        report = oracle.validate(case, injections, t, problem.constraint_set, u)
+        if not report.ok:
+            raise ScenarioSolveError(t, "oracle_rejected")
         objective[t] = sol.objective
         diags.append({
             "period": t,
             "status": sol.status,
             "iterations": sol.iterations,
             "kkt_residual": sol.max_kkt_residual,
+            "oracle_voltage_deviation": report.max_voltage_deviation,
+            "oracle_violations": len(report.violations),
         })
         if opts.trace:
             for rec in sol.trace:
@@ -186,8 +210,8 @@ def _run_periods(
     return EnvelopeResult(
         case=case,
         spec=spec,
-        p_kw=p_kw,
-        q_kvar=q_kvar,
+        p_kw=injections.p_gen * case.s_base,
+        q_kvar=injections.q_gen * case.s_base,
         objective_pu=objective,
         diagnostics=tuple(diags),
     )
@@ -264,6 +288,9 @@ def emit_results(
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "scenario": result.spec.scenario,
         "objective": result.spec.objective.value,
+        "starts": result.starts,
+        "reactive_p": result.reactive_p,
+        "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
         "inputs": [
             {"path": str(p), "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
             for p in (inputs or [])
@@ -427,32 +454,24 @@ def _cmd_validate(args) -> int:
     envelope = _read_envelopes_csv(path)
     cs = nlp.constraint_set_for(ScenarioSpec(args.scenario))
 
-    inj = oracle.InjectionSet.from_case(case)
-    p_gen = inj.p_gen.copy()
-    q_gen = inj.q_gen.copy()
+    injections = oracle.InjectionSet.from_case(case)
     gen_idx = {g.id: i for i, g in enumerate(case.generators)}
     for (gid, ph, t), (p, q) in envelope.items():
         if gid not in gen_idx:
             raise InputError(f"{path}: unknown generator {gid!r}")
-        p_gen[gen_idx[gid], PHASE_INDEX[ph], t] = p / case.s_base
-        q_gen[gen_idx[gid], PHASE_INDEX[ph], t] = q / case.s_base
-
-    from dataclasses import replace
+        injections.p_gen[gen_idx[gid], PHASE_INDEX[ph], t] = p / case.s_base
+        injections.q_gen[gen_idx[gid], PHASE_INDEX[ph], t] = q / case.s_base
 
     worst = 0
     for t in range(case.horizon):
-        try:
-            state = oracle.solve_pf(case, replace(inj, p_gen=p_gen, q_gen=q_gen), t)
-        except oracle.PowerFlowDivergedError as exc:
-            print(f"period {t}: power flow failed: {exc}")
+        report = oracle.validate(case, injections, t, cs)
+        if report.error is not None:
+            print(f"period {t}: power flow failed: {report.error}")
             worst += 1
-            continue
-        violations = check_limits(state, cs, tol=1e-6) if cs else []
-        if violations:
-            worst += len(violations)
-            for v in violations:
-                loc = f"{v.location}/{v.phase}" if v.phase else v.location
-                print(f"period {t}: {v.kind} at {loc}: {v.magnitude:.6f} beyond limit")
+        for v in report.violations:
+            loc = f"{v.location}/{v.phase}" if v.phase else v.location
+            print(f"period {t}: {v.kind} at {loc}: {v.magnitude:.6f} beyond limit")
+        worst += len(report.violations)
     if worst:
         print(f"validation FAILED: {worst} findings")
         return 2

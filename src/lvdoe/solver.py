@@ -62,8 +62,6 @@ class Solution:
     status: str       # optimal | infeasible_local | iteration_limit
     iterations: int
     max_kkt_residual: float
-    eq_duals: np.ndarray      # user equality rows
-    ineq_duals: np.ndarray    # user inequality rows
     ineq_active: np.ndarray   # user inequality rows with slack below tolerance
     trace: tuple = ()
 
@@ -412,8 +410,6 @@ def solve(
         status=status,
         iterations=it,
         max_kkt_residual=final_err,
-        eq_duals=y.copy(),
-        ineq_duals=z[: problem.ineq.n_rows].copy(),
         ineq_active=problem.ineq.value(x) > -1e-6,
         trace=tuple(trace),
     )

@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
-from lvdoe import cli
+from lvdoe import cli, nlp, oracle, solver
 from lvdoe.cli import EnvelopeResult, emit_results, main, render_svg, run_scenario
 from lvdoe.nlp import Objective, ScenarioSpec
+from lvdoe.phasecalc import Violation
 from lvdoe.solver import SolverOptions
 
 from conftest import fixture_path, two_bus_case
@@ -50,6 +52,13 @@ class TestSolveCommand:
         for path in (SYNTH4, SYNTH4_LOADS):
             digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
             assert hashes[path] == digest
+
+    def test_manifest_records_run_options(self, solved_dir):
+        manifest = json.loads((solved_dir / "manifest.json").read_text())
+        assert manifest["starts"] == 2
+        assert manifest["reactive_p"] == "two_stage"
+        assert manifest["solver_options"] == {"tol_kkt": 1e-8, "max_iter": 300}
+        assert manifest["libraries"] == {"numpy": np.__version__, "scipy": scipy.__version__}
 
     def test_svg_one_polyline(self, solved_dir):
         svg = (solved_dir / "envelopes.svg").read_text()
@@ -100,6 +109,31 @@ class TestErrorPaths:
         net.write_text(json.dumps(doc))
         rc = main(["solve", "--network", str(net), "--scenario", "5", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_singular_kkt_exits_2(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise solver.KktSingularError("KKT matrix singular")
+
+        monkeypatch.setattr(solver, "solve", singular)
+        rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "KKT matrix singular" in capsys.readouterr().err
+
+    def test_iteration_limit_exits_2(self, tmp_path, capsys):
+        rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--max-iter", "2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "'iteration_limit'" in capsys.readouterr().err
+
+    def test_oracle_rejection_exits_2(self, tmp_path, monkeypatch, capsys):
+        def rejects(*args, **kwargs):
+            return oracle.ValidationReport((Violation("voltage_high", "n1", "a", 0, 0.01),))
+
+        monkeypatch.setattr(oracle, "validate", rejects)
+        rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "period 0 failed with status 'oracle_rejected'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestValidateCommand:
@@ -181,6 +215,32 @@ class TestRunScenario:
         assert result.total_kwh == pytest.approx(
             result.per_period_total_kw.sum() * synth4.period_hours, rel=1e-12
         )
+
+    @pytest.mark.parametrize("scenario", [2, 3, 4, 5])
+    def test_every_period_passes_the_oracle(self, synth4_unbal, scenario):
+        result = run_scenario(synth4_unbal, ScenarioSpec(scenario), starts=1)
+        for d in result.diagnostics:
+            assert d["oracle_voltage_deviation"] <= 1e-6
+            assert d["oracle_violations"] == 0
+
+    def test_shared_units_split_q_by_rating(self, synth4_unbal, monkeypatch):
+        # g2 and g3 share bus n3, phase a, with equal ratings; g1 is alone.
+        decoded = []
+        decode = nlp.decode_generation
+
+        def recording(problem, x):
+            pg, qg = decode(problem, x)
+            decoded.append(qg.copy())
+            return pg, qg
+
+        monkeypatch.setattr(nlp, "decode_generation", recording)
+        result = run_scenario(synth4_unbal, ScenarioSpec(5))
+        raw = np.stack(decoded, axis=-1) * synth4_unbal.s_base  # one optimum per period
+        q = result.q_kvar
+        assert q[1, 0, 13] == pytest.approx(28.38, abs=0.01)
+        np.testing.assert_array_equal(q[1, 0], q[2, 0])
+        np.testing.assert_allclose(q[1, 0] + q[2, 0], raw[1, 0] + raw[2, 0], rtol=0.0, atol=1e-9)
+        np.testing.assert_array_equal(q[0], raw[0])
 
     def test_two_stage_reports_both(self):
         case = two_bus_case()

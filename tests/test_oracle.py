@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,22 @@ from lvdoe.oracle import (
     PowerFlowDivergedError,
     doe_bisection,
     solve_pf,
-    validate_solution,
+    validate,
 )
 from lvdoe.phasecalc import LimitKind
 
 from conftest import two_bus_case
+
+
+def solution_injections(case, prob, x) -> InjectionSet:
+    """Loads at their profiles, generation as the optimizer set it in prob's period."""
+    inj = InjectionSet.from_case(case)
+    inj.p_gen[:, :, prob.period], inj.q_gen[:, :, prob.period] = nlp.decode_generation(prob, x)
+    return inj
+
+
+def optimizer_voltages(prob, x) -> np.ndarray:
+    return nlp.decode_state(prob, x).u[:, :, 0]
 
 
 class TestSolvePf:
@@ -53,15 +66,8 @@ class TestSolvePf:
         prob = build_problem(case, ScenarioSpec(5), 1)
         sol = solver.solve(prob)
         assert sol.status == "optimal"
-        pg, qg = nlp.decode_generation(prob, sol.x)
-        inj = InjectionSet.from_case(case)
-        p_gen = inj.p_gen.copy()
-        q_gen = inj.q_gen.copy()
-        p_gen[:, :, 1] = pg
-        q_gen[:, :, 1] = qg
-        pf_state = solve_pf(case, dataclasses.replace(inj, p_gen=p_gen, q_gen=q_gen), 1)
-        nlp_state = nlp.decode_state(prob, sol.x)
-        assert np.abs(pf_state.u[:, :, 0] - nlp_state.u[:, :, 0]).max() <= 1e-6
+        pf_state = solve_pf(case, solution_injections(case, prob, sol.x), 1)
+        assert np.abs(pf_state.u[:, :, 0] - optimizer_voltages(prob, sol.x)).max() <= 1e-6
 
     def test_divergence_on_absurd_injection(self):
         case = two_bus_case()
@@ -143,34 +149,72 @@ class TestBisection:
 
 
 class TestValidateSolution:
-    def test_clean_solution_validates(self):
+    @staticmethod
+    def solved(spec, period=0):
         case = two_bus_case()
-        spec = ScenarioSpec(5)
-        prob = build_problem(case, spec, 0)
+        prob = build_problem(case, spec, period)
         sol = solver.solve(prob)
-        report = validate_solution(case, sol, spec)
+        assert sol.status == "optimal"
+        return case, prob, sol.x
+
+    def test_clean_solution_validates(self):
+        case, prob, x = self.solved(ScenarioSpec(5))
+        report = validate(case, solution_injections(case, prob, x), 0, prob.constraint_set,
+                          optimizer_voltages(prob, x))
         assert report.ok
         assert report.max_voltage_deviation <= 1e-6
         assert report.violations == ()
-        assert report.max_kcl_residual <= 1e-8
+        assert report.error is None
 
     def test_scenario1_solution_reports_state(self):
-        case = two_bus_case()
-        spec = ScenarioSpec(1)
-        prob = build_problem(case, spec, 0)
-        sol = solver.solve(prob)
-        report = validate_solution(case, sol, spec)
+        case, prob, x = self.solved(ScenarioSpec(1))
+        assert prob.constraint_set == frozenset()
+        report = validate(case, solution_injections(case, prob, x), 0, prob.constraint_set,
+                          optimizer_voltages(prob, x))
         # no network limits are checked, but the re-solve still happens
         assert report.violations == ()
         assert report.max_voltage_deviation <= 1e-6
 
     def test_corrupted_solution_flagged(self):
-        case = two_bus_case()
-        spec = ScenarioSpec(5)
-        prob = build_problem(case, spec, 0)
-        sol = solver.solve(prob)
-        xc = sol.x.copy()
+        # Twice the optimal export: the oracle's own state breaks the limits.
+        case, prob, x = self.solved(ScenarioSpec(5))
+        xc = x.copy()
+        xc[prob.layout.pg(0)] *= 2.0
+        report = validate(case, solution_injections(case, prob, xc), 0, prob.constraint_set,
+                          optimizer_voltages(prob, xc))
+        assert not report.ok
+        assert report.violations
+        assert report.max_voltage_deviation > 1e-3
+
+    def test_limits_are_checked_on_the_oracle_state(self):
+        # A corrupted optimizer voltage shows as a deviation only: the
+        # injections are untouched, so the oracle's state breaks no limit.
+        case, prob, x = self.solved(ScenarioSpec(5))
+        xc = x.copy()
         xc[prob.layout.u_re(1, 0)] += 0.2
-        report = validate_solution(case, dataclasses.replace(sol, x=xc), spec)
+        report = validate(case, solution_injections(case, prob, xc), 0, prob.constraint_set,
+                          optimizer_voltages(prob, xc))
         assert not report.ok
         assert report.max_voltage_deviation > 0.1
+        assert report.violations == ()
+
+    def test_diverged_power_flow_fails_the_period(self):
+        case = two_bus_case()
+        inj = InjectionSet.from_case(case).with_generator(case, "g1", 1000.0, 0.0, 0)
+        report = validate(case, inj, 0, pc.ALL_LIMITS)
+        assert not report.ok
+        assert report.error
+        assert report.violations == ()
+
+
+def test_oracle_imports_neither_nlp_nor_solver():
+    """The oracle must stay independent of the optimization path it checks."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["lvdoe" if node.level else None, node.module]))
+            imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    assert imported
+    assert not imported & {"lvdoe.nlp", "lvdoe.solver"}
