@@ -196,6 +196,7 @@ def _run_periods(
             "period": t,
             "status": sol.status,
             "iterations": sol.iterations,
+            "factorizations": sol.factorizations,
             "kkt_residual": sol.max_kkt_residual,
             "oracle_voltage_deviation": report.max_voltage_deviation,
             "oracle_violations": len(report.violations),
@@ -205,7 +206,8 @@ def _run_periods(
                 print(
                     f"period {t} iter {rec['iter']:3d}  mu {rec['mu']:9.2e}  "
                     f"obj {rec['objective']:12.6f}  kkt {rec['kkt_error']:9.2e}  "
-                    f"theta {rec['theta']:9.2e}  alpha {rec['alpha']:6.4f}"
+                    f"theta {rec['theta']:9.2e}  alpha {rec['alpha']:6.4f}  "
+                    f"dw {rec['delta_w']:8.2e}  dc {rec['delta_c']:8.2e}  fact {rec['factorizations']}"
                 )
     return EnvelopeResult(
         case=case,
@@ -459,6 +461,10 @@ def _cmd_validate(args) -> int:
     for (gid, ph, t), (p, q) in envelope.items():
         if gid not in gen_idx:
             raise InputError(f"{path}: unknown generator {gid!r}")
+        if ph not in PHASE_INDEX:
+            raise InputError(f"{path}: unknown phase {ph!r}")
+        if not 0 <= t < case.horizon:
+            raise InputError(f"{path}: period {t} outside horizon {case.horizon}")
         injections.p_gen[gen_idx[gid], PHASE_INDEX[ph], t] = p / case.s_base
         injections.q_gen[gen_idx[gid], PHASE_INDEX[ph], t] = q / case.s_base
 

@@ -12,6 +12,15 @@ Fixed variables (equal bounds) stay out of the step; finite one-sided bounds
 become affine inequality rows.  The inequality block is condensed into the
 Hessian, so the dense KKT matrix has a row per free variable and equality
 row: [W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I], as in MATPOWER's MIPS.
+
+Each iteration first tries dw = dc = 0 and climbs a regularization ladder
+while the inertia is wrong.  Once DEGENERATE_ITERATIONS consecutive
+iterations have found zero pivots in that first attempt, the equality
+Jacobian is taken as rank-deficient and later iterations start the ladder at
+dc > 0 directly (Ipopt's degenerate-Jacobian rule, Waechter & Biegler 2006,
+Sec. 3.1).  On the bundled feeders the cause is structural: units that share
+a bus and phase with free Q leave only their group's total Q and current
+fixed, so the unregularized matrix is singular at every iteration.
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ MU_INIT = 0.1
 MU_SHRINK = 0.2
 STEP_FRACTION = 0.995
 REGULARIZATION_MIN = 1e-10
+# Consecutive iterations with zero pivots at dw = dc = 0 after which the
+# remaining iterations of a solve skip that attempt.
+DEGENERATE_ITERATIONS = 3
 
 
 class KktSingularError(RuntimeError):
@@ -63,6 +75,7 @@ class Solution:
     iterations: int
     max_kkt_residual: float
     ineq_active: np.ndarray   # user inequality rows with slack below tolerance
+    factorizations: int       # KKT factorizations over all iterations
     trace: tuple = ()
 
 
@@ -267,6 +280,8 @@ def solve(
 
     mu = MU_INIT
     delta_last = 0.0
+    degenerate = 0  # consecutive iterations whose unregularized matrix had zero pivots
+    factorizations = 0
     trace: list[dict] = []
     status = "iteration_limit"
     small_steps = 0
@@ -311,18 +326,26 @@ def solve(
         diag = np.arange(nf + me)
         base_diag = kkt[diag, diag]
         solve_fn, inertia = None, None
+        delta_c_first = np.sqrt(np.finfo(float).eps) * max(mu, 1e-6)
         delta_w, delta_c = 0.0, 0.0
+        if degenerate >= DEGENERATE_ITERATIONS:
+            # Start where the failed unregularized attempt would have left off.
+            delta_w, delta_c = max(REGULARIZATION_MIN, delta_last / 3.0), delta_c_first
+        iter_factorizations = 0
         for _ in range(60):
             if delta_w > 0.0:
                 kkt[diag[:nf], diag[:nf]] = base_diag[:nf] + delta_w
             if delta_c > 0.0:
                 kkt[diag[nf:], diag[nf:]] = base_diag[nf:] - delta_c
             solve_fn, inertia = _ldlt(kkt)
+            iter_factorizations += 1
+            if delta_w == 0.0 and delta_c == 0.0:
+                degenerate = degenerate + 1 if inertia[2] > 0 else 0
             ok = inertia[0] == nf and inertia[2] == 0
             if ok:
                 break
             if inertia[2] > 0:
-                delta_c = 10.0 * delta_c if delta_c > 0.0 else np.sqrt(np.finfo(float).eps) * max(mu, 1e-6)
+                delta_c = 10.0 * delta_c if delta_c > 0.0 else delta_c_first
             if delta_w == 0.0:
                 delta_w = max(REGULARIZATION_MIN, delta_last / 3.0)
             else:
@@ -332,6 +355,7 @@ def solve(
                     f"KKT inertia {inertia} not correctable at regularization {delta_w:g}"
                 )
         delta_last = delta_w
+        factorizations += iter_factorizations
 
         dx, dy, dz, ds = expand(solve_fn(rhs))
 
@@ -396,6 +420,9 @@ def solve(
                     "kkt_error": kkt_error(0.0),
                     "theta": theta(x, s),
                     "alpha": alpha,
+                    "delta_w": delta_w,
+                    "delta_c": delta_c,
+                    "factorizations": iter_factorizations,
                 }
             )
 
@@ -411,5 +438,6 @@ def solve(
         iterations=it,
         max_kkt_residual=final_err,
         ineq_active=problem.ineq.value(x) > -1e-6,
+        factorizations=factorizations,
         trace=tuple(trace),
     )

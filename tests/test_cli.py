@@ -157,6 +157,28 @@ class TestValidateCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (2, "99", "period 99 outside horizon 24"),
+            # numpy indexing would silently write period 23
+            (2, "-1", "period -1 outside horizon 24"),
+            (1, "x", "unknown phase 'x'"),
+        ],
+    )
+    def test_bad_row_exits_1(self, solved_dir, tmp_path, capsys, field, value, message):
+        lines = (solved_dir / "envelopes.csv").read_text().splitlines()
+        parts = lines[1].split(",")
+        parts[field] = value
+        bad = tmp_path / "envelopes.csv"
+        bad.write_text("\n".join([lines[0], ",".join(parts)]) + "\n")
+        rc = main(
+            ["validate", "--network", SYNTH4, "--loads", SYNTH4_LOADS,
+             "--result", str(bad), "--scenario", "5"]
+        )
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_prints_limit(self, capsys):
@@ -222,6 +244,18 @@ class TestRunScenario:
         for d in result.diagnostics:
             assert d["oracle_voltage_deviation"] <= 1e-6
             assert d["oracle_violations"] == 0
+
+    def test_diagnostics_count_factorizations(self, synth4_unbal, tmp_path):
+        result = run_scenario(synth4_unbal, ScenarioSpec(5), starts=1)
+        for d in result.diagnostics:
+            assert d["factorizations"] >= d["iterations"] > 0
+        emit_results(result, tmp_path)
+        assert "factorizations" not in (tmp_path / "summary.json").read_text()
+
+    def test_trace_line_shows_regularization(self, capsys):
+        run_scenario(two_bus_case(), ScenarioSpec(5), SolverOptions(trace=True), starts=1)
+        line = capsys.readouterr().out.splitlines()[0]
+        assert " dw " in line and " dc " in line and " fact " in line
 
     def test_shared_units_split_q_by_rating(self, synth4_unbal, monkeypatch):
         # g2 and g3 share bus n3, phase a, with equal ratings; g1 is alone.

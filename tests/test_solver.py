@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from lvdoe import nlp, oracle, phasecalc as pc, solver
+from lvdoe.netmodel import load_network
 from lvdoe.nlp import Objective, QuadBlock, ScenarioSpec, build_custom, build_problem
 from lvdoe.phasecalc import LimitKind
 from lvdoe.solver import Duals, SolverOptions, internalize, kkt_assemble, solve
 
-from conftest import two_bus_case
+from conftest import fixture_path, two_bus_case
 
 
 def toy_form(ub: float = 2.0, eq_row: bool = False) -> solver.InternalForm:
@@ -226,7 +227,9 @@ class TestSolve:
         prob = build_problem(case, ScenarioSpec(5), 0)
         sol = solve(prob, SolverOptions(trace=True))
         assert len(sol.trace) == sol.iterations
-        assert {"iter", "mu", "objective", "kkt_error"} <= set(sol.trace[0])
+        assert {"iter", "mu", "objective", "kkt_error", "delta_w", "delta_c"} <= set(sol.trace[0])
+        assert sum(rec["factorizations"] for rec in sol.trace) == sol.factorizations
+        assert min(rec["factorizations"] for rec in sol.trace) >= 1
 
     def test_iteration_limit_status(self):
         case = two_bus_case()
@@ -264,6 +267,50 @@ class TestSolve:
             )
         )
         assert free.objective >= pinned.objective - 1e-6
+
+
+class TestDegenerateJacobianRule:
+    """Skipping the unregularized attempt once it has been singular three
+    iterations running only removes factorizations that would fail."""
+
+    THRESHOLD = solver.DEGENERATE_ITERATIONS
+
+    @staticmethod
+    def solve_counting(monkeypatch, prob, threshold):
+        calls = []
+        ldlt = solver._ldlt
+
+        def counting(k):
+            calls.append(k.shape[0])
+            return ldlt(k)
+
+        monkeypatch.setattr(solver, "_ldlt", counting)
+        monkeypatch.setattr(solver, "DEGENERATE_ITERATIONS", threshold)
+        sol = solve(prob)
+        assert sol.factorizations == len(calls)
+        return sol
+
+    @pytest.mark.parametrize(
+        "fixture, period",
+        [("feeder_hr", 3), ("feeder_hr", 19), ("synth4_unbal", 3), ("synth4_unbal", 19)],
+    )
+    def test_same_iterates_fewer_factorizations(self, request, monkeypatch, fixture, period):
+        # Co-located units with free Q make every unregularized matrix singular.
+        prob = build_problem(request.getfixturevalue(fixture), ScenarioSpec(5), period)
+        ladder = self.solve_counting(monkeypatch, prob, 10**9)
+        rule = self.solve_counting(monkeypatch, prob, self.THRESHOLD)
+        assert rule.status == ladder.status == "optimal"
+        assert rule.iterations == ladder.iterations
+        assert rule.x.tobytes() == ladder.x.tobytes()
+        assert rule.factorizations < ladder.factorizations
+
+    def test_nonsingular_problem_unchanged(self, monkeypatch):
+        case = load_network(fixture_path("synth4.json"), fixture_path("synth4_loads.csv"))
+        prob = build_problem(case, ScenarioSpec(5), 12)
+        ladder = self.solve_counting(monkeypatch, prob, 10**9)
+        rule = self.solve_counting(monkeypatch, prob, self.THRESHOLD)
+        assert rule.factorizations == ladder.factorizations
+        assert rule.x.tobytes() == ladder.x.tobytes()
 
 
 class TestOptions:
