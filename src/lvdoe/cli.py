@@ -2,7 +2,8 @@
 
 Runs the per-period programs for a chosen scenario/objective pair,
 aggregates daily envelopes, and writes deterministic result files
-(envelopes.csv, summary.json, manifest.json and an SVG export plot).
+(envelopes.csv, summary.json, diagnostics.json, manifest.json and an SVG
+export plot).
 """
 
 from __future__ import annotations
@@ -65,6 +66,16 @@ class EnvelopeResult:
     @property
     def per_period_total_kw(self) -> np.ndarray:
         return self.p_kw.sum(axis=(0, 1))
+
+    @property
+    def start_spread_pu(self) -> float:
+        """Largest best-minus-worst objective over one period's optimal starts."""
+        spreads = [0.0]
+        for d in self.diagnostics:
+            objs = [st["objective"] for st in d.get("starts", ()) if st["status"] == "optimal"]
+            if objs:
+                spreads.append(max(objs) - min(objs))
+        return max(spreads)
 
 
 def run_scenario(
@@ -173,13 +184,14 @@ def _run_periods(
             bound_q_by_rating=bound_q_by_rating,
             fixed_p=None if fixed_p is None else fixed_p[:, t],
         )
-        sol = None
-        for scale in scales:
+        sol, won, tried = None, 0, []
+        for k, scale in enumerate(scales):
             cand = solver.solve(problem, opts, x0=nlp.initial_point(problem, voltage_scale=scale))
-            if cand.status == "optimal" and (sol is None or sol.status != "optimal" or cand.objective > sol.objective + 1e-10):
-                sol = cand
-            elif sol is None:
-                sol = cand
+            tried.append({"status": cand.status, "objective": cand.objective})
+            if sol is None or (
+                cand.status == "optimal" and (sol.status != "optimal" or cand.objective > sol.objective + 1e-10)
+            ):
+                sol, won = cand, k
         if sol.status != "optimal":
             raise ScenarioSolveError(t, sol.status)
         pg, qg = nlp.decode_generation(problem, sol.x)
@@ -200,6 +212,8 @@ def _run_periods(
             "kkt_residual": sol.max_kkt_residual,
             "oracle_voltage_deviation": report.max_voltage_deviation,
             "oracle_violations": len(report.violations),
+            "starts": tried,
+            "winning_start": won,
         })
         if opts.trace:
             for rec in sol.trace:
@@ -207,7 +221,8 @@ def _run_periods(
                     f"period {t} iter {rec['iter']:3d}  mu {rec['mu']:9.2e}  "
                     f"obj {rec['objective']:12.6f}  kkt {rec['kkt_error']:9.2e}  "
                     f"theta {rec['theta']:9.2e}  alpha {rec['alpha']:6.4f}  "
-                    f"dw {rec['delta_w']:8.2e}  dc {rec['delta_c']:8.2e}  fact {rec['factorizations']}"
+                    f"dw {rec['delta_w']:8.2e}  dc {rec['delta_c']:8.2e}  fact {rec['factorizations']} "
+                    f"in {rec['factorize_s'] * 1e3:.3f} ms"
                 )
     return EnvelopeResult(
         case=case,
@@ -239,10 +254,11 @@ def emit_results(
     inputs: list[Path] | None = None,
     options: SolverOptions | None = None,
 ) -> list[Path]:
-    """Write envelopes.csv, summary.json, manifest.json and envelopes.svg.
+    """Write envelopes.csv, summary.json, diagnostics.json, manifest.json and envelopes.svg.
 
     Daily totals in the summary are recomputed from the rounded values that
-    go into the CSV, so the two files always agree exactly.
+    go into the CSV, so the two files always agree exactly.  The per-period
+    diagnostics (stage 1 included) hold no timings, so they are deterministic.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -271,6 +287,7 @@ def emit_results(
         "periods": result.case.horizon,
         "period_hours": h,
         "per_period_total_kw": [round(v, 6) for v in per_period],
+        "start_spread_pu": result.start_spread_pu,
         "solver": {
             "statuses": sorted({d["status"] for d in result.diagnostics}),
             "total_iterations": int(sum(d["iterations"] for d in result.diagnostics)),
@@ -283,6 +300,13 @@ def emit_results(
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(summary_path)
+
+    diagnostics = {"periods": list(result.diagnostics)}
+    if result.stage1 is not None:
+        diagnostics["stage1"] = list(result.stage1.diagnostics)
+    diagnostics_path = out / "diagnostics.json"
+    diagnostics_path.write_text(json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
+    written.append(diagnostics_path)
 
     manifest = {
         "tool": "lvdoe",
@@ -365,9 +389,14 @@ def _read_envelopes_csv(path: Path) -> dict[tuple[str, str, int], tuple[float, f
         header = fh.readline().strip()
         if header != "generator_id,phase,period,p_kw,q_kvar":
             raise InputError(f"{path}: unexpected envelopes header {header!r}")
-        for line in fh:
-            gid, ph, t, p, q = line.strip().split(",")
-            out[(gid, ph, int(t))] = (float(p), float(q))
+        for n, line in enumerate(fh, start=2):
+            try:
+                gid, ph, t, p, q = line.strip().split(",")
+                out[(gid, ph, int(t))] = (float(p), float(q))
+            except ValueError:
+                raise InputError(
+                    f"{path}, line {n}: expected generator_id,phase,period,p_kw,q_kvar, got {line.strip()!r}"
+                ) from None
     return out
 
 

@@ -76,14 +76,6 @@ class PhasorState:
     def n_periods(self) -> int:
         return self.u.shape[2]
 
-    @property
-    def u_re(self) -> np.ndarray:
-        return self.u.real
-
-    @property
-    def u_im(self) -> np.ndarray:
-        return self.u.imag
-
 
 def flat_state(case: NetworkCase, n_periods: int = 1, vm: float = 1.0) -> PhasorState:
     """Balanced nominal voltages everywhere, all currents zero."""

@@ -13,6 +13,11 @@ become affine inequality rows.  The inequality block is condensed into the
 Hessian, so the dense KKT matrix has a row per free variable and equality
 row: [W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I], as in MATPOWER's MIPS.
 
+Each point is evaluated once: an Iterate holds (x, y, z, s) with the rows and
+Jacobians at x, and the stopping test, the KKT system, the divergence guard
+and the trace all read it.  A guard probe that is accepted becomes the next
+Iterate, as Ipopt caches its evaluations per point.
+
 Each iteration first tries dw = dc = 0 and climbs a regularization ladder
 while the inertia is wrong.  Once DEGENERATE_ITERATIONS consecutive
 iterations have found zero pivots in that first attempt, the equality
@@ -25,7 +30,8 @@ fixed, so the unregularized matrix is singular at every iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -60,15 +66,21 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class Duals:
-    y: np.ndarray  # equality multipliers
-    z: np.ndarray  # inequality multipliers (internal rows), > 0
-    s: np.ndarray  # inequality slacks, > 0
+class Iterate:
+    """A point of the iteration, with the rows and Jacobians evaluated at x."""
+
+    x: np.ndarray
+    y: np.ndarray   # equality multipliers
+    z: np.ndarray   # inequality multipliers (internal rows), > 0
+    s: np.ndarray   # inequality slacks, > 0
+    g: np.ndarray   # equality rows at x
+    h: np.ndarray   # inequality rows at x
+    jg: np.ndarray  # dense equality Jacobian at x
+    jh: np.ndarray  # dense inequality Jacobian at x
 
 
 @dataclass(frozen=True)
 class Solution:
-    problem: NlpProblem
     x: np.ndarray
     objective: float  # maximization sense, matching the problem statement
     status: str       # optimal | infeasible_local | iteration_limit
@@ -141,16 +153,36 @@ def internalize(problem: NlpProblem) -> InternalForm:
     )
 
 
+def _evaluate(form: InternalForm, x: np.ndarray, y: np.ndarray, z: np.ndarray, s: np.ndarray) -> Iterate:
+    """The iterate (x, y, z, s); the only place the rows and Jacobians are evaluated."""
+    return Iterate(
+        x=x, y=y, z=z, s=s,
+        g=form.eq.value(x), h=form.ineq.value(x),
+        jg=form.eq.jacobian(x), jh=form.ineq.jacobian(x),
+    )
+
+
+def _theta(pt: Iterate) -> float:
+    """Largest primal residual: equality rows and slacked inequality rows."""
+    t = np.abs(pt.g).max() if pt.g.size else 0.0
+    if pt.h.size:
+        t = max(t, np.abs(pt.h + pt.s).max())
+    return t
+
+
+def _kkt_errors(form: InternalForm, pt: Iterate, *mus: float) -> list[float]:
+    """KKT error at pt for each barrier parameter in mus: the largest dual,
+    primal and complementarity residual."""
+    r_d = (form.c + pt.jg.T @ pt.y + pt.jh.T @ pt.z)[form.free]
+    feas = max(np.abs(r_d).max() if form.free.size else 0.0, _theta(pt))
+    return [max(feas, np.abs(pt.s * pt.z - mu).max()) if pt.s.size else feas for mu in mus]
+
+
 # ---------------------------------------------------------------------------
 # KKT assembly and symmetric indefinite factorization
 # ---------------------------------------------------------------------------
 
-def kkt_assemble(
-    form: InternalForm,
-    x: np.ndarray,
-    duals: Duals,
-    mu: float,
-) -> tuple[np.ndarray, np.ndarray, Callable]:
+def kkt_assemble(form: InternalForm, pt: Iterate, mu: float) -> tuple[np.ndarray, np.ndarray, Callable]:
     """Dense condensed KKT matrix (Fortran order), right-hand side, and expand.
 
     Layout: [W + Jh' diag(z/s) Jh, Jg'; Jg, 0] acting on (dx[free], dy);
@@ -162,11 +194,8 @@ def kkt_assemble(
         raise ValueError("barrier parameter mu must be positive")
     n, nf, me = form.n_vars, form.free.size, form.eq.n_rows
     dim = nf + me
-    y, z, s = duals.y, duals.z, duals.s
+    y, z, s, h, jh = pt.y, pt.z, pt.s, pt.h, pt.jh
     sigma = z / s
-    jg = form.eq.jacobian(x)
-    jh = form.ineq.jacobian(x)
-    h = form.ineq.value(x)
 
     weights = np.concatenate([
         y[form.eq.qk] * form.eq.qv,
@@ -176,10 +205,10 @@ def kkt_assemble(
     kkt = np.bincount(form.w_index, weights=weights, minlength=dim * dim + 1)[:-1]
     # Fortran order hands LAPACK a plain copy instead of a transposed one.
     kkt = kkt.reshape(dim, dim, order="F")
-    kkt[nf:, :nf] = jg[:, form.free]
+    kkt[nf:, :nf] = pt.jg[:, form.free]
     kkt[:nf, nf:] = kkt[nf:, :nf].T
-    grad = form.c + jg.T @ y + jh.T @ (z + sigma * (h + mu / z))
-    rhs = np.concatenate([-grad[form.free], -form.eq.value(x)])
+    grad = form.c + pt.jg.T @ y + jh.T @ (z + sigma * (h + mu / z))
+    rhs = np.concatenate([-grad[form.free], -pt.g])
 
     def expand(step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """dx is zero on fixed variables; the condensed inequality rows give
@@ -265,18 +294,19 @@ def solve(
     x = nlp_mod.initial_point(problem) if x0 is None else x0.astype(float).copy()
     # Fixed variables start on their pins; the step never moves them.
     x[problem.lb == problem.ub] = problem.lb[problem.lb == problem.ub]
-    h0 = form.ineq.value(x)
-    s = np.maximum(-h0, 1e-2)
+    # The duals start from this first evaluation; zeros hold their places.
+    pt = _evaluate(form, x, np.zeros(me), np.zeros(mi), np.zeros(mi))
+    s = np.maximum(-pt.h, 1e-2)
     z = np.minimum(np.maximum(MU_INIT / s, 1e-8), 1e8)
     # Least-squares multiplier estimate for the equalities; a poor guess here
     # costs many early iterations on feasibility-dominated steps.
     y = np.zeros(me)
     if me:
-        jg0 = form.eq.jacobian(x)[:, form.free]
-        rhs0 = -(form.c + form.ineq.jacobian(x).T @ z)[form.free]
-        y_ls, *_ = np.linalg.lstsq(jg0.T, rhs0, rcond=None)
+        rhs0 = -(form.c + pt.jh.T @ z)[form.free]
+        y_ls, *_ = np.linalg.lstsq(pt.jg[:, form.free].T, rhs0, rcond=None)
         if np.abs(y_ls).max() <= 1e3:
             y = y_ls
+    pt = replace(pt, y=y, z=z, s=s)
 
     mu = MU_INIT
     delta_last = 0.0
@@ -287,62 +317,46 @@ def solve(
     small_steps = 0
     it = 0
 
-    def feasibility_error() -> float:
-        """Largest dual and primal residual at the current point."""
-        r_d = (form.c + form.eq.jacobian(x).T @ y + form.ineq.jacobian(x).T @ z)[form.free]
-        return max(np.abs(r_d).max() if nf else 0.0, theta(x, s))
-
-    def kkt_error(mu_val: float, feas: float | None = None) -> float:
-        """KKT error for barrier mu_val; feas reuses feasibility_error()."""
-        feas = feasibility_error() if feas is None else feas
-        return max(feas, np.abs(s * z - mu_val).max()) if mi else feas
-
-    def theta(xv: np.ndarray, sv: np.ndarray) -> float:
-        t = np.abs(form.eq.value(xv)).max() if me else 0.0
-        if mi:
-            t = max(t, np.abs(form.ineq.value(xv) + sv).max())
-        return t
-
     while it < opts.max_iter:
-        feas = feasibility_error()
-        if kkt_error(0.0, feas) <= opts.tol_kkt:
+        err, err_mu = _kkt_errors(form, pt, 0.0, mu)
+        if err <= opts.tol_kkt:
             status = "optimal"
             break
         # Monotone Fiacco-McCormick barrier reduction, gated on the inner
         # problem being solved to within a multiple of the current mu; the
         # target blends the fixed shrink with the measured complementarity.
-        if mi and mu > opts.tol_kkt / 100.0 and kkt_error(mu, feas) <= 10.0 * mu:
-            compl = float(s @ z) / mi
+        if mi and mu > opts.tol_kkt / 100.0 and err_mu <= 10.0 * mu:
+            compl = float(pt.s @ pt.z) / mi
             mu = max(
                 opts.tol_kkt / 100.0,
                 min(MU_SHRINK * mu, max(0.1 * compl, mu**1.5)),
             )
 
-        duals = Duals(y=y, z=z, s=s)
-        kkt, rhs, expand = kkt_assemble(form, x, duals, mu)
+        kkt, rhs, expand = kkt_assemble(form, pt, mu)
         # sytrf leaves its input intact, so a retry rewrites the diagonal from
         # the saved one rather than copying the whole dense matrix; the
         # regularizations only grow, so every entry it sets is rewritten.
         diag = np.arange(nf + me)
         base_diag = kkt[diag, diag]
-        solve_fn, inertia = None, None
         delta_c_first = np.sqrt(np.finfo(float).eps) * max(mu, 1e-6)
         delta_w, delta_c = 0.0, 0.0
         if degenerate >= DEGENERATE_ITERATIONS:
             # Start where the failed unregularized attempt would have left off.
             delta_w, delta_c = max(REGULARIZATION_MIN, delta_last / 3.0), delta_c_first
         iter_factorizations = 0
+        factorize_s = 0.0
         for _ in range(60):
             if delta_w > 0.0:
                 kkt[diag[:nf], diag[:nf]] = base_diag[:nf] + delta_w
             if delta_c > 0.0:
                 kkt[diag[nf:], diag[nf:]] = base_diag[nf:] - delta_c
+            t0 = time.perf_counter()
             solve_fn, inertia = _ldlt(kkt)
+            factorize_s += time.perf_counter() - t0
             iter_factorizations += 1
             if delta_w == 0.0 and delta_c == 0.0:
                 degenerate = degenerate + 1 if inertia[2] > 0 else 0
-            ok = inertia[0] == nf and inertia[2] == 0
-            if ok:
+            if inertia[0] == nf and inertia[2] == 0:
                 break
             if inertia[2] > 0:
                 delta_c = 10.0 * delta_c if delta_c > 0.0 else delta_c_first
@@ -363,81 +377,66 @@ def solve(
         alpha = 1.0
         neg = ds < 0.0
         if np.any(neg):
-            alpha = min(1.0, float(np.min(-STEP_FRACTION * s[neg] / ds[neg])))
+            alpha = min(1.0, float(np.min(-STEP_FRACTION * pt.s[neg] / ds[neg])))
         alpha_z = 1.0
         neg = dz < 0.0
         if np.any(neg):
-            alpha_z = min(1.0, float(np.min(-STEP_FRACTION * z[neg] / dz[neg])))
+            alpha_z = min(1.0, float(np.min(-STEP_FRACTION * pt.z[neg] / dz[neg])))
 
         # No merit line search: the fraction-to-boundary step is taken as is,
         # with a divergence guard that halves the step while the infeasibility
-        # grows out of proportion.
-        theta0 = theta(x, s)
-        guard = max(10.0 * theta0, 1e-2)
-        accepted = False
+        # grows out of proportion.  Each probe is evaluated once, and an
+        # accepted one becomes the next iterate.
+        guard = max(10.0 * _theta(pt), 1e-2)
+        cand = None
         for _ in range(30):
-            x_new = x + alpha * dx
-            s_new = s + alpha * ds
-            val = theta(x_new, s_new)
+            probe = _evaluate(form, pt.x + alpha * dx, pt.y, pt.z, pt.s + alpha * ds)
+            val = _theta(probe)
             if np.isfinite(val) and val <= guard:
-                accepted = True
+                cand = probe
                 break
             alpha *= 0.5
 
-        if accepted and alpha >= 1e-11:
+        if cand is not None and alpha >= 1e-11:
             small_steps = 0
-            x = x + alpha * dx
-            y = y + alpha * dy
-            s = s + alpha * ds
-            z = np.maximum(z + alpha_z * dz, 1e-16)
+            z = np.maximum(pt.z + alpha_z * dz, 1e-16)
             # Upper dual safeguard: degenerate active sets have unbounded
             # multipliers, which would blow up the Lagrangian Hessian.
-            z = np.minimum(z, np.maximum(1e10 * mu / s, 1e4))
+            z = np.minimum(z, np.maximum(1e10 * mu / cand.s, 1e4))
+            pt = replace(cand, y=pt.y + alpha * dy, z=z)
         else:
             small_steps += 1
             delta_last = max(delta_last, 1e-4)
         it += 1
 
         if small_steps >= 3:
-            status = "infeasible_local" if theta(x, s) > 1e-6 else "iteration_limit"
+            status = "infeasible_local" if _theta(pt) > 1e-6 else "iteration_limit"
             break
         # Diverging multipliers with persistent constraint violation is the
         # interior-point certificate of local infeasibility.
-        dual_norm = max(
-            np.abs(y).max() if me else 0.0,
-            np.abs(z).max() if mi else 0.0,
-        )
-        if dual_norm > 1e8 and theta(x, s) > 1e-6:
+        dual_norm = max(np.abs(pt.y).max() if me else 0.0, np.abs(pt.z).max() if mi else 0.0)
+        if dual_norm > 1e8 and _theta(pt) > 1e-6:
             status = "infeasible_local"
             break
 
         if opts.trace:
-            trace.append(
-                {
-                    "iter": it,
-                    "mu": mu,
-                    "objective": float(-form.c @ x),
-                    "kkt_error": kkt_error(0.0),
-                    "theta": theta(x, s),
-                    "alpha": alpha,
-                    "delta_w": delta_w,
-                    "delta_c": delta_c,
-                    "factorizations": iter_factorizations,
-                }
-            )
+            trace.append({
+                "iter": it, "mu": mu, "objective": float(-form.c @ pt.x),
+                "kkt_error": _kkt_errors(form, pt, 0.0)[0], "theta": _theta(pt), "alpha": alpha,
+                "delta_w": delta_w, "delta_c": delta_c,
+                "factorizations": iter_factorizations, "factorize_s": factorize_s,
+            })
 
-    final_err = kkt_error(0.0)
-    if status == "optimal" and mi and np.any(form.ineq.value(x) > opts.tol_kkt):
+    if status == "optimal" and np.any(pt.h > opts.tol_kkt):
         status = "iteration_limit"
 
     return Solution(
-        problem=problem,
-        x=x,
-        objective=float(problem.obj_coef @ x),
+        x=pt.x,
+        objective=float(problem.obj_coef @ pt.x),
         status=status,
         iterations=it,
-        max_kkt_residual=final_err,
-        ineq_active=problem.ineq.value(x) > -1e-6,
+        max_kkt_residual=_kkt_errors(form, pt, 0.0)[0],
+        ineq_active=pt.h[: problem.ineq.n_rows] > -1e-6,
         factorizations=factorizations,
         trace=tuple(trace),
     )

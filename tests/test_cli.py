@@ -16,6 +16,7 @@ from conftest import fixture_path, two_bus_case
 SYNTH4 = str(fixture_path("synth4.json"))
 SYNTH4_LOADS = str(fixture_path("synth4_loads.csv"))
 SYNTH2 = str(fixture_path("synth2.json"))
+ROW_ERROR = "envelopes.csv, line 2: expected generator_id,phase,period,p_kw,q_kvar"
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def solved_dir(tmp_path_factory):
 
 class TestSolveCommand:
     def test_outputs_exist(self, solved_dir):
-        for name in ("envelopes.csv", "summary.json", "manifest.json", "envelopes.svg"):
+        for name in ("envelopes.csv", "summary.json", "diagnostics.json", "manifest.json", "envelopes.svg"):
             assert (solved_dir / name).exists()
 
     def test_aggregation_identity(self, solved_dir):
@@ -164,12 +165,20 @@ class TestValidateCommand:
             # numpy indexing would silently write period 23
             (2, "-1", "period -1 outside horizon 24"),
             (1, "x", "unknown phase 'x'"),
+            # malformed lines: a missing or extra field, a period or number that does not parse
+            (4, None, ROW_ERROR),
+            (4, "0.0,1.0", ROW_ERROR),
+            (2, "a", ROW_ERROR),
+            (3, "5O.0", ROW_ERROR),
         ],
     )
     def test_bad_row_exits_1(self, solved_dir, tmp_path, capsys, field, value, message):
         lines = (solved_dir / "envelopes.csv").read_text().splitlines()
         parts = lines[1].split(",")
-        parts[field] = value
+        if value is None:
+            del parts[field]
+        else:
+            parts[field] = value
         bad = tmp_path / "envelopes.csv"
         bad.write_text("\n".join([lines[0], ",".join(parts)]) + "\n")
         rc = main(
@@ -223,6 +232,14 @@ class TestPlotCommand:
         assert rc == 0
         assert svg_out.read_text().count("<polyline") == 2
 
+    def test_bad_row_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "envelopes.csv"
+        bad.write_text("generator_id,phase,period,p_kw,q_kvar\ng1,a,3,50.0\n")
+        rc = main(["plot", "--result", str(bad), "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        assert f"{bad}, line 2: expected" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestRunScenario:
     def test_scenario1_closed_form(self, synth4):
@@ -256,6 +273,43 @@ class TestRunScenario:
         run_scenario(two_bus_case(), ScenarioSpec(5), SolverOptions(trace=True), starts=1)
         line = capsys.readouterr().out.splitlines()[0]
         assert " dw " in line and " dc " in line and " fact " in line
+
+    def test_factorization_time_stays_out_of_output_files(self, tmp_path, capsys):
+        result = run_scenario(two_bus_case(), ScenarioSpec(5), SolverOptions(trace=True), starts=1)
+        assert capsys.readouterr().out.splitlines()[0].endswith(" ms")
+        for path in emit_results(result, tmp_path):
+            assert "factorize_s" not in path.read_text()
+
+    def test_diagnostics_record_every_start(self, synth4_unbal, tmp_path):
+        # Two local optima: the flat start stops 7 % below the 0.9 start.
+        runs = [run_scenario(synth4_unbal, ScenarioSpec(2)) for _ in range(2)]
+        result = runs[0]
+        for t in (0, 12):
+            d = result.diagnostics[t]
+            assert [st["status"] for st in d["starts"]] == ["optimal", "optimal"]
+            objs = [st["objective"] for st in d["starts"]]
+            assert objs == pytest.approx([0.8758, 0.9455], abs=1e-4)
+            assert d["winning_start"] == 1
+            assert result.objective_pu[t] == objs[1]
+            assert result.start_spread_pu >= objs[1] - objs[0]
+        texts = []
+        for k, run in enumerate(runs):
+            emit_results(run, tmp_path / str(k))
+            texts.append((tmp_path / str(k) / "diagnostics.json").read_bytes())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["periods"] == json.loads(json.dumps(list(result.diagnostics)))
+        summary = json.loads((tmp_path / "0" / "summary.json").read_text())
+        assert summary["start_spread_pu"] == result.start_spread_pu
+
+    def test_diagnostics_file_holds_stage1(self, tmp_path):
+        result = run_scenario(two_bus_case(), ScenarioSpec(5, Objective.REACTIVE_MARGIN), starts=1)
+        emit_results(result, tmp_path)
+        diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert len(diagnostics["stage1"]) == len(diagnostics["periods"]) == 4
+        assert all(d["winning_start"] == 0 and len(d["starts"]) == 1 for d in diagnostics["stage1"])
+
+    def test_scenario1_has_no_start_spread(self, synth4):
+        assert run_scenario(synth4, ScenarioSpec(1)).start_spread_pu == 0.0
 
     def test_shared_units_split_q_by_rating(self, synth4_unbal, monkeypatch):
         # g2 and g3 share bus n3, phase a, with equal ratings; g1 is alone.

@@ -8,7 +8,7 @@ from lvdoe import nlp, oracle, phasecalc as pc, solver
 from lvdoe.netmodel import load_network
 from lvdoe.nlp import Objective, QuadBlock, ScenarioSpec, build_custom, build_problem
 from lvdoe.phasecalc import LimitKind
-from lvdoe.solver import Duals, SolverOptions, internalize, kkt_assemble, solve
+from lvdoe.solver import SolverOptions, internalize, kkt_assemble, solve
 
 from conftest import fixture_path, two_bus_case
 
@@ -32,20 +32,21 @@ def perturbed_point(prob, form, seed):
     x = nlp.initial_point(prob)
     x[form.free] += 0.05 * rng.standard_normal(form.free.size)
     mi = form.ineq.n_rows
-    duals = Duals(
+    return solver._evaluate(
+        form,
+        x,
         y=rng.standard_normal(form.eq.n_rows),
         z=rng.uniform(0.2, 1.0, mi),
         s=rng.uniform(0.2, 1.0, mi),
     )
-    return x, duals
 
 
-def full_augmented_system(prob, form, x, duals, mu, delta_w, y_fix):
+def full_augmented_system(prob, form, pt, mu, delta_w, y_fix):
     """The uncondensed reference: fixed variables as equality rows, inequality
     rows kept with their -s/z diagonal.  Unknowns (dx, dy, dy_fix, dz)."""
     n, me, mi = prob.n_vars, prob.eq.n_rows, form.ineq.n_rows
     fixed = np.flatnonzero(prob.lb == prob.ub)
-    y, z, s = duals.y, duals.z, duals.s
+    x, y, z, s = pt.x, pt.y, pt.z, pt.s
     w = delta_w * np.eye(n)
     for block, lam in ((form.eq, y), (form.ineq, z)):
         np.add.at(w, (block.qi, block.qj), lam[block.qk] * block.qv)
@@ -67,7 +68,7 @@ class TestKktAssemble:
     def test_one_by_one_matches_hand_algebra(self):
         form = toy_form(ub=2.0)
         x, s, z, mu = np.array([0.5]), np.array([1.5]), np.array([0.1]), 0.3
-        kkt, rhs, expand = kkt_assemble(form, x, Duals(y=np.zeros(0), z=z, s=s), mu)
+        kkt, rhs, expand = kkt_assemble(form, solver._evaluate(form, x, y=np.zeros(0), z=z, s=s), mu)
         # [z/s]: the bound row x - ub <= 0 condensed into the Hessian
         np.testing.assert_allclose(kkt, [[0.1 / 1.5]], rtol=1e-15)
         # rhs: -(c + Jh' z + Jh' (z/s)(h + mu/z)) with h = x - ub = -1.5
@@ -83,8 +84,8 @@ class TestKktAssemble:
         case = two_bus_case()
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
-        x, duals = perturbed_point(prob, form, 2)
-        kkt, _, _ = kkt_assemble(form, x, duals, mu=0.1)
+        pt = perturbed_point(prob, form, 2)
+        kkt, _, _ = kkt_assemble(form, pt, mu=0.1)
         assert isinstance(kkt, np.ndarray) and kkt.flags.f_contiguous
         assert kkt.shape[0] == np.count_nonzero(prob.lb != prob.ub) + prob.eq.n_rows
         assert np.abs(kkt - kkt.T).max() <= 1e-14
@@ -92,25 +93,25 @@ class TestKktAssemble:
     def test_rejects_nonpositive_mu(self):
         form = toy_form()
         with pytest.raises(ValueError, match="mu"):
-            kkt_assemble(form, np.zeros(1), Duals(np.zeros(0), np.ones(1), np.ones(1)), 0.0)
+            kkt_assemble(form, solver._evaluate(form, np.zeros(1), np.zeros(0), np.ones(1), np.ones(1)), 0.0)
 
     @pytest.mark.parametrize("network", ["two_bus", "synth4"])
     def test_condensed_step_matches_full_augmented_system(self, network, synth4):
         case = two_bus_case() if network == "two_bus" else synth4
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
-        x, duals = perturbed_point(prob, form, 7)
+        pt = perturbed_point(prob, form, 7)
         mu, delta_w = 0.1, 0.5
         y_fix = np.random.default_rng(8).standard_normal(np.count_nonzero(prob.lb == prob.ub))
-        kkt, rhs, expand = kkt_assemble(form, x, duals, mu)
+        kkt, rhs, expand = kkt_assemble(form, pt, mu)
         kkt[np.arange(form.free.size), np.arange(form.free.size)] += delta_w
         dx, dy, dz, ds = expand(np.linalg.solve(kkt, rhs))
 
-        k_full, rhs_full = full_augmented_system(prob, form, x, duals, mu, delta_w, y_fix)
+        k_full, rhs_full = full_augmented_system(prob, form, pt, mu, delta_w, y_fix)
         ref = np.linalg.solve(k_full, rhs_full)
         n, me = prob.n_vars, prob.eq.n_rows
         dx_ref, dy_ref, dz_ref = ref[:n], ref[n : n + me], ref[n + me + y_fix.size :]
-        ds_ref = mu / duals.z - duals.s - (duals.s / duals.z) * dz_ref
+        ds_ref = mu / pt.z - pt.s - (pt.s / pt.z) * dz_ref
         for got, want in ((dx, dx_ref), (dy, dy_ref), (dz, dz_ref), (ds, ds_ref)):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
         assert np.all(dx[prob.lb == prob.ub] == 0.0)
@@ -120,15 +121,15 @@ class TestKktAssemble:
         case = two_bus_case() if network == "two_bus" else synth4
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
-        x, duals = perturbed_point(prob, form, 3)
+        pt = perturbed_point(prob, form, 3)
         y_fix = np.zeros(np.count_nonzero(prob.lb == prob.ub))
         outcomes = set()
         # A negative shift stands in for negative curvature of W.
         for delta_w in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 100.0):
-            kkt, _, _ = kkt_assemble(form, x, duals, 0.1)
+            kkt, _, _ = kkt_assemble(form, pt, 0.1)
             kkt[np.arange(form.free.size), np.arange(form.free.size)] += delta_w
             _, (pos, _, zero) = solver._ldlt(kkt)
-            k_full, _ = full_augmented_system(prob, form, x, duals, 0.1, delta_w, y_fix)
+            k_full, _ = full_augmented_system(prob, form, pt, 0.1, delta_w, y_fix)
             full_pos = int(np.count_nonzero(np.linalg.eigvalsh(k_full) > 0.0))
             condensed_ok = pos == form.free.size and zero == 0
             assert condensed_ok == (full_pos == prob.n_vars)
@@ -140,7 +141,8 @@ class TestLdlt:
     def test_inertia_of_saddle(self):
         # [[z/s, 1], [1, 0]]: one free variable, one equality row
         form = toy_form(eq_row=True)
-        kkt, _, _ = kkt_assemble(form, np.array([1.0]), Duals(np.zeros(1), np.ones(1), np.ones(1)), 0.1)
+        pt = solver._evaluate(form, np.array([1.0]), np.zeros(1), np.ones(1), np.ones(1))
+        kkt, _, _ = kkt_assemble(form, pt, 0.1)
         np.testing.assert_allclose(kkt, [[1.0, 1.0], [1.0, 0.0]])
         _, inertia = solver._ldlt(kkt)
         assert inertia == (1, 1, 0)
@@ -227,7 +229,7 @@ class TestSolve:
         prob = build_problem(case, ScenarioSpec(5), 0)
         sol = solve(prob, SolverOptions(trace=True))
         assert len(sol.trace) == sol.iterations
-        assert {"iter", "mu", "objective", "kkt_error", "delta_w", "delta_c"} <= set(sol.trace[0])
+        assert {"iter", "mu", "objective", "kkt_error", "delta_w", "delta_c", "factorize_s"} <= set(sol.trace[0])
         assert sum(rec["factorizations"] for rec in sol.trace) == sol.factorizations
         assert min(rec["factorizations"] for rec in sol.trace) >= 1
 
@@ -311,6 +313,40 @@ class TestDegenerateJacobianRule:
         rule = self.solve_counting(monkeypatch, prob, self.THRESHOLD)
         assert rule.factorizations == ladder.factorizations
         assert rule.x.tobytes() == ladder.x.tobytes()
+
+
+class TestOneEvaluationPerIterate:
+    """Each point is evaluated once, rows and Jacobians together, and an
+    accepted guard probe is not evaluated again as the next iterate."""
+
+    @pytest.mark.parametrize("fixture, period", [("feeder_hr", 19), ("synth4_unbal", 12)])
+    def test_each_point_evaluated_once(self, request, monkeypatch, fixture, period):
+        prob = build_problem(request.getfixturevalue(fixture), ScenarioSpec(5), period)
+        values, jacobians, iterates = [], [], []
+        value, jacobian, assemble = QuadBlock.value, QuadBlock.jacobian, solver.kkt_assemble
+
+        def counting_value(block, x):
+            values.append(x.tobytes())
+            return value(block, x)
+
+        def counting_jacobian(block, x):
+            jacobians.append(x.tobytes())
+            return jacobian(block, x)
+
+        def recording_assemble(form, pt, mu):
+            iterates.append(pt.x.tobytes())
+            return assemble(form, pt, mu)
+
+        monkeypatch.setattr(QuadBlock, "value", counting_value)
+        monkeypatch.setattr(QuadBlock, "jacobian", counting_jacobian)
+        monkeypatch.setattr(solver, "kkt_assemble", recording_assemble)
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert len(iterates) == sol.iterations
+        # Evaluated points that never became an iterate: probes the guard rejected.
+        rejected = len(set(values) - set(iterates) - {sol.x.tobytes()})
+        assert len(values) == len(jacobians)
+        assert len(values) <= 2 * (sol.iterations + 1 + rejected)
 
 
 class TestOptions:
