@@ -54,6 +54,7 @@ class EnvelopeResult:
     stage1: "EnvelopeResult | None" = None
     starts: int = 2
     reactive_p: str = "two_stage"
+    options: SolverOptions = SolverOptions()
 
     @property
     def total_kwh(self) -> float:
@@ -62,10 +63,6 @@ class EnvelopeResult:
     @property
     def total_kvarh(self) -> float:
         return float(self.q_kvar.sum() * self.case.period_hours)
-
-    @property
-    def per_period_total_kw(self) -> np.ndarray:
-        return self.p_kw.sum(axis=(0, 1))
 
     @property
     def start_spread_pu(self) -> float:
@@ -94,28 +91,31 @@ def run_scenario(
     the margin program optimizes the Q split around it; reactive_p="free"
     leaves P unconstrained in a single margin pass instead.  Each period is
     solved from `starts` deterministic initial points, keeping the best,
-    and every optimum is re-checked by the power-flow oracle.
+    and every optimum is re-checked by the power-flow oracle.  The result
+    records the solver options it ran with (the defaults when options is
+    None).
     """
+    opts = options or SolverOptions()
     if spec.scenario == 1:
         result = _run_scenario_1(case, spec)
     elif spec.objective is Objective.ACTIVE_EXPORT or reactive_p == "free":
-        result = _run_periods(case, spec, options, starts=starts)
+        result = _run_periods(case, spec, opts, starts=starts)
     elif reactive_p == "two_stage":
         stage1 = _run_periods(
             case,
             ScenarioSpec(spec.scenario, Objective.ACTIVE_EXPORT),
-            options,
+            opts,
             starts=starts,
             bound_q_by_rating=True,
         )
         # Back the pinned P off its stage-1 optimum by a whisker: that optimum
         # sits exactly on a network limit, and the margin stage needs a
         # strictly feasible interior to search for reactive headroom.
-        fixed = _entries_from_dense(case, stage1.p_kw / case.s_base) * (1.0 - 1e-4)
-        result = replace(_run_periods(case, spec, options, starts=starts, fixed_p=fixed), stage1=stage1)
+        fixed = stage1.p_kw / case.s_base * (1.0 - 1e-4)
+        result = replace(_run_periods(case, spec, opts, starts=starts, fixed_p=fixed), stage1=stage1)
     else:
         raise ValueError(f"unknown reactive_p mode {reactive_p!r}")
-    return replace(result, starts=starts, reactive_p=reactive_p)
+    return replace(result, starts=starts, reactive_p=reactive_p, options=opts)
 
 
 def _run_scenario_1(case: NetworkCase, spec: ScenarioSpec) -> EnvelopeResult:
@@ -132,11 +132,6 @@ def _run_scenario_1(case: NetworkCase, spec: ScenarioSpec) -> EnvelopeResult:
         objective_pu=np.full(T, total_pu),
         diagnostics=tuple({"period": t, "status": "closed_form", "iterations": 0} for t in range(T)),
     )
-
-
-def _entries_from_dense(case: NetworkCase, dense: np.ndarray) -> np.ndarray:
-    """(n_entries, T) view of a dense (n_gen, 3, T) array."""
-    return np.array([dense[g, ph, :] for g, ph in case.gen_entries()])
 
 
 def _shared_q_groups(case: NetworkCase) -> list[tuple[np.ndarray, int, np.ndarray]]:
@@ -158,13 +153,13 @@ def _shared_q_groups(case: NetworkCase) -> list[tuple[np.ndarray, int, np.ndarra
 def _run_periods(
     case: NetworkCase,
     spec: ScenarioSpec,
-    options: SolverOptions | None,
+    opts: SolverOptions,
     *,
     starts: int = 2,
     bound_q_by_rating: bool = False,
     fixed_p: np.ndarray | None = None,
 ) -> EnvelopeResult:
-    opts = options or SolverOptions()
+    """Solve every period; fixed_p, when given, pins P as a dense (n_gen, 3, T) array in pu."""
     T = case.horizon
     scales = START_SCALES[: max(1, starts)]
 
@@ -182,7 +177,7 @@ def _run_periods(
             spec,
             t,
             bound_q_by_rating=bound_q_by_rating,
-            fixed_p=None if fixed_p is None else fixed_p[:, t],
+            fixed_p=None if fixed_p is None else fixed_p[:, :, t],
         )
         sol, won, tried = None, 0, []
         for k, scale in enumerate(scales):
@@ -252,7 +247,6 @@ def emit_results(
     result: EnvelopeResult,
     out_dir: str | Path,
     inputs: list[Path] | None = None,
-    options: SolverOptions | None = None,
 ) -> list[Path]:
     """Write envelopes.csv, summary.json, diagnostics.json, manifest.json and envelopes.svg.
 
@@ -322,8 +316,8 @@ def emit_results(
             for p in (inputs or [])
         ],
         "solver_options": {
-            "tol_kkt": (options or SolverOptions()).tol_kkt,
-            "max_iter": (options or SolverOptions()).max_iter,
+            "tol_kkt": result.options.tol_kkt,
+            "max_iter": result.options.max_iter,
         },
     }
     manifest_path = out / "manifest.json"
@@ -392,11 +386,16 @@ def _read_envelopes_csv(path: Path) -> dict[tuple[str, str, int], tuple[float, f
         for n, line in enumerate(fh, start=2):
             try:
                 gid, ph, t, p, q = line.strip().split(",")
-                out[(gid, ph, int(t))] = (float(p), float(q))
+                key, value = (gid, ph, int(t)), (float(p), float(q))
             except ValueError:
                 raise InputError(
                     f"{path}, line {n}: expected generator_id,phase,period,p_kw,q_kvar, got {line.strip()!r}"
                 ) from None
+            if key in out:
+                raise InputError(
+                    f"{path}, line {n}: duplicate row for generator {gid!r}, phase {ph!r}, period {key[2]}"
+                )
+            out[key] = value
     return out
 
 
@@ -447,7 +446,7 @@ def _cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     inputs = [Path(args.network)] + ([Path(args.loads)] if args.loads else [])
-    for path in emit_results(result, args.out, inputs=inputs, options=opts):
+    for path in emit_results(result, args.out, inputs=inputs):
         print(path)
     print(f"total production: {result.total_kwh:.6f} kWh, {result.total_kvarh:.6f} kVArh")
     return 0
@@ -492,10 +491,19 @@ def _cmd_validate(args) -> int:
             raise InputError(f"{path}: unknown generator {gid!r}")
         if ph not in PHASE_INDEX:
             raise InputError(f"{path}: unknown phase {ph!r}")
+        if ph not in case.generators[gen_idx[gid]].phases:
+            raise InputError(f"{path}: generator {gid!r} is not connected to phase {ph!r}")
         if not 0 <= t < case.horizon:
             raise InputError(f"{path}: period {t} outside horizon {case.horizon}")
         injections.p_gen[gen_idx[gid], PHASE_INDEX[ph], t] = p / case.s_base
         injections.q_gen[gen_idx[gid], PHASE_INDEX[ph], t] = q / case.s_base
+    expected = {(g.id, ph, t) for g in case.generators for ph in g.phases for t in range(case.horizon)}
+    missing = sorted(expected - envelope.keys())
+    if missing:
+        gid, ph, t = missing[0]
+        raise InputError(
+            f"{path}: no row for generator {gid!r}, phase {ph!r}, period {t} ({len(missing)} rows missing)"
+        )
 
     worst = 0
     for t in range(case.horizon):
@@ -516,7 +524,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_plot(args) -> int:
     series = []
-    horizon = 0
     ph = 1.0
     for rd in args.result:
         path = Path(rd)
@@ -529,7 +536,6 @@ def _cmd_plot(args) -> int:
             label = f"scenario {meta['scenario']} ({meta['objective']})"
             ph = float(meta.get("period_hours", 1.0))
         T = 1 + max((t for (_, _, t) in envelope), default=0)
-        horizon = max(horizon, T)
         totals = [0.0] * T
         for (_, _, t), (p, _) in envelope.items():
             totals[t] += p

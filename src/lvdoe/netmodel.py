@@ -243,13 +243,17 @@ def _parse_phases(raw, ctx: str) -> tuple[str, ...]:
     return tuple(raw) if raw != "abc" else PHASES
 
 
-def _get(obj: dict, key: str, typ, ctx: str):
+def _get(obj: dict, key: str, typ, ctx: str, default=None):
+    """obj[key] checked against typ; default, when given, stands in for an absent field."""
+    if key not in obj and default is not None:
+        return default
     _require(key in obj, f"{ctx}: missing field {key!r}")
     val = obj[key]
     if typ is float:
         _require(isinstance(val, (int, float)) and not isinstance(val, bool), f"{ctx}: field {key!r} must be a number")
         return float(val)
-    _require(isinstance(val, typ), f"{ctx}: field {key!r} has wrong type")
+    # JSON true and false load as Python bools, which are ints too.
+    _require(isinstance(val, typ) and isinstance(val, bool) == (typ is bool), f"{ctx}: field {key!r} has wrong type")
     return val
 
 
@@ -349,17 +353,17 @@ def load_network(path: str | Path, loads_csv: str | Path | None = None) -> Netwo
     base = _get(doc, "base", dict, path.name)
     s_base = _get(base, "s_kva", float, "base")
     v_base = _get(base, "v_volts", float, "base")
-    horizon = int(_get(base, "periods", float, "base"))
-    period_hours = float(base.get("period_hours", 1.0))
+    horizon = _get(base, "periods", int, "base")
+    period_hours = _get(base, "period_hours", float, "base", 1.0)
     _require(s_base > 0 and v_base > 0, "base: s_kva and v_volts must be positive")
 
     buses = tuple(
         Bus(
             id=_get(b, "id", str, "bus"),
-            vmin=float(b.get("vmin", 0.90)),
-            vmax=float(b.get("vmax", 1.10)),
-            vuf_max=float(b.get("vuf_max", 0.02)),
-            is_slack=bool(b.get("is_slack", False)),
+            vmin=_get(b, "vmin", float, f"bus {b.get('id')}", 0.90),
+            vmax=_get(b, "vmax", float, f"bus {b.get('id')}", 1.10),
+            vuf_max=_get(b, "vuf_max", float, f"bus {b.get('id')}", 0.02),
+            is_slack=_get(b, "is_slack", bool, f"bus {b.get('id')}", False),
         )
         for b in _get(doc, "buses", list, path.name)
     )
@@ -391,7 +395,7 @@ def load_network(path: str | Path, loads_csv: str | Path | None = None) -> Netwo
             bus=_get(g, "bus", str, f"generator {g.get('id')}"),
             phases=_parse_phases(_get(g, "phase", str, f"generator {g.get('id')}"), f"generator {g.get('id')}"),
             p_cap=_get(g, "p_cap_kw", float, f"generator {g.get('id')}"),
-            q_abs_max=float(g.get("q_abs_max_kvar", 0.0)),
+            q_abs_max=_get(g, "q_abs_max_kvar", float, f"generator {g.get('id')}", 0.0),
         )
         for g in doc.get("generators", [])
     )

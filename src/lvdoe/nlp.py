@@ -276,7 +276,6 @@ class NlpProblem:
     """One period's program: maximize obj_coef . x subject to eq = 0, ineq <= 0, lb <= x <= ub."""
 
     case: NetworkCase
-    spec: ScenarioSpec | None
     period: int
     constraint_set: frozenset[LimitKind]
     layout: VarLayout
@@ -292,21 +291,16 @@ class NlpProblem:
 
 
 def build_problem(case: NetworkCase, spec: ScenarioSpec, period: int, **kwargs) -> NlpProblem:
-    """Assemble the program for one scenario and one period.
+    """Assemble the program of one scenario (2 to 5) and one period.
 
-    Scenario 1 applies only the grid-code caps (as variable bounds); the
-    other scenarios select their technical-limit subsets.  Keyword options
-    are forwarded to build_custom.
+    Each scenario selects its technical-limit subset.  Scenario 1, the
+    static grid-code cap, is closed form (cli._run_scenario_1) and has no
+    program: it raises ValueError.  Keyword options are forwarded to
+    build_custom.
     """
-    return build_custom(
-        case,
-        constraint_set_for(spec),
-        spec.objective,
-        period,
-        apply_caps=(spec.scenario == 1),
-        spec=spec,
-        **kwargs,
-    )
+    if spec.scenario == 1:
+        raise ValueError("scenario 1 is closed form and has no program")
+    return build_custom(case, constraint_set_for(spec), spec.objective, period, **kwargs)
 
 
 def build_custom(
@@ -315,17 +309,16 @@ def build_custom(
     objective: Objective,
     period: int,
     *,
-    apply_caps: bool = False,
     fix_q_zero: bool = False,
     bound_q_by_rating: bool = False,
     fixed_p: np.ndarray | None = None,
-    spec: ScenarioSpec | None = None,
 ) -> NlpProblem:
     """Assemble a program for an arbitrary technical-constraint subset.
 
-    fixed_p pins each generator-phase active power (used by the two-stage
-    reactive-margin pipeline); fix_q_zero disables reactive support, and
-    bound_q_by_rating boxes Q by the per-phase device rating.
+    fixed_p, a dense (n_gen, 3) array in pu, pins the active power of every
+    connected generator phase (used by the two-stage reactive-margin
+    pipeline); fix_q_zero disables reactive support, and bound_q_by_rating
+    boxes Q by the per-phase device rating.
     """
     if not case.in_per_unit:
         raise ValueError("case must be in per-unit")
@@ -347,7 +340,6 @@ def build_custom(
     lb, ub = _bounds(
         case,
         layout,
-        apply_caps=apply_caps,
         fix_q_zero=fix_q_zero,
         bound_q_by_rating=bound_q_by_rating,
         fixed_p=fixed_p,
@@ -363,7 +355,6 @@ def build_custom(
 
     return NlpProblem(
         case=case,
-        spec=spec,
         period=period,
         constraint_set=constraints,
         layout=layout,
@@ -527,7 +518,6 @@ def _bounds(
     case: NetworkCase,
     layout: VarLayout,
     *,
-    apply_caps: bool,
     fix_q_zero: bool,
     bound_q_by_rating: bool,
     fixed_p: np.ndarray | None,
@@ -540,16 +530,12 @@ def _bounds(
         lb[layout.u_re(case.slack, p)] = ub[layout.u_re(case.slack, p)] = ref[p].real
         lb[layout.u_im(case.slack, p)] = ub[layout.u_im(case.slack, p)] = ref[p].imag
 
-    for e, (g, _p) in enumerate(layout.gen_entries):
+    for e, (g, p) in enumerate(layout.gen_entries):
         gen = case.generators[g]
         lb[layout.pg(e)] = 0.0
-        if apply_caps:
-            ub[layout.pg(e)] = gen.p_cap
         if fixed_p is not None:
-            lb[layout.pg(e)] = ub[layout.pg(e)] = fixed_p[e]
-        # Static caps assume unity power factor, so scenario 1 pins Q at zero
-        # unless the reactive split is what is being optimized.
-        if fix_q_zero or (apply_caps and not layout.with_reactive_split):
+            lb[layout.pg(e)] = ub[layout.pg(e)] = fixed_p[g, p]
+        if fix_q_zero:
             lb[layout.qg(e)] = ub[layout.qg(e)] = 0.0
         elif bound_q_by_rating:
             lb[layout.qg(e)] = -gen.q_abs_max

@@ -58,19 +58,19 @@ class InjectionSet:
         return replace(self, p_gen=p_gen, q_gen=q_gen)
 
 
-def solve_pf(
-    case: NetworkCase,
-    injections: InjectionSet,
-    period: int,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> PhasorState:
+PF_TOL = 1e-12  # pu, largest voltage-drop residual at which the power flow stops
+PF_MAX_ITER = 50  # Newton iterations before the power flow counts as diverged
+
+
+def solve_pf(case: NetworkCase, injections: InjectionSet, period: int) -> PhasorState:
     """Newton power flow at fixed injections; returns a single-period state.
 
     Unknowns are the rectangular non-slack voltages.  Branch currents are
     the path matrix applied to the injection currents, so nodal balance
     holds exactly by construction and the residual being driven to zero is
-    the branch voltage-drop law, A u + Z i_branch.
+    the branch voltage-drop law, A u + Z i_branch.  The iteration stops once
+    that residual is at most PF_TOL and raises PowerFlowDivergedError after
+    PF_MAX_ITER iterations without it.
     """
     tree = TreeIndex(case)
     n = len(case.buses)
@@ -98,11 +98,11 @@ def solve_pf(
             raise PowerFlowDivergedError("voltage collapsed during Newton iteration")
         return np.conj(s_net / volt)
 
-    for _ in range(max_iter):
+    for _ in range(PF_MAX_ITER):
         i_br = tree.P @ injection_currents(u)
         r = tree.A @ u + np.einsum("lpq,lq->lp", z, i_br)
         res = np.concatenate([r.real, r.imag], axis=1).ravel()
-        if np.abs(res).max() <= tol:
+        if np.abs(res).max() <= PF_TOL:
             break
 
         # Impedance drops move with the voltages through the injection
@@ -115,7 +115,7 @@ def solve_pf(
             raise PowerFlowDivergedError(f"singular Jacobian: {exc}") from None
         u[unknown] += dv[:, 0] + 1j * dv[:, 1]
     else:
-        raise PowerFlowDivergedError(f"no convergence in {max_iter} iterations")
+        raise PowerFlowDivergedError(f"no convergence in {PF_MAX_ITER} iterations")
 
     return PhasorState(
         case=case,
@@ -150,7 +150,8 @@ def _injection_current_jacobian(s_net: np.ndarray, u: np.ndarray) -> np.ndarray:
 # Envelope search by bisection
 # ---------------------------------------------------------------------------
 
-BRACKET_CAP_MULTIPLE = 10.0  # default bracket top, in units of the target's grid-code cap
+BRACKET_CAP_MULTIPLE = 10.0  # bracket top, in units of the target's grid-code cap
+BISECTION_TOL = 1e-6  # pu, width of the bracket at which the search stops
 
 
 def doe_bisection(
@@ -158,27 +159,28 @@ def doe_bisection(
     target_generator: str,
     constraint_set: frozenset[LimitKind] | set[LimitKind],
     period: int,
-    injections: InjectionSet | None = None,
-    hi: float | None = None,
-    tol: float = 1e-6,
 ) -> float:
     """Largest feasible active export (Q = 0) of one generator, in per-unit.
 
-    All other elements stay at the provided injections (other generators
-    silent by default).  A candidate is feasible when the power flow
-    converges and no selected limit is violated.  The default search
-    bracket tops out at BRACKET_CAP_MULTIPLE times the generator's
-    grid-code cap; a generator that is feasible there gets that top back.
-    An unknown generator id raises InputError.
+    Loads stay at their profiles and every other generator is silent.  A
+    candidate is feasible when the power flow converges and no selected
+    limit is violated.  The search bracket tops out at BRACKET_CAP_MULTIPLE
+    times the generator's grid-code cap; a generator that is feasible there
+    gets that top back.  Otherwise the bracket is halved until it is at
+    most BISECTION_TOL wide, and its feasible end is returned.  An unknown
+    generator id raises InputError.
     """
-    gen = case.generators[case.gen_index(target_generator)]
-    base = injections if injections is not None else InjectionSet.from_case(case)
-    if hi is None:
-        hi = BRACKET_CAP_MULTIPLE * gen.p_cap
+    g = case.gen_index(target_generator)
+    gen = case.generators[g]
+    phases = [PHASE_INDEX[ph] for ph in gen.phases]
+    # One working set per search: each candidate overwrites the target's P.
+    work = InjectionSet.from_case(case)
+    hi = BRACKET_CAP_MULTIPLE * gen.p_cap
 
     def feasible(p: float) -> bool:
+        work.p_gen[g, phases, period] = p
         try:
-            state = solve_pf(case, base.with_generator(case, target_generator, p, 0.0, period), period)
+            state = solve_pf(case, work, period)
         except PowerFlowDivergedError:
             return False
         return not check_limits(state, constraint_set)
@@ -190,7 +192,7 @@ def doe_bisection(
             f"limits violated with generator {target_generator} at zero export"
         )
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

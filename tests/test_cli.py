@@ -61,6 +61,14 @@ class TestSolveCommand:
         assert manifest["solver_options"] == {"tol_kkt": 1e-8, "max_iter": 300}
         assert manifest["libraries"] == {"numpy": np.__version__, "scipy": scipy.__version__}
 
+    def test_manifest_records_the_options_the_run_used(self, tmp_path):
+        opts = SolverOptions(tol_kkt=1e-7, max_iter=200)
+        result = run_scenario(two_bus_case(), ScenarioSpec(5), opts, starts=1)
+        assert result.options == opts
+        emit_results(result, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["solver_options"] == {"tol_kkt": 1e-7, "max_iter": 200}
+
     def test_svg_one_polyline(self, solved_dir):
         svg = (solved_dir / "envelopes.svg").read_text()
         assert svg.count("<polyline") == 1
@@ -170,17 +178,30 @@ class TestValidateCommand:
             (4, "0.0,1.0", ROW_ERROR),
             (2, "a", ROW_ERROR),
             (3, "5O.0", ROW_ERROR),
+            # g1 is connected to phase a only
+            (1, "b", "generator 'g1' is not connected to phase 'b'"),
+            # Whole-file cases: field None writes these rows of the solved file unchanged.
+            pytest.param(None, (), "no row for generator 'g1', phase 'a', period 0 (72 rows missing)",
+                         id="header_only"),
+            pytest.param(None, (0,), "no row for generator 'g1', phase 'a', period 1 (71 rows missing)",
+                         id="missing_rows"),
+            pytest.param(None, (0, 1, 1), "line 4: duplicate row for generator 'g1', phase 'a', period 1",
+                         id="duplicate_row"),
         ],
     )
     def test_bad_row_exits_1(self, solved_dir, tmp_path, capsys, field, value, message):
         lines = (solved_dir / "envelopes.csv").read_text().splitlines()
-        parts = lines[1].split(",")
-        if value is None:
-            del parts[field]
+        if field is None:
+            rows = [lines[1 + k] for k in value]
         else:
-            parts[field] = value
+            parts = lines[1].split(",")
+            if value is None:
+                del parts[field]
+            else:
+                parts[field] = value
+            rows = [",".join(parts)]
         bad = tmp_path / "envelopes.csv"
-        bad.write_text("\n".join([lines[0], ",".join(parts)]) + "\n")
+        bad.write_text("\n".join([lines[0], *rows]) + "\n")
         rc = main(
             ["validate", "--network", SYNTH4, "--loads", SYNTH4_LOADS,
              "--result", str(bad), "--scenario", "5"]
@@ -251,9 +272,8 @@ class TestRunScenario:
 
     def test_daily_total_is_sum_of_periods(self, synth4):
         result = run_scenario(synth4, ScenarioSpec(1))
-        assert result.total_kwh == pytest.approx(
-            result.per_period_total_kw.sum() * synth4.period_hours, rel=1e-12
-        )
+        per_period_kw = result.p_kw.sum(axis=(0, 1))
+        assert result.total_kwh == pytest.approx(per_period_kw.sum() * synth4.period_hours, rel=1e-12)
 
     @pytest.mark.parametrize("scenario", [2, 3, 4, 5])
     def test_every_period_passes_the_oracle(self, synth4_unbal, scenario):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lvdoe import netmodel as nm
+from lvdoe.cli import main
 from lvdoe.netmodel import InputError, load_network, seq_to_phase_impedance, to_per_unit, to_physical
 
 from conftest import fixture_path
@@ -183,6 +184,30 @@ class TestLoadNetwork:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
             load_network(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize(
+        "element, field, value",
+        [
+            ("bus", "vmin", "0.9"),
+            ("bus", "vmax", "1.1"),
+            ("bus", "vuf_max", "0.02"),
+            ("base", "period_hours", "1"),
+            ("generator", "q_abs_max_kvar", "3.0"),
+            # a string "false" used to count as a second slack bus
+            ("bus", "is_slack", "false"),
+            ("bus", "is_slack", 0),
+            # used to be truncated to 24 periods
+            ("base", "periods", 24.5),
+            ("base", "periods", True),
+        ],
+    )
+    def test_bad_field_type_exits_1(self, tmp_path, capsys, element, field, value):
+        doc = self._doc()
+        {"bus": doc["buses"][1], "base": doc["base"], "generator": doc["generators"][0]}[element][field] = value
+        net = self._write(tmp_path, doc)
+        rc = main(["solve", "--network", str(net), "--scenario", "5", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"field {field!r}" in capsys.readouterr().err
 
 
 class TestLoadsCsv:

@@ -54,12 +54,10 @@ class TestStructure:
         assert kinds.count("kcl_re") == 3 and kinds.count("kcl_im") == 3
         assert kinds.count("load_p") == 1 and kinds.count("gen_q") == 1
 
-    def test_s1_has_no_network_inequalities(self, case):
-        prob = build_problem(case, ScenarioSpec(1), 0)
-        assert prob.ineq.n_rows == 0
-        e = 0  # single generator entry
-        assert prob.ub[prob.layout.pg(e)] == pytest.approx(case.generators[0].p_cap)
-        assert prob.lb[prob.layout.qg(e)] == prob.ub[prob.layout.qg(e)] == 0.0
+    def test_scenario1_has_no_program(self, case):
+        # The static caps are closed form in cli._run_scenario_1.
+        with pytest.raises(ValueError, match="scenario 1"):
+            build_problem(case, ScenarioSpec(1), 0)
 
     def test_s3_rows_are_s5_minus_vuf(self, case):
         p3 = build_problem(case, ScenarioSpec(3), 0)
@@ -277,11 +275,13 @@ class TestOptionsAndFixing:
         assert prob.lb[prob.layout.qg(0)] == prob.ub[prob.layout.qg(0)] == 0.0
 
     def test_fixed_p(self, case):
-        fixed = np.array([0.123])
+        # Dense (n_gen, 3) pins: only the connected phase a of g1 is read.
+        fixed = np.array([[0.123, 7.0, 7.0]])
         prob = build_custom(
             case, {LimitKind.VOLTAGE}, Objective.REACTIVE_MARGIN, 0, fixed_p=fixed
         )
         assert prob.lb[prob.layout.pg(0)] == prob.ub[prob.layout.pg(0)] == pytest.approx(0.123)
+        assert np.count_nonzero(prob.lb == prob.ub) == 7  # six slack voltages and the pin
 
     def test_q_rating_bound(self, case):
         prob = build_custom(

@@ -166,14 +166,16 @@ class TestValidateSolution:
         assert report.violations == ()
         assert report.error is None
 
-    def test_scenario1_solution_reports_state(self):
-        case, prob, x = self.solved(ScenarioSpec(1))
-        assert prob.constraint_set == frozenset()
-        report = validate(case, solution_injections(case, prob, x), 0, prob.constraint_set,
+    def test_empty_limit_set_reports_state(self):
+        # Scenario 1's limit set: a scenario-5 optimum checked against it.
+        case, prob, x = self.solved(ScenarioSpec(5))
+        assert nlp.constraint_set_for(ScenarioSpec(1)) == frozenset()
+        report = validate(case, solution_injections(case, prob, x), 0, frozenset(),
                           optimizer_voltages(prob, x))
         # no network limits are checked, but the re-solve still happens
         assert report.violations == ()
         assert report.max_voltage_deviation <= 1e-6
+        assert report.ok
 
     def test_corrupted_solution_flagged(self):
         # Twice the optimal export: the oracle's own state breaks the limits.
