@@ -3,7 +3,7 @@
 Runs the per-period programs for a chosen scenario/objective pair,
 aggregates daily envelopes, and writes deterministic result files
 (envelopes.csv, summary.json, diagnostics.json, manifest.json and an SVG
-export plot).
+export plot) next to timings.json, the one file that holds wall times.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -51,6 +52,7 @@ class EnvelopeResult:
     q_kvar: np.ndarray
     objective_pu: np.ndarray  # (T,) optimizer objective per period
     diagnostics: tuple[dict, ...]
+    timings: tuple[dict, ...] = ()  # per solved period: build, solve and validation seconds
     stage1: "EnvelopeResult | None" = None
     starts: int = 2
     reactive_p: str = "two_stage"
@@ -170,8 +172,10 @@ def _run_periods(
     # active-export optimum fixes only the sum of their Q, not its split.
     shared = _shared_q_groups(case) if spec.objective is Objective.ACTIVE_EXPORT else []
     objective = np.zeros(T)
-    diags = []
+    diags, timings = [], []
+    clock = time.perf_counter
     for t in range(T):
+        t0 = clock()
         problem = nlp.build_problem(
             case,
             spec,
@@ -179,6 +183,7 @@ def _run_periods(
             bound_q_by_rating=bound_q_by_rating,
             fixed_p=None if fixed_p is None else fixed_p[:, :, t],
         )
+        t1 = clock()
         sol, won, tried = None, 0, []
         for k, scale in enumerate(scales):
             cand = solver.solve(problem, opts, x0=nlp.initial_point(problem, voltage_scale=scale))
@@ -187,6 +192,7 @@ def _run_periods(
                 cand.status == "optimal" and (sol.status != "optimal" or cand.objective > sol.objective + 1e-10)
             ):
                 sol, won = cand, k
+        t2 = clock()
         if sol.status != "optimal":
             raise ScenarioSolveError(t, sol.status)
         pg, qg = nlp.decode_generation(problem, sol.x)
@@ -195,7 +201,9 @@ def _run_periods(
         injections.p_gen[:, :, t] = pg
         injections.q_gen[:, :, t] = qg
         u = nlp.decode_state(problem, sol.x).u[:, :, 0]
+        t3 = clock()
         report = oracle.validate(case, injections, t, problem.constraint_set, u)
+        timings.append({"period": t, "build_s": t1 - t0, "solve_s": t2 - t1, "validate_s": clock() - t3})
         if not report.ok:
             raise ScenarioSolveError(t, "oracle_rejected")
         objective[t] = sol.objective
@@ -226,6 +234,7 @@ def _run_periods(
         q_kvar=injections.q_gen * case.s_base,
         objective_pu=objective,
         diagnostics=tuple(diags),
+        timings=tuple(timings),
     )
 
 
@@ -248,11 +257,12 @@ def emit_results(
     out_dir: str | Path,
     inputs: list[Path] | None = None,
 ) -> list[Path]:
-    """Write envelopes.csv, summary.json, diagnostics.json, manifest.json and envelopes.svg.
+    """Write envelopes.csv, summary.json, diagnostics.json, timings.json, manifest.json and envelopes.svg.
 
     Daily totals in the summary are recomputed from the rounded values that
     go into the CSV, so the two files always agree exactly.  The per-period
-    diagnostics (stage 1 included) hold no timings, so they are deterministic.
+    diagnostics (stage 1 included) hold no timings, so they are deterministic;
+    the wall times of each solved period go to timings.json alone.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,6 +311,13 @@ def emit_results(
     diagnostics_path = out / "diagnostics.json"
     diagnostics_path.write_text(json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
     written.append(diagnostics_path)
+
+    timings = {"periods": list(result.timings)}
+    if result.stage1 is not None:
+        timings["stage1"] = list(result.stage1.timings)
+    timings_path = out / "timings.json"
+    timings_path.write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
+    written.append(timings_path)
 
     manifest = {
         "tool": "lvdoe",

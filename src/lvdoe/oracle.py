@@ -9,7 +9,7 @@ optimization model; it is the ground truth the model is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,6 @@ class InjectionSet:
                 q_load[d, PHASE_INDEX[ph], :] = ld.q[k]
         n_g = len(case.generators)
         return cls(p_load, q_load, np.zeros((n_g, 3, T)), np.zeros((n_g, 3, T)))
-
-    def with_generator(self, case: NetworkCase, gen_id: str, p: float, q: float, period: int) -> "InjectionSet":
-        g = case.gen_index(gen_id)
-        p_gen = self.p_gen.copy()
-        q_gen = self.q_gen.copy()
-        for ph in case.generators[g].phases:
-            p_gen[g, PHASE_INDEX[ph], period] = p
-            q_gen[g, PHASE_INDEX[ph], period] = q
-        return replace(self, p_gen=p_gen, q_gen=q_gen)
 
 
 PF_TOL = 1e-12  # pu, largest voltage-drop residual at which the power flow stops

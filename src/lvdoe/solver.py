@@ -13,6 +13,21 @@ become affine inequality rows.  The inequality block is condensed into the
 Hessian, so the dense KKT matrix has a row per free variable and equality
 row: [W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I], as in MATPOWER's MIPS.
 
+Private pairs leave that matrix too.  A free variable whose only entries
+are one linear coefficient c in one equality row r and its own bounds (each
+unit-phase's P and Q with its gen_p / gen_q row) meets the rest of the
+system only through row r's entries j_r.  Exact block elimination of the
+pair's 2x2 block [[h, c], [c, -dc]], h = bound curvature + dw, adds
+h / (c^2 + h*dc) * j_r' j_r to the kept columns and shifts the right-hand
+side; the step of the pair is recovered from the reduced solution.  The
+block's determinant is negative, so each pair holds inertia (1, 1) and the
+reduced matrix needs one positive eigenvalue per kept variable, with no
+zero pivot.  A pivot that is exactly zero in the unreduced matrix keeps
+roundoff of a few eps times the weight on its row, so the zero test scales
+with that weight.  The weight depends on dw and dc, so a regularization
+retry rewrites it with the diagonal.  On feeder_hr this removes 86 pairs,
+558 -> 386 factored rows.
+
 Each point is evaluated once: an Iterate holds (x, y, z, s) with the rows and
 Jacobians at x, and the stopping test, the KKT system, the divergence guard
 and the trace all read it.  A guard probe that is accepted becomes the next
@@ -47,6 +62,9 @@ REGULARIZATION_MIN = 1e-10
 # Consecutive iterations with zero pivots at dw = dc = 0 after which the
 # remaining iterations of a solve skip that attempt.
 DEGENERATE_ITERATIONS = 3
+# A 1x1 pivot on a row that carries pair weight w counts as zero below this
+# times w (see _ldlt).
+PIVOT_ROUNDOFF = 100.0 * np.finfo(float).eps
 
 
 class KktSingularError(RuntimeError):
@@ -92,11 +110,33 @@ class Solution:
 
 
 @dataclass(frozen=True)
+class Pairs:
+    """Private pairs (v, r) that the KKT system eliminates, and the fixed
+    positions of their terms (see kkt_assemble)."""
+
+    var: np.ndarray         # eliminated variable v ...
+    row: np.ndarray         # ... the one equality row r it enters ...
+    coef: np.ndarray        # ... and its constant coefficient c = Jg[r, v] there
+    bound_row: np.ndarray   # the eliminated variables' bound rows (coefficient +-1)
+    bound_pair: np.ndarray  # and the pair each belongs to
+    ent: np.ndarray         # flat Jg positions of the eliminated rows' entries on kept variables,
+    ent_pair: np.ndarray    # the pair of each entry
+    ent_kept: np.ndarray    # and the KKT column of its variable
+    term_a: np.ndarray      # entry pairs (indices into ent) within one row: the terms
+    term_b: np.ndarray      # of the rank-one updates j_r' j_r,
+    term_pair: np.ndarray   # the pair of each term
+    term_slot: np.ndarray   # and its index in touched
+    touched: np.ndarray     # flat KKT positions a regularization rewrites: the diagonal, then
+                            # the off-diagonal term slots
+
+
+@dataclass(frozen=True)
 class InternalForm:
     """Minimization form over the free variables, bounds expanded into rows.
 
     The positions that the Hessian terms take in the dense KKT matrix depend
-    only on the row structure and the free set, so they are built once here.
+    only on the row structure and the free set, so they are built once here,
+    as are those of the private pairs that the KKT system eliminates.
     """
 
     n_vars: int
@@ -104,13 +144,34 @@ class InternalForm:
     eq: QuadBlock          # user equality rows
     ineq: QuadBlock        # user inequality rows, then bound rows
     free: np.ndarray       # variables with lb != ub; the step moves only these
+    keep: np.ndarray       # free variables left in the KKT system
+    eq_keep: np.ndarray    # equality rows left in it
     w_index: np.ndarray    # KKT position of each eq, ineq and condensed Hessian term
     pair_a: np.ndarray     # flat Jh positions (row * n_vars + col) of entry pairs
     pair_b: np.ndarray     # that share a row; their products condense Jh' diag(z/s) Jh
+    pairs: Pairs
+
+
+def private_pairs(problem: NlpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(variables, rows, coefficients) of the pairs the KKT system eliminates.
+
+    A free variable qualifies when its only entries are one linear
+    coefficient in one equality row and its own bounds: no quadratic term
+    and no user-inequality entry.  Each row takes at most one variable, the
+    lowest-numbered; the pairs come in increasing row order.
+    """
+    eq, ineq, n = problem.eq, problem.ineq, problem.n_vars
+    shared = np.zeros(n, dtype=bool)
+    shared[np.concatenate([eq.qi, ineq.qi, ineq.li])] = True
+    private = (np.bincount(eq.li, minlength=n) == 1) & (problem.lb != problem.ub) & ~shared
+    k = np.flatnonzero(private[eq.li] & (eq.lv != 0.0))
+    k = k[np.argsort(eq.li[k], kind="stable")]
+    rows, first = np.unique(eq.lk[k], return_index=True)
+    return eq.li[k[first]], rows, eq.lv[k[first]]
 
 
 def internalize(problem: NlpProblem) -> InternalForm:
-    n = problem.n_vars
+    n, me = problem.n_vars, problem.eq.n_rows
     lb, ub = problem.lb, problem.ub
 
     free = np.flatnonzero(lb != ub)
@@ -125,24 +186,46 @@ def internalize(problem: NlpProblem) -> InternalForm:
     bnd.seal()
     ineq = concat_blocks(n, [problem.ineq, bnd])
 
-    dim = free.size + problem.eq.n_rows
+    var, row, coef = private_pairs(problem)
+    in_kkt = np.zeros(n, dtype=bool)
+    in_kkt[free] = True
+    in_kkt[var] = False
+    keep = np.flatnonzero(in_kkt)
+    row_in_kkt = np.ones(me, dtype=bool)
+    row_in_kkt[row] = False
+    eq_keep = np.flatnonzero(row_in_kkt)
+    dim = keep.size + eq_keep.size
     pos = np.full(n, -1)
-    pos[free] = np.arange(free.size)
+    pos[keep] = np.arange(keep.size)
+    var_pair = np.full(n, -1)
+    var_pair[var] = np.arange(var.size)
+    row_pair = np.full(me, -1)
+    row_pair[row] = np.arange(row.size)
 
     def w_pos(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Flat (Fortran) KKT position of W[i, j]; a sink past the end if i or j is fixed."""
+        """Flat (Fortran) KKT position of W[i, j]; a sink past the end unless i and j are kept."""
         return np.where((pos[i] >= 0) & (pos[j] >= 0), pos[i] + pos[j] * dim, dim * dim)
 
     nz = np.unique(ineq.jac_index)
+    bound = nz[var_pair[nz % n] >= 0]
     nz = nz[pos[nz % n] >= 0]
     a, b = np.nonzero((nz // n)[:, None] == (nz // n)[None, :])
     pair_a, pair_b = nz[a], nz[b]
+
+    ent = np.unique(problem.eq.jac_index)
+    ent = ent[(row_pair[ent // n] >= 0) & (pos[ent % n] >= 0)]
+    term_a, term_b = np.nonzero((ent // n)[:, None] == (ent // n)[None, :])
+    slots = w_pos(ent[term_a] % n, ent[term_b] % n)
+    on_diag = slots % (dim + 1) == 0
+    off = np.unique(slots[~on_diag])
     return InternalForm(
         n_vars=n,
         c=-problem.obj_coef,  # maximize -> minimize
         eq=problem.eq,
         ineq=ineq,
         free=free,
+        keep=keep,
+        eq_keep=eq_keep,
         w_index=np.concatenate([
             w_pos(problem.eq.qi, problem.eq.qj),
             w_pos(ineq.qi, ineq.qj),
@@ -150,6 +233,21 @@ def internalize(problem: NlpProblem) -> InternalForm:
         ]),
         pair_a=pair_a,
         pair_b=pair_b,
+        pairs=Pairs(
+            var=var,
+            row=row,
+            coef=coef,
+            bound_row=bound // n,
+            bound_pair=var_pair[bound % n],
+            ent=ent,
+            ent_pair=row_pair[ent // n],
+            ent_kept=pos[ent % n],
+            term_a=term_a,
+            term_b=term_b,
+            term_pair=row_pair[ent[term_a] // n],
+            term_slot=np.where(on_diag, slots // (dim + 1), dim + np.searchsorted(off, slots)),
+            touched=np.concatenate([np.arange(dim) * (dim + 1), off]),
+        ),
     )
 
 
@@ -182,19 +280,34 @@ def _kkt_errors(form: InternalForm, pt: Iterate, *mus: float) -> list[float]:
 # KKT assembly and symmetric indefinite factorization
 # ---------------------------------------------------------------------------
 
-def kkt_assemble(form: InternalForm, pt: Iterate, mu: float) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """Dense condensed KKT matrix (Fortran order), right-hand side, and expand.
+def kkt_assemble(
+    form: InternalForm, pt: Iterate, mu: float, delta_w: float = 0.0, delta_c: float = 0.0
+) -> tuple[np.ndarray, tuple, Callable]:
+    """Dense reduced KKT matrix (Fortran order) at regularization (dw, dc),
+    its system and its regularize function.
 
-    Layout: [W + Jh' diag(z/s) Jh, Jg'; Jg, 0] acting on (dx[free], dy);
-    solve adds the regularizations dw*I and -dc*I to its diagonal.
+    The condensed system [W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I] acts on
+    (dx[free], dy).  Each private pair (v, r) of the form enters it only
+    through the block [[h, c], [c, -dc]], h = (Jh' diag(z/s) Jh)[v, v] + dw
+    and c = Jg[r, v], and through row r's entries j_r on the kept variables.
+    Block elimination of that pair adds h / (c^2 + h*dc) * j_r' j_r to the
+    kept columns and shifts the right-hand side; the pair's determinant
+    -(c^2 + h*dc) is negative, so it holds inertia (1, 1) and the reduced
+    matrix must have one positive eigenvalue per kept variable.
+
+    The system is (rhs, expand, pivot_scale): expand(step) maps a solution
+    of the reduced system to (dx, dy, dz, ds), and pivot_scale holds the
+    elimination weight on each row's diagonal, which scales _ldlt's
+    zero-pivot test.  regularize(dw, dc) rewrites the diagonal and the
+    elimination terms of the matrix in place and returns the new system.
     Constraint Hessians are constant, so W is a weighted sum over a fixed
-    set of positions.  expand(step) maps a solution to (dx, dy, dz, ds).
+    set of positions.
     """
     if mu <= 0.0:
         raise ValueError("barrier parameter mu must be positive")
-    n, nf, me = form.n_vars, form.free.size, form.eq.n_rows
-    dim = nf + me
-    y, z, s, h, jh = pt.y, pt.z, pt.s, pt.h, pt.jh
+    n, nk = form.n_vars, form.keep.size
+    dim = nk + form.eq_keep.size
+    y, z, s, h, jg, jh = pt.y, pt.z, pt.s, pt.h, pt.jg, pt.jh
     sigma = z / s
 
     weights = np.concatenate([
@@ -202,26 +315,71 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu: float) -> tuple[np.ndarray
         z[form.ineq.qk] * form.ineq.qv,
         sigma[form.pair_a // n] * jh.take(form.pair_a) * jh.take(form.pair_b),
     ])
-    kkt = np.bincount(form.w_index, weights=weights, minlength=dim * dim + 1)[:-1]
+    # (bincount returns integers when there are no terms at all)
+    flat = np.bincount(form.w_index, weights=weights, minlength=dim * dim + 1)[:-1].astype(float, copy=False)
     # Fortran order hands LAPACK a plain copy instead of a transposed one.
-    kkt = kkt.reshape(dim, dim, order="F")
-    kkt[nf:, :nf] = pt.jg[:, form.free]
-    kkt[:nf, nf:] = kkt[nf:, :nf].T
-    grad = form.c + pt.jg.T @ y + jh.T @ (z + sigma * (h + mu / z))
-    rhs = np.concatenate([-grad[form.free], -pt.g])
+    kkt = flat.reshape(dim, dim, order="F")
+    kkt[nk:, :nk] = jg[form.eq_keep][:, form.keep]
+    kkt[:nk, nk:] = kkt[nk:, :nk].T
+    pp = form.pairs
+    base = flat[pp.touched]
+    grad = form.c + jg.T @ y + jh.T @ (z + sigma * (h + mu / z))
+    r_x, r_y = -grad, -pt.g
+    rhs_kept = np.concatenate([r_x[form.keep], r_y[form.eq_keep]])
 
-    def expand(step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """dx is zero on fixed variables; the condensed inequality rows give
-        dz = (z/s)(Jh dx + h + mu/z), and the complementarity rows give ds."""
-        dx = np.zeros(n)
-        dx[form.free] = step[:nf]
-        dz = sigma * (jh @ dx + h + mu / z)
-        return dx, step[nf:], dz, mu / z - s - (s / z) * dz
+    # Per pair: the bound curvature of v, and the right-hand sides of v and r.
+    h_v = np.bincount(pp.bound_pair, weights=sigma[pp.bound_row], minlength=pp.var.size)
+    c = pp.coef
+    r_v, r_r = r_x[pp.var], r_y[pp.row]
+    j_ent = jg.take(pp.ent)
+    outer = j_ent[pp.term_a] * j_ent[pp.term_b]
 
-    return kkt, rhs, expand
+    def regularize(delta_w: float, delta_c: float) -> tuple[np.ndarray, Callable, np.ndarray]:
+        hv = h_v + delta_w
+        det = c * c + hv * delta_c  # minus the determinant of each pair's block
+        terms = np.bincount(pp.term_slot, weights=(hv / det)[pp.term_pair] * outer, minlength=pp.touched.size)
+        vals = base + terms
+        vals[:nk] += delta_w
+        vals[nk:dim] -= delta_c
+        flat[pp.touched] = vals
+        shift = j_ent * ((c * r_v - hv * r_r) / det)[pp.ent_pair]
+        rhs = rhs_kept - np.bincount(pp.ent_kept, weights=shift, minlength=dim)
+
+        def expand(step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+            """dx is zero on fixed variables; each pair's 2x2 block gives dv and
+            dy_r, the condensed inequality rows dz = (z/s)(Jh dx + h + mu/z),
+            and the complementarity rows ds."""
+            t = r_r - np.bincount(pp.ent_pair, weights=j_ent * step[pp.ent_kept], minlength=pp.var.size)
+            dx = np.zeros(n)
+            dx[form.keep] = step[:nk]
+            dx[pp.var] = (delta_c * r_v + c * t) / det
+            dy = np.empty(r_y.size)
+            dy[form.eq_keep] = step[nk:]
+            dy[pp.row] = (c * r_v - hv * t) / det
+            dz = sigma * (jh @ dx + h + mu / z)
+            return dx, dy, dz, mu / z - s - (s / z) * dz
+
+        return rhs, expand, terms[:dim]
+
+    return kkt, regularize(delta_w, delta_c), regularize
 
 
-def _ldlt(kdense: np.ndarray):
+def _pivot_rows(ipiv: np.ndarray, two: np.ndarray) -> np.ndarray:
+    """Row of the input matrix that each pivot of a lower sytrf eliminates.
+
+    Pivot k of a 1x1 block swapped rows k and ipiv[k] (1-based) before it
+    was taken; in a 2x2 block at (k, k+1) only row k+1 swapped, with
+    -ipiv[k+1].  Later swaps touch only later rows.
+    """
+    target = np.abs(ipiv) - 1
+    target[two] = two
+    rows = list(range(ipiv.size))
+    for k, t in enumerate(target.tolist()):
+        rows[k], rows[t] = rows[t], rows[k]
+    return np.array(rows)
+
+
+def _ldlt(kdense: np.ndarray, scale: np.ndarray | None = None):
     """Bunch-Kaufman LDL' with inertia; returns (solve_fn, (pos, neg, zero)).
 
     Uses LAPACK sytrf/sytrs directly.  2x2 pivots of the Bunch-Kaufman
@@ -229,7 +387,12 @@ def _ldlt(kdense: np.ndarray):
     the inertia falls out of the pivot structure without eigenvalue work.
     The zero threshold is absolute: barrier diagonals legitimately reach
     1e10 and beyond, so a relative threshold would misclassify small but
-    healthy curvature pivots.
+    healthy curvature pivots.  scale, when given, raises the threshold of a
+    1x1 pivot on row i to PIVOT_ROUNDOFF * scale[i] where that is larger: the
+    eliminated pairs' weight scale[i] on row i leaves roundoff of a few eps
+    times it on a pivot that is exactly zero in the unreduced system (9e-12
+    at weight 2.3e4 on synth4_unbal), while the smallest healthy pivots seen
+    on such rows are 1e-12 times their weight (3e-7 at 4e5 on feeder_hr).
     """
     n = kdense.shape[0]
     sytrf, sytrs, sytrf_lwork = scipy.linalg.get_lapack_funcs(
@@ -247,8 +410,12 @@ def _ldlt(kdense: np.ndarray):
     one = np.ones(n, dtype=bool)
     one[two] = one[two + 1] = False
     v = d[one]
-    pos = int(np.count_nonzero(v > tiny))
-    neg = int(np.count_nonzero(v < -tiny))
+    floor = tiny
+    # Rows are traced only when a pivot could be reclassified.
+    if scale is not None and v.size and np.abs(v).min() <= PIVOT_ROUNDOFF * scale.max():
+        floor = np.maximum(tiny, PIVOT_ROUNDOFF * scale[_pivot_rows(ipiv, two)[one]])
+    pos = int(np.count_nonzero(v > floor))
+    neg = int(np.count_nonzero(v < -floor))
     zero = v.size - pos - neg
     a, b, c = d[two], ldu[two + 1, two], d[two + 1]
     det = a * c - b * b
@@ -289,7 +456,7 @@ def solve(
     """
     opts = options or SolverOptions()
     form = internalize(problem)
-    nf, me, mi = form.free.size, form.eq.n_rows, form.ineq.n_rows
+    me, mi = form.eq.n_rows, form.ineq.n_rows
 
     x = nlp_mod.initial_point(problem) if x0 is None else x0.astype(float).copy()
     # Fixed variables start on their pins; the step never moves them.
@@ -332,31 +499,25 @@ def solve(
                 min(MU_SHRINK * mu, max(0.1 * compl, mu**1.5)),
             )
 
-        kkt, rhs, expand = kkt_assemble(form, pt, mu)
-        # sytrf leaves its input intact, so a retry rewrites the diagonal from
-        # the saved one rather than copying the whole dense matrix; the
-        # regularizations only grow, so every entry it sets is rewritten.
-        diag = np.arange(nf + me)
-        base_diag = kkt[diag, diag]
         delta_c_first = np.sqrt(np.finfo(float).eps) * max(mu, 1e-6)
         delta_w, delta_c = 0.0, 0.0
         if degenerate >= DEGENERATE_ITERATIONS:
             # Start where the failed unregularized attempt would have left off.
             delta_w, delta_c = max(REGULARIZATION_MIN, delta_last / 3.0), delta_c_first
+        # sytrf leaves its input intact, so a retry rewrites only the entries
+        # that depend on the regularization rather than the whole matrix.
+        kkt, system, regularize = kkt_assemble(form, pt, mu, delta_w, delta_c)
         iter_factorizations = 0
         factorize_s = 0.0
         for _ in range(60):
-            if delta_w > 0.0:
-                kkt[diag[:nf], diag[:nf]] = base_diag[:nf] + delta_w
-            if delta_c > 0.0:
-                kkt[diag[nf:], diag[nf:]] = base_diag[nf:] - delta_c
+            rhs, expand, pivot_scale = system
             t0 = time.perf_counter()
-            solve_fn, inertia = _ldlt(kkt)
+            solve_fn, inertia = _ldlt(kkt, pivot_scale)
             factorize_s += time.perf_counter() - t0
             iter_factorizations += 1
             if delta_w == 0.0 and delta_c == 0.0:
                 degenerate = degenerate + 1 if inertia[2] > 0 else 0
-            if inertia[0] == nf and inertia[2] == 0:
+            if inertia[0] == form.keep.size and inertia[2] == 0:
                 break
             if inertia[2] > 0:
                 delta_c = 10.0 * delta_c if delta_c > 0.0 else delta_c_first
@@ -368,6 +529,7 @@ def solve(
                 raise KktSingularError(
                     f"KKT inertia {inertia} not correctable at regularization {delta_w:g}"
                 )
+            system = regularize(delta_w, delta_c)
         delta_last = delta_w
         factorizations += iter_factorizations
 

@@ -32,7 +32,8 @@ def solved_dir(tmp_path_factory):
 
 class TestSolveCommand:
     def test_outputs_exist(self, solved_dir):
-        for name in ("envelopes.csv", "summary.json", "diagnostics.json", "manifest.json", "envelopes.svg"):
+        for name in ("envelopes.csv", "summary.json", "diagnostics.json", "timings.json", "manifest.json",
+                     "envelopes.svg"):
             assert (solved_dir / name).exists()
 
     def test_aggregation_identity(self, solved_dir):
@@ -327,6 +328,23 @@ class TestRunScenario:
         diagnostics = json.loads((tmp_path / "diagnostics.json").read_text())
         assert len(diagnostics["stage1"]) == len(diagnostics["periods"]) == 4
         assert all(d["winning_start"] == 0 and len(d["starts"]) == 1 for d in diagnostics["stage1"])
+
+    def test_timings_apart_from_deterministic_files(self, tmp_path):
+        # Two-stage margin run: stage 1 and stage 2 each time every period.
+        runs = [
+            run_scenario(two_bus_case(), ScenarioSpec(5, Objective.REACTIVE_MARGIN), starts=1) for _ in range(2)
+        ]
+        for k, run in enumerate(runs):
+            emit_results(run, tmp_path / str(k))
+        for name in ("envelopes.csv", "summary.json", "diagnostics.json"):
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        timings = json.loads((tmp_path / "0" / "timings.json").read_text())
+        assert set(timings) == {"periods", "stage1"}
+        for stage in timings.values():
+            assert [d["period"] for d in stage] == [0, 1, 2, 3]
+            for d in stage:
+                assert set(d) == {"period", "build_s", "solve_s", "validate_s"}
+                assert d["solve_s"] > 0.0 and d["build_s"] > 0.0 and d["validate_s"] > 0.0
 
     def test_scenario1_has_no_start_spread(self, synth4):
         assert run_scenario(synth4, ScenarioSpec(1)).start_spread_pu == 0.0

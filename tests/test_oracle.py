@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lvdoe import nlp, oracle, phasecalc as pc, solver
-from lvdoe.netmodel import TreeIndex, slack_reference
+from lvdoe.netmodel import PHASE_INDEX, TreeIndex, slack_reference
 from lvdoe.nlp import Objective, ScenarioSpec, build_custom, build_problem
 from lvdoe.oracle import (
     InfeasibleAtZeroExportError,
@@ -26,6 +26,16 @@ def solution_injections(case, prob, x) -> InjectionSet:
     """Loads at their profiles, generation as the optimizer set it in prob's period."""
     inj = InjectionSet.from_case(case)
     inj.p_gen[:, :, prob.period], inj.q_gen[:, :, prob.period] = nlp.decode_generation(prob, x)
+    return inj
+
+
+def one_generator(case, gen_id: str, p: float, q: float, period: int) -> InjectionSet:
+    """Loads at their profiles, gen_id at (p, q) pu on each of its phases in period."""
+    inj = InjectionSet.from_case(case)
+    g = case.gen_index(gen_id)
+    for ph in case.generators[g].phases:
+        inj.p_gen[g, PHASE_INDEX[ph], period] = p
+        inj.q_gen[g, PHASE_INDEX[ph], period] = q
     return inj
 
 
@@ -52,7 +62,7 @@ class TestSolvePf:
 
     def test_element_powers_match_injections(self):
         case = two_bus_case(load_kw=2.0)
-        inj = InjectionSet.from_case(case).with_generator(case, "g1", 0.02, 0.005, 0)
+        inj = one_generator(case, "g1", 0.02, 0.005, 0)
         state = solve_pf(case, inj, 0)
         p, q = pc.element_power(state, case.loads[0], 1, 0)
         assert p == pytest.approx(inj.p_load[0, 1, 0], abs=1e-10)
@@ -71,7 +81,7 @@ class TestSolvePf:
 
     def test_divergence_on_absurd_injection(self):
         case = two_bus_case()
-        inj = InjectionSet.from_case(case).with_generator(case, "g1", 1000.0, 0.0, 0)
+        inj = one_generator(case, "g1", 1000.0, 0.0, 0)
         with pytest.raises(PowerFlowDivergedError):
             solve_pf(case, inj, 0)
 
@@ -84,7 +94,7 @@ class TestSolvePf:
             for k, br in enumerate(synth4.branches)
         ))
         assert TreeIndex(flipped).down_sign[l] == -1.0
-        inj = InjectionSet.from_case(synth4).with_generator(synth4, "g1", 0.02, 0.0, 12)
+        inj = one_generator(synth4, "g1", 0.02, 0.0, 12)
         stored = solve_pf(synth4, inj, 12)
         state = solve_pf(flipped, inj, 12)
         np.testing.assert_allclose(state.u, stored.u, rtol=0.0, atol=1e-12)
@@ -202,7 +212,7 @@ class TestValidateSolution:
 
     def test_diverged_power_flow_fails_the_period(self):
         case = two_bus_case()
-        inj = InjectionSet.from_case(case).with_generator(case, "g1", 1000.0, 0.0, 0)
+        inj = one_generator(case, "g1", 1000.0, 0.0, 0)
         report = validate(case, inj, 0, pc.ALL_LIMITS)
         assert not report.ok
         assert report.error

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lvdoe import nlp, oracle, phasecalc as pc, solver
 from lvdoe.netmodel import load_network
@@ -13,11 +14,14 @@ from lvdoe.solver import SolverOptions, internalize, kkt_assemble, solve
 from conftest import fixture_path, two_bus_case
 
 
-def toy_form(ub: float = 2.0, eq_row: bool = False) -> solver.InternalForm:
-    """min -x subject to x <= ub, optionally with the equality row x - 1 = 0."""
+def toy_form(ub: float = 2.0, eq_row: str | None = None) -> solver.InternalForm:
+    """min -x subject to x <= ub, optionally with the equality row x - 1 = 0
+    (eq_row="linear") or 0.5 x^2 - 0.5 = 0 (eq_row="quadratic")."""
     eq = QuadBlock(1)
-    if eq_row:
+    if eq_row == "linear":
         eq.lin(eq.new_row("x-1", const=-1.0), 0, 1.0)
+    elif eq_row == "quadratic":
+        eq.quad(eq.new_row("x^2-1", const=-0.5), 0, 0, 0.5)
     eq.seal()
     ineq = QuadBlock(1)
     ineq.seal()
@@ -41,9 +45,10 @@ def perturbed_point(prob, form, seed):
     )
 
 
-def full_augmented_system(prob, form, pt, mu, delta_w, y_fix):
-    """The uncondensed reference: fixed variables as equality rows, inequality
-    rows kept with their -s/z diagonal.  Unknowns (dx, dy, dy_fix, dz)."""
+def full_augmented_system(prob, form, pt, mu, delta_w, y_fix, delta_c=0.0):
+    """The uncondensed reference: every variable kept, fixed variables as
+    equality rows, equality rows with a -delta_c diagonal, inequality rows
+    kept with their -s/z diagonal.  Unknowns (dx, dy, dy_fix, dz)."""
     n, me, mi = prob.n_vars, prob.eq.n_rows, form.ineq.n_rows
     fixed = np.flatnonzero(prob.lb == prob.ub)
     x, y, z, s = pt.x, pt.y, pt.z, pt.s
@@ -58,23 +63,36 @@ def full_augmented_system(prob, form, pt, mu, delta_w, y_fix):
     k[:n, :n] = w
     k[n:, :n] = cons
     k[:n, n:] = cons.T
+    k[n : n + me, n : n + me] = -delta_c * np.eye(me)
     k[n + me + fixed.size :, n + me + fixed.size :] = -np.diag(s / z)
     grad = form.c + jg.T @ y + jf.T @ y_fix + jh.T @ z
     rhs = np.concatenate([-grad, -form.eq.value(x), -(x[fixed] - prob.lb[fixed]), -(form.ineq.value(x) + mu / z)])
     return k, rhs
 
 
+# feeder_hr has 86 private pairs; two_bus and synth4 have fewer.  The last
+# case puts an equality regularization on every kept and eliminated row.
+WITH_FULL_REFERENCE = [("two_bus", 0.0), ("synth4", 0.0), ("feeder_hr", 0.0), ("feeder_hr", 1e-3)]
+WITH_FULL_REFERENCE_IDS = ["two_bus", "synth4", "feeder_hr", "feeder_hr-dc"]
+
+
+def no_pairs(problem):
+    return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+
+
 class TestKktAssemble:
     def test_one_by_one_matches_hand_algebra(self):
         form = toy_form(ub=2.0)
         x, s, z, mu = np.array([0.5]), np.array([1.5]), np.array([0.1]), 0.3
-        kkt, rhs, expand = kkt_assemble(form, solver._evaluate(form, x, y=np.zeros(0), z=z, s=s), mu)
+        kkt, (rhs, _, _), regularize = kkt_assemble(form, solver._evaluate(form, x, y=np.zeros(0), z=z, s=s), mu)
         # [z/s]: the bound row x - ub <= 0 condensed into the Hessian
         np.testing.assert_allclose(kkt, [[0.1 / 1.5]], rtol=1e-15)
         # rhs: -(c + Jh' z + Jh' (z/s)(h + mu/z)) with h = x - ub = -1.5
         np.testing.assert_allclose(rhs, [-(-1.0 + 0.1 + (0.1 / 1.5) * (-1.5 + 3.0))], rtol=1e-15)
         # with the regularization dw = 0.01 that solve adds on a retry
-        dx, dy, dz, ds = expand(np.linalg.solve(kkt + 0.01, rhs))
+        rhs, expand, _ = regularize(0.01, 0.0)
+        np.testing.assert_allclose(kkt, [[0.01 + 0.1 / 1.5]], rtol=1e-15)
+        dx, dy, dz, ds = expand(np.linalg.solve(kkt, rhs))
         np.testing.assert_allclose(dx, rhs / (0.01 + 0.1 / 1.5), rtol=1e-15)
         np.testing.assert_allclose(dz, (0.1 / 1.5) * (dx + (-1.5 + 3.0)), rtol=1e-15)
         np.testing.assert_allclose(ds, 3.0 - 1.5 - 15.0 * dz, rtol=1e-15)
@@ -85,9 +103,11 @@ class TestKktAssemble:
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
         pt = perturbed_point(prob, form, 2)
-        kkt, _, _ = kkt_assemble(form, pt, mu=0.1)
+        kkt, _, _ = kkt_assemble(form, pt, 0.1, 1e-4, 1e-6)
         assert isinstance(kkt, np.ndarray) and kkt.flags.f_contiguous
-        assert kkt.shape[0] == np.count_nonzero(prob.lb != prob.ub) + prob.eq.n_rows
+        n_pairs = form.pairs.var.size
+        assert n_pairs > 0
+        assert kkt.shape[0] == np.count_nonzero(prob.lb != prob.ub) + prob.eq.n_rows - 2 * n_pairs
         assert np.abs(kkt - kkt.T).max() <= 1e-14
 
     def test_rejects_nonpositive_mu(self):
@@ -95,19 +115,18 @@ class TestKktAssemble:
         with pytest.raises(ValueError, match="mu"):
             kkt_assemble(form, solver._evaluate(form, np.zeros(1), np.zeros(0), np.ones(1), np.ones(1)), 0.0)
 
-    @pytest.mark.parametrize("network", ["two_bus", "synth4"])
-    def test_condensed_step_matches_full_augmented_system(self, network, synth4):
-        case = two_bus_case() if network == "two_bus" else synth4
+    @pytest.mark.parametrize("network, delta_c", WITH_FULL_REFERENCE, ids=WITH_FULL_REFERENCE_IDS)
+    def test_condensed_step_matches_full_augmented_system(self, request, network, delta_c):
+        case = two_bus_case() if network == "two_bus" else request.getfixturevalue(network)
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
         pt = perturbed_point(prob, form, 7)
         mu, delta_w = 0.1, 0.5
         y_fix = np.random.default_rng(8).standard_normal(np.count_nonzero(prob.lb == prob.ub))
-        kkt, rhs, expand = kkt_assemble(form, pt, mu)
-        kkt[np.arange(form.free.size), np.arange(form.free.size)] += delta_w
+        kkt, (rhs, expand, _), _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
         dx, dy, dz, ds = expand(np.linalg.solve(kkt, rhs))
 
-        k_full, rhs_full = full_augmented_system(prob, form, pt, mu, delta_w, y_fix)
+        k_full, rhs_full = full_augmented_system(prob, form, pt, mu, delta_w, y_fix, delta_c)
         ref = np.linalg.solve(k_full, rhs_full)
         n, me = prob.n_vars, prob.eq.n_rows
         dx_ref, dy_ref, dz_ref = ref[:n], ref[n : n + me], ref[n + me + y_fix.size :]
@@ -116,22 +135,22 @@ class TestKktAssemble:
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
         assert np.all(dx[prob.lb == prob.ub] == 0.0)
 
-    @pytest.mark.parametrize("network", ["two_bus", "synth4"])
-    def test_inertia_test_agrees_with_full_system(self, network, synth4):
-        case = two_bus_case() if network == "two_bus" else synth4
+    @pytest.mark.parametrize("network, delta_c", WITH_FULL_REFERENCE, ids=WITH_FULL_REFERENCE_IDS)
+    def test_inertia_test_agrees_with_full_system(self, request, network, delta_c):
+        case = two_bus_case() if network == "two_bus" else request.getfixturevalue(network)
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
         pt = perturbed_point(prob, form, 3)
         y_fix = np.zeros(np.count_nonzero(prob.lb == prob.ub))
+        kkt, _, regularize = kkt_assemble(form, pt, 0.1)
         outcomes = set()
         # A negative shift stands in for negative curvature of W.
         for delta_w in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 100.0):
-            kkt, _, _ = kkt_assemble(form, pt, 0.1)
-            kkt[np.arange(form.free.size), np.arange(form.free.size)] += delta_w
-            _, (pos, _, zero) = solver._ldlt(kkt)
-            k_full, _ = full_augmented_system(prob, form, pt, 0.1, delta_w, y_fix)
+            _, _, pivot_scale = regularize(delta_w, delta_c)
+            _, (pos, _, zero) = solver._ldlt(kkt, pivot_scale)
+            k_full, _ = full_augmented_system(prob, form, pt, 0.1, delta_w, y_fix, delta_c)
             full_pos = int(np.count_nonzero(np.linalg.eigvalsh(k_full) > 0.0))
-            condensed_ok = pos == form.free.size and zero == 0
+            condensed_ok = pos == form.keep.size and zero == 0
             assert condensed_ok == (full_pos == prob.n_vars)
             outcomes.add(condensed_ok)
         assert outcomes == {True, False}
@@ -139,10 +158,11 @@ class TestKktAssemble:
 
 class TestLdlt:
     def test_inertia_of_saddle(self):
-        # [[z/s, 1], [1, 0]]: one free variable, one equality row
-        form = toy_form(eq_row=True)
+        # [[z/s, 1], [1, 0]]: one free variable, one equality row 0.5 x^2 - 0.5 = 0
+        # (quadratic, so the pair is not eliminated)
+        form = toy_form(eq_row="quadratic")
         pt = solver._evaluate(form, np.array([1.0]), np.zeros(1), np.ones(1), np.ones(1))
-        kkt, _, _ = kkt_assemble(form, pt, 0.1)
+        kkt = kkt_assemble(form, pt, 0.1)[0]
         np.testing.assert_allclose(kkt, [[1.0, 1.0], [1.0, 0.0]])
         _, inertia = solver._ldlt(kkt)
         assert inertia == (1, 1, 0)
@@ -163,6 +183,35 @@ class TestLdlt:
         k[0, 0] = 1.0
         _, inertia = solver._ldlt(k)
         assert inertia[2] == 1
+
+    def test_pivot_rows_follow_the_interchanges(self):
+        # Each 1x1 pivot is the Schur complement of its row after the rows
+        # eliminated before it; the blocked sytrf path takes n = 100.
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 12, 30, 100):
+            a = rng.standard_normal((n, n))
+            a = a + a.T
+            a[np.diag_indices(n)] *= rng.uniform(0.0, 1.0, n) ** 3  # small diagonals force swaps
+            sytrf, lwork = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"), (a,))
+            ldu, ipiv, _ = sytrf(a, lower=1, lwork=int(lwork(n, lower=1)[0]))
+            two = np.flatnonzero(ipiv < 0)[::2]
+            rows = solver._pivot_rows(ipiv, two)
+            assert np.array_equal(np.sort(rows), np.arange(n))
+            b = a[np.ix_(rows, rows)]
+            for k in np.flatnonzero(ipiv > 0):
+                sign_k, log_k = np.linalg.slogdet(b[: k + 1, : k + 1])
+                sign_0, log_0 = np.linalg.slogdet(b[:k, :k])
+                assert sign_k * sign_0 * np.exp(log_k - log_0) == pytest.approx(ldu[k, k], rel=1e-6, abs=1e-9)
+
+    def test_scale_raises_the_zero_threshold_of_its_row(self):
+        # sytrf swaps rows 0 and 1 and takes the pivot 10 first; row 0 is left
+        # with 0.9 + 5e-12 - 3 * 3 / 10, a 5e-12 pivot: roundoff at weight 1e4,
+        # healthy at weight 10.
+        k = np.array([[0.9 + 5e-12, 3.0, 0.0], [3.0, 10.0, 0.0], [0.0, 0.0, -1.0]])
+        assert solver._ldlt(k)[1] == (2, 1, 0)
+        assert solver._ldlt(k, np.array([1e4, 0.0, 0.0]))[1] == (1, 1, 1)
+        assert solver._ldlt(k, np.array([10.0, 0.0, 0.0]))[1] == (2, 1, 0)
+        assert solver._ldlt(k, np.array([0.0, 1e8, 1e8]))[1] == (2, 1, 0)
 
 
 class TestSolve:
@@ -276,9 +325,9 @@ class TestDegenerateJacobianRule:
         calls = []
         ldlt = solver._ldlt
 
-        def counting(k):
+        def counting(k, *scale):
             calls.append(k.shape[0])
-            return ldlt(k)
+            return ldlt(k, *scale)
 
         monkeypatch.setattr(solver, "_ldlt", counting)
         monkeypatch.setattr(solver, "DEGENERATE_ITERATIONS", threshold)
@@ -300,6 +349,28 @@ class TestDegenerateJacobianRule:
         assert rule.x.tobytes() == ladder.x.tobytes()
         assert rule.factorizations < ladder.factorizations
 
+    def test_unregularized_reduced_matrix_stays_singular(self, synth4_unbal, monkeypatch):
+        # The pair weights (1e8 and more) leave 9e-12 of roundoff on the
+        # exactly zero pivot in iteration 18; the ladder alone must still
+        # see a zero pivot in every unregularized attempt.
+        inertias = []
+        ldlt = solver._ldlt
+
+        def recording(k, *scale):
+            out = ldlt(k, *scale)
+            inertias.append(out[1])
+            return out
+
+        monkeypatch.setattr(solver, "_ldlt", recording)
+        monkeypatch.setattr(solver, "DEGENERATE_ITERATIONS", 10**9)
+        prob = build_problem(synth4_unbal, ScenarioSpec(5), 3)
+        assert internalize(prob).pairs.var.size > 0
+        sol = solve(prob, SolverOptions(trace=True))
+        assert sol.status == "optimal"
+        first = np.cumsum([0] + [rec["factorizations"] for rec in sol.trace])[:-1]
+        assert first.size == sol.iterations >= 18
+        assert all(inertias[i][2] > 0 for i in first)
+
     def test_nonsingular_problem_unchanged(self, monkeypatch):
         case = load_network(fixture_path("synth4.json"), fixture_path("synth4_loads.csv"))
         prob = build_problem(case, ScenarioSpec(5), 12)
@@ -307,6 +378,60 @@ class TestDegenerateJacobianRule:
         rule = self.solve_counting(monkeypatch, prob, self.THRESHOLD)
         assert rule.factorizations == ladder.factorizations
         assert rule.x.tobytes() == ladder.x.tobytes()
+
+
+class TestPairElimination:
+    """Each free variable that enters one equality row linearly, and nothing
+    else but its bounds, is eliminated from the KKT system with that row."""
+
+    def test_pairs_and_reduced_dimensions(self, feeder_hr):
+        prob = build_problem(feeder_hr, ScenarioSpec(5), 12)
+        form = internalize(prob)
+        assert form.pairs.var.size == 86
+        assert {prob.eq.labels[r].split("[")[0] for r in form.pairs.row} == {"gen_p", "gen_q"}
+        assert form.free.size + prob.eq.n_rows == 558
+        kkt = kkt_assemble(form, perturbed_point(prob, form, 1), 0.1)[0]
+        assert kkt.shape == (386, 386)
+
+        # A stage-2 margin program: P pinned, Q tied to its split rows.
+        fixed_p = np.full((len(feeder_hr.generators), 3), 0.01)
+        stage2 = build_problem(feeder_hr, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 12, fixed_p=fixed_p)
+        form2 = internalize(stage2)
+        assert form2.pairs.var.size == 0
+        kkt2 = kkt_assemble(form2, perturbed_point(stage2, form2, 1), 0.1)[0]
+        assert kkt2.shape[0] == form2.free.size + stage2.eq.n_rows == 687
+
+    @pytest.mark.parametrize("delta_w, delta_c", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.2), (0.01, 0.2)])
+    def test_lone_pair_matches_hand_algebra(self, delta_w, delta_c):
+        # min -x s.t. x <= 2 and x - 1 = 0: the pair (x, row) leaves nothing behind.
+        form = toy_form(ub=2.0, eq_row="linear")
+        x, y, s, z, mu = np.array([0.5]), np.array([0.3]), np.array([1.5]), np.array([0.1]), 0.3
+        kkt, (rhs, expand, _), _ = kkt_assemble(form, solver._evaluate(form, x, y=y, z=z, s=s), mu, delta_w, delta_c)
+        assert kkt.shape == (0, 0) and rhs.shape == (0,)
+        dx, dy, dz, ds = expand(np.zeros(0))
+        h = 0.1 / 1.5 + delta_w
+        r_x = -(-1.0 + 0.3 + 0.1 + (0.1 / 1.5) * (-1.5 + 3.0))
+        r_y = -(0.5 - 1.0)
+        want = np.linalg.solve([[h, 1.0], [1.0, -delta_c]], [r_x, r_y])
+        np.testing.assert_allclose(np.concatenate([dx, dy]), want, rtol=1e-14)
+        np.testing.assert_allclose(dz, (0.1 / 1.5) * (dx + (-1.5 + 3.0)), rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "fixture, period",
+        [("feeder_hr", 3), ("feeder_hr", 19), ("synth4_unbal", 3), ("synth4_unbal", 19)],
+    )
+    def test_same_solves_without_elimination(self, request, monkeypatch, fixture, period):
+        case = request.getfixturevalue(fixture)
+        prob = build_problem(case, ScenarioSpec(5), period)
+        reduced = solve(prob)
+        monkeypatch.setattr(solver, "private_pairs", no_pairs)
+        full = solve(prob)
+        assert reduced.status == full.status == "optimal"
+        assert reduced.iterations == full.iterations
+        assert reduced.factorizations == full.factorizations
+        p_reduced, _ = nlp.decode_generation(prob, reduced.x)
+        p_full, _ = nlp.decode_generation(prob, full.x)
+        assert np.abs(p_reduced - p_full).max() * case.s_base <= 1e-6
 
 
 class TestOneEvaluationPerIterate:
@@ -327,9 +452,9 @@ class TestOneEvaluationPerIterate:
             jacobians.append(x.tobytes())
             return jacobian(block, x)
 
-        def recording_assemble(form, pt, mu):
+        def recording_assemble(form, pt, mu, *regularization):
             iterates.append(pt.x.tobytes())
-            return assemble(form, pt, mu)
+            return assemble(form, pt, mu, *regularization)
 
         monkeypatch.setattr(QuadBlock, "value", counting_value)
         monkeypatch.setattr(QuadBlock, "jacobian", counting_jacobian)
