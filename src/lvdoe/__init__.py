@@ -20,7 +20,7 @@ from .netmodel import (  # noqa: F401
     to_per_unit,
     to_physical,
 )
-from .phasecalc import LimitKind, PhasorState, Violation, check_limits, vuf  # noqa: F401
+from .phasecalc import LimitKind, PhasorState, Violation, check_limits  # noqa: F401
 from .nlp import NlpProblem, Objective, ScenarioSpec, build_problem  # noqa: F401
 from .solver import Solution, SolverOptions, solve  # noqa: F401
 from .oracle import InjectionSet, ValidationReport, doe_bisection, solve_pf, validate  # noqa: F401

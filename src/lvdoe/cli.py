@@ -97,12 +97,16 @@ def run_scenario(
     records the solver options it ran with (the defaults when options is
     None).
     """
+    if not 1 <= starts <= len(START_SCALES):
+        raise ValueError(f"starts must be 1 to {len(START_SCALES)}, got {starts}")
+    if reactive_p not in ("two_stage", "free"):
+        raise ValueError(f"unknown reactive_p mode {reactive_p!r}")
     opts = options or SolverOptions()
     if spec.scenario == 1:
         result = _run_scenario_1(case, spec)
     elif spec.objective is Objective.ACTIVE_EXPORT or reactive_p == "free":
         result = _run_periods(case, spec, opts, starts=starts)
-    elif reactive_p == "two_stage":
+    else:  # two_stage
         stage1 = _run_periods(
             case,
             ScenarioSpec(spec.scenario, Objective.ACTIVE_EXPORT),
@@ -115,8 +119,6 @@ def run_scenario(
         # strictly feasible interior to search for reactive headroom.
         fixed = stage1.p_kw / case.s_base * (1.0 - 1e-4)
         result = replace(_run_periods(case, spec, opts, starts=starts, fixed_p=fixed), stage1=stage1)
-    else:
-        raise ValueError(f"unknown reactive_p mode {reactive_p!r}")
     return replace(result, starts=starts, reactive_p=reactive_p, options=opts)
 
 
@@ -163,7 +165,7 @@ def _run_periods(
 ) -> EnvelopeResult:
     """Solve every period; fixed_p, when given, pins P as a dense (n_gen, 3, T) array in pu."""
     T = case.horizon
-    scales = START_SCALES[: max(1, starts)]
+    scales = START_SCALES[:starts]
 
     # Generation per period in pu, filled in as the periods are solved; the
     # oracle only reads the period it checks.
@@ -456,7 +458,10 @@ def _build_parser() -> _Parser:
 def _cmd_solve(args) -> int:
     case = load_network(args.network, args.loads)
     spec = ScenarioSpec(args.scenario, Objective.ACTIVE_EXPORT if args.objective == "active" else Objective.REACTIVE_MARGIN)
-    opts = SolverOptions(tol_kkt=args.tol, max_iter=args.max_iter, trace=args.trace)
+    try:
+        opts = SolverOptions(tol_kkt=args.tol, max_iter=args.max_iter, trace=args.trace)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     try:
         result = run_scenario(case, spec, opts, reactive_p=args.reactive_p, starts=args.starts)
     except ScenarioSolveError as exc:

@@ -140,24 +140,6 @@ class QuadBlock:
         return flat.reshape(self.n_rows, self.n_vars)
 
 
-def concat_blocks(n_vars: int, blocks: list[QuadBlock]) -> QuadBlock:
-    out = QuadBlock(n_vars)
-    offset = 0
-    for blk in blocks:
-        out.labels.extend(blk.labels)
-        out._c0.extend(blk.c0.tolist())
-        out._qk.extend((blk.qk + offset).tolist())
-        out._qi.extend(blk.qi.tolist())
-        out._qj.extend(blk.qj.tolist())
-        out._qv.extend(blk.qv.tolist())
-        out._lk.extend((blk.lk + offset).tolist())
-        out._li.extend(blk.li.tolist())
-        out._lv.extend(blk.lv.tolist())
-        offset += blk.n_rows
-    out.seal()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Variable layout
 # ---------------------------------------------------------------------------
@@ -551,20 +533,8 @@ def _bounds(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and decoding
+# Decoding and the flat start
 # ---------------------------------------------------------------------------
-
-def eval_constraints(problem: NlpProblem, x: np.ndarray) -> np.ndarray:
-    """Equality residuals followed by inequality values (<= 0 when satisfied)."""
-    if x.shape != (problem.n_vars,):
-        raise ValueError(f"x has shape {x.shape}, expected ({problem.n_vars},)")
-    return np.concatenate([problem.eq.value(x), problem.ineq.value(x)])
-
-
-def eval_objective(problem: NlpProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective (maximization sense) and its exact gradient."""
-    return float(problem.obj_coef @ x), problem.obj_coef.copy()
-
 
 def _entry_arrays(entries: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
     """(element indices, phase indices) of (element, phase) entries."""

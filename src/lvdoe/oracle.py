@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import NetworkCase, PHASE_INDEX, TreeIndex
-from . import phasecalc
+from .netmodel import NetworkCase, PHASE_INDEX, TreeIndex, slack_reference
 from .phasecalc import LimitKind, PhasorState, Violation, check_limits
 
 
@@ -82,7 +81,7 @@ def solve_pf(case: NetworkCase, injections: InjectionSet, period: int) -> Phasor
     cols = (6 * unknown[:, None] + np.arange(6)).ravel()
     jac_volt = np.kron(tree.A, np.eye(6))[:, cols]
 
-    u = np.tile(phasecalc.slack_reference(case)[None, :], (n, 1)).astype(complex)
+    u = np.tile(slack_reference(case)[None, :], (n, 1)).astype(complex)
 
     def injection_currents(volt: np.ndarray) -> np.ndarray:
         if np.any(np.abs(volt) < 1e-3):

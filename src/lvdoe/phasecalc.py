@@ -1,8 +1,7 @@
 """Pure evaluation of electrical quantities and constraint residuals.
 
 Everything here is stateless algebra on a PhasorState: branch voltage-drop
-laws, rectangular power products, nodal current balance, sequence unbalance
-and limit checks.  Both the optimization model and the independent power
+laws, nodal current balance, sequence unbalance and limit checks.  Both the optimization model and the independent power
 flow are validated against these functions, so they are kept free of any
 solver-specific notation.
 """
@@ -15,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .netmodel import Generator, Load, NetworkCase, PHASES, TreeIndex, slack_reference
+from .netmodel import NetworkCase, PHASES, TreeIndex
 
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 # Anything below this (relative to the phasor scale) is roundoff, not unbalance.
@@ -77,21 +76,8 @@ class PhasorState:
         return self.u.shape[2]
 
 
-def flat_state(case: NetworkCase, n_periods: int = 1, vm: float = 1.0) -> PhasorState:
-    """Balanced nominal voltages everywhere, all currents zero."""
-    ref = slack_reference(case, vm)
-    u = np.tile(ref[None, :, None], (len(case.buses), 1, n_periods))
-    return PhasorState(
-        case=case,
-        u=u,
-        i_branch=np.zeros((len(case.branches), 3, n_periods), dtype=complex),
-        i_load=np.zeros((len(case.loads), 3, n_periods), dtype=complex),
-        i_gen=np.zeros((len(case.generators), 3, n_periods), dtype=complex),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Branch / element laws
+# Branch laws and nodal balance
 # ---------------------------------------------------------------------------
 
 def _voltage_drop_residuals(state: PhasorState) -> np.ndarray:
@@ -101,35 +87,6 @@ def _voltage_drop_residuals(state: PhasorState) -> np.ndarray:
     return rise + np.einsum("lpq,lqt->lpt", case.branch_z(), state.i_branch)
 
 
-def voltage_drop_residual(state: PhasorState, branch: int, phase: int, period: int) -> tuple[float, float]:
-    """Mismatch of the series voltage-drop law on one branch phase.
-
-    Zero iff the receiving-end voltage equals the sending-end voltage minus
-    the full mutual-coupled impedance drop.
-    """
-    res = _voltage_drop_residuals(state)[branch, phase, period]
-    return (res.real, res.imag)
-
-
-def branch_power(state: PhasorState, branch: int, phase: int, period: int) -> tuple[float, float]:
-    """(P, Q) carried by a branch phase, measured at the from-bus."""
-    br = state.case.branches[branch]
-    i = state.case.bus_pos[br.from_bus]
-    s = state.u[i, phase, period] * np.conj(state.i_branch[branch, phase, period])
-    return (s.real, s.imag)
-
-
-def element_power(state: PhasorState, element: Load | Generator, phase: int, period: int) -> tuple[float, float]:
-    """(P, Q) of a load or generator phase using its bus voltage."""
-    n = state.case.bus_pos[element.bus]
-    if isinstance(element, Load):
-        cur = state.i_load[state.case.loads.index(element), phase, period]
-    else:
-        cur = state.i_gen[state.case.generators.index(element), phase, period]
-    s = state.u[n, phase, period] * np.conj(cur)
-    return (s.real, s.imag)
-
-
 def _kcl_residuals(state: PhasorState) -> np.ndarray:
     """(n_bus, 3, T) nodal balance: demand - generation - A' i_branch."""
     tree = TreeIndex(state.case)
@@ -137,16 +94,6 @@ def _kcl_residuals(state: PhasorState) -> np.ndarray:
     np.add.at(total, tree.load_bus, state.i_load)
     np.subtract.at(total, tree.gen_bus, state.i_gen)
     return total
-
-
-def kcl_residual(state: PhasorState, bus: int, phase: int, period: int) -> tuple[float, float]:
-    """Nodal current balance: demand minus generation minus net branch inflow.
-
-    At the slack bus the balance is absorbed by the external grid and the
-    returned value is the (unconstrained) surplus handed to it.
-    """
-    total = _kcl_residuals(state)[bus, phase, period]
-    return (total.real, total.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +130,6 @@ def vuf_from_phasors(ua: complex, ub: complex, uc: complex) -> float:
     if u2_sq <= floor * floor:
         return 0.0
     return math.sqrt(u2_sq / u1_sq)
-
-
-def vuf(state: PhasorState, bus: int, period: int) -> float:
-    ua, ub, uc = state.u[bus, :, period]
-    return vuf_from_phasors(ua, ub, uc)
 
 
 # ---------------------------------------------------------------------------

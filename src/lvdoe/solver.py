@@ -8,16 +8,19 @@ fraction-to-boundary rule plus a divergence guard; on this problem class
 (quadratic rows, per-unit scaling) that plain damped-Newton scheme converges
 faster and more reliably than a merit line search.
 
-Fixed variables (equal bounds) stay out of the step; finite one-sided bounds
-become affine inequality rows.  The inequality block is condensed into the
-Hessian, so the dense KKT matrix has a row per free variable and equality
-row: [W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I], as in MATPOWER's MIPS.
+Fixed variables (equal bounds) stay out of the step.  Each finite bound of
+a free variable is a row sign * x[var] + const <= 0 after the user
+inequality rows; its one +-1 entry stays out of the dense Jacobian and its
+z/s lands on its variable's diagonal (Ipopt's bound terms, Waechter &
+Biegler 2006, Sec. 3).  The inequality rows are condensed into the Hessian,
+so the dense KKT matrix has a row per free variable and equality row:
+[W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I], as in MATPOWER's MIPS.
 
 Private pairs leave that matrix too.  A free variable whose only entries
 are one linear coefficient c in one equality row r and its own bounds (each
 unit-phase's P and Q with its gen_p / gen_q row) meets the rest of the
 system only through row r's entries j_r.  Exact block elimination of the
-pair's 2x2 block [[h, c], [c, -dc]], h = bound curvature + dw, adds
+pair's 2x2 block [[h, c], [c, -dc]], h = its bounds' z/s + dw, adds
 h / (c^2 + h*dc) * j_r' j_r to the kept columns and shifts the right-hand
 side; the step of the pair is recovered from the reduced solution.  The
 block's determinant is negative, so each pair holds inertia (1, 1) and the
@@ -53,7 +56,7 @@ import numpy as np
 import scipy.linalg
 
 from . import nlp as nlp_mod
-from .nlp import NlpProblem, QuadBlock, concat_blocks
+from .nlp import NlpProblem, QuadBlock
 
 MU_INIT = 0.1
 MU_SHRINK = 0.2
@@ -79,8 +82,8 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         for name in ("tol_kkt", "max_iter"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,12 @@ class Iterate:
 
     x: np.ndarray
     y: np.ndarray   # equality multipliers
-    z: np.ndarray   # inequality multipliers (internal rows), > 0
+    z: np.ndarray   # inequality multipliers (user rows, then bound rows), > 0
     s: np.ndarray   # inequality slacks, > 0
     g: np.ndarray   # equality rows at x
-    h: np.ndarray   # inequality rows at x
+    h: np.ndarray   # inequality rows at x, user rows then bound rows
     jg: np.ndarray  # dense equality Jacobian at x
-    jh: np.ndarray  # dense inequality Jacobian at x
+    jh: np.ndarray  # dense Jacobian of the user inequality rows at x
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,6 @@ class Pairs:
     var: np.ndarray         # eliminated variable v ...
     row: np.ndarray         # ... the one equality row r it enters ...
     coef: np.ndarray        # ... and its constant coefficient c = Jg[r, v] there
-    bound_row: np.ndarray   # the eliminated variables' bound rows (coefficient +-1)
-    bound_pair: np.ndarray  # and the pair each belongs to
     ent: np.ndarray         # flat Jg positions of the eliminated rows' entries on kept variables,
     ent_pair: np.ndarray    # the pair of each entry
     ent_kept: np.ndarray    # and the KKT column of its variable
@@ -132,7 +133,7 @@ class Pairs:
 
 @dataclass(frozen=True)
 class InternalForm:
-    """Minimization form over the free variables, bounds expanded into rows.
+    """Minimization form over the free variables, with their finite bounds.
 
     The positions that the Hessian terms take in the dense KKT matrix depend
     only on the row structure and the free set, so they are built once here,
@@ -142,11 +143,14 @@ class InternalForm:
     n_vars: int
     c: np.ndarray          # minimize c . x
     eq: QuadBlock          # user equality rows
-    ineq: QuadBlock        # user inequality rows, then bound rows
+    ineq: QuadBlock        # user inequality rows
+    bnd_var: np.ndarray    # bound rows bnd_sign * x[bnd_var] + bnd_const <= 0, which follow
+    bnd_sign: np.ndarray   # the user rows in h, z and s: each free variable's finite upper
+    bnd_const: np.ndarray  # bound (+1, -ub), then its finite lower bound (-1, lb)
     free: np.ndarray       # variables with lb != ub; the step moves only these
     keep: np.ndarray       # free variables left in the KKT system
     eq_keep: np.ndarray    # equality rows left in it
-    w_index: np.ndarray    # KKT position of each eq, ineq and condensed Hessian term
+    w_index: np.ndarray    # KKT position of each eq, ineq, condensed Hessian and bound term
     pair_a: np.ndarray     # flat Jh positions (row * n_vars + col) of entry pairs
     pair_b: np.ndarray     # that share a row; their products condense Jh' diag(z/s) Jh
     pairs: Pairs
@@ -175,16 +179,10 @@ def internalize(problem: NlpProblem) -> InternalForm:
     lb, ub = problem.lb, problem.ub
 
     free = np.flatnonzero(lb != ub)
-    bnd = QuadBlock(n)
-    for i in free:
-        if np.isfinite(ub[i]):
-            k = bnd.new_row(f"ub[x{i}]", const=-ub[i])
-            bnd.lin(k, i, 1.0)
-        if np.isfinite(lb[i]):
-            k = bnd.new_row(f"lb[x{i}]", const=lb[i])
-            bnd.lin(k, i, -1.0)
-    bnd.seal()
-    ineq = concat_blocks(n, [problem.ineq, bnd])
+    # Each free variable's upper bound x - ub <= 0, then its lower bound lb - x <= 0.
+    bnd_const = np.column_stack([-ub[free], lb[free]]).ravel()
+    finite = np.isfinite(bnd_const)
+    bnd_var = np.repeat(free, 2)[finite]
 
     var, row, coef = private_pairs(problem)
     in_kkt = np.zeros(n, dtype=bool)
@@ -197,8 +195,6 @@ def internalize(problem: NlpProblem) -> InternalForm:
     dim = keep.size + eq_keep.size
     pos = np.full(n, -1)
     pos[keep] = np.arange(keep.size)
-    var_pair = np.full(n, -1)
-    var_pair[var] = np.arange(var.size)
     row_pair = np.full(me, -1)
     row_pair[row] = np.arange(row.size)
 
@@ -206,8 +202,7 @@ def internalize(problem: NlpProblem) -> InternalForm:
         """Flat (Fortran) KKT position of W[i, j]; a sink past the end unless i and j are kept."""
         return np.where((pos[i] >= 0) & (pos[j] >= 0), pos[i] + pos[j] * dim, dim * dim)
 
-    nz = np.unique(ineq.jac_index)
-    bound = nz[var_pair[nz % n] >= 0]
+    nz = np.unique(problem.ineq.jac_index)
     nz = nz[pos[nz % n] >= 0]
     a, b = np.nonzero((nz // n)[:, None] == (nz // n)[None, :])
     pair_a, pair_b = nz[a], nz[b]
@@ -222,14 +217,18 @@ def internalize(problem: NlpProblem) -> InternalForm:
         n_vars=n,
         c=-problem.obj_coef,  # maximize -> minimize
         eq=problem.eq,
-        ineq=ineq,
+        ineq=problem.ineq,
+        bnd_var=bnd_var,
+        bnd_sign=np.tile([1.0, -1.0], free.size)[finite],
+        bnd_const=bnd_const[finite],
         free=free,
         keep=keep,
         eq_keep=eq_keep,
         w_index=np.concatenate([
             w_pos(problem.eq.qi, problem.eq.qj),
-            w_pos(ineq.qi, ineq.qj),
+            w_pos(problem.ineq.qi, problem.ineq.qj),
             w_pos(pair_a % n, pair_b % n),
+            w_pos(bnd_var, bnd_var),
         ]),
         pair_a=pair_a,
         pair_b=pair_b,
@@ -237,8 +236,6 @@ def internalize(problem: NlpProblem) -> InternalForm:
             var=var,
             row=row,
             coef=coef,
-            bound_row=bound // n,
-            bound_pair=var_pair[bound % n],
             ent=ent,
             ent_pair=row_pair[ent // n],
             ent_kept=pos[ent % n],
@@ -255,9 +252,16 @@ def _evaluate(form: InternalForm, x: np.ndarray, y: np.ndarray, z: np.ndarray, s
     """The iterate (x, y, z, s); the only place the rows and Jacobians are evaluated."""
     return Iterate(
         x=x, y=y, z=z, s=s,
-        g=form.eq.value(x), h=form.ineq.value(x),
+        g=form.eq.value(x),
+        h=np.concatenate([form.ineq.value(x), form.bnd_sign * x[form.bnd_var] + form.bnd_const]),
         jg=form.eq.jacobian(x), jh=form.ineq.jacobian(x),
     )
+
+
+def _jh_t(form: InternalForm, jh: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Jh' v over every inequality row: the dense user rows, then the bound rows."""
+    m = form.ineq.n_rows
+    return jh.T @ v[:m] + np.bincount(form.bnd_var, weights=form.bnd_sign * v[m:], minlength=form.n_vars)
 
 
 def _theta(pt: Iterate) -> float:
@@ -271,7 +275,7 @@ def _theta(pt: Iterate) -> float:
 def _kkt_errors(form: InternalForm, pt: Iterate, *mus: float) -> list[float]:
     """KKT error at pt for each barrier parameter in mus: the largest dual,
     primal and complementarity residual."""
-    r_d = (form.c + pt.jg.T @ pt.y + pt.jh.T @ pt.z)[form.free]
+    r_d = (form.c + pt.jg.T @ pt.y + _jh_t(form, pt.jh, pt.z))[form.free]
     feas = max(np.abs(r_d).max() if form.free.size else 0.0, _theta(pt))
     return [max(feas, np.abs(pt.s * pt.z - mu).max()) if pt.s.size else feas for mu in mus]
 
@@ -287,13 +291,14 @@ def kkt_assemble(
     its system and its regularize function.
 
     The condensed system [W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I] acts on
-    (dx[free], dy).  Each private pair (v, r) of the form enters it only
-    through the block [[h, c], [c, -dc]], h = (Jh' diag(z/s) Jh)[v, v] + dw
-    and c = Jg[r, v], and through row r's entries j_r on the kept variables.
-    Block elimination of that pair adds h / (c^2 + h*dc) * j_r' j_r to the
-    kept columns and shifts the right-hand side; the pair's determinant
-    -(c^2 + h*dc) is negative, so it holds inertia (1, 1) and the reduced
-    matrix must have one positive eigenvalue per kept variable.
+    (dx[free], dy).  A bound row's single +-1 entry condenses to its z/s on
+    its variable's diagonal.  Each private pair (v, r) of the form enters the
+    system only through the block [[h, c], [c, -dc]], h = the z/s of v's
+    bound rows + dw and c = Jg[r, v], and through row r's entries j_r on the
+    kept variables.  Block elimination of that pair adds h / (c^2 + h*dc) *
+    j_r' j_r to the kept columns and shifts the right-hand side; the pair's
+    determinant -(c^2 + h*dc) is negative, so it holds inertia (1, 1) and the
+    reduced matrix must have one positive eigenvalue per kept variable.
 
     The system is (rhs, expand, pivot_scale): expand(step) maps a solution
     of the reduced system to (dx, dy, dz, ds), and pivot_scale holds the
@@ -305,7 +310,7 @@ def kkt_assemble(
     """
     if mu <= 0.0:
         raise ValueError("barrier parameter mu must be positive")
-    n, nk = form.n_vars, form.keep.size
+    n, nk, mi = form.n_vars, form.keep.size, form.ineq.n_rows
     dim = nk + form.eq_keep.size
     y, z, s, h, jg, jh = pt.y, pt.z, pt.s, pt.h, pt.jg, pt.jh
     sigma = z / s
@@ -314,6 +319,7 @@ def kkt_assemble(
         y[form.eq.qk] * form.eq.qv,
         z[form.ineq.qk] * form.ineq.qv,
         sigma[form.pair_a // n] * jh.take(form.pair_a) * jh.take(form.pair_b),
+        sigma[mi:],
     ])
     # (bincount returns integers when there are no terms at all)
     flat = np.bincount(form.w_index, weights=weights, minlength=dim * dim + 1)[:-1].astype(float, copy=False)
@@ -323,12 +329,12 @@ def kkt_assemble(
     kkt[:nk, nk:] = kkt[nk:, :nk].T
     pp = form.pairs
     base = flat[pp.touched]
-    grad = form.c + jg.T @ y + jh.T @ (z + sigma * (h + mu / z))
+    grad = form.c + jg.T @ y + _jh_t(form, jh, z + sigma * (h + mu / z))
     r_x, r_y = -grad, -pt.g
     rhs_kept = np.concatenate([r_x[form.keep], r_y[form.eq_keep]])
 
     # Per pair: the bound curvature of v, and the right-hand sides of v and r.
-    h_v = np.bincount(pp.bound_pair, weights=sigma[pp.bound_row], minlength=pp.var.size)
+    h_v = np.bincount(form.bnd_var, weights=sigma[mi:], minlength=n)[pp.var]
     c = pp.coef
     r_v, r_r = r_x[pp.var], r_y[pp.row]
     j_ent = jg.take(pp.ent)
@@ -356,7 +362,7 @@ def kkt_assemble(
             dy = np.empty(r_y.size)
             dy[form.eq_keep] = step[nk:]
             dy[pp.row] = (c * r_v - hv * t) / det
-            dz = sigma * (jh @ dx + h + mu / z)
+            dz = sigma * (np.concatenate([jh @ dx, form.bnd_sign * dx[form.bnd_var]]) + h + mu / z)
             return dx, dy, dz, mu / z - s - (s / z) * dz
 
         return rhs, expand, terms[:dim]
@@ -456,7 +462,7 @@ def solve(
     """
     opts = options or SolverOptions()
     form = internalize(problem)
-    me, mi = form.eq.n_rows, form.ineq.n_rows
+    me, mi = form.eq.n_rows, form.ineq.n_rows + form.bnd_var.size
 
     x = nlp_mod.initial_point(problem) if x0 is None else x0.astype(float).copy()
     # Fixed variables start on their pins; the step never moves them.
@@ -469,7 +475,7 @@ def solve(
     # costs many early iterations on feasibility-dominated steps.
     y = np.zeros(me)
     if me:
-        rhs0 = -(form.c + pt.jh.T @ z)[form.free]
+        rhs0 = -(form.c + _jh_t(form, pt.jh, z))[form.free]
         y_ls, *_ = np.linalg.lstsq(pt.jg[:, form.free].T, rhs0, rcond=None)
         if np.abs(y_ls).max() <= 1e3:
             y = y_ls

@@ -6,6 +6,7 @@ import pytest
 
 from lvdoe import netmodel as nm
 from lvdoe.netmodel import load_network
+from lvdoe.phasecalc import PhasorState
 
 
 def fixture_path(name: str) -> Path:
@@ -35,6 +36,18 @@ def feeder_hr():
 @pytest.fixture(scope="session")
 def feeder_au():
     return load_network(fixture_path("feeder_au.json"))
+
+
+def flat_state(case: nm.NetworkCase, n_periods: int = 1, vm: float = 1.0) -> PhasorState:
+    """Balanced nominal voltages everywhere, all currents zero."""
+    ref = nm.slack_reference(case, vm)
+    return PhasorState(
+        case=case,
+        u=np.tile(ref[None, :, None], (len(case.buses), 1, n_periods)),
+        i_branch=np.zeros((len(case.branches), 3, n_periods), dtype=complex),
+        i_load=np.zeros((len(case.loads), 3, n_periods), dtype=complex),
+        i_gen=np.zeros((len(case.generators), 3, n_periods), dtype=complex),
+    )
 
 
 def two_bus_case(

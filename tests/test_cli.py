@@ -129,6 +129,13 @@ class TestErrorPaths:
         assert rc == 2
         assert "KKT matrix singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_unusable_tolerance_exits_1(self, tmp_path, capsys, tol):
+        rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--tol", tol, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "tol_kkt must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_iteration_limit_exits_2(self, tmp_path, capsys):
         rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--max-iter", "2",
                    "--out", str(tmp_path / "o")])
@@ -386,6 +393,17 @@ class TestRunScenario:
         case = two_bus_case()
         with pytest.raises(ValueError, match="reactive_p"):
             run_scenario(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), reactive_p="both")
+
+    def test_unknown_reactive_mode_rejected_for_active_export(self):
+        # active export never reads reactive_p, but the manifest would record it
+        with pytest.raises(ValueError, match="reactive_p"):
+            run_scenario(two_bus_case(), ScenarioSpec(5), reactive_p="bogus")
+
+    @pytest.mark.parametrize("starts", [0, len(cli.START_SCALES) + 1, 9])
+    def test_start_count_outside_the_ladder_rejected(self, starts):
+        # 9 would run the 5 scales of the ladder and record 9 in the manifest
+        with pytest.raises(ValueError, match="starts"):
+            run_scenario(two_bus_case(), ScenarioSpec(5), starts=starts)
 
 
 class TestEmitResults:

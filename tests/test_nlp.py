@@ -106,31 +106,35 @@ class TestEvaluation:
         rng = np.random.default_rng(42)
         x = random_x(prob, rng)
         state = nlp.decode_state(prob, x)
-        vals = nlp.eval_constraints(prob, x)
+        drop = pc._voltage_drop_residuals(state)[:, :, 0]
+        kcl = pc._kcl_residuals(state)[:, :, 0]
+        vals = prob.eq.value(x)
         for k, label in enumerate(prob.eq.labels):
             kind, rest = label.split("[")
             args = rest.rstrip("]").split(",")
             if kind in ("vdrop_re", "vdrop_im"):
                 l = case.branch_pos[args[0]]
                 p = "abc".index(args[1])
-                re, im = pc.voltage_drop_residual(state, l, p, 0)
-                expect = re if kind == "vdrop_re" else im
+                res = drop[l, p]
+                expect = res.real if kind == "vdrop_re" else res.imag
             elif kind in ("kcl_re", "kcl_im"):
                 n = case.bus_pos[args[0]]
                 p = "abc".index(args[1])
-                re, im = pc.kcl_residual(state, n, p, 0)
-                expect = re if kind == "kcl_re" else im
+                res = kcl[n, p]
+                expect = res.real if kind == "kcl_re" else res.imag
             elif kind in ("load_p", "load_q"):
-                ld = next(l for l in case.loads if l.id == args[0])
+                d, ld = next((d, l) for d, l in enumerate(case.loads) if l.id == args[0])
                 p = "abc".index(args[1])
-                pw, qw = pc.element_power(state, ld, p, 0)
+                power = state.u[case.bus_pos[ld.bus], p, 0] * np.conj(state.i_load[d, p, 0])
+                pw, qw = power.real, power.imag
                 row = ld.phases.index(args[1])
                 expect = (pw - ld.p[row, 3]) if kind == "load_p" else (qw - ld.q[row, 3])
             elif kind in ("gen_p", "gen_q"):
-                gen = next(g for g in case.generators if g.id == args[0])
+                g, gen = next((g, gen) for g, gen in enumerate(case.generators) if gen.id == args[0])
                 p = "abc".index(args[1])
-                pw, qw = pc.element_power(state, gen, p, 0)
-                e = prob.layout.gen_entries.index((case.generators.index(gen), p))
+                power = state.u[case.bus_pos[gen.bus], p, 0] * np.conj(state.i_gen[g, p, 0])
+                pw, qw = power.real, power.imag
+                e = prob.layout.gen_entries.index((g, p))
                 if kind == "gen_p":
                     expect = pw - x[prob.layout.pg(e)]
                 else:
@@ -163,7 +167,7 @@ class TestEvaluation:
                 expect = case.buses[n].vmin ** 2 - abs(state.u[n, p, 0]) ** 2
             elif kind == "vuf":
                 n = case.bus_pos[args[0]]
-                ratio = pc.vuf(state, n, 0)
+                ratio = pc.vuf_from_phasors(*state.u[n, :, 0])
                 # squared-form row: |U2|^2 - limit^2 |U1|^2, un-normalized
                 ua, ub, uc = state.u[n, :, 0]
                 u2sq, u1sq, _ = pc._sequence_squares(ua, ub, uc)
@@ -172,18 +176,6 @@ class TestEvaluation:
             else:
                 continue
             assert vals[k] == pytest.approx(expect, rel=1e-12, abs=1e-13), label
-
-    def test_eval_constraints_shape_and_order(self, case):
-        prob = build_problem(case, ScenarioSpec(5), 0)
-        x = nlp.initial_point(prob)
-        vals = nlp.eval_constraints(prob, x)
-        assert vals.shape == (prob.eq.n_rows + prob.ineq.n_rows,)
-        np.testing.assert_array_equal(vals[: prob.eq.n_rows], prob.eq.value(x))
-
-    def test_eval_constraints_rejects_bad_shape(self, case):
-        prob = build_problem(case, ScenarioSpec(5), 0)
-        with pytest.raises(ValueError):
-            nlp.eval_constraints(prob, np.zeros(3))
 
 
 class TestDerivatives:
@@ -222,13 +214,13 @@ class TestDerivatives:
         prob = build_problem(case, ScenarioSpec(5), 0)
         rng = np.random.default_rng(9)
         x = random_x(prob, rng)
-        val, grad = nlp.eval_objective(prob, x)
+        grad = prob.obj_coef
         h = 1e-6
         for i in rng.choice(x.size, 8, replace=False):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (nlp.eval_objective(prob, xp)[0] - nlp.eval_objective(prob, xm)[0]) / (2 * h)
+            fd = (prob.obj_coef @ xp - prob.obj_coef @ xm) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-8)
 
     def test_constant_hessian_property(self, case):
@@ -250,7 +242,7 @@ class TestObjectives:
         prob = build_problem(case, ScenarioSpec(5), 0)
         x = nlp.initial_point(prob)
         x[prob.layout.pg(0)] = 0.5
-        val, _ = nlp.eval_objective(prob, x)
+        val = prob.obj_coef @ x
         assert val == pytest.approx(0.5)
 
     def test_reactive_margin_counts_aux(self, case):
@@ -260,7 +252,7 @@ class TestObjectives:
         x[lay.qplus(0)] = 0.3
         x[lay.qminus(0)] = 0.3
         x[lay.qaux(0)] = 0.3
-        val, _ = nlp.eval_objective(prob, x)
+        val = prob.obj_coef @ x
         assert val == pytest.approx(0.3)
         # the aux coupling rows hold with equality at this point
         rows = prob.ineq.value(x)

@@ -64,12 +64,13 @@ class TestSolvePf:
         case = two_bus_case(load_kw=2.0)
         inj = one_generator(case, "g1", 0.02, 0.005, 0)
         state = solve_pf(case, inj, 0)
-        p, q = pc.element_power(state, case.loads[0], 1, 0)
-        assert p == pytest.approx(inj.p_load[0, 1, 0], abs=1e-10)
-        assert q == pytest.approx(inj.q_load[0, 1, 0], abs=1e-10)
-        pg, qg = pc.element_power(state, case.generators[0], 0, 0)
-        assert pg == pytest.approx(0.02, abs=1e-10)
-        assert qg == pytest.approx(0.005, abs=1e-10)
+        # the load (phase b) and the unit (phase a) both sit at bus 1
+        s_load = state.u[1, 1, 0] * np.conj(state.i_load[0, 1, 0])
+        assert s_load.real == pytest.approx(inj.p_load[0, 1, 0], abs=1e-10)
+        assert s_load.imag == pytest.approx(inj.q_load[0, 1, 0], abs=1e-10)
+        s_gen = state.u[1, 0, 0] * np.conj(state.i_gen[0, 0, 0])
+        assert s_gen.real == pytest.approx(0.02, abs=1e-10)
+        assert s_gen.imag == pytest.approx(0.005, abs=1e-10)
 
     def test_nlp_solution_reproduced(self):
         case = two_bus_case()

@@ -8,12 +8,13 @@ from hypothesis import given, strategies as st
 from lvdoe import netmodel as nm
 from lvdoe import phasecalc as pc
 from lvdoe import oracle
+from lvdoe.nlp import ScenarioSpec, build_problem
 
-from conftest import two_bus_case
+from conftest import flat_state, two_bus_case
 
 
 def make_state(case, u=None, i_branch=None, i_load=None, i_gen=None):
-    st_ = pc.flat_state(case)
+    st_ = flat_state(case)
     return pc.PhasorState(
         case=case,
         u=st_.u if u is None else u,
@@ -31,37 +32,36 @@ def case():
 
 class TestVoltageDrop:
     def test_no_current_no_drop(self, case):
-        state = pc.flat_state(case)
-        assert pc.voltage_drop_residual(state, 0, 0, 0) == (0.0, 0.0)
+        assert np.all(pc._voltage_drop_residuals(flat_state(case)) == 0.0)
 
     def test_hand_evaluated_drop(self, case):
         # 1 pu flat sending end, R = 0.01 diagonal, I_a = 1 + 0j:
         # receiving end phase a at 0.99 satisfies the law exactly.
-        state = pc.flat_state(case)
+        state = flat_state(case)
         u = state.u.copy()
         ib = state.i_branch.copy()
         ib[0, 0, 0] = 1.0 + 0.0j
         u[1, 0, 0] = 0.99 + 0.0j
         state = make_state(case, u=u, i_branch=ib)
-        re, im = pc.voltage_drop_residual(state, 0, 0, 0)
-        assert re == pytest.approx(0.0, abs=1e-15)
-        assert im == pytest.approx(0.0, abs=1e-15)
+        res = pc._voltage_drop_residuals(state)[0, 0, 0]
+        assert res.real == pytest.approx(0.0, abs=1e-15)
+        assert res.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_evaluated_mismatch(self, case):
-        state = pc.flat_state(case)
+        state = flat_state(case)
         ib = state.i_branch.copy()
         ib[0, 0, 0] = 1.0 + 0.0j
         state = make_state(case, i_branch=ib)  # receiving end left at 1.0
-        re, im = pc.voltage_drop_residual(state, 0, 0, 0)
-        assert re == pytest.approx(0.01, abs=1e-15)
-        assert im == pytest.approx(0.0, abs=1e-15)
+        res = pc._voltage_drop_residuals(state)[0, 0, 0]
+        assert res.real == pytest.approx(0.01, abs=1e-15)
+        assert res.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_linearity_in_state(self, case):
         rng = np.random.default_rng(7)
 
         def random_state():
             shape = lambda a: (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
-            base = pc.flat_state(case)
+            base = flat_state(case)
             return make_state(
                 case,
                 u=shape(base.u),
@@ -78,33 +78,28 @@ class TestVoltageDrop:
             i_load=s1.i_load + s2.i_load,
             i_gen=s1.i_gen + s2.i_gen,
         )
-        for p in range(3):
-            r1 = pc.voltage_drop_residual(s1, 0, p, 0)
-            r2 = pc.voltage_drop_residual(s2, 0, p, 0)
-            rs = pc.voltage_drop_residual(s_sum, 0, p, 0)
-            assert rs[0] == pytest.approx(r1[0] + r2[0], abs=1e-12)
-            assert rs[1] == pytest.approx(r1[1] + r2[1], abs=1e-12)
+        r1, r2, rs = (pc._voltage_drop_residuals(s)[0, :, 0] for s in (s1, s2, s_sum))
+        np.testing.assert_allclose(rs.real, r1.real + r2.real, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rs.imag, r1.imag + r2.imag, rtol=0.0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def zero_load_program():
+    """A two-bus program whose load d1 (bus h1, phase b) draws nothing, so its
+    load_p and load_q rows evaluate to the P and Q of the load's current."""
+    return build_problem(two_bus_case(load_kw=0.0), ScenarioSpec(5), 0)
+
+
+def load_row_power(prob, u: complex, i: complex) -> tuple[float, float]:
+    lay, x = prob.layout, np.zeros(prob.n_vars)
+    x[lay.u_re(1, 1)], x[lay.u_im(1, 1)] = u.real, u.imag
+    x[lay.il_re(0)], x[lay.il_im(0)] = i.real, i.imag
+    vals = prob.eq.value(x)
+    return vals[prob.eq.labels.index("load_p[d1,b]")], vals[prob.eq.labels.index("load_q[d1,b]")]
 
 
 class TestPower:
-    @pytest.mark.parametrize(
-        "u, i, expect",
-        [
-            (1 + 0j, 1 + 0j, (1.0, 0.0)),
-            (0 + 1j, 1 + 0j, (0.0, 1.0)),
-            (1 + 0j, 0 + 1j, (0.0, -1.0)),
-        ],
-    )
-    def test_branch_power(self, case, u, i, expect):
-        state = pc.flat_state(case)
-        uu = state.u.copy()
-        ib = state.i_branch.copy()
-        uu[0, 0, 0] = u  # from-bus voltage
-        ib[0, 0, 0] = i
-        state = make_state(case, u=uu, i_branch=ib)
-        p, q = pc.branch_power(state, 0, 0, 0)
-        assert p == pytest.approx(expect[0], abs=1e-15)
-        assert q == pytest.approx(expect[1], abs=1e-15)
+    """U conj(I) as the program's load rows evaluate it."""
 
     @pytest.mark.parametrize(
         "u, i, expect",
@@ -114,31 +109,17 @@ class TestPower:
             (1 + 0j, 0 + 1j, (0.0, -1.0)),
         ],
     )
-    def test_element_power(self, u, i, expect):
-        case = two_bus_case()
-        state = pc.flat_state(case)
-        uu = state.u.copy()
-        il = state.i_load.copy()
-        uu[1, 1, 0] = u  # load bus, phase b
-        il[0, 1, 0] = i
-        state = make_state(case, u=uu, i_load=il)
-        p, q = pc.element_power(state, case.loads[0], 1, 0)
+    def test_element_power(self, zero_load_program, u, i, expect):
+        p, q = load_row_power(zero_load_program, u, i)
         assert p == pytest.approx(expect[0], abs=1e-15)
         assert q == pytest.approx(expect[1], abs=1e-15)
 
     @given(
         st.tuples(*[st.floats(-10, 10) for _ in range(4)]),
     )
-    def test_apparent_power_identity(self, vals):
+    def test_apparent_power_identity(self, zero_load_program, vals):
         ur, ui, ir, ii = vals
-        case = two_bus_case()
-        state = pc.flat_state(case)
-        uu = state.u.copy()
-        ib = state.i_branch.copy()
-        uu[0, 2, 0] = complex(ur, ui)
-        ib[0, 2, 0] = complex(ir, ii)
-        state = make_state(case, u=uu, i_branch=ib)
-        p, q = pc.branch_power(state, 0, 2, 0)
+        p, q = load_row_power(zero_load_program, complex(ur, ui), complex(ir, ii))
         lhs = p * p + q * q
         rhs = (ur * ur + ui * ui) * (ir * ir + ii * ii)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -147,30 +128,29 @@ class TestPower:
 class TestKcl:
     def test_isolated_bus_zero(self):
         case = two_bus_case(load=False)
-        state = pc.flat_state(case)
-        assert pc.kcl_residual(state, 1, 0, 0) == (0.0, 0.0)
+        assert pc._kcl_residuals(flat_state(case))[1, 0, 0] == 0.0
 
     def test_balanced_load_and_branch(self):
         case = two_bus_case()
-        state = pc.flat_state(case)
+        state = flat_state(case)
         il = state.i_load.copy()
         ib = state.i_branch.copy()
         il[0, 1, 0] = 1.0 + 0.0j
         ib[0, 1, 0] = 1.0 + 0.0j  # branch feeds into the load bus
         state = make_state(case, i_load=il, i_branch=ib)
-        assert pc.kcl_residual(state, 1, 1, 0) == (0.0, 0.0)
+        assert pc._kcl_residuals(state)[1, 1, 0] == 0.0
 
     def test_half_fed_mismatch(self):
         case = two_bus_case()
-        state = pc.flat_state(case)
+        state = flat_state(case)
         il = state.i_load.copy()
         ib = state.i_branch.copy()
         il[0, 1, 0] = 1.0 + 0.0j
         ib[0, 1, 0] = 0.5 + 0.0j
         state = make_state(case, i_load=il, i_branch=ib)
-        re, im = pc.kcl_residual(state, 1, 1, 0)
-        assert re == pytest.approx(0.5, abs=1e-15)
-        assert im == pytest.approx(0.0, abs=1e-15)
+        res = pc._kcl_residuals(state)[1, 1, 0]
+        assert res.real == pytest.approx(0.5, abs=1e-15)
+        assert res.imag == pytest.approx(0.0, abs=1e-15)
 
 
 def fortescue_vuf(ua: complex, ub: complex, uc: complex) -> float:
@@ -228,20 +208,16 @@ class TestVuf:
         rotated = pc.vuf_from_phasors(ua * w, ub * w, uc * w)
         assert rotated == pytest.approx(base, rel=1e-9, abs=1e-12)
 
-    def test_state_accessor(self):
-        case = two_bus_case()
-        state = pc.flat_state(case)
-        assert pc.vuf(state, 1, 0) == 0.0
-
 
 class TestCheckLimits:
     def test_flat_state_clean(self):
-        case = two_bus_case()
-        assert pc.check_limits(pc.flat_state(case)) == []
+        # the unbalance of a balanced state is exactly 0, so even a zero limit holds
+        case = two_bus_case(vuf_max=0.0)
+        assert pc.check_limits(flat_state(case)) == []
 
     def test_voltage_high_reported_with_magnitude(self):
         case = two_bus_case()
-        state = pc.flat_state(case)
+        state = flat_state(case)
         u = state.u.copy()
         u[1, 0, 0] = 1.15 + 0.0j  # limit is 1.1 pu
         state = make_state(case, u=u)
@@ -254,7 +230,7 @@ class TestCheckLimits:
 
     def test_unchecked_kind_ignored(self):
         case = two_bus_case()
-        state = pc.flat_state(case)
+        state = flat_state(case)
         u = state.u.copy()
         u[1, 0, 0] = 1.15 + 0.0j
         state = make_state(case, u=u)
@@ -262,7 +238,7 @@ class TestCheckLimits:
 
     def test_voltage_low_and_current(self):
         case = two_bus_case(i_max=10.0)
-        state = pc.flat_state(case)
+        state = flat_state(case)
         u = state.u.copy()
         ib = state.i_branch.copy()
         u[1, 1, 0] *= 0.5
@@ -306,7 +282,7 @@ class TestCheckLimits:
     def test_matches_loop_reference(self, synth4_unbal, seed):
         case = synth4_unbal
         rng = np.random.default_rng(seed)
-        base = pc.flat_state(case, n_periods=5)
+        base = flat_state(case, n_periods=5)
         shape_u, shape_i = base.u.shape, base.i_branch.shape
         u = base.u * (1.0 + 0.08 * rng.standard_normal(shape_u)) + 0.03j * rng.standard_normal(shape_u)
         i_max = np.array([br.i_max for br in case.branches])[:, None, None]
@@ -323,7 +299,7 @@ class TestCheckLimits:
 
     def test_degenerate_bus_raises_only_when_vuf_checked(self):
         case = two_bus_case()
-        u = pc.flat_state(case).u.copy()
+        u = flat_state(case).u.copy()
         u[1] = 0.0
         state = make_state(case, u=u)
         assert {v.kind for v in pc.check_limits(state, {pc.LimitKind.VOLTAGE})} == {"voltage_low"}

@@ -14,9 +14,9 @@ from lvdoe.solver import SolverOptions, internalize, kkt_assemble, solve
 from conftest import fixture_path, two_bus_case
 
 
-def toy_form(ub: float = 2.0, eq_row: str | None = None) -> solver.InternalForm:
-    """min -x subject to x <= ub, optionally with the equality row x - 1 = 0
-    (eq_row="linear") or 0.5 x^2 - 0.5 = 0 (eq_row="quadratic")."""
+def toy_form(lb: float = -np.inf, ub: float = 2.0, eq_row: str | None = None) -> solver.InternalForm:
+    """min -x subject to lb <= x <= ub, optionally with the equality row
+    x - 1 = 0 (eq_row="linear") or 0.5 x^2 - 0.5 = 0 (eq_row="quadratic")."""
     eq = QuadBlock(1)
     if eq_row == "linear":
         eq.lin(eq.new_row("x-1", const=-1.0), 0, 1.0)
@@ -26,7 +26,7 @@ def toy_form(ub: float = 2.0, eq_row: str | None = None) -> solver.InternalForm:
     ineq = QuadBlock(1)
     ineq.seal()
     toy = SimpleNamespace(
-        n_vars=1, lb=np.array([-np.inf]), ub=np.array([ub]), eq=eq, ineq=ineq, obj_coef=np.array([1.0])
+        n_vars=1, lb=np.array([lb]), ub=np.array([ub]), eq=eq, ineq=ineq, obj_coef=np.array([1.0])
     )
     return internalize(toy)
 
@@ -35,7 +35,7 @@ def perturbed_point(prob, form, seed):
     rng = np.random.default_rng(seed)
     x = nlp.initial_point(prob)
     x[form.free] += 0.05 * rng.standard_normal(form.free.size)
-    mi = form.ineq.n_rows
+    mi = form.ineq.n_rows + form.bnd_var.size
     return solver._evaluate(
         form,
         x,
@@ -45,17 +45,31 @@ def perturbed_point(prob, form, seed):
     )
 
 
-def full_augmented_system(prob, form, pt, mu, delta_w, y_fix, delta_c=0.0):
+def bound_rows(prob):
+    """(Jacobian, constants) of the rows sign * x_i + const <= 0: each free
+    variable's finite upper bound, then its finite lower bound."""
+    rows, const = [], []
+    for i in np.flatnonzero(prob.lb != prob.ub):
+        for sign, bound in ((1.0, prob.ub[i]), (-1.0, prob.lb[i])):
+            if np.isfinite(bound):
+                rows.append(sign * np.eye(prob.n_vars)[i])
+                const.append(-sign * bound)
+    return np.reshape(rows, (len(const), prob.n_vars)), np.array(const)
+
+
+def full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c=0.0):
     """The uncondensed reference: every variable kept, fixed variables as
-    equality rows, equality rows with a -delta_c diagonal, inequality rows
-    kept with their -s/z diagonal.  Unknowns (dx, dy, dy_fix, dz)."""
-    n, me, mi = prob.n_vars, prob.eq.n_rows, form.ineq.n_rows
+    equality rows, equality rows with a -delta_c diagonal, user inequality
+    rows and bound rows kept with their -s/z diagonal.  Unknowns (dx, dy,
+    dy_fix, dz)."""
+    jb, cb = bound_rows(prob)
+    n, me, mi = prob.n_vars, prob.eq.n_rows, prob.ineq.n_rows + cb.size
     fixed = np.flatnonzero(prob.lb == prob.ub)
     x, y, z, s = pt.x, pt.y, pt.z, pt.s
     w = delta_w * np.eye(n)
-    for block, lam in ((form.eq, y), (form.ineq, z)):
+    for block, lam in ((prob.eq, y), (prob.ineq, z)):
         np.add.at(w, (block.qi, block.qj), lam[block.qk] * block.qv)
-    jg, jh = form.eq.jacobian(x), form.ineq.jacobian(x)
+    jg, jh = prob.eq.jacobian(x), np.vstack([prob.ineq.jacobian(x), jb])
     jf = np.eye(n)[fixed]
     cons = np.vstack([jg, jf, jh])
     dim = n + me + fixed.size + mi
@@ -65,8 +79,9 @@ def full_augmented_system(prob, form, pt, mu, delta_w, y_fix, delta_c=0.0):
     k[:n, n:] = cons.T
     k[n : n + me, n : n + me] = -delta_c * np.eye(me)
     k[n + me + fixed.size :, n + me + fixed.size :] = -np.diag(s / z)
-    grad = form.c + jg.T @ y + jf.T @ y_fix + jh.T @ z
-    rhs = np.concatenate([-grad, -form.eq.value(x), -(x[fixed] - prob.lb[fixed]), -(form.ineq.value(x) + mu / z)])
+    grad = -prob.obj_coef + jg.T @ y + jf.T @ y_fix + jh.T @ z
+    h = np.concatenate([prob.ineq.value(x), jb @ x + cb])
+    rhs = np.concatenate([-grad, -prob.eq.value(x), -(x[fixed] - prob.lb[fixed]), -(h + mu / z)])
     return k, rhs
 
 
@@ -82,21 +97,37 @@ def no_pairs(problem):
 
 class TestKktAssemble:
     def test_one_by_one_matches_hand_algebra(self):
-        form = toy_form(ub=2.0)
-        x, s, z, mu = np.array([0.5]), np.array([1.5]), np.array([0.1]), 0.3
-        kkt, (rhs, _, _), regularize = kkt_assemble(form, solver._evaluate(form, x, y=np.zeros(0), z=z, s=s), mu)
-        # [z/s]: the bound row x - ub <= 0 condensed into the Hessian
-        np.testing.assert_allclose(kkt, [[0.1 / 1.5]], rtol=1e-15)
-        # rhs: -(c + Jh' z + Jh' (z/s)(h + mu/z)) with h = x - ub = -1.5
-        np.testing.assert_allclose(rhs, [-(-1.0 + 0.1 + (0.1 / 1.5) * (-1.5 + 3.0))], rtol=1e-15)
-        # with the regularization dw = 0.01 that solve adds on a retry
-        rhs, expand, _ = regularize(0.01, 0.0)
-        np.testing.assert_allclose(kkt, [[0.01 + 0.1 / 1.5]], rtol=1e-15)
-        dx, dy, dz, ds = expand(np.linalg.solve(kkt, rhs))
-        np.testing.assert_allclose(dx, rhs / (0.01 + 0.1 / 1.5), rtol=1e-15)
-        np.testing.assert_allclose(dz, (0.1 / 1.5) * (dx + (-1.5 + 3.0)), rtol=1e-15)
-        np.testing.assert_allclose(ds, 3.0 - 1.5 - 15.0 * dz, rtol=1e-15)
-        assert dy.size == 0
+        # Bound rows x - ub <= 0 (sign +1), then lb - x <= 0 (sign -1); at x = 0.5
+        # each is -1.5.  An upper bound, a lower bound, and both.
+        for lb, ub, sign in ((-np.inf, 2.0, [1.0]), (-1.0, np.inf, [-1.0]), (-1.0, 2.0, [1.0, -1.0])):
+            form = toy_form(lb=lb, ub=ub)
+            m = len(sign)
+            sign, h = np.array(sign), np.full(m, -1.5)
+            x, s, z, mu = np.array([0.5]), np.array([1.5, 1.2])[:m], np.array([0.1, 0.4])[:m], 0.3
+            pt = solver._evaluate(form, x, y=np.zeros(0), z=z, s=s)
+            np.testing.assert_array_equal(pt.h, h)
+            kkt, (rhs, _, _), regularize = kkt_assemble(form, pt, mu)
+            # [sum z/s]: the bound rows condensed into the Hessian
+            sigma = z / s
+            np.testing.assert_allclose(kkt, [[sigma.sum()]], rtol=1e-15)
+            # rhs: -(c + Jh' z + Jh' (z/s)(h + mu/z)) with c = -1
+            np.testing.assert_allclose(rhs, [-(-1.0 + sign @ z + sign @ (sigma * (h + mu / z)))], rtol=1e-15)
+            # with the regularization dw = 0.01 that solve adds on a retry
+            rhs, expand, _ = regularize(0.01, 0.0)
+            np.testing.assert_allclose(kkt, [[0.01 + sigma.sum()]], rtol=1e-15)
+            dx, dy, dz, ds = expand(np.linalg.solve(kkt, rhs))
+            np.testing.assert_allclose(dx, rhs / (0.01 + sigma.sum()), rtol=1e-15)
+            np.testing.assert_allclose(dz, sigma * (sign * dx + h + mu / z), rtol=1e-15)
+            np.testing.assert_allclose(ds, mu / z - s - (s / z) * dz, rtol=1e-15)
+            assert dy.size == 0
+
+    def test_user_rows_kept_as_given(self, synth4_unbal):
+        prob = build_problem(synth4_unbal, ScenarioSpec(5), 12)
+        form = internalize(prob)
+        assert form.ineq is prob.ineq
+        jb, cb = bound_rows(prob)
+        np.testing.assert_array_equal(form.bnd_sign, jb[np.arange(cb.size), form.bnd_var])
+        np.testing.assert_array_equal(form.bnd_const, cb)
 
     def test_symmetry_on_real_problem(self):
         case = two_bus_case()
@@ -126,7 +157,7 @@ class TestKktAssemble:
         kkt, (rhs, expand, _), _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
         dx, dy, dz, ds = expand(np.linalg.solve(kkt, rhs))
 
-        k_full, rhs_full = full_augmented_system(prob, form, pt, mu, delta_w, y_fix, delta_c)
+        k_full, rhs_full = full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c)
         ref = np.linalg.solve(k_full, rhs_full)
         n, me = prob.n_vars, prob.eq.n_rows
         dx_ref, dy_ref, dz_ref = ref[:n], ref[n : n + me], ref[n + me + y_fix.size :]
@@ -148,7 +179,7 @@ class TestKktAssemble:
         for delta_w in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 100.0):
             _, _, pivot_scale = regularize(delta_w, delta_c)
             _, (pos, _, zero) = solver._ldlt(kkt, pivot_scale)
-            k_full, _ = full_augmented_system(prob, form, pt, 0.1, delta_w, y_fix, delta_c)
+            k_full, _ = full_augmented_system(prob, pt, 0.1, delta_w, y_fix, delta_c)
             full_pos = int(np.count_nonzero(np.linalg.eigvalsh(k_full) > 0.0))
             condensed_ok = pos == form.keep.size and zero == 0
             assert condensed_ok == (full_pos == prob.n_vars)
@@ -477,3 +508,9 @@ class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(tol_kkt=-1e-8)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # a nan tolerance would never stop the iteration before max_iter
+        with pytest.raises(ValueError, match="finite"):
+            SolverOptions(tol_kkt=tol)
