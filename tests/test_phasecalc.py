@@ -109,6 +109,29 @@ class TestPower:
             (1 + 0j, 0 + 1j, (0.0, -1.0)),
         ],
     )
+    def test_branch_power(self, case, u, i, expect):
+        # The slack bus feeds only this branch, so the surplus of its nodal
+        # balance is the branch current and U conj(I) there is the power the
+        # branch carries, measured at its from-bus.
+        src = case.bus_pos[case.branches[0].from_bus]
+        state = flat_state(case)
+        uu = state.u.copy()
+        ib = state.i_branch.copy()
+        uu[src, 0, 0] = u
+        ib[0, 0, 0] = i
+        state = make_state(case, u=uu, i_branch=ib)
+        s = state.u[src, 0, 0] * np.conj(pc._kcl_residuals(state)[src, 0, 0])
+        assert s.real == pytest.approx(expect[0], abs=1e-15)
+        assert s.imag == pytest.approx(expect[1], abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "u, i, expect",
+        [
+            (1 + 0j, 1 + 0j, (1.0, 0.0)),
+            (0 + 1j, 1 + 0j, (0.0, 1.0)),
+            (1 + 0j, 0 + 1j, (0.0, -1.0)),
+        ],
+    )
     def test_element_power(self, zero_load_program, u, i, expect):
         p, q = load_row_power(zero_load_program, u, i)
         assert p == pytest.approx(expect[0], abs=1e-15)
@@ -207,6 +230,10 @@ class TestVuf:
         w = cmath.rect(mag, ang)
         rotated = pc.vuf_from_phasors(ua * w, ub * w, uc * w)
         assert rotated == pytest.approx(base, rel=1e-9, abs=1e-12)
+
+    def test_state_accessor(self):
+        state = flat_state(two_bus_case())
+        assert pc.vuf_from_phasors(*state.u[1, :, 0]) == 0.0
 
 
 class TestCheckLimits:
