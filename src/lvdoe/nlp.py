@@ -255,7 +255,13 @@ class VarLayout:
 
 @dataclass(frozen=True)
 class NlpProblem:
-    """One period's program: maximize obj_coef . x subject to eq = 0, ineq <= 0, lb <= x <= ub."""
+    """One period's program: maximize obj_coef . x subject to eq = 0, ineq <= 0, lb <= x <= ub.
+
+    lin_rows are the voltage-drop and KCL rows of eq: linear, with the same
+    coefficients in every period, and as many as the free lin_vars (every u
+    and i_branch column but the slack voltages), which they determine from
+    the element currents.
+    """
 
     case: NetworkCase
     period: int
@@ -266,10 +272,16 @@ class NlpProblem:
     lb: np.ndarray
     ub: np.ndarray
     obj_coef: np.ndarray
+    lin_rows: np.ndarray
 
     @property
     def n_vars(self) -> int:
         return self.layout.n_vars
+
+    @property
+    def lin_vars(self) -> np.ndarray:
+        """The u and i_branch columns."""
+        return np.arange(self.layout.off_il_re)
 
 
 def build_problem(case: NetworkCase, spec: ScenarioSpec, period: int, **kwargs) -> NlpProblem:
@@ -317,7 +329,7 @@ def build_custom(
         with_reactive_split=(objective is Objective.REACTIVE_MARGIN),
     )
 
-    eq = _equality_block(case, layout, period)
+    eq, lin_rows = _equality_block(case, layout, period)
     ineq = _inequality_block(case, layout, constraints)
     lb, ub = _bounds(
         case,
@@ -345,10 +357,12 @@ def build_custom(
         lb=lb,
         ub=ub,
         obj_coef=obj,
+        lin_rows=lin_rows,
     )
 
 
-def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> QuadBlock:
+def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> tuple[QuadBlock, np.ndarray]:
+    """The equality rows, and the indices of the voltage-drop and KCL rows among them."""
     eq = QuadBlock(layout.n_vars)
 
     # Branch voltage-drop laws, real and imaginary rows per phase.
@@ -373,6 +387,8 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> QuadBl
                     eq.lin(k, layout.ib_im(l, q), br.r[p, q])
                 if br.x[p, q] != 0.0:
                     eq.lin(k, layout.ib_re(l, q), br.x[p, q])
+
+    n_vdrop = eq.n_rows
 
     # Power definition of each fixed load phase: U x conj(I) = P + jQ.
     for e, (d, p) in enumerate(layout.load_entries):
@@ -412,6 +428,7 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> QuadBl
     for l, n in zip(*np.nonzero(tree.A)):
         for p in range(3):
             terms[n, p].append((layout.ib_re(l, p), layout.ib_im(l, p), -tree.A[l, n]))
+    kcl_start = eq.n_rows
     for n, bus in enumerate(case.buses):
         if n == case.slack:
             continue
@@ -420,6 +437,7 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> QuadBl
                 k = eq.new_row(f"kcl_{name}[{bus.id},{PHASES[p]}]")
                 for term in terms[n, p]:
                     eq.lin(k, term[part], term[2])
+    lin_rows = np.concatenate([np.arange(n_vdrop), np.arange(kcl_start, eq.n_rows)])
 
     # Reactive import/export split for the margin objective.
     if layout.with_reactive_split:
@@ -431,7 +449,7 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> QuadBl
             eq.lin(k, layout.qminus(e), 1.0)
 
     eq.seal()
-    return eq
+    return eq, lin_rows
 
 
 def _inequality_block(case: NetworkCase, layout: VarLayout, constraints: frozenset[LimitKind]) -> QuadBlock:

@@ -23,13 +23,32 @@ system only through row r's entries j_r.  Exact block elimination of the
 pair's 2x2 block [[h, c], [c, -dc]], h = its bounds' z/s + dw, adds
 h / (c^2 + h*dc) * j_r' j_r to the kept columns and shifts the right-hand
 side; the step of the pair is recovered from the reduced solution.  The
-block's determinant is negative, so each pair holds inertia (1, 1) and the
-reduced matrix needs one positive eigenvalue per kept variable, with no
-zero pivot.  A pivot that is exactly zero in the unreduced matrix keeps
-roundoff of a few eps times the weight on its row, so the zero test scales
-with that weight.  The weight depends on dw and dc, so a regularization
-retry rewrites it with the diagonal.  On feeder_hr this removes 86 pairs,
-558 -> 386 factored rows.
+block's determinant is negative, so each pair holds inertia (1, 1).  On
+feeder_hr this removes 86 pairs, 558 -> 386 rows.
+
+The network's linear rows leave it next, in the reduced-space manner of
+Pacaud et al. 2022 (arXiv:2203.11875).  The voltage-drop and KCL rows L
+are linear with constant coefficients, and on the free voltages and branch
+currents D they form a square nonsingular block A_d, the same in every
+period.  So internalize builds T = -A_d^-1 Jg[L, C] once, C being the
+element currents that L couples to D; the steps that solve L are dx = x_p
++ Z dr with Z = [T; I], and the factored matrix is [[Z'HZ, Z'Jq'], [Jq Z,
+-dc*I]] over the reduced variables and the remaining rows Jq (the loads'
+power rows, and the generators' ones that no pair took).  L takes no dc,
+and it holds inertia (|L|, |L|, 0), so the factored matrix needs one
+positive eigenvalue per reduced variable and no zero pivot.  On feeder_hr
+this leaves 146 of the 386 rows.
+
+The projection spreads the barrier terms of D (1e12 and more on an active
+voltage limit) over the reduced rows, and the reduced matrix keeps about
+eps times them as roundoff.  Two things follow.  The zero-pivot test
+scales with the weight that the eliminations summed into each row's
+diagonal, the projected Hessian and the pair terms: a pivot that is exactly
+zero in the unreduced matrix keeps a few eps times that weight, and a
+smaller pivot cannot be told from zero there.  The weight of the pairs
+depends on dw and dc, so a regularization retry rewrites it with the
+matrix.  And the step takes one round of iterative refinement against the
+kept system, whose residual holds the barrier terms apart.
 
 Each point is evaluated once: an Iterate holds (x, y, z, s) with the rows and
 Jacobians at x, and the stopping test, the KKT system, the divergence guard
@@ -65,8 +84,8 @@ REGULARIZATION_MIN = 1e-10
 # Consecutive iterations with zero pivots at dw = dc = 0 after which the
 # remaining iterations of a solve skip that attempt.
 DEGENERATE_ITERATIONS = 3
-# A 1x1 pivot on a row that carries pair weight w counts as zero below this
-# times w (see _ldlt).
+# A 1x1 pivot on a row whose diagonal the eliminations gave weight w counts
+# as zero below this times w (see _ldlt).
 PIVOT_ROUNDOFF = 100.0 * np.finfo(float).eps
 
 
@@ -114,30 +133,23 @@ class Solution:
 
 @dataclass(frozen=True)
 class Pairs:
-    """Private pairs (v, r) that the KKT system eliminates, and the fixed
-    positions of their terms (see kkt_assemble)."""
+    """Private pairs (v, r) that the KKT system eliminates (see kkt_assemble)."""
 
-    var: np.ndarray         # eliminated variable v ...
-    row: np.ndarray         # ... the one equality row r it enters ...
-    coef: np.ndarray        # ... and its constant coefficient c = Jg[r, v] there
-    ent: np.ndarray         # flat Jg positions of the eliminated rows' entries on kept variables,
-    ent_pair: np.ndarray    # the pair of each entry
-    ent_kept: np.ndarray    # and the KKT column of its variable
-    term_a: np.ndarray      # entry pairs (indices into ent) within one row: the terms
-    term_b: np.ndarray      # of the rank-one updates j_r' j_r,
-    term_pair: np.ndarray   # the pair of each term
-    term_slot: np.ndarray   # and its index in touched
-    touched: np.ndarray     # flat KKT positions a regularization rewrites: the diagonal, then
-                            # the off-diagonal term slots
+    var: np.ndarray   # eliminated variable v ...
+    row: np.ndarray   # ... the one equality row r it enters ...
+    coef: np.ndarray  # ... and its constant coefficient c = Jg[r, v] there
 
 
 @dataclass(frozen=True)
 class InternalForm:
     """Minimization form over the free variables, with their finite bounds.
 
-    The positions that the Hessian terms take in the dense KKT matrix depend
+    The positions that the Hessian terms take in the dense kept block depend
     only on the row structure and the free set, so they are built once here,
-    as are those of the private pairs that the KKT system eliminates.
+    as are the private pairs and the basis of the linear rows that the KKT
+    system eliminates.  The kept variables come in three runs: the free
+    lin_vars D, then the variables that the linear rows couple to them (C),
+    then the rest.
     """
 
     n_vars: int
@@ -148,9 +160,15 @@ class InternalForm:
     bnd_sign: np.ndarray   # the user rows in h, z and s: each free variable's finite upper
     bnd_const: np.ndarray  # bound (+1, -ub), then its finite lower bound (-1, lb)
     free: np.ndarray       # variables with lb != ub; the step moves only these
-    keep: np.ndarray       # free variables left in the KKT system
-    eq_keep: np.ndarray    # equality rows left in it
-    w_index: np.ndarray    # KKT position of each eq, ineq, condensed Hessian and bound term
+    keep: np.ndarray       # free variables that are not in a pair: D, then C, then the rest
+    lin_rows: np.ndarray   # the linear rows L, as many as D
+    lin_inv: np.ndarray    # inverse of A_d = Jg[L, D]
+    basis: np.ndarray      # T = -A_d^-1 Jg[L, C]; the steps that keep L are (T dr_C, dr)
+    basis_gram: np.ndarray  # T' T
+    lin_jac: np.ndarray    # Jg[L, keep]
+    eq_keep: np.ndarray    # equality rows left in the reduced system: neither in L nor in a pair
+    row_take: np.ndarray   # flat Jg positions of the rows eq_keep, then the pair rows, on keep
+    w_index: np.ndarray    # position in the kept block of each eq, ineq, condensed Hessian and bound term
     pair_a: np.ndarray     # flat Jh positions (row * n_vars + col) of entry pairs
     pair_b: np.ndarray     # that share a row; their products condense Jh' diag(z/s) Jh
     pairs: Pairs
@@ -175,8 +193,11 @@ def private_pairs(problem: NlpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def internalize(problem: NlpProblem) -> InternalForm:
+    """The solver's form of problem.  Raises ValueError unless the rows
+    problem.lin_rows are linear and their block A_d on the free lin_vars is
+    square and well conditioned."""
     n, me = problem.n_vars, problem.eq.n_rows
-    lb, ub = problem.lb, problem.ub
+    lb, ub, eq = problem.lb, problem.ub, problem.eq
 
     free = np.flatnonzero(lb != ub)
     # Each free variable's upper bound x - ub <= 0, then its lower bound lb - x <= 0.
@@ -188,63 +209,77 @@ def internalize(problem: NlpProblem) -> InternalForm:
     in_kkt = np.zeros(n, dtype=bool)
     in_kkt[free] = True
     in_kkt[var] = False
-    keep = np.flatnonzero(in_kkt)
+
+    # The linear rows over every variable, from their linear triplets.  A
+    # pair may own one (a voltage that enters only its voltage-drop row), and
+    # then its row leaves with it, as its variable leaves D.
+    lin_rows = np.asarray(problem.lin_rows, dtype=np.intp)
+    lin_rows = lin_rows[~np.isin(lin_rows, row)]
+    lin_of_row = np.full(me, -1)
+    lin_of_row[lin_rows] = np.arange(lin_rows.size)
+    sel = lin_of_row[eq.lk] >= 0
+    a_lin = np.bincount(lin_of_row[eq.lk[sel]] * n + eq.li[sel], weights=eq.lv[sel], minlength=lin_rows.size * n)
+    a_lin = a_lin.reshape(lin_rows.size, n).astype(float, copy=False)
+    is_d = np.zeros(n, dtype=bool)
+    is_d[problem.lin_vars] = True
+    d = np.flatnonzero(in_kkt & is_d)
+    rest = np.flatnonzero(in_kkt & ~is_d)
+    coupled = np.any(a_lin[:, rest] != 0.0, axis=0)
+    keep = np.concatenate([d, rest[coupled], rest[~coupled]])
+    a_d = a_lin[:, d]
+    try:
+        lin_inv = np.linalg.inv(a_d) if a_d.shape[0] == a_d.shape[1] else None
+    except np.linalg.LinAlgError:
+        lin_inv = None
+    # 16 on feeder_hr and 24 on feeder_au; a basis that lost half its digits is useless.
+    if lin_inv is None or np.linalg.norm(a_d, 1) * np.linalg.norm(lin_inv, 1) > 1e8 or np.any(lin_of_row[eq.qk] >= 0):
+        raise ValueError(
+            f"the {lin_rows.size} linear rows do not determine the {d.size} free voltages and branch currents"
+        )
+    basis = -lin_inv @ a_lin[:, rest[coupled]]
+
     row_in_kkt = np.ones(me, dtype=bool)
     row_in_kkt[row] = False
+    row_in_kkt[lin_rows] = False
     eq_keep = np.flatnonzero(row_in_kkt)
-    dim = keep.size + eq_keep.size
+    nk = keep.size
     pos = np.full(n, -1)
-    pos[keep] = np.arange(keep.size)
-    row_pair = np.full(me, -1)
-    row_pair[row] = np.arange(row.size)
+    pos[keep] = np.arange(nk)
 
     def w_pos(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Flat (Fortran) KKT position of W[i, j]; a sink past the end unless i and j are kept."""
-        return np.where((pos[i] >= 0) & (pos[j] >= 0), pos[i] + pos[j] * dim, dim * dim)
+        """Flat position of H[i, j] in the kept block; a sink past the end unless i and j are kept."""
+        return np.where((pos[i] >= 0) & (pos[j] >= 0), pos[i] * nk + pos[j], nk * nk)
 
     nz = np.unique(problem.ineq.jac_index)
     nz = nz[pos[nz % n] >= 0]
     a, b = np.nonzero((nz // n)[:, None] == (nz // n)[None, :])
     pair_a, pair_b = nz[a], nz[b]
-
-    ent = np.unique(problem.eq.jac_index)
-    ent = ent[(row_pair[ent // n] >= 0) & (pos[ent % n] >= 0)]
-    term_a, term_b = np.nonzero((ent // n)[:, None] == (ent // n)[None, :])
-    slots = w_pos(ent[term_a] % n, ent[term_b] % n)
-    on_diag = slots % (dim + 1) == 0
-    off = np.unique(slots[~on_diag])
     return InternalForm(
         n_vars=n,
         c=-problem.obj_coef,  # maximize -> minimize
-        eq=problem.eq,
+        eq=eq,
         ineq=problem.ineq,
         bnd_var=bnd_var,
         bnd_sign=np.tile([1.0, -1.0], free.size)[finite],
         bnd_const=bnd_const[finite],
         free=free,
         keep=keep,
+        lin_rows=lin_rows,
+        lin_inv=lin_inv,
+        basis=basis,
+        basis_gram=basis.T @ basis,
+        lin_jac=a_lin[:, keep],
         eq_keep=eq_keep,
+        row_take=(np.concatenate([eq_keep, row])[:, None] * n + keep).ravel(),
         w_index=np.concatenate([
-            w_pos(problem.eq.qi, problem.eq.qj),
+            w_pos(eq.qi, eq.qj),
             w_pos(problem.ineq.qi, problem.ineq.qj),
             w_pos(pair_a % n, pair_b % n),
             w_pos(bnd_var, bnd_var),
         ]),
         pair_a=pair_a,
         pair_b=pair_b,
-        pairs=Pairs(
-            var=var,
-            row=row,
-            coef=coef,
-            ent=ent,
-            ent_pair=row_pair[ent // n],
-            ent_kept=pos[ent % n],
-            term_a=term_a,
-            term_b=term_b,
-            term_pair=row_pair[ent[term_a] // n],
-            term_slot=np.where(on_diag, slots // (dim + 1), dim + np.searchsorted(off, slots)),
-            touched=np.concatenate([np.arange(dim) * (dim + 1), off]),
-        ),
+        pairs=Pairs(var=var, row=row, coef=coef),
     )
 
 
@@ -288,30 +323,37 @@ def kkt_assemble(
     form: InternalForm, pt: Iterate, mu: float, delta_w: float = 0.0, delta_c: float = 0.0
 ) -> tuple[np.ndarray, tuple, Callable]:
     """Dense reduced KKT matrix (Fortran order) at regularization (dw, dc),
-    its system and its regularize function.
+    its system and its regularize function (see the module docstring).
 
-    The condensed system [W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I] acts on
-    (dx[free], dy).  A bound row's single +-1 entry condenses to its z/s on
-    its variable's diagonal.  Each private pair (v, r) of the form enters the
-    system only through the block [[h, c], [c, -dc]], h = the z/s of v's
-    bound rows + dw and c = Jg[r, v], and through row r's entries j_r on the
-    kept variables.  Block elimination of that pair adds h / (c^2 + h*dc) *
-    j_r' j_r to the kept columns and shifts the right-hand side; the pair's
-    determinant -(c^2 + h*dc) is negative, so it holds inertia (1, 1) and the
-    reduced matrix must have one positive eigenvalue per kept variable.
+    The kept block H is W + Jh' diag(z/s) Jh on the kept variables, a bound
+    row condensing to its z/s on its variable's diagonal; constraint
+    Hessians are constant, so H is a weighted sum over fixed positions.
+    Each private pair (v, r) adds w j_r' j_r to H, w = h / (c^2 + h*dc)
+    with h = the z/s of v's bound rows + dw and c = Jg[r, v], and shifts the
+    right-hand side.  With the linear rows L solved by x_p = A_d^-1 r_L on D,
+    the reduced matrix [[Z'HZ, Z'Jq'], [Jq Z, -dc*I]] acts on (dr, dy_q), and
+    the multipliers of L follow from A_d' dy_L = (r_x - H dx - Jq' dy_q)[D].
+    T is nonzero only on C, so Z'HZ = H_RR + X + X' with X = T'(H_DR +
+    H_DD T / 2) on the rows of C, formed once per iteration; a retry adds
+    dw*(I + T'T), T'T being constant, and the pair terms w v' v with v =
+    j_r Z.
 
-    The system is (rhs, expand, pivot_scale): expand(step) maps a solution
-    of the reduced system to (dx, dy, dz, ds), and pivot_scale holds the
-    elimination weight on each row's diagonal, which scales _ldlt's
-    zero-pivot test.  regularize(dw, dc) rewrites the diagonal and the
-    elimination terms of the matrix in place and returns the new system.
-    Constraint Hessians are constant, so W is a weighted sum over a fixed
-    set of positions.
+    The system is (step, pivot_scale): step(solve_fn), given the solve of a
+    factorization of the matrix, returns (dx, dy, dz, ds) after one round of
+    iterative refinement on the kept system, and pivot_scale is the weight
+    that the projection (on the rows of C) and the pairs put on each row's
+    diagonal, which scales _ldlt's zero-pivot test.  regularize(dw, dc)
+    rewrites the matrix in place from the same unregularized projection, so
+    the matrix depends on the iterate and (dw, dc) alone, and returns the
+    new system.
     """
     if mu <= 0.0:
         raise ValueError("barrier parameter mu must be positive")
-    n, nk, mi = form.n_vars, form.keep.size, form.ineq.n_rows
-    dim = nk + form.eq_keep.size
+    n, mi, keep, t = form.n_vars, form.ineq.n_rows, form.keep, form.basis
+    nd, nc = t.shape
+    nk = keep.size
+    nr = nk - nd
+    dim = nr + form.eq_keep.size
     y, z, s, h, jg, jh = pt.y, pt.z, pt.s, pt.h, pt.jg, pt.jh
     sigma = z / s
 
@@ -322,50 +364,94 @@ def kkt_assemble(
         sigma[mi:],
     ])
     # (bincount returns integers when there are no terms at all)
-    flat = np.bincount(form.w_index, weights=weights, minlength=dim * dim + 1)[:-1].astype(float, copy=False)
-    # Fortran order hands LAPACK a plain copy instead of a transposed one.
-    kkt = flat.reshape(dim, dim, order="F")
-    kkt[nk:, :nk] = jg[form.eq_keep][:, form.keep]
-    kkt[:nk, nk:] = kkt[nk:, :nk].T
+    hess = np.bincount(form.w_index, weights=weights, minlength=nk * nk + 1)[:-1].astype(float, copy=False)
+    hess = hess.reshape(nk, nk)
+
+    # The remaining rows, then the pair rows, on the kept variables, and their products with Z.
     pp = form.pairs
-    base = flat[pp.touched]
+    nq = form.eq_keep.size
+    rows = jg.take(form.row_take).reshape(nq + pp.row.size, nk)
+    rows_z = rows[:, nd:].astype(float)
+    rows_z[:, :nc] += rows[:, :nd] @ t
+    jq, jp, v = rows[:nq], rows[nq:], rows_z[nq:]
+    x = hess[:nd, nd:].copy()
+    x[:, :nc] += 0.5 * (hess[:nd, :nd] @ t)
+    x = t.T @ x
+    base = hess[nd:, nd:].copy()
+    base[:nc] += x
+    base[:, :nc] += x.T
+    projected = np.zeros(dim)
+    projected[:nc] = 2.0 * np.abs(x.diagonal())
+    # Fortran order hands LAPACK a plain copy instead of a transposed one.
+    kkt = np.zeros((dim, dim), order="F")
+    kkt[nr:, :nr] = rows_z[:nq]
+    kkt[:nr, nr:] = rows_z[:nq].T
+    diag = np.arange(dim)
+    diag_r, diag_q = diag[:nr], diag[nr:]
+
     grad = form.c + jg.T @ y + _jh_t(form, jh, z + sigma * (h + mu / z))
     r_x, r_y = -grad, -pt.g
-    rhs_kept = np.concatenate([r_x[form.keep], r_y[form.eq_keep]])
-
+    r_k, b_l, b_q = r_x[keep], r_y[form.lin_rows], r_y[form.eq_keep]
     # Per pair: the bound curvature of v, and the right-hand sides of v and r.
     h_v = np.bincount(form.bnd_var, weights=sigma[mi:], minlength=n)[pp.var]
     c = pp.coef
     r_v, r_r = r_x[pp.var], r_y[pp.row]
-    j_ent = jg.take(pp.ent)
-    outer = j_ent[pp.term_a] * j_ent[pp.term_b]
 
-    def regularize(delta_w: float, delta_c: float) -> tuple[np.ndarray, Callable, np.ndarray]:
+    def regularize(delta_w: float, delta_c: float) -> tuple[Callable, np.ndarray]:
         hv = h_v + delta_w
         det = c * c + hv * delta_c  # minus the determinant of each pair's block
-        terms = np.bincount(pp.term_slot, weights=(hv / det)[pp.term_pair] * outer, minlength=pp.touched.size)
-        vals = base + terms
-        vals[:nk] += delta_w
-        vals[nk:dim] -= delta_c
-        flat[pp.touched] = vals
-        shift = j_ent * ((c * r_v - hv * r_r) / det)[pp.ent_pair]
-        rhs = rhs_kept - np.bincount(pp.ent_kept, weights=shift, minlength=dim)
+        w = hv / det
+        pair_terms = (v.T * w) @ v
+        block = kkt[:nr, :nr]
+        np.add(base, pair_terms, out=block)
+        block[:nc, :nc] += delta_w * form.basis_gram
+        kkt[diag_r, diag_r] += delta_w
+        kkt[diag_q, diag_q] = -delta_c
+        pivot_scale = projected.copy()
+        pivot_scale[:nr] += pair_terms.diagonal()
 
-        def expand(step: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-            """dx is zero on fixed variables; each pair's 2x2 block gives dv and
-            dy_r, the condensed inequality rows dz = (z/s)(Jh dx + h + mu/z),
-            and the complementarity rows ds."""
-            t = r_r - np.bincount(pp.ent_pair, weights=j_ent * step[pp.ent_kept], minlength=pp.var.size)
+        def h_times(dx_k: np.ndarray) -> np.ndarray:
+            """(H + dw*I + pair terms) dx_k on the kept variables."""
+            return hess @ dx_k + delta_w * dx_k + jp.T @ (w * (jp @ dx_k))
+
+        def kept_solve(solve_fn: Callable, b_x: np.ndarray, b_l: np.ndarray, b_q: np.ndarray) -> tuple:
+            """(dx_k, dy_l, dy_q) solving the kept system for the right-hand
+            side (b_x, b_l, b_q) through the reduced one, and b_x - H dx_k -
+            Jq' dy_q, whose rows D give dy_l."""
+            dx_k = np.zeros(nk)
+            dx_k[:nd] = form.lin_inv @ b_l
+            b = b_x - h_times(dx_k)
+            b[nd : nd + nc] += t.T @ b[:nd]
+            sol = solve_fn(np.concatenate([b[nd:], b_q - jq @ dx_k]))
+            dx_k[:nd] += t @ sol[:nc]
+            dx_k[nd:] = sol[:nr]
+            dy_q = sol[nr:]
+            u = b_x - h_times(dx_k) - jq.T @ dy_q
+            return dx_k, form.lin_inv.T @ u[:nd], dy_q, u
+
+        def step(solve_fn: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+            """dx is zero on fixed variables; each pair's 2x2 block gives dv
+            and dy_r, the condensed inequality rows dz = (z/s)(Jh dx + h +
+            mu/z), and the complementarity rows ds."""
+            b_x = r_k - jp.T @ ((c * r_v - hv * r_r) / det)
+            dx_k, dy_l, dy_q, u = kept_solve(solve_fn, b_x, b_l, b_q)
+            # One round of iterative refinement on the kept system.
+            fix = kept_solve(
+                solve_fn, u - form.lin_jac.T @ dy_l, b_l - form.lin_jac @ dx_k, b_q - jq @ dx_k + delta_c * dy_q
+            )
+            dx_k, dy_q = dx_k + fix[0], dy_q + fix[2]
             dx = np.zeros(n)
-            dx[form.keep] = step[:nk]
-            dx[pp.var] = (delta_c * r_v + c * t) / det
+            dx[keep] = dx_k
             dy = np.empty(r_y.size)
-            dy[form.eq_keep] = step[nk:]
-            dy[pp.row] = (c * r_v - hv * t) / det
+            dy[form.lin_rows] = dy_l + fix[1]
+            dy[form.eq_keep] = dy_q
+            tr = r_r - jp @ dx_k
+            dx[pp.var] = (delta_c * r_v + c * tr) / det
+            dy[pp.row] = (c * r_v - hv * tr) / det
             dz = sigma * (np.concatenate([jh @ dx, form.bnd_sign * dx[form.bnd_var]]) + h + mu / z)
             return dx, dy, dz, mu / z - s - (s / z) * dz
 
-        return rhs, expand, terms[:dim]
+        return step, pivot_scale
 
     return kkt, regularize(delta_w, delta_c), regularize
 
@@ -394,11 +480,11 @@ def _ldlt(kdense: np.ndarray, scale: np.ndarray | None = None):
     The zero threshold is absolute: barrier diagonals legitimately reach
     1e10 and beyond, so a relative threshold would misclassify small but
     healthy curvature pivots.  scale, when given, raises the threshold of a
-    1x1 pivot on row i to PIVOT_ROUNDOFF * scale[i] where that is larger: the
-    eliminated pairs' weight scale[i] on row i leaves roundoff of a few eps
-    times it on a pivot that is exactly zero in the unreduced system (9e-12
-    at weight 2.3e4 on synth4_unbal), while the smallest healthy pivots seen
-    on such rows are 1e-12 times their weight (3e-7 at 4e5 on feeder_hr).
+    1x1 pivot on row i to PIVOT_ROUNDOFF * scale[i] where that is larger:
+    scale[i] is the weight that the eliminations summed into row i (see
+    kkt_assemble), and a pivot that is exactly zero in the unreduced system
+    keeps roundoff of a few eps times it (9e-12 at pair weight 2.3e4 on
+    synth4_unbal; 0.1 to 1 eps of the projected weight on feeder_hr).
     """
     n = kdense.shape[0]
     sytrf, sytrs, sytrf_lwork = scipy.linalg.get_lapack_funcs(
@@ -410,31 +496,33 @@ def _ldlt(kdense: np.ndarray, scale: np.ndarray | None = None):
         raise ValueError(f"sytrf illegal argument {-info}")
     tiny = 1e-12
     d = np.diagonal(ldu)
-    # A 2x2 pivot marks both of its rows with a negative ipiv, so the blocks
-    # start at every other negative entry.
-    two = np.flatnonzero(ipiv < 0)[::2]
-    one = np.ones(n, dtype=bool)
-    one[two] = one[two + 1] = False
+    # A 2x2 pivot marks both of its rows with a negative ipiv.
+    one = ipiv > 0
     v = d[one]
     floor = tiny
     # Rows are traced only when a pivot could be reclassified.
-    if scale is not None and v.size and np.abs(v).min() <= PIVOT_ROUNDOFF * scale.max():
-        floor = np.maximum(tiny, PIVOT_ROUNDOFF * scale[_pivot_rows(ipiv, two)[one]])
+    if scale is not None and v.size:
+        limit = PIVOT_ROUNDOFF * scale.max()
+        if limit > tiny and np.abs(v).min() <= limit:
+            two = np.flatnonzero(~one)[::2]
+            floor = np.maximum(tiny, PIVOT_ROUNDOFF * scale[_pivot_rows(ipiv, two)[one]])
     pos = int(np.count_nonzero(v > floor))
     neg = int(np.count_nonzero(v < -floor))
     zero = v.size - pos - neg
-    a, b, c = d[two], ldu[two + 1, two], d[two + 1]
-    det = a * c - b * b
-    singular = np.abs(det) <= tiny * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(c))
-    # A regular 2x2 pivot has one eigenvalue of each sign; a singular one
-    # counts one zero, and its trace signs the other eigenvalue.
-    tr = (a + c)[singular]
-    tr_pos = int(np.count_nonzero(tr > tiny))
-    tr_neg = int(np.count_nonzero(tr < -tiny))
-    regular = two.size - tr.size
-    pos += regular + tr_pos
-    neg += regular + tr_neg
-    zero += tr.size + (tr.size - tr_pos - tr_neg)
+    if v.size < n:
+        # The blocks start at every other negative entry.  A regular 2x2
+        # pivot has one eigenvalue of each sign; a singular one counts one
+        # zero, and its trace signs the other eigenvalue.
+        two = np.flatnonzero(~one)[::2]
+        a, b, c = d[two], ldu[two + 1, two], d[two + 1]
+        singular = np.abs(a * c - b * b) <= tiny * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(c))
+        tr = (a + c)[singular]
+        tr_pos = int(np.count_nonzero(tr > tiny))
+        tr_neg = int(np.count_nonzero(tr < -tiny))
+        regular = two.size - tr.size
+        pos += regular + tr_pos
+        neg += regular + tr_neg
+        zero += tr.size + (tr.size - tr_pos - tr_neg)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         out, sinfo = sytrs(ldu, ipiv, rhs, lower=1)
@@ -463,6 +551,7 @@ def solve(
     opts = options or SolverOptions()
     form = internalize(problem)
     me, mi = form.eq.n_rows, form.ineq.n_rows + form.bnd_var.size
+    n_reduced = form.keep.size - form.lin_rows.size
 
     x = nlp_mod.initial_point(problem) if x0 is None else x0.astype(float).copy()
     # Fixed variables start on their pins; the step never moves them.
@@ -476,7 +565,9 @@ def solve(
     y = np.zeros(me)
     if me:
         rhs0 = -(form.c + _jh_t(form, pt.jh, z))[form.free]
-        y_ls, *_ = np.linalg.lstsq(pt.jg[:, form.free].T, rhs0, rcond=None)
+        # Jg[:, free] has full row rank on every bundled feeder, so the
+        # QR-based gelsy gives the same unique solution as an SVD, faster.
+        y_ls, *_ = scipy.linalg.lstsq(pt.jg[:, form.free].T, rhs0, lapack_driver="gelsy")
         if np.abs(y_ls).max() <= 1e3:
             y = y_ls
     pt = replace(pt, y=y, z=z, s=s)
@@ -516,14 +607,14 @@ def solve(
         iter_factorizations = 0
         factorize_s = 0.0
         for _ in range(60):
-            rhs, expand, pivot_scale = system
+            step, pivot_scale = system
             t0 = time.perf_counter()
             solve_fn, inertia = _ldlt(kkt, pivot_scale)
             factorize_s += time.perf_counter() - t0
             iter_factorizations += 1
             if delta_w == 0.0 and delta_c == 0.0:
                 degenerate = degenerate + 1 if inertia[2] > 0 else 0
-            if inertia[0] == form.keep.size and inertia[2] == 0:
+            if inertia[0] == n_reduced and inertia[2] == 0:
                 break
             if inertia[2] > 0:
                 delta_c = 10.0 * delta_c if delta_c > 0.0 else delta_c_first
@@ -539,7 +630,7 @@ def solve(
         delta_last = delta_w
         factorizations += iter_factorizations
 
-        dx, dy, dz, ds = expand(solve_fn(rhs))
+        dx, dy, dz, ds = step(solve_fn)
 
         # Fraction-to-boundary limits keep s and z strictly positive.
         alpha = 1.0

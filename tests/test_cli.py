@@ -343,11 +343,12 @@ class TestRunScenario:
         ]
         for k, run in enumerate(runs):
             emit_results(run, tmp_path / str(k))
-        for name in ("envelopes.csv", "summary.json", "diagnostics.json"):
+        for name in ("envelopes.csv", "summary.json", "diagnostics.json", "envelopes.svg"):
             assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
         timings = json.loads((tmp_path / "0" / "timings.json").read_text())
-        assert set(timings) == {"periods", "stage1"}
-        for stage in timings.values():
+        assert set(timings) == {"periods", "stage1", "emit_s"}
+        assert timings["emit_s"] > 0.0
+        for stage in (timings["periods"], timings["stage1"]):
             assert [d["period"] for d in stage] == [0, 1, 2, 3]
             for d in stage:
                 assert set(d) == {"period", "build_s", "solve_s", "validate_s"}

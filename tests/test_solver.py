@@ -26,7 +26,8 @@ def toy_form(lb: float = -np.inf, ub: float = 2.0, eq_row: str | None = None) ->
     ineq = QuadBlock(1)
     ineq.seal()
     toy = SimpleNamespace(
-        n_vars=1, lb=np.array([lb]), ub=np.array([ub]), eq=eq, ineq=ineq, obj_coef=np.array([1.0])
+        n_vars=1, lb=np.array([lb]), ub=np.array([ub]), eq=eq, ineq=ineq, obj_coef=np.array([1.0]),
+        lin_rows=np.zeros(0, dtype=np.intp), lin_vars=np.zeros(0, dtype=np.intp),
     )
     return internalize(toy)
 
@@ -59,9 +60,9 @@ def bound_rows(prob):
 
 def full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c=0.0):
     """The uncondensed reference: every variable kept, fixed variables as
-    equality rows, equality rows with a -delta_c diagonal, user inequality
-    rows and bound rows kept with their -s/z diagonal.  Unknowns (dx, dy,
-    dy_fix, dz)."""
+    equality rows, equality rows with a -delta_c diagonal except the linear
+    rows prob.lin_rows, user inequality rows and bound rows kept with their
+    -s/z diagonal.  Unknowns (dx, dy, dy_fix, dz)."""
     jb, cb = bound_rows(prob)
     n, me, mi = prob.n_vars, prob.eq.n_rows, prob.ineq.n_rows + cb.size
     fixed = np.flatnonzero(prob.lb == prob.ub)
@@ -77,7 +78,9 @@ def full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c=0.0):
     k[:n, :n] = w
     k[n:, :n] = cons
     k[:n, n:] = cons.T
-    k[n : n + me, n : n + me] = -delta_c * np.eye(me)
+    regularized = np.ones(me)
+    regularized[prob.lin_rows] = 0.0
+    k[n : n + me, n : n + me] = -delta_c * np.diag(regularized)
     k[n + me + fixed.size :, n + me + fixed.size :] = -np.diag(s / z)
     grad = -prob.obj_coef + jg.T @ y + jf.T @ y_fix + jh.T @ z
     h = np.concatenate([prob.ineq.value(x), jb @ x + cb])
@@ -86,7 +89,8 @@ def full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c=0.0):
 
 
 # feeder_hr has 86 private pairs; two_bus and synth4 have fewer.  The last
-# case puts an equality regularization on every kept and eliminated row.
+# case puts an equality regularization on every kept and eliminated row that
+# is not linear.
 WITH_FULL_REFERENCE = [("two_bus", 0.0), ("synth4", 0.0), ("feeder_hr", 0.0), ("feeder_hr", 1e-3)]
 WITH_FULL_REFERENCE_IDS = ["two_bus", "synth4", "feeder_hr", "feeder_hr-dc"]
 
@@ -106,17 +110,21 @@ class TestKktAssemble:
             x, s, z, mu = np.array([0.5]), np.array([1.5, 1.2])[:m], np.array([0.1, 0.4])[:m], 0.3
             pt = solver._evaluate(form, x, y=np.zeros(0), z=z, s=s)
             np.testing.assert_array_equal(pt.h, h)
-            kkt, (rhs, _, _), regularize = kkt_assemble(form, pt, mu)
+            kkt, (step, _), regularize = kkt_assemble(form, pt, mu)
             # [sum z/s]: the bound rows condensed into the Hessian
             sigma = z / s
             np.testing.assert_allclose(kkt, [[sigma.sum()]], rtol=1e-15)
-            # rhs: -(c + Jh' z + Jh' (z/s)(h + mu/z)) with c = -1
-            np.testing.assert_allclose(rhs, [-(-1.0 + sign @ z + sign @ (sigma * (h + mu / z)))], rtol=1e-15)
+            # rhs: -(c + Jh' z + Jh' (z/s)(h + mu/z)) with c = -1, the first
+            # right-hand side that step hands to the solve
+            rhs = -(-1.0 + sign @ z + sign @ (sigma * (h + mu / z)))
+            seen = []
+            step(lambda r: seen.append(r) or np.linalg.solve(kkt, r))
+            np.testing.assert_allclose(seen[0], [rhs], rtol=1e-15)
             # with the regularization dw = 0.01 that solve adds on a retry
-            rhs, expand, _ = regularize(0.01, 0.0)
+            step, _ = regularize(0.01, 0.0)
             np.testing.assert_allclose(kkt, [[0.01 + sigma.sum()]], rtol=1e-15)
-            dx, dy, dz, ds = expand(np.linalg.solve(kkt, rhs))
-            np.testing.assert_allclose(dx, rhs / (0.01 + sigma.sum()), rtol=1e-15)
+            dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
+            np.testing.assert_allclose(dx, [rhs / (0.01 + sigma.sum())], rtol=1e-15)
             np.testing.assert_allclose(dz, sigma * (sign * dx + h + mu / z), rtol=1e-15)
             np.testing.assert_allclose(ds, mu / z - s - (s / z) * dz, rtol=1e-15)
             assert dy.size == 0
@@ -136,9 +144,9 @@ class TestKktAssemble:
         pt = perturbed_point(prob, form, 2)
         kkt, _, _ = kkt_assemble(form, pt, 0.1, 1e-4, 1e-6)
         assert isinstance(kkt, np.ndarray) and kkt.flags.f_contiguous
-        n_pairs = form.pairs.var.size
-        assert n_pairs > 0
-        assert kkt.shape[0] == np.count_nonzero(prob.lb != prob.ub) + prob.eq.n_rows - 2 * n_pairs
+        n_pairs, n_lin = form.pairs.var.size, prob.lin_rows.size
+        assert n_pairs > 0 and n_lin == 12
+        assert kkt.shape[0] == np.count_nonzero(prob.lb != prob.ub) + prob.eq.n_rows - 2 * n_pairs - 2 * n_lin
         assert np.abs(kkt - kkt.T).max() <= 1e-14
 
     def test_rejects_nonpositive_mu(self):
@@ -154,8 +162,8 @@ class TestKktAssemble:
         pt = perturbed_point(prob, form, 7)
         mu, delta_w = 0.1, 0.5
         y_fix = np.random.default_rng(8).standard_normal(np.count_nonzero(prob.lb == prob.ub))
-        kkt, (rhs, expand, _), _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
-        dx, dy, dz, ds = expand(np.linalg.solve(kkt, rhs))
+        kkt, (step, _), _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
+        dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
 
         k_full, rhs_full = full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c)
         ref = np.linalg.solve(k_full, rhs_full)
@@ -177,11 +185,11 @@ class TestKktAssemble:
         outcomes = set()
         # A negative shift stands in for negative curvature of W.
         for delta_w in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 100.0):
-            _, _, pivot_scale = regularize(delta_w, delta_c)
+            _, pivot_scale = regularize(delta_w, delta_c)
             _, (pos, _, zero) = solver._ldlt(kkt, pivot_scale)
             k_full, _ = full_augmented_system(prob, pt, 0.1, delta_w, y_fix, delta_c)
             full_pos = int(np.count_nonzero(np.linalg.eigvalsh(k_full) > 0.0))
-            condensed_ok = pos == form.keep.size and zero == 0
+            condensed_ok = pos == form.keep.size - form.lin_rows.size and zero == 0
             assert condensed_ok == (full_pos == prob.n_vars)
             outcomes.add(condensed_ok)
         assert outcomes == {True, False}
@@ -422,24 +430,31 @@ class TestPairElimination:
         assert {prob.eq.labels[r].split("[")[0] for r in form.pairs.row} == {"gen_p", "gen_q"}
         assert form.free.size + prob.eq.n_rows == 558
         kkt = kkt_assemble(form, perturbed_point(prob, form, 1), 0.1)[0]
-        assert kkt.shape == (386, 386)
+        assert form.lin_rows.size == 120
+        assert kkt.shape == (146, 146)
 
         # A stage-2 margin program: P pinned, Q tied to its split rows.
         fixed_p = np.full((len(feeder_hr.generators), 3), 0.01)
         stage2 = build_problem(feeder_hr, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 12, fixed_p=fixed_p)
         form2 = internalize(stage2)
         assert form2.pairs.var.size == 0
-        kkt2 = kkt_assemble(form2, perturbed_point(stage2, form2, 1), 0.1)[0]
-        assert kkt2.shape[0] == form2.free.size + stage2.eq.n_rows == 687
+        kkt2, (_, pivot_scale), _ = kkt_assemble(form2, perturbed_point(stage2, form2, 1), 0.1)
+        assert form2.free.size + stage2.eq.n_rows == 687
+        assert kkt2.shape[0] == 687 - 2 * 120 == 447
+        # no pair terms, but float weights that a float update can write into
+        assert pivot_scale.dtype == float
+        pivot_scale += 1.0
 
     @pytest.mark.parametrize("delta_w, delta_c", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.2), (0.01, 0.2)])
     def test_lone_pair_matches_hand_algebra(self, delta_w, delta_c):
         # min -x s.t. x <= 2 and x - 1 = 0: the pair (x, row) leaves nothing behind.
         form = toy_form(ub=2.0, eq_row="linear")
         x, y, s, z, mu = np.array([0.5]), np.array([0.3]), np.array([1.5]), np.array([0.1]), 0.3
-        kkt, (rhs, expand, _), _ = kkt_assemble(form, solver._evaluate(form, x, y=y, z=z, s=s), mu, delta_w, delta_c)
-        assert kkt.shape == (0, 0) and rhs.shape == (0,)
-        dx, dy, dz, ds = expand(np.zeros(0))
+        kkt, (step, _), _ = kkt_assemble(form, solver._evaluate(form, x, y=y, z=z, s=s), mu, delta_w, delta_c)
+        assert kkt.shape == (0, 0)
+        seen = []
+        dx, dy, dz, ds = step(lambda r: seen.append(r) or np.zeros(0))
+        assert [r.shape for r in seen] == [(0,), (0,)]
         h = 0.1 / 1.5 + delta_w
         r_x = -(-1.0 + 0.3 + 0.1 + (0.1 / 1.5) * (-1.5 + 3.0))
         r_y = -(0.5 - 1.0)
@@ -463,6 +478,46 @@ class TestPairElimination:
         p_reduced, _ = nlp.decode_generation(prob, reduced.x)
         p_full, _ = nlp.decode_generation(prob, full.x)
         assert np.abs(p_reduced - p_full).max() * case.s_base <= 1e-6
+
+
+class TestLinearBasis:
+    """The voltage-drop and KCL rows leave the KKT system through a constant basis Z = [T; I]."""
+
+    def test_basis_spans_the_null_space_of_the_linear_rows(self, feeder_hr):
+        prob = build_problem(feeder_hr, ScenarioSpec(5), 12)
+        form = internalize(prob)
+        nd, nc = form.basis.shape
+        assert nd == form.lin_rows.size == 120 and form.keep.size - nd == nc == 116
+        a_k = prob.eq.jacobian(nlp.initial_point(prob))[np.ix_(form.lin_rows, form.keep)]
+        np.testing.assert_array_equal(a_k, form.lin_jac)
+        z = np.vstack([form.basis, np.eye(form.keep.size - nd)[:nc]])
+        assert np.abs(a_k[:, : nd + nc] @ z).max() <= 1e-12 * np.abs(a_k).max() * np.abs(z).max()
+        # The other kept columns enter no linear row.
+        assert not a_k[:, nd + nc :].any()
+
+    def test_basis_is_the_same_in_every_period(self, feeder_hr):
+        forms = [internalize(build_problem(feeder_hr, ScenarioSpec(5), t)) for t in range(feeder_hr.horizon)]
+        assert all(f.basis.tobytes() == forms[0].basis.tobytes() for f in forms)
+        assert all(f.keep.tobytes() == forms[0].keep.tobytes() for f in forms)
+
+    def test_rejects_linear_rows_that_do_not_determine_the_columns(self):
+        # Two free variables, both lin_vars; rows x0 + x1 = 1 and 2 x0 + 2 x1 = 2.
+        eq = QuadBlock(2)
+        for k, coef in enumerate((1.0, 2.0)):
+            eq.new_row(f"r{k}", const=-coef)
+            eq.lin(k, 0, coef)
+            eq.lin(k, 1, coef)
+        eq.seal()
+        ineq = QuadBlock(2)
+        ineq.seal()
+        toy = SimpleNamespace(
+            n_vars=2, lb=np.full(2, -np.inf), ub=np.full(2, np.inf), eq=eq, ineq=ineq, obj_coef=np.zeros(2),
+            lin_rows=np.array([0, 1]), lin_vars=np.array([0, 1]),
+        )
+        with pytest.raises(ValueError, match="linear rows"):
+            internalize(toy)
+        with pytest.raises(ValueError, match="linear rows"):
+            internalize(SimpleNamespace(**{**vars(toy), "lin_rows": np.array([0])}))
 
 
 class TestOneEvaluationPerIterate:
