@@ -39,16 +39,12 @@ and it holds inertia (|L|, |L|, 0), so the factored matrix needs one
 positive eigenvalue per reduced variable and no zero pivot.  On feeder_hr
 this leaves 146 of the 386 rows.
 
-The projection spreads the barrier terms of D (1e12 and more on an active
-voltage limit) over the reduced rows, and the reduced matrix keeps about
-eps times them as roundoff.  Two things follow.  The zero-pivot test
-scales with the weight that the eliminations summed into each row's
-diagonal, the projected Hessian and the pair terms: a pivot that is exactly
-zero in the unreduced matrix keeps a few eps times that weight, and a
-smaller pivot cannot be told from zero there.  The weight of the pairs
-depends on dw and dc, so a regularization retry rewrites it with the
-matrix.  And the step takes one round of iterative refinement against the
-kept system, whose residual holds the barrier terms apart.
+A user inequality row on D is condensed while its z/s is at most
+SIGMA_CONDENSED_MAX.  Above that it stays a row of the factored matrix,
+with its projected Jacobian and the diagonal -s/z, and adds one negative
+eigenvalue: condensed, the projection would spread its weight (1e15 on an
+active current limit at the end of a margin solve) over the reduced rows,
+and the roundoff of eps times it would bury their smaller pivots.
 
 Each point is evaluated once: an Iterate holds (x, y, z, s) with the rows and
 Jacobians at x, and the stopping test, the KKT system, the divergence guard
@@ -87,6 +83,9 @@ DEGENERATE_ITERATIONS = 3
 # A 1x1 pivot on a row whose diagonal the eliminations gave weight w counts
 # as zero below this times w (see _ldlt).
 PIVOT_ROUNDOFF = 100.0 * np.finfo(float).eps
+# A user inequality row on the linear rows' columns D whose z/s exceeds this
+# stays in the factored matrix instead of being condensed (see kkt_assemble).
+SIGMA_CONDENSED_MAX = 1e6
 
 
 class KktSingularError(RuntimeError):
@@ -165,8 +164,8 @@ class InternalForm:
     lin_inv: np.ndarray    # inverse of A_d = Jg[L, D]
     basis: np.ndarray      # T = -A_d^-1 Jg[L, C]; the steps that keep L are (T dr_C, dr)
     basis_gram: np.ndarray  # T' T
-    lin_jac: np.ndarray    # Jg[L, keep]
     eq_keep: np.ndarray    # equality rows left in the reduced system: neither in L nor in a pair
+    ineq_on_d: np.ndarray  # user inequality rows with an entry on D
     row_take: np.ndarray   # flat Jg positions of the rows eq_keep, then the pair rows, on keep
     w_index: np.ndarray    # position in the kept block of each eq, ineq, condensed Hessian and bound term
     pair_a: np.ndarray     # flat Jh positions (row * n_vars + col) of entry pairs
@@ -213,8 +212,10 @@ def internalize(problem: NlpProblem) -> InternalForm:
     # The linear rows over every variable, from their linear triplets.  A
     # pair may own one (a voltage that enters only its voltage-drop row), and
     # then its row leaves with it, as its variable leaves D.
+    pair_row = np.zeros(me, dtype=bool)
+    pair_row[row] = True
     lin_rows = np.asarray(problem.lin_rows, dtype=np.intp)
-    lin_rows = lin_rows[~np.isin(lin_rows, row)]
+    lin_rows = lin_rows[~pair_row[lin_rows]]
     lin_of_row = np.full(me, -1)
     lin_of_row[lin_rows] = np.arange(lin_rows.size)
     sel = lin_of_row[eq.lk] >= 0
@@ -238,8 +239,7 @@ def internalize(problem: NlpProblem) -> InternalForm:
         )
     basis = -lin_inv @ a_lin[:, rest[coupled]]
 
-    row_in_kkt = np.ones(me, dtype=bool)
-    row_in_kkt[row] = False
+    row_in_kkt = ~pair_row
     row_in_kkt[lin_rows] = False
     eq_keep = np.flatnonzero(row_in_kkt)
     nk = keep.size
@@ -250,6 +250,12 @@ def internalize(problem: NlpProblem) -> InternalForm:
         """Flat position of H[i, j] in the kept block; a sink past the end unless i and j are kept."""
         return np.where((pos[i] >= 0) & (pos[j] >= 0), pos[i] * nk + pos[j], nk * nk)
 
+    ineq = problem.ineq
+    on_d = pos < d.size
+    on_d[pos < 0] = False
+    ineq_on_d = np.zeros(ineq.n_rows, dtype=bool)
+    ineq_on_d[ineq.qk[on_d[ineq.qi] | on_d[ineq.qj]]] = True
+    ineq_on_d[ineq.lk[on_d[ineq.li]]] = True
     nz = np.unique(problem.ineq.jac_index)
     nz = nz[pos[nz % n] >= 0]
     a, b = np.nonzero((nz // n)[:, None] == (nz // n)[None, :])
@@ -268,8 +274,8 @@ def internalize(problem: NlpProblem) -> InternalForm:
         lin_inv=lin_inv,
         basis=basis,
         basis_gram=basis.T @ basis,
-        lin_jac=a_lin[:, keep],
         eq_keep=eq_keep,
+        ineq_on_d=ineq_on_d,
         row_take=(np.concatenate([eq_keep, row])[:, None] * n + keep).ravel(),
         w_index=np.concatenate([
             w_pos(eq.qi, eq.qj),
@@ -326,26 +332,24 @@ def kkt_assemble(
     its system and its regularize function (see the module docstring).
 
     The kept block H is W + Jh' diag(z/s) Jh on the kept variables, a bound
-    row condensing to its z/s on its variable's diagonal; constraint
-    Hessians are constant, so H is a weighted sum over fixed positions.
-    Each private pair (v, r) adds w j_r' j_r to H, w = h / (c^2 + h*dc)
-    with h = the z/s of v's bound rows + dw and c = Jg[r, v], and shifts the
-    right-hand side.  With the linear rows L solved by x_p = A_d^-1 r_L on D,
-    the reduced matrix [[Z'HZ, Z'Jq'], [Jq Z, -dc*I]] acts on (dr, dy_q), and
-    the multipliers of L follow from A_d' dy_L = (r_x - H dx - Jq' dy_q)[D].
-    T is nonzero only on C, so Z'HZ = H_RR + X + X' with X = T'(H_DR +
-    H_DD T / 2) on the rows of C, formed once per iteration; a retry adds
-    dw*(I + T'T), T'T being constant, and the pair terms w v' v with v =
-    j_r Z.
+    row condensing to its z/s on its variable's diagonal and a split row not
+    at all; constraint Hessians are constant, so H is a weighted sum over
+    fixed positions.  Each private pair (v, r) adds w j_r' j_r to H, w = h /
+    (c^2 + h*dc) with h = the z/s of v's bound rows + dw and c = Jg[r, v],
+    and shifts the right-hand side.  With the linear rows L solved by x_p =
+    A_d^-1 r_L on D, the reduced matrix [[Z'HZ, Z'Jq'], [Jq Z, -diag(dc,
+    s/z)]] acts on (dr, dy_q), where Jq holds the remaining equality rows
+    and then the split rows, whose dz come last in dy_q.  T is nonzero only
+    on C, so Z'HZ = H_RR + X + X' with X = T'(H_DR + H_DD T / 2) on the rows
+    of C, formed once per iteration; a retry adds dw*(I + T'T), T'T being
+    constant, and the pair terms w v' v with v = j_r Z.
 
     The system is (step, pivot_scale): step(solve_fn), given the solve of a
-    factorization of the matrix, returns (dx, dy, dz, ds) after one round of
-    iterative refinement on the kept system, and pivot_scale is the weight
-    that the projection (on the rows of C) and the pairs put on each row's
-    diagonal, which scales _ldlt's zero-pivot test.  regularize(dw, dc)
-    rewrites the matrix in place from the same unregularized projection, so
-    the matrix depends on the iterate and (dw, dc) alone, and returns the
-    new system.
+    factorization of the matrix, returns (dx, dy, dz, ds), and pivot_scale
+    is the weight that the pairs put on each row's diagonal, which scales
+    _ldlt's zero-pivot test.  regularize(dw, dc) rewrites the matrix in
+    place from the same unregularized projection, so the matrix depends on
+    the iterate and (dw, dc) alone, and returns the new system.
     """
     if mu <= 0.0:
         raise ValueError("barrier parameter mu must be positive")
@@ -353,45 +357,53 @@ def kkt_assemble(
     nd, nc = t.shape
     nk = keep.size
     nr = nk - nd
-    dim = nr + form.eq_keep.size
     y, z, s, h, jg, jh = pt.y, pt.z, pt.s, pt.h, pt.jg, pt.jh
     sigma = z / s
+    # The user rows on D whose z/s is large stay rows; the others are condensed.
+    split = np.flatnonzero(form.ineq_on_d & (sigma[:mi] > SIGMA_CONDENSED_MAX))
+    sigma_c = sigma.copy()
+    sigma_c[split] = 0.0
+    nq = form.eq_keep.size
+    nqa = nq + split.size
+    dim = nr + nqa
 
     weights = np.concatenate([
         y[form.eq.qk] * form.eq.qv,
         z[form.ineq.qk] * form.ineq.qv,
-        sigma[form.pair_a // n] * jh.take(form.pair_a) * jh.take(form.pair_b),
+        sigma_c[form.pair_a // n] * jh.take(form.pair_a) * jh.take(form.pair_b),
         sigma[mi:],
     ])
     # (bincount returns integers when there are no terms at all)
     hess = np.bincount(form.w_index, weights=weights, minlength=nk * nk + 1)[:-1].astype(float, copy=False)
     hess = hess.reshape(nk, nk)
 
-    # The remaining rows, then the pair rows, on the kept variables, and their products with Z.
+    # The remaining equality rows, the split rows and the pair rows on the
+    # kept variables, and their products with Z.
     pp = form.pairs
-    nq = form.eq_keep.size
     rows = jg.take(form.row_take).reshape(nq + pp.row.size, nk)
+    if split.size:
+        rows = np.concatenate([rows[:nq], jh[np.ix_(split, keep)], rows[nq:]])
     rows_z = rows[:, nd:].astype(float)
     rows_z[:, :nc] += rows[:, :nd] @ t
-    jq, jp, v = rows[:nq], rows[nq:], rows_z[nq:]
+    jq, jp, v = rows[:nqa], rows[nqa:], rows_z[nqa:]
     x = hess[:nd, nd:].copy()
     x[:, :nc] += 0.5 * (hess[:nd, :nd] @ t)
     x = t.T @ x
     base = hess[nd:, nd:].copy()
     base[:nc] += x
     base[:, :nc] += x.T
-    projected = np.zeros(dim)
-    projected[:nc] = 2.0 * np.abs(x.diagonal())
     # Fortran order hands LAPACK a plain copy instead of a transposed one.
     kkt = np.zeros((dim, dim), order="F")
-    kkt[nr:, :nr] = rows_z[:nq]
-    kkt[:nr, nr:] = rows_z[:nq].T
+    kkt[nr:, :nr] = rows_z[:nqa]
+    kkt[:nr, nr:] = rows_z[:nqa].T
     diag = np.arange(dim)
-    diag_r, diag_q = diag[:nr], diag[nr:]
+    diag_r, diag_q = diag[:nr], diag[nr : nr + nq]
+    kkt[diag[nr + nq :], diag[nr + nq :]] = -s[split] / z[split]
 
-    grad = form.c + jg.T @ y + _jh_t(form, jh, z + sigma * (h + mu / z))
+    grad = form.c + jg.T @ y + _jh_t(form, jh, z + sigma_c * (h + mu / z))
     r_x, r_y = -grad, -pt.g
-    r_k, b_l, b_q = r_x[keep], r_y[form.lin_rows], r_y[form.eq_keep]
+    r_k, b_l = r_x[keep], r_y[form.lin_rows]
+    b_q = np.concatenate([r_y[form.eq_keep], -(h[split] + mu / z[split])])
     # Per pair: the bound curvature of v, and the right-hand sides of v and r.
     h_v = np.bincount(form.bnd_var, weights=sigma[mi:], minlength=n)[pp.var]
     c = pp.coef
@@ -407,17 +419,21 @@ def kkt_assemble(
         block[:nc, :nc] += delta_w * form.basis_gram
         kkt[diag_r, diag_r] += delta_w
         kkt[diag_q, diag_q] = -delta_c
-        pivot_scale = projected.copy()
-        pivot_scale[:nr] += pair_terms.diagonal()
+        pivot_scale = np.zeros(dim)
+        pivot_scale[:nr] = pair_terms.diagonal()
 
         def h_times(dx_k: np.ndarray) -> np.ndarray:
             """(H + dw*I + pair terms) dx_k on the kept variables."""
             return hess @ dx_k + delta_w * dx_k + jp.T @ (w * (jp @ dx_k))
 
-        def kept_solve(solve_fn: Callable, b_x: np.ndarray, b_l: np.ndarray, b_q: np.ndarray) -> tuple:
-            """(dx_k, dy_l, dy_q) solving the kept system for the right-hand
-            side (b_x, b_l, b_q) through the reduced one, and b_x - H dx_k -
-            Jq' dy_q, whose rows D give dy_l."""
+        def step(solve_fn: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+            """dx_k = x_p + Z dr on the kept variables, x_p = A_d^-1 r_L on
+            D, with (dr, dy_q) from the reduced solve and A_d' dy_L = (b_x -
+            H dx_k - Jq' dy_q)[D]; dy_q holds the split rows' dz after the
+            remaining equality rows.  dx is zero on fixed variables; each
+            pair's 2x2 block gives dv and dy_r, the condensed inequality rows
+            dz = (z/s)(Jh dx + h + mu/z), and the complementarity rows ds."""
+            b_x = r_k - jp.T @ ((c * r_v - hv * r_r) / det)
             dx_k = np.zeros(nk)
             dx_k[:nd] = form.lin_inv @ b_l
             b = b_x - h_times(dx_k)
@@ -427,28 +443,16 @@ def kkt_assemble(
             dx_k[nd:] = sol[:nr]
             dy_q = sol[nr:]
             u = b_x - h_times(dx_k) - jq.T @ dy_q
-            return dx_k, form.lin_inv.T @ u[:nd], dy_q, u
-
-        def step(solve_fn: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-            """dx is zero on fixed variables; each pair's 2x2 block gives dv
-            and dy_r, the condensed inequality rows dz = (z/s)(Jh dx + h +
-            mu/z), and the complementarity rows ds."""
-            b_x = r_k - jp.T @ ((c * r_v - hv * r_r) / det)
-            dx_k, dy_l, dy_q, u = kept_solve(solve_fn, b_x, b_l, b_q)
-            # One round of iterative refinement on the kept system.
-            fix = kept_solve(
-                solve_fn, u - form.lin_jac.T @ dy_l, b_l - form.lin_jac @ dx_k, b_q - jq @ dx_k + delta_c * dy_q
-            )
-            dx_k, dy_q = dx_k + fix[0], dy_q + fix[2]
             dx = np.zeros(n)
             dx[keep] = dx_k
             dy = np.empty(r_y.size)
-            dy[form.lin_rows] = dy_l + fix[1]
-            dy[form.eq_keep] = dy_q
+            dy[form.lin_rows] = form.lin_inv.T @ u[:nd]
+            dy[form.eq_keep] = dy_q[:nq]
             tr = r_r - jp @ dx_k
             dx[pp.var] = (delta_c * r_v + c * tr) / det
             dy[pp.row] = (c * r_v - hv * tr) / det
             dz = sigma * (np.concatenate([jh @ dx, form.bnd_sign * dx[form.bnd_var]]) + h + mu / z)
+            dz[split] = dy_q[nq:]
             return dx, dy, dz, mu / z - s - (s / z) * dz
 
         return step, pivot_scale
@@ -480,11 +484,11 @@ def _ldlt(kdense: np.ndarray, scale: np.ndarray | None = None):
     The zero threshold is absolute: barrier diagonals legitimately reach
     1e10 and beyond, so a relative threshold would misclassify small but
     healthy curvature pivots.  scale, when given, raises the threshold of a
-    1x1 pivot on row i to PIVOT_ROUNDOFF * scale[i] where that is larger:
-    scale[i] is the weight that the eliminations summed into row i (see
-    kkt_assemble), and a pivot that is exactly zero in the unreduced system
-    keeps roundoff of a few eps times it (9e-12 at pair weight 2.3e4 on
-    synth4_unbal; 0.1 to 1 eps of the projected weight on feeder_hr).
+    1x1 pivot on row i to PIVOT_ROUNDOFF * scale[i] where that is larger: the
+    eliminated pairs' weight scale[i] on row i leaves roundoff of a few eps
+    times it on a pivot that is exactly zero in the unreduced system (9e-12
+    at weight 2.3e4 on synth4_unbal), while the smallest healthy pivots seen
+    on such rows are 1e-12 times their weight (3e-7 at 4e5 on feeder_hr).
     """
     n = kdense.shape[0]
     sytrf, sytrs, sytrf_lwork = scipy.linalg.get_lapack_funcs(
@@ -496,33 +500,31 @@ def _ldlt(kdense: np.ndarray, scale: np.ndarray | None = None):
         raise ValueError(f"sytrf illegal argument {-info}")
     tiny = 1e-12
     d = np.diagonal(ldu)
-    # A 2x2 pivot marks both of its rows with a negative ipiv.
-    one = ipiv > 0
+    # A 2x2 pivot marks both of its rows with a negative ipiv, so the blocks
+    # start at every other negative entry.
+    two = np.flatnonzero(ipiv < 0)[::2]
+    one = np.ones(n, dtype=bool)
+    one[two] = one[two + 1] = False
     v = d[one]
     floor = tiny
     # Rows are traced only when a pivot could be reclassified.
-    if scale is not None and v.size:
-        limit = PIVOT_ROUNDOFF * scale.max()
-        if limit > tiny and np.abs(v).min() <= limit:
-            two = np.flatnonzero(~one)[::2]
-            floor = np.maximum(tiny, PIVOT_ROUNDOFF * scale[_pivot_rows(ipiv, two)[one]])
+    if scale is not None and v.size and np.abs(v).min() <= PIVOT_ROUNDOFF * scale.max():
+        floor = np.maximum(tiny, PIVOT_ROUNDOFF * scale[_pivot_rows(ipiv, two)[one]])
     pos = int(np.count_nonzero(v > floor))
     neg = int(np.count_nonzero(v < -floor))
     zero = v.size - pos - neg
-    if v.size < n:
-        # The blocks start at every other negative entry.  A regular 2x2
-        # pivot has one eigenvalue of each sign; a singular one counts one
-        # zero, and its trace signs the other eigenvalue.
-        two = np.flatnonzero(~one)[::2]
-        a, b, c = d[two], ldu[two + 1, two], d[two + 1]
-        singular = np.abs(a * c - b * b) <= tiny * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(c))
-        tr = (a + c)[singular]
-        tr_pos = int(np.count_nonzero(tr > tiny))
-        tr_neg = int(np.count_nonzero(tr < -tiny))
-        regular = two.size - tr.size
-        pos += regular + tr_pos
-        neg += regular + tr_neg
-        zero += tr.size + (tr.size - tr_pos - tr_neg)
+    a, b, c = d[two], ldu[two + 1, two], d[two + 1]
+    det = a * c - b * b
+    singular = np.abs(det) <= tiny * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(c))
+    # A regular 2x2 pivot has one eigenvalue of each sign; a singular one
+    # counts one zero, and its trace signs the other eigenvalue.
+    tr = (a + c)[singular]
+    tr_pos = int(np.count_nonzero(tr > tiny))
+    tr_neg = int(np.count_nonzero(tr < -tiny))
+    regular = two.size - tr.size
+    pos += regular + tr_pos
+    neg += regular + tr_neg
+    zero += tr.size + (tr.size - tr_pos - tr_neg)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         out, sinfo = sytrs(ldu, ipiv, rhs, lower=1)

@@ -33,8 +33,8 @@ def stub_runner(calls):
 
 def test_report_from_stub_runner(bench_pairs, tmp_path):
     calls = []
-    runs = bench_pairs.collect(stub_runner(calls), ["hr_day"], pairs=4, traced=1)
-    # Pairs alternate which side runs first; the traced runs come last.
+    runs = bench_pairs.collect(stub_runner(calls), ["hr_day"], pairs=4)
+    # Pairs alternate which side runs first; one traced run per side comes last.
     assert calls == [
         ("parent", "hr_day", 1, False), ("change", "hr_day", 1, False),
         ("change", "hr_day", 2, False), ("parent", "hr_day", 2, False),

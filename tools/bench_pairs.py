@@ -7,8 +7,7 @@ this repository's working tree, the parent from the committed tree of
 ``--parent``, extracted with ``git archive`` into a temporary directory that
 is removed afterwards.  Pair k (seed k) runs the parent first when k is odd
 and the change first when k is even.  After the untraced pairs, each side
-makes ``--traced`` traced runs per workload (seeds 1, 2, ...) for the
-per-layer metrics.
+makes one traced run (seed 1) of every workload for the per-layer metrics.
 
 The output records the machine (nproc, Python, numpy and scipy versions),
 the commit of each side, every run's metrics and, per workload and
@@ -101,8 +100,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def collect(runner: Runner, workloads: list[str], pairs: int, traced: int) -> list[dict]:
-    """Every run, in the order made: the alternating pairs, then the traced runs."""
+def collect(runner: Runner, workloads: list[str], pairs: int) -> list[dict]:
+    """Every run, in the order made: the alternating pairs, then one traced run per side and workload."""
     runs = []
     for seed in range(1, pairs + 1):
         for workload in workloads:
@@ -110,11 +109,10 @@ def collect(runner: Runner, workloads: list[str], pairs: int, traced: int) -> li
             for side in order:
                 runs.append({"side": side, "workload": workload, "seed": seed, "trace": False,
                              "result": runner(side, workload, seed, False)})
-    for seed in range(1, traced + 1):
-        for workload in workloads:
-            for side in ("parent", "change"):
-                runs.append({"side": side, "workload": workload, "seed": seed, "trace": True,
-                             "result": runner(side, workload, seed, True)})
+    for workload in workloads:
+        for side in ("parent", "change"):
+            runs.append({"side": side, "workload": workload, "seed": 1, "trace": True,
+                         "result": runner(side, workload, 1, True)})
     return runs
 
 
@@ -144,13 +142,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1", help="revision of the parent side")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--traced", type=int, default=1, help="traced runs per side and workload")
-    parser.add_argument("--workloads", nargs="*", help="default: every workload in BENCHMARK.json")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     commits = {
@@ -171,7 +167,7 @@ def main(argv=None) -> int:
             print(f"{side} {workload} seed {seed} trace {int(trace)}: exit {result['exit_code']}", file=sys.stderr)
             return result
 
-        runs = collect(runner, workloads, args.pairs, args.traced)
+        runs = collect(runner, workloads, args.pairs)
     finally:
         shutil.rmtree(tmp)
     command = f"python3 perfbench/run.py --workload <w> --seed <1..{args.pairs}> --seconds {seconds} --trace 0|1"
