@@ -23,8 +23,11 @@ system only through row r's entries j_r.  Exact block elimination of the
 pair's 2x2 block [[h, c], [c, -dc]], h = its bounds' z/s + dw, adds
 h / (c^2 + h*dc) * j_r' j_r to the kept columns and shifts the right-hand
 side; the step of the pair is recovered from the reduced solution.  The
-block's determinant is negative, so each pair holds inertia (1, 1).  On
-feeder_hr this removes 86 pairs, 558 -> 386 rows.
+block's determinant is negative, so each pair holds inertia (1, 1).  A
+pivot that is exactly zero in the unreduced matrix keeps roundoff of a few
+eps times the weight on its row, so the zero test scales with that weight.
+The weight depends on dw and dc, so a regularization retry rewrites it with
+the matrix.  On feeder_hr this removes 86 pairs, 558 -> 386 rows.
 
 The network's linear rows leave it next, in the reduced-space manner of
 Pacaud et al. 2022 (arXiv:2203.11875).  The voltage-drop and KCL rows L
@@ -80,8 +83,8 @@ REGULARIZATION_MIN = 1e-10
 # Consecutive iterations with zero pivots at dw = dc = 0 after which the
 # remaining iterations of a solve skip that attempt.
 DEGENERATE_ITERATIONS = 3
-# A 1x1 pivot on a row whose diagonal the eliminations gave weight w counts
-# as zero below this times w (see _ldlt).
+# A 1x1 pivot on a row that carries pair weight w counts as zero below this
+# times w (see _ldlt).
 PIVOT_ROUNDOFF = 100.0 * np.finfo(float).eps
 # A user inequality row on the linear rows' columns D whose z/s exceeds this
 # stays in the factored matrix instead of being condensed (see kkt_assemble).
