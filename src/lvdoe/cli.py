@@ -413,6 +413,8 @@ def _read_envelopes_csv(path: Path) -> dict[tuple[str, str, int], tuple[float, f
                 raise InputError(
                     f"{path}, line {n}: expected generator_id,phase,period,p_kw,q_kvar, got {line.strip()!r}"
                 ) from None
+            if not np.isfinite(value).all():
+                raise InputError(f"{path}, line {n}: p_kw and q_kvar must be finite, got {line.strip()!r}")
             if key in out:
                 raise InputError(
                     f"{path}, line {n}: duplicate row for generator {gid!r}, phase {ph!r}, period {key[2]}"

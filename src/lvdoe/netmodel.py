@@ -250,17 +250,27 @@ def _get(obj: dict, key: str, typ, ctx: str, default=None):
     _require(key in obj, f"{ctx}: missing field {key!r}")
     val = obj[key]
     if typ is float:
-        _require(isinstance(val, (int, float)) and not isinstance(val, bool), f"{ctx}: field {key!r} must be a number")
+        _require(
+            isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val),
+            f"{ctx}: field {key!r} must be a finite number",
+        )
         return float(val)
     # JSON true and false load as Python bools, which are ints too.
     _require(isinstance(val, typ) and isinstance(val, bool) == (typ is bool), f"{ctx}: field {key!r} has wrong type")
     return val
 
 
+def _finite_array(raw: list, ctx: str) -> np.ndarray:
+    """raw as a float array; InputError unless every entry is a finite number."""
+    _require(all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw), f"{ctx}: non-numeric entry")
+    out = np.asarray(raw, dtype=float)
+    _require(np.isfinite(out).all(), f"{ctx}: non-finite entry")
+    return out
+
+
 def _parse_matrix(raw, ctx: str) -> np.ndarray:
     _require(isinstance(raw, list) and len(raw) == 9, f"{ctx}: expected 9 row-major entries")
-    _require(all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw), f"{ctx}: non-numeric entry")
-    return np.asarray(raw, dtype=float).reshape(3, 3)
+    return _finite_array(raw, ctx).reshape(3, 3)
 
 
 def _parse_branch(obj: dict, ctx: str) -> Branch:
@@ -288,14 +298,14 @@ def _parse_branch(obj: dict, ctx: str) -> Branch:
 
 
 def _parse_profile(obj: dict, key: str, horizon: int, n_ph: int, ctx: str) -> np.ndarray | None:
-    if key not in obj or obj[key] is None:
+    """The profile under key, one row per phase; None when the field is absent or null."""
+    if obj.get(key) is None:
         return None
     raw = obj[key]
     _require(isinstance(raw, list), f"{ctx}: {key} must be a list")
     if len(raw) != horizon:
         raise InputError(f"{ctx}: profile length {len(raw)} does not match horizon {horizon}")
-    row = np.asarray([float(v) for v in raw], dtype=float)
-    return np.tile(row, (n_ph, 1))
+    return np.tile(_finite_array(raw, f"{ctx}: {key}"), (n_ph, 1))
 
 
 def load_profiles_csv(path: str | Path, horizon: int) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
@@ -319,6 +329,7 @@ def load_profiles_csv(path: str | Path, horizon: int) -> dict[tuple[str, str], t
                 p, q = float(row["p_kw"]), float(row["q_kvar"])
             except (TypeError, ValueError) as exc:
                 raise InputError(f"loads CSV line {ln}: {exc}") from None
+            _require(math.isfinite(p) and math.isfinite(q), f"loads CSV line {ln}: p_kw and q_kvar must be finite")
             _require(ph in PHASE_INDEX, f"loads CSV line {ln}: bad phase {ph!r}")
             _require(0 <= t < horizon, f"loads CSV line {ln}: period {t} outside 0..{horizon - 1}")
             key = (el, ph)
@@ -341,6 +352,8 @@ def load_network(path: str | Path, loads_csv: str | Path | None = None) -> Netwo
 
     An optional profiles CSV supplies or overrides per-phase load profiles;
     the JSON may then omit p_profile/q_profile for loads covered by it.
+    Every connected load phase needs a p_profile or a CSV row, and every
+    CSV row must name a connected load phase; a missing q_profile is zero.
     """
     path = Path(path)
     _require(path.exists(), f"network file not found: {path}")
@@ -378,16 +391,19 @@ def load_network(path: str | Path, loads_csv: str | Path | None = None) -> Netwo
         phases = _parse_phases(_get(obj, "phase", str, ctx), ctx)
         p = _parse_profile(obj, "p_profile", horizon, len(phases), ctx)
         q = _parse_profile(obj, "q_profile", horizon, len(phases), ctx)
-        if p is None:
-            p = np.zeros((len(phases), horizon))
         if q is None:
             q = np.zeros((len(phases), horizon))
+        if p is None:
+            uncovered = [ph for ph in phases if (lid, ph) not in csv_profiles]
+            _require(not uncovered, f"{ctx}: phase {','.join(uncovered)} has no p_profile and no loads CSV row")
+            p = np.zeros((len(phases), horizon))
         for k, ph in enumerate(phases):
             if (lid, ph) in csv_profiles:
                 p[k], q[k] = csv_profiles[(lid, ph)]
-            elif "p_profile" not in obj and not csv_profiles:
-                raise InputError(f"{ctx}: no p_profile and no loads CSV given")
         loads.append(Load(id=lid, bus=_get(obj, "bus", str, ctx), phases=phases, p=p, q=q))
+    stray = sorted(csv_profiles.keys() - {(ld.id, ph) for ld in loads for ph in ld.phases})
+    if stray:
+        raise InputError(f"loads CSV: no load {stray[0][0]!r} on phase {stray[0][1]!r}")
 
     gens = tuple(
         Generator(

@@ -4,13 +4,14 @@ Variables, equality physics, scenario-selected inequality limits and the
 objective are assembled into a purely quadratic description: every row is
 0.5 x'Ax + b'x + c with a constant A, so first derivatives are affine and
 second derivatives never change between iterations.  The solver consumes
-this structure directly.
+this structure directly.  Every row, bound, start and decode addresses x
+through VarLayout, which cuts range(n_vars) into one index array per block.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -144,113 +145,48 @@ class QuadBlock:
 # Variable layout
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarLayout:
-    """Index map from network coordinates to positions in the vector x."""
+# Blocks of x in storage order; see VarLayout.
+_BLOCKS = ("u_re", "u_im", "ib_re", "ib_im", "il_re", "il_im", "ig_re", "ig_im", "pg", "qg", "qplus", "qminus", "qaux")
 
-    n_bus: int
-    n_branch: int
+
+@dataclass(frozen=True, eq=False)
+class VarLayout:
+    """The vector x as one partition of range(n_vars) into the _BLOCKS index arrays.
+
+    u_re, u_im are (n_bus, 3) and ib_re, ib_im (n_branch, 3); il_* hold one
+    position per load entry and ig_*, pg, qg, qplus, qminus, qaux one per
+    generator entry, the last three empty without the reactive split.  Each
+    array indexes x directly: x[lay.pg], lb[lay.u_re[slack]].
+    """
+
     load_entries: tuple[tuple[int, int], ...]  # (load, phase)
     gen_entries: tuple[tuple[int, int], ...]   # (generator, phase)
     with_reactive_split: bool
-    n_vars: int = field(init=False)
+    n_vars: int
+    u_re: np.ndarray
+    u_im: np.ndarray
+    ib_re: np.ndarray
+    ib_im: np.ndarray
+    il_re: np.ndarray
+    il_im: np.ndarray
+    ig_re: np.ndarray
+    ig_im: np.ndarray
+    pg: np.ndarray
+    qg: np.ndarray
+    qplus: np.ndarray
+    qminus: np.ndarray
+    qaux: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = self.off_qaux + len(self.gen_entries) if self.with_reactive_split else self.off_qg + len(self.gen_entries)
-        object.__setattr__(self, "n_vars", n)
-
-    # Block offsets (computed, not stored):
-    @property
-    def off_u_re(self) -> int:
-        return 0
-
-    @property
-    def off_u_im(self) -> int:
-        return 3 * self.n_bus
-
-    @property
-    def off_ib_re(self) -> int:
-        return 6 * self.n_bus
-
-    @property
-    def off_ib_im(self) -> int:
-        return 6 * self.n_bus + 3 * self.n_branch
-
-    @property
-    def off_il_re(self) -> int:
-        return 6 * self.n_bus + 6 * self.n_branch
-
-    @property
-    def off_il_im(self) -> int:
-        return self.off_il_re + len(self.load_entries)
-
-    @property
-    def off_ig_re(self) -> int:
-        return self.off_il_im + len(self.load_entries)
-
-    @property
-    def off_ig_im(self) -> int:
-        return self.off_ig_re + len(self.gen_entries)
-
-    @property
-    def off_pg(self) -> int:
-        return self.off_ig_im + len(self.gen_entries)
-
-    @property
-    def off_qg(self) -> int:
-        return self.off_pg + len(self.gen_entries)
-
-    @property
-    def off_qplus(self) -> int:
-        return self.off_qg + len(self.gen_entries)
-
-    @property
-    def off_qminus(self) -> int:
-        return self.off_qplus + len(self.gen_entries)
-
-    @property
-    def off_qaux(self) -> int:
-        return self.off_qminus + len(self.gen_entries)
-
-    # Individual variables:
-    def u_re(self, bus: int, ph: int) -> int:
-        return self.off_u_re + 3 * bus + ph
-
-    def u_im(self, bus: int, ph: int) -> int:
-        return self.off_u_im + 3 * bus + ph
-
-    def ib_re(self, branch: int, ph: int) -> int:
-        return self.off_ib_re + 3 * branch + ph
-
-    def ib_im(self, branch: int, ph: int) -> int:
-        return self.off_ib_im + 3 * branch + ph
-
-    def il_re(self, entry: int) -> int:
-        return self.off_il_re + entry
-
-    def il_im(self, entry: int) -> int:
-        return self.off_il_im + entry
-
-    def ig_re(self, entry: int) -> int:
-        return self.off_ig_re + entry
-
-    def ig_im(self, entry: int) -> int:
-        return self.off_ig_im + entry
-
-    def pg(self, entry: int) -> int:
-        return self.off_pg + entry
-
-    def qg(self, entry: int) -> int:
-        return self.off_qg + entry
-
-    def qplus(self, entry: int) -> int:
-        return self.off_qplus + entry
-
-    def qminus(self, entry: int) -> int:
-        return self.off_qminus + entry
-
-    def qaux(self, entry: int) -> int:
-        return self.off_qaux + entry
+    @classmethod
+    def of(cls, case: NetworkCase, with_reactive_split: bool) -> VarLayout:
+        loads, gens = tuple(case.load_entries()), tuple(case.gen_entries())
+        n_split = len(gens) if with_reactive_split else 0
+        shapes = [(len(case.buses), 3)] * 2 + [(len(case.branches), 3)] * 2 + [(len(loads),)] * 2
+        shapes += [(len(gens),)] * 4 + [(n_split,)] * 3
+        sizes = [int(np.prod(s)) for s in shapes]
+        parts = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+        blocks = {name: part.reshape(shape) for name, part, shape in zip(_BLOCKS, parts, shapes)}
+        return cls(loads, gens, with_reactive_split, sum(sizes), **blocks)
 
 
 @dataclass(frozen=True)
@@ -281,7 +217,8 @@ class NlpProblem:
     @property
     def lin_vars(self) -> np.ndarray:
         """The u and i_branch columns."""
-        return np.arange(self.layout.off_il_re)
+        lay = self.layout
+        return np.concatenate([lay.u_re.ravel(), lay.u_im.ravel(), lay.ib_re.ravel(), lay.ib_im.ravel()])
 
 
 def build_problem(case: NetworkCase, spec: ScenarioSpec, period: int, **kwargs) -> NlpProblem:
@@ -321,13 +258,7 @@ def build_custom(
     objective = Objective(objective)
     constraints = frozenset(constraints)
 
-    layout = VarLayout(
-        n_bus=len(case.buses),
-        n_branch=len(case.branches),
-        load_entries=tuple(case.load_entries()),
-        gen_entries=tuple(case.gen_entries()),
-        with_reactive_split=(objective is Objective.REACTIVE_MARGIN),
-    )
+    layout = VarLayout.of(case, with_reactive_split=(objective is Objective.REACTIVE_MARGIN))
 
     eq, lin_rows = _equality_block(case, layout, period)
     ineq = _inequality_block(case, layout, constraints)
@@ -340,12 +271,7 @@ def build_custom(
     )
 
     obj = np.zeros(layout.n_vars)
-    if objective is Objective.ACTIVE_EXPORT:
-        for e in range(len(layout.gen_entries)):
-            obj[layout.pg(e)] = 1.0
-    else:
-        for e in range(len(layout.gen_entries)):
-            obj[layout.qaux(e)] = 1.0
+    obj[layout.pg if objective is Objective.ACTIVE_EXPORT else layout.qaux] = 1.0
 
     return NlpProblem(
         case=case,
@@ -371,22 +297,22 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> tuple[
         j = case.bus_pos[br.to_bus]
         for p in range(3):
             k = eq.new_row(f"vdrop_re[{br.id},{PHASES[p]}]")
-            eq.lin(k, layout.u_re(j, p), 1.0)
-            eq.lin(k, layout.u_re(i, p), -1.0)
+            eq.lin(k, layout.u_re[j, p], 1.0)
+            eq.lin(k, layout.u_re[i, p], -1.0)
             for q in range(3):
                 if br.r[p, q] != 0.0:
-                    eq.lin(k, layout.ib_re(l, q), br.r[p, q])
+                    eq.lin(k, layout.ib_re[l, q], br.r[p, q])
                 if br.x[p, q] != 0.0:
-                    eq.lin(k, layout.ib_im(l, q), -br.x[p, q])
+                    eq.lin(k, layout.ib_im[l, q], -br.x[p, q])
         for p in range(3):
             k = eq.new_row(f"vdrop_im[{br.id},{PHASES[p]}]")
-            eq.lin(k, layout.u_im(j, p), 1.0)
-            eq.lin(k, layout.u_im(i, p), -1.0)
+            eq.lin(k, layout.u_im[j, p], 1.0)
+            eq.lin(k, layout.u_im[i, p], -1.0)
             for q in range(3):
                 if br.r[p, q] != 0.0:
-                    eq.lin(k, layout.ib_im(l, q), br.r[p, q])
+                    eq.lin(k, layout.ib_im[l, q], br.r[p, q])
                 if br.x[p, q] != 0.0:
-                    eq.lin(k, layout.ib_re(l, q), br.x[p, q])
+                    eq.lin(k, layout.ib_re[l, q], br.x[p, q])
 
     n_vdrop = eq.n_rows
 
@@ -396,24 +322,24 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> tuple[
         n = case.bus_pos[ld.bus]
         row = ld.phases.index(PHASES[p])
         k = eq.new_row(f"load_p[{ld.id},{PHASES[p]}]", const=-float(ld.p[row, period]))
-        eq.quad(k, layout.u_re(n, p), layout.il_re(e), 1.0)
-        eq.quad(k, layout.u_im(n, p), layout.il_im(e), 1.0)
+        eq.quad(k, layout.u_re[n, p], layout.il_re[e], 1.0)
+        eq.quad(k, layout.u_im[n, p], layout.il_im[e], 1.0)
         k = eq.new_row(f"load_q[{ld.id},{PHASES[p]}]", const=-float(ld.q[row, period]))
-        eq.quad(k, layout.u_im(n, p), layout.il_re(e), 1.0)
-        eq.quad(k, layout.u_re(n, p), layout.il_im(e), -1.0)
+        eq.quad(k, layout.u_im[n, p], layout.il_re[e], 1.0)
+        eq.quad(k, layout.u_re[n, p], layout.il_im[e], -1.0)
 
     # Power definition of each generator phase (P, Q are variables).
     for e, (g, p) in enumerate(layout.gen_entries):
         gen = case.generators[g]
         n = case.bus_pos[gen.bus]
         k = eq.new_row(f"gen_p[{gen.id},{PHASES[p]}]")
-        eq.quad(k, layout.u_re(n, p), layout.ig_re(e), 1.0)
-        eq.quad(k, layout.u_im(n, p), layout.ig_im(e), 1.0)
-        eq.lin(k, layout.pg(e), -1.0)
+        eq.quad(k, layout.u_re[n, p], layout.ig_re[e], 1.0)
+        eq.quad(k, layout.u_im[n, p], layout.ig_im[e], 1.0)
+        eq.lin(k, layout.pg[e], -1.0)
         k = eq.new_row(f"gen_q[{gen.id},{PHASES[p]}]")
-        eq.quad(k, layout.u_im(n, p), layout.ig_re(e), 1.0)
-        eq.quad(k, layout.u_re(n, p), layout.ig_im(e), -1.0)
-        eq.lin(k, layout.qg(e), -1.0)
+        eq.quad(k, layout.u_im[n, p], layout.ig_re[e], 1.0)
+        eq.quad(k, layout.u_re[n, p], layout.ig_im[e], -1.0)
+        eq.lin(k, layout.qg[e], -1.0)
 
     # Nodal current balance at every non-slack bus, a re and an im row per
     # phase: demand - generation - A' i_branch = 0.  One pass over the
@@ -422,12 +348,12 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> tuple[
     tree = TreeIndex(case)
     terms: dict[tuple[int, int], list[tuple[int, int, float]]] = defaultdict(list)  # (re col, im col, coef)
     for e, (d, p) in enumerate(layout.load_entries):
-        terms[tree.load_bus[d], p].append((layout.il_re(e), layout.il_im(e), 1.0))
+        terms[tree.load_bus[d], p].append((layout.il_re[e], layout.il_im[e], 1.0))
     for e, (g, p) in enumerate(layout.gen_entries):
-        terms[tree.gen_bus[g], p].append((layout.ig_re(e), layout.ig_im(e), -1.0))
+        terms[tree.gen_bus[g], p].append((layout.ig_re[e], layout.ig_im[e], -1.0))
     for l, n in zip(*np.nonzero(tree.A)):
         for p in range(3):
-            terms[n, p].append((layout.ib_re(l, p), layout.ib_im(l, p), -tree.A[l, n]))
+            terms[n, p].append((layout.ib_re[l, p], layout.ib_im[l, p], -tree.A[l, n]))
     kcl_start = eq.n_rows
     for n, bus in enumerate(case.buses):
         if n == case.slack:
@@ -444,9 +370,9 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> tuple[
         for e, (g, p) in enumerate(layout.gen_entries):
             gen = case.generators[g]
             k = eq.new_row(f"qsplit[{gen.id},{PHASES[p]}]")
-            eq.lin(k, layout.qg(e), 1.0)
-            eq.lin(k, layout.qplus(e), -1.0)
-            eq.lin(k, layout.qminus(e), 1.0)
+            eq.lin(k, layout.qg[e], 1.0)
+            eq.lin(k, layout.qplus[e], -1.0)
+            eq.lin(k, layout.qminus[e], 1.0)
 
     eq.seal()
     return eq, lin_rows
@@ -460,8 +386,8 @@ def _inequality_block(case: NetworkCase, layout: VarLayout, constraints: frozens
         for l, br in enumerate(case.branches):
             for p in range(3):
                 k = ineq.new_row(f"imax[{br.id},{PHASES[p]}]", const=-br.i_max**2)
-                ineq.quad(k, layout.ib_re(l, p), layout.ib_re(l, p), 1.0)
-                ineq.quad(k, layout.ib_im(l, p), layout.ib_im(l, p), 1.0)
+                ineq.quad(k, layout.ib_re[l, p], layout.ib_re[l, p], 1.0)
+                ineq.quad(k, layout.ib_im[l, p], layout.ib_im[l, p], 1.0)
 
     if LimitKind.VOLTAGE in constraints:
         for n, bus in enumerate(case.buses):
@@ -469,11 +395,11 @@ def _inequality_block(case: NetworkCase, layout: VarLayout, constraints: frozens
                 continue  # held at the reference by bounds
             for p in range(3):
                 k = ineq.new_row(f"vmax[{bus.id},{PHASES[p]}]", const=-bus.vmax**2)
-                ineq.quad(k, layout.u_re(n, p), layout.u_re(n, p), 1.0)
-                ineq.quad(k, layout.u_im(n, p), layout.u_im(n, p), 1.0)
+                ineq.quad(k, layout.u_re[n, p], layout.u_re[n, p], 1.0)
+                ineq.quad(k, layout.u_im[n, p], layout.u_im[n, p], 1.0)
                 k = ineq.new_row(f"vmin[{bus.id},{PHASES[p]}]", const=bus.vmin**2)
-                ineq.quad(k, layout.u_re(n, p), layout.u_re(n, p), -1.0)
-                ineq.quad(k, layout.u_im(n, p), layout.u_im(n, p), -1.0)
+                ineq.quad(k, layout.u_re[n, p], layout.u_re[n, p], -1.0)
+                ineq.quad(k, layout.u_im[n, p], layout.u_im[n, p], -1.0)
 
     if LimitKind.VUF in constraints:
         # Squared negative-sequence magnitude bounded by (vuf_max^2) times the
@@ -492,10 +418,7 @@ def _inequality_block(case: NetworkCase, layout: VarLayout, constraints: frozens
                 + np.outer(w2_im, w2_im)
                 - gamma * (np.outer(w1_re, w1_re) + np.outer(w1_im, w1_im))
             )
-            idx = np.array(
-                [layout.u_re(n, 0), layout.u_re(n, 1), layout.u_re(n, 2),
-                 layout.u_im(n, 0), layout.u_im(n, 1), layout.u_im(n, 2)]
-            )
+            idx = np.concatenate([layout.u_re[n], layout.u_im[n]])
             k = ineq.new_row(f"vuf[{bus.id}]")
             ineq.sym_matrix(k, idx, m)
 
@@ -504,11 +427,11 @@ def _inequality_block(case: NetworkCase, layout: VarLayout, constraints: frozens
         for e, (g, p) in enumerate(layout.gen_entries):
             gen = case.generators[g]
             k = ineq.new_row(f"qaux_plus[{gen.id},{PHASES[p]}]")
-            ineq.lin(k, layout.qaux(e), 1.0)
-            ineq.lin(k, layout.qplus(e), -1.0)
+            ineq.lin(k, layout.qaux[e], 1.0)
+            ineq.lin(k, layout.qplus[e], -1.0)
             k = ineq.new_row(f"qaux_minus[{gen.id},{PHASES[p]}]")
-            ineq.lin(k, layout.qaux(e), 1.0)
-            ineq.lin(k, layout.qminus(e), -1.0)
+            ineq.lin(k, layout.qaux[e], 1.0)
+            ineq.lin(k, layout.qminus[e], -1.0)
 
     ineq.seal()
     return ineq
@@ -526,26 +449,22 @@ def _bounds(
     ub = np.full(layout.n_vars, np.inf)
 
     ref = slack_reference(case)
-    for p in range(3):
-        lb[layout.u_re(case.slack, p)] = ub[layout.u_re(case.slack, p)] = ref[p].real
-        lb[layout.u_im(case.slack, p)] = ub[layout.u_im(case.slack, p)] = ref[p].imag
+    lb[layout.u_re[case.slack]] = ub[layout.u_re[case.slack]] = ref.real
+    lb[layout.u_im[case.slack]] = ub[layout.u_im[case.slack]] = ref.imag
 
-    for e, (g, p) in enumerate(layout.gen_entries):
-        gen = case.generators[g]
-        lb[layout.pg(e)] = 0.0
-        if fixed_p is not None:
-            lb[layout.pg(e)] = ub[layout.pg(e)] = fixed_p[g, p]
-        if fix_q_zero:
-            lb[layout.qg(e)] = ub[layout.qg(e)] = 0.0
-        elif bound_q_by_rating:
-            lb[layout.qg(e)] = -gen.q_abs_max
-            ub[layout.qg(e)] = gen.q_abs_max
-        if layout.with_reactive_split:
-            lb[layout.qplus(e)] = 0.0
-            ub[layout.qplus(e)] = gen.q_abs_max
-            lb[layout.qminus(e)] = 0.0
-            ub[layout.qminus(e)] = gen.q_abs_max
-            lb[layout.qaux(e)] = 0.0
+    gen, phase = _entry_arrays(layout.gen_entries)
+    q_max = np.array([case.generators[g].q_abs_max for g in gen])
+    lb[layout.pg] = 0.0
+    if fixed_p is not None:
+        lb[layout.pg] = ub[layout.pg] = fixed_p[gen, phase]
+    if fix_q_zero:
+        lb[layout.qg] = ub[layout.qg] = 0.0
+    elif bound_q_by_rating:
+        lb[layout.qg] = -q_max
+        ub[layout.qg] = q_max
+    if layout.with_reactive_split:
+        lb[layout.qplus] = lb[layout.qminus] = lb[layout.qaux] = 0.0
+        ub[layout.qplus] = ub[layout.qminus] = q_max
 
     return lb, ub
 
@@ -564,17 +483,14 @@ def decode_state(problem: NlpProblem, x: np.ndarray) -> PhasorState:
     lay = problem.layout
     case = problem.case
 
-    def block(off_re: int, off_im: int, size: int) -> np.ndarray:
-        return x[off_re : off_re + size] + 1j * x[off_im : off_im + size]
-
     i_load = np.zeros((len(case.loads), 3, 1), dtype=complex)
-    i_load[(*_entry_arrays(lay.load_entries), 0)] = block(lay.off_il_re, lay.off_il_im, len(lay.load_entries))
+    i_load[(*_entry_arrays(lay.load_entries), 0)] = x[lay.il_re] + 1j * x[lay.il_im]
     i_gen = np.zeros((len(case.generators), 3, 1), dtype=complex)
-    i_gen[(*_entry_arrays(lay.gen_entries), 0)] = block(lay.off_ig_re, lay.off_ig_im, len(lay.gen_entries))
+    i_gen[(*_entry_arrays(lay.gen_entries), 0)] = x[lay.ig_re] + 1j * x[lay.ig_im]
     return PhasorState(
         case=case,
-        u=block(lay.off_u_re, lay.off_u_im, 3 * lay.n_bus).reshape(lay.n_bus, 3, 1),
-        i_branch=block(lay.off_ib_re, lay.off_ib_im, 3 * lay.n_branch).reshape(lay.n_branch, 3, 1),
+        u=(x[lay.u_re] + 1j * x[lay.u_im])[:, :, None],
+        i_branch=(x[lay.ib_re] + 1j * x[lay.ib_im])[:, :, None],
         i_load=i_load,
         i_gen=i_gen,
     )
@@ -586,8 +502,8 @@ def decode_generation(problem: NlpProblem, x: np.ndarray) -> tuple[np.ndarray, n
     entries = _entry_arrays(lay.gen_entries)
     pg = np.zeros((len(problem.case.generators), 3))
     qg = np.zeros_like(pg)
-    pg[entries] = x[lay.off_pg : lay.off_qg]
-    qg[entries] = x[lay.off_qg : lay.off_qplus]
+    pg[entries] = x[lay.pg]
+    qg[entries] = x[lay.qg]
     return pg, qg
 
 
@@ -604,33 +520,33 @@ def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray
     case = problem.case
     x = np.zeros(lay.n_vars)
     ref = slack_reference(case, vm=voltage_scale)
-    x[lay.off_u_re : lay.off_u_im] = np.tile(ref.real, lay.n_bus)
-    x[lay.off_u_im : lay.off_ib_re] = np.tile(ref.imag, lay.n_bus)
+    x[lay.u_re] = ref.real
+    x[lay.u_im] = ref.imag
 
-    i_net = np.zeros((lay.n_bus, 3), dtype=complex)
+    i_net = np.zeros((len(case.buses), 3), dtype=complex)
     for e, (d, p) in enumerate(lay.load_entries):
         ld = case.loads[d]
         row = ld.phases.index(PHASES[p])
         s = complex(ld.p[row, problem.period], ld.q[row, problem.period])
         cur = np.conj(s / ref[p])
-        x[lay.il_re(e)] = cur.real
-        x[lay.il_im(e)] = cur.imag
+        x[lay.il_re[e]] = cur.real
+        x[lay.il_im[e]] = cur.imag
         i_net[case.bus_pos[ld.bus], p] += cur
 
     # Generation pinned by bounds (two-stage runs) joins the sweep too.
     for e, (g, p) in enumerate(lay.gen_entries):
-        lo, hi = problem.lb[lay.pg(e)], problem.ub[lay.pg(e)]
+        lo, hi = problem.lb[lay.pg[e]], problem.ub[lay.pg[e]]
         if lo == hi and lo != 0.0:
             cur = np.conj(complex(lo, 0.0) / ref[p])
-            x[lay.ig_re(e)] = cur.real
-            x[lay.ig_im(e)] = cur.imag
+            x[lay.ig_re[e]] = cur.real
+            x[lay.ig_im[e]] = cur.imag
             i_net[case.bus_pos[case.generators[g].bus], p] -= cur
 
     # Real and imaginary parts are multiplied apart: a complex product would
     # turn some zero currents into -0.0.
     path = TreeIndex(case).P
-    x[lay.off_ib_re : lay.off_ib_im] = (path @ i_net.real).ravel()
-    x[lay.off_ib_im : lay.off_il_re] = (path @ i_net.imag).ravel()
+    x[lay.ib_re] = path @ i_net.real
+    x[lay.ib_im] = path @ i_net.imag
 
     fixed = problem.lb == problem.ub
     x[fixed] = problem.lb[fixed]

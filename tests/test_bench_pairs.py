@@ -44,12 +44,14 @@ def test_report_from_stub_runner(bench_pairs, tmp_path):
     ]
     better = {"run_s": "lower", "export_kwh": "higher", "peak_rss_mb": "lower"}
     machine = {"nproc": 2, "python": "3.x", "numpy": "n", "scipy": "s", "blas_threads": 1}
-    out = bench_pairs.report(runs, better, machine, {"parent": "aaa", "change": "bbb"}, "cmd")
+    lines = {"parent": 2861, "change": 2772}
+    out = bench_pairs.report(runs, better, machine, {"parent": "aaa", "change": "bbb"}, lines, "cmd")
     path = tmp_path / "BENCH.json"
     path.write_text(json.dumps(out))
     back = json.loads(path.read_text())
 
     assert back["machine"] == machine and back["commits"] == {"parent": "aaa", "change": "bbb"}
+    assert back["source_lines"] == lines
     assert len(back["runs"]) == 10
     summary = back["summary"]["hr_day"]
     assert summary["seeds"] == [1, 2, 3, 4] and summary["all_runs_correct"]
@@ -64,3 +66,12 @@ def test_report_from_stub_runner(bench_pairs, tmp_path):
     assert (export["change_wins"], export["ties"]) == (0, 4)
     # A metric that no run reports is left out.
     assert "peak_rss_mb" not in summary["end_to_end"]
+
+
+def test_source_lines_counts_package_python_files(bench_pairs, tmp_path):
+    pkg = tmp_path / "src" / "lvdoe"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    assert bench_pairs.source_lines(tmp_path) == 3

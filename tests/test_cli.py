@@ -186,6 +186,9 @@ class TestValidateCommand:
             (4, "0.0,1.0", ROW_ERROR),
             (2, "a", ROW_ERROR),
             (3, "5O.0", ROW_ERROR),
+            # a non-finite number used to reach the power flow and exit 2
+            (3, "nan", "p_kw and q_kvar must be finite"),
+            (4, "-inf", "p_kw and q_kvar must be finite"),
             # g1 is connected to phase a only
             (1, "b", "generator 'g1' is not connected to phase 'b'"),
             # Whole-file cases: field None writes these rows of the solved file unchanged.

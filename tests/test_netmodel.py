@@ -209,6 +209,81 @@ class TestLoadNetwork:
         assert rc == 1
         assert f"field {field!r}" in capsys.readouterr().err
 
+    def _synth4_with_csv(self, tmp_path, edit_doc=None, extra_rows=(), drop_load=None):
+        """synth4 and its loads CSV, edited, written to tmp_path; the solve arguments for them."""
+        doc = json.loads(fixture_path("synth4.json").read_text())
+        if edit_doc:
+            edit_doc(doc)
+        rows = fixture_path("synth4_loads.csv").read_text().splitlines()
+        rows = [r for r in rows if drop_load is None or not r.startswith(f"{drop_load},")]
+        rows += [f"{el},{ph},{t},1.0,0.0" for el, ph in extra_rows for t in range(24)]
+        (tmp_path / "loads.csv").write_text("\n".join(rows) + "\n")
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        return ["--network", str(net), "--loads", str(tmp_path / "loads.csv")]
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            # CSV rows for an unknown load or an unconnected phase were ignored
+            ("unknown_load", "loads CSV: no load 'd9' on phase 'a'"),
+            ("unconnected_phase", "loads CSV: no load 'd1' on phase 'c'"),
+            # a load phase that neither the JSON nor the CSV covers loaded as zero demand
+            ("uncovered_with_csv", "load d2: phase a has no p_profile and no loads CSV row"),
+            ("null_profile", "load d1: phase b has no p_profile and no loads CSV row"),
+        ],
+    )
+    def test_load_without_demand_exits_1(self, tmp_path, capsys, case, message):
+        def drop_d2_profile(doc):
+            del doc["loads"][1]["p_profile"]
+
+        if case == "null_profile":
+            doc = self._doc()
+            doc["loads"][0]["p_profile"] = None
+            args = ["--network", str(self._write(tmp_path, doc))]
+        else:
+            args = self._synth4_with_csv(tmp_path, **{
+                "unknown_load": dict(extra_rows=[("d9", "a")]),
+                "unconnected_phase": dict(extra_rows=[("d1", "c")]),
+                "uncovered_with_csv": dict(edit_doc=drop_d2_profile, drop_load="d2"),
+            }[case])
+        rc = main(["solve", *args, "--scenario", "5", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    def test_missing_q_profile_is_zero(self, tmp_path):
+        doc = self._doc()
+        del doc["loads"][0]["q_profile"]
+        assert not load_network(self._write(tmp_path, doc)).loads[0].q.any()
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("bus", "field 'vmin' must be a finite number"),
+            ("matrix", "r_matrix: non-finite entry"),
+            ("profile", "p_profile: non-finite entry"),
+            ("csv", "loads CSV line 2: p_kw and q_kvar must be finite"),
+        ],
+    )
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, where, message):
+        # json accepts NaN and Infinity, float() accepts "nan": a NaN load used to
+        # crash the solve in scipy.linalg.lstsq
+        def edit(doc):
+            if where == "bus":
+                doc["buses"][1]["vmin"] = float("nan")
+            elif where == "matrix":
+                doc["branches"][0]["r_matrix"][0] = float("inf")
+            elif where == "profile":
+                doc["loads"][0]["p_profile"][3] = float("nan")
+
+        args = self._synth4_with_csv(tmp_path, edit_doc=edit)
+        if where == "csv":
+            csv_path = tmp_path / "loads.csv"
+            csv_path.write_text(csv_path.read_text().replace("d1,b,0,0.4837,", "d1,b,0,nan,", 1))
+        rc = main(["solve", *args, "--scenario", "5", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
 
 class TestLoadsCsv:
     def test_bad_header(self, tmp_path):

@@ -70,8 +70,8 @@ class TestStructure:
         lay = prob.layout
         s = case.slack
         for p in range(3):
-            assert prob.lb[lay.u_re(s, p)] == prob.ub[lay.u_re(s, p)]
-            assert prob.lb[lay.u_im(s, p)] == prob.ub[lay.u_im(s, p)]
+            assert prob.lb[lay.u_re[s, p]] == prob.ub[lay.u_re[s, p]]
+            assert prob.lb[lay.u_im[s, p]] == prob.ub[lay.u_im[s, p]]
 
     def test_reactive_margin_adds_split_rows(self, case):
         prob = build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 0)
@@ -80,8 +80,22 @@ class TestStructure:
         assert "qaux_minus[g1,a]" in prob.ineq.labels
         e = 0
         lay = prob.layout
-        assert prob.ub[lay.qplus(e)] == pytest.approx(case.generators[0].q_abs_max)
-        assert prob.lb[lay.qaux(e)] == 0.0
+        assert prob.ub[lay.qplus[e]] == pytest.approx(case.generators[0].q_abs_max)
+        assert prob.lb[lay.qaux[e]] == 0.0
+
+    @pytest.mark.parametrize("fixture", ["feeder_hr", "synth4"])
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_layout_partitions_x(self, request, fixture, objective):
+        net = request.getfixturevalue(fixture)
+        prob = build_problem(net, ScenarioSpec(5, objective), 0)
+        lay = prob.layout
+        blocks = [getattr(lay, name).ravel() for name in nlp._BLOCKS]
+        assert np.array_equal(np.concatenate(blocks), np.arange(lay.n_vars))
+        assert np.array_equal(prob.lin_vars, np.concatenate(blocks[:4]))
+        assert lay.u_re.shape == (len(net.buses), 3) and lay.ib_im.shape == (len(net.branches), 3)
+        assert len(lay.il_re) == len(lay.load_entries) and len(lay.pg) == len(lay.gen_entries)
+        split = len(lay.gen_entries) if objective is Objective.REACTIVE_MARGIN else 0
+        assert len(lay.qplus) == len(lay.qminus) == len(lay.qaux) == split
 
     def test_period_out_of_range(self, case):
         with pytest.raises(ValueError, match="period"):
@@ -136,9 +150,9 @@ class TestEvaluation:
                 pw, qw = power.real, power.imag
                 e = prob.layout.gen_entries.index((g, p))
                 if kind == "gen_p":
-                    expect = pw - x[prob.layout.pg(e)]
+                    expect = pw - x[prob.layout.pg[e]]
                 else:
-                    expect = qw - x[prob.layout.qg(e)]
+                    expect = qw - x[prob.layout.qg[e]]
             else:
                 continue
             assert vals[k] == pytest.approx(expect, abs=1e-14), label
@@ -241,7 +255,7 @@ class TestObjectives:
     def test_active_export_counts_generation(self, case):
         prob = build_problem(case, ScenarioSpec(5), 0)
         x = nlp.initial_point(prob)
-        x[prob.layout.pg(0)] = 0.5
+        x[prob.layout.pg[0]] = 0.5
         val = prob.obj_coef @ x
         assert val == pytest.approx(0.5)
 
@@ -249,9 +263,9 @@ class TestObjectives:
         prob = build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 0)
         x = nlp.initial_point(prob)
         lay = prob.layout
-        x[lay.qplus(0)] = 0.3
-        x[lay.qminus(0)] = 0.3
-        x[lay.qaux(0)] = 0.3
+        x[lay.qplus[0]] = 0.3
+        x[lay.qminus[0]] = 0.3
+        x[lay.qaux[0]] = 0.3
         val = prob.obj_coef @ x
         assert val == pytest.approx(0.3)
         # the aux coupling rows hold with equality at this point
@@ -264,7 +278,7 @@ class TestObjectives:
 class TestOptionsAndFixing:
     def test_fix_q_zero(self, case):
         prob = build_custom(case, {LimitKind.VOLTAGE}, Objective.ACTIVE_EXPORT, 0, fix_q_zero=True)
-        assert prob.lb[prob.layout.qg(0)] == prob.ub[prob.layout.qg(0)] == 0.0
+        assert prob.lb[prob.layout.qg[0]] == prob.ub[prob.layout.qg[0]] == 0.0
 
     def test_fixed_p(self, case):
         # Dense (n_gen, 3) pins: only the connected phase a of g1 is read.
@@ -272,7 +286,7 @@ class TestOptionsAndFixing:
         prob = build_custom(
             case, {LimitKind.VOLTAGE}, Objective.REACTIVE_MARGIN, 0, fixed_p=fixed
         )
-        assert prob.lb[prob.layout.pg(0)] == prob.ub[prob.layout.pg(0)] == pytest.approx(0.123)
+        assert prob.lb[prob.layout.pg[0]] == prob.ub[prob.layout.pg[0]] == pytest.approx(0.123)
         assert np.count_nonzero(prob.lb == prob.ub) == 7  # six slack voltages and the pin
 
     def test_q_rating_bound(self, case):
@@ -280,8 +294,8 @@ class TestOptionsAndFixing:
             case, {LimitKind.VOLTAGE}, Objective.ACTIVE_EXPORT, 0, bound_q_by_rating=True
         )
         qmax = case.generators[0].q_abs_max
-        assert prob.lb[prob.layout.qg(0)] == pytest.approx(-qmax)
-        assert prob.ub[prob.layout.qg(0)] == pytest.approx(qmax)
+        assert prob.lb[prob.layout.qg[0]] == pytest.approx(-qmax)
+        assert prob.ub[prob.layout.qg[0]] == pytest.approx(qmax)
 
 
 class TestSeparability:

@@ -192,7 +192,7 @@ class TestValidateSolution:
         # Twice the optimal export: the oracle's own state breaks the limits.
         case, prob, x = self.solved(ScenarioSpec(5))
         xc = x.copy()
-        xc[prob.layout.pg(0)] *= 2.0
+        xc[prob.layout.pg[0]] *= 2.0
         report = validate(case, solution_injections(case, prob, xc), 0, prob.constraint_set,
                           optimizer_voltages(prob, xc))
         assert not report.ok
@@ -204,7 +204,7 @@ class TestValidateSolution:
         # injections are untouched, so the oracle's state breaks no limit.
         case, prob, x = self.solved(ScenarioSpec(5))
         xc = x.copy()
-        xc[prob.layout.u_re(1, 0)] += 0.2
+        xc[prob.layout.u_re[1, 0]] += 0.2
         report = validate(case, solution_injections(case, prob, xc), 0, prob.constraint_set,
                           optimizer_voltages(prob, xc))
         assert not report.ok

@@ -92,8 +92,8 @@ def zero_load_program():
 
 def load_row_power(prob, u: complex, i: complex) -> tuple[float, float]:
     lay, x = prob.layout, np.zeros(prob.n_vars)
-    x[lay.u_re(1, 1)], x[lay.u_im(1, 1)] = u.real, u.imag
-    x[lay.il_re(0)], x[lay.il_im(0)] = i.real, i.imag
+    x[lay.u_re[1, 1]], x[lay.u_im[1, 1]] = u.real, u.imag
+    x[lay.il_re[0]], x[lay.il_im[0]] = i.real, i.imag
     vals = prob.eq.value(x)
     return vals[prob.eq.labels.index("load_p[d1,b]")], vals[prob.eq.labels.index("load_q[d1,b]")]
 

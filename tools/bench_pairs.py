@@ -10,7 +10,8 @@ and the change first when k is even.  After the untraced pairs, each side
 makes one traced run (seed 1) of every workload for the per-layer metrics.
 
 The output records the machine (nproc, Python, numpy and scipy versions),
-the commit of each side, every run's metrics and, per workload and
+the commit and the ``src/lvdoe/*.py`` line count of each side, every
+run's metrics and, per workload and
 end-to-end metric, each side's median and quartiles and the number of pairs
 the change won.  Whether lower or higher is better comes from
 ``BENCHMARK.json``.
@@ -116,11 +117,18 @@ def collect(runner: Runner, workloads: list[str], pairs: int) -> list[dict]:
     return runs
 
 
-def report(runs: list[dict], better: dict[str, str], machine: dict, commits: dict, command: str) -> dict:
+def source_lines(checkout: Path) -> int:
+    """Lines of the package's Python source, src/lvdoe/*.py, in checkout."""
+    return sum(len(p.read_text().splitlines()) for p in (checkout / "src" / "lvdoe").glob("*.py"))
+
+
+def report(runs: list[dict], better: dict[str, str], machine: dict, commits: dict, lines: dict,
+           command: str) -> dict:
     return {
         "command": command,
         "machine": machine,
         "commits": commits,
+        "source_lines": lines,
         "pairs": "seed k: the parent runs first when k is odd, the change when k is even",
         "summary": summarize(runs, better),
         "runs": runs,
@@ -168,10 +176,11 @@ def main(argv=None) -> int:
             return result
 
         runs = collect(runner, workloads, args.pairs)
+        lines = {side: source_lines(path) for side, path in checkouts.items()}
     finally:
         shutil.rmtree(tmp)
     command = f"python3 perfbench/run.py --workload <w> --seed <1..{args.pairs}> --seconds {seconds} --trace 0|1"
-    out = report(runs, better, machine_info(sys.executable), commits, command)
+    out = report(runs, better, machine_info(sys.executable), commits, lines, command)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
