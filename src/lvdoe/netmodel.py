@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -250,22 +251,21 @@ def _get(obj: dict, key: str, typ, ctx: str, default=None):
     _require(key in obj, f"{ctx}: missing field {key!r}")
     val = obj[key]
     if typ is float:
-        _require(
-            isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val),
-            f"{ctx}: field {key!r} must be a finite number",
-        )
+        _require(_is_finite_number(val), f"{ctx}: field {key!r} must be a finite number")
         return float(val)
     # JSON true and false load as Python bools, which are ints too.
     _require(isinstance(val, typ) and isinstance(val, bool) == (typ is bool), f"{ctx}: field {key!r} has wrong type")
     return val
 
 
+def _is_finite_number(val) -> bool:
+    """A JSON number a float holds: not a bool, NaN, an infinity or an int beyond float range."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= sys.float_info.max
+
+
 def _finite_array(raw: list, ctx: str) -> np.ndarray:
-    """raw as a float array; InputError unless every entry is a finite number."""
-    _require(all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw), f"{ctx}: non-numeric entry")
-    out = np.asarray(raw, dtype=float)
-    _require(np.isfinite(out).all(), f"{ctx}: non-finite entry")
-    return out
+    _require(all(_is_finite_number(v) for v in raw), f"{ctx}: every entry must be a finite number")
+    return np.asarray(raw, dtype=float)
 
 
 def _parse_matrix(raw, ctx: str) -> np.ndarray:

@@ -260,8 +260,9 @@ class TestLoadNetwork:
         "where, message",
         [
             ("bus", "field 'vmin' must be a finite number"),
-            ("matrix", "r_matrix: non-finite entry"),
-            ("profile", "p_profile: non-finite entry"),
+            ("big_int", "field 'vmax' must be a finite number"),
+            ("matrix", "r_matrix: every entry must be a finite number"),
+            ("profile", "p_profile: every entry must be a finite number"),
             ("csv", "loads CSV line 2: p_kw and q_kvar must be finite"),
         ],
     )
@@ -271,6 +272,8 @@ class TestLoadNetwork:
         def edit(doc):
             if where == "bus":
                 doc["buses"][1]["vmin"] = float("nan")
+            elif where == "big_int":
+                doc["buses"][1]["vmax"] = 10**400  # beyond float range: float() raised OverflowError
             elif where == "matrix":
                 doc["branches"][0]["r_matrix"][0] = float("inf")
             elif where == "profile":

@@ -10,10 +10,9 @@ and the change first when k is even.  After the untraced pairs, each side
 makes one traced run (seed 1) of every workload for the per-layer metrics.
 
 The output records the machine (nproc, Python, numpy and scipy versions),
-the commit and the ``src/lvdoe/*.py`` line count of each side, every
-run's metrics and, per workload and
-end-to-end metric, each side's median and quartiles and the number of pairs
-the change won.  Whether lower or higher is better comes from
+the commit and the ``src/lvdoe/*.py`` line count of each side, every run's
+metrics and, per workload and end-to-end metric, each side's median and
+quartiles and the number of pairs the change won.  Whether lower or higher is better comes from
 ``BENCHMARK.json``.
 """
 
