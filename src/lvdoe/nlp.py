@@ -10,6 +10,7 @@ through VarLayout, which cuts range(n_vars) into one index array per block.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -183,10 +184,16 @@ class VarLayout:
         n_split = len(gens) if with_reactive_split else 0
         shapes = [(len(case.buses), 3)] * 2 + [(len(case.branches), 3)] * 2 + [(len(loads),)] * 2
         shapes += [(len(gens),)] * 4 + [(n_split,)] * 3
-        sizes = [int(np.prod(s)) for s in shapes]
-        parts = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
-        blocks = {name: part.reshape(shape) for name, part, shape in zip(_BLOCKS, parts, shapes)}
-        return cls(loads, gens, with_reactive_split, sum(sizes), **blocks)
+        blocks, end = {}, 0
+        for name, shape in zip(_BLOCKS, shapes):
+            start, end = end, end + math.prod(shape)
+            blocks[name] = np.arange(start, end).reshape(shape)
+        return cls(loads, gens, with_reactive_split, end, **blocks)
+
+
+def _entry_arrays(entries: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(element indices, phase indices) of (element, phase) entries."""
+    return tuple(np.array(entries, dtype=np.intp).reshape(len(entries), 2).T)
 
 
 @dataclass(frozen=True)
@@ -472,11 +479,6 @@ def _bounds(
 # ---------------------------------------------------------------------------
 # Decoding and the flat start
 # ---------------------------------------------------------------------------
-
-def _entry_arrays(entries: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(element indices, phase indices) of (element, phase) entries."""
-    return tuple(np.array(entries, dtype=np.intp).reshape(len(entries), 2).T)
-
 
 def decode_state(problem: NlpProblem, x: np.ndarray) -> PhasorState:
     """Unpack a solution vector into a single-period phasor state."""

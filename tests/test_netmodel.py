@@ -17,6 +17,22 @@ ALPHA = np.exp(2j * np.pi / 3)
 A_MAT = np.array([[1, 1, 1], [1, ALPHA**2, ALPHA], [1, ALPHA, ALPHA**2]], dtype=complex)
 
 
+def set_in(*path):
+    """An edit of a JSON document that sets doc[path[0]]...[path[-2]] to path[-1]; no path, no edit."""
+    def edit(doc):
+        if path:
+            *keys, last, value = path
+            for key in keys:
+                doc = doc[key]
+            doc[last] = value
+    return edit
+
+
+def add_rows(element, phase):
+    """An edit of loads-CSV text that appends a full 24-period profile for element and phase."""
+    return lambda text: text + "".join(f"{element},{phase},{t},1.0,0.0\n" for t in range(24))
+
+
 def fortescue_oracle(z1: complex, z0: complex) -> np.ndarray:
     return A_MAT @ np.diag([z0, z1, z1]) @ np.linalg.inv(A_MAT)
 
@@ -209,46 +225,32 @@ class TestLoadNetwork:
         assert rc == 1
         assert f"field {field!r}" in capsys.readouterr().err
 
-    def _synth4_with_csv(self, tmp_path, edit_doc=None, extra_rows=(), drop_load=None):
-        """synth4 and its loads CSV, edited, written to tmp_path; the solve arguments for them."""
+    def _solve_synth4(self, tmp_path, edit_doc, edit_csv):
+        """Exit code of a scenario-5 solve of synth4 as edit_doc and edit_csv change
+        its JSON and loads-CSV text; edit_csv None runs without the CSV."""
         doc = json.loads(fixture_path("synth4.json").read_text())
-        if edit_doc:
-            edit_doc(doc)
-        rows = fixture_path("synth4_loads.csv").read_text().splitlines()
-        rows = [r for r in rows if drop_load is None or not r.startswith(f"{drop_load},")]
-        rows += [f"{el},{ph},{t},1.0,0.0" for el, ph in extra_rows for t in range(24)]
-        (tmp_path / "loads.csv").write_text("\n".join(rows) + "\n")
-        net = tmp_path / "net.json"
-        net.write_text(json.dumps(doc))
-        return ["--network", str(net), "--loads", str(tmp_path / "loads.csv")]
+        edit_doc(doc)
+        args = ["--network", str(self._write(tmp_path, doc))]
+        if edit_csv is not None:
+            (tmp_path / "loads.csv").write_text(edit_csv(fixture_path("synth4_loads.csv").read_text()))
+            args += ["--loads", str(tmp_path / "loads.csv")]
+        return main(["solve", *args, "--scenario", "5", "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize(
-        "case, message",
+        "edit_doc, edit_csv, message",
         [
             # CSV rows for an unknown load or an unconnected phase were ignored
-            ("unknown_load", "loads CSV: no load 'd9' on phase 'a'"),
-            ("unconnected_phase", "loads CSV: no load 'd1' on phase 'c'"),
+            (set_in(), add_rows("d9", "a"), "loads CSV: no load 'd9' on phase 'a'"),
+            (set_in(), add_rows("d1", "c"), "loads CSV: no load 'd1' on phase 'c'"),
             # a load phase that neither the JSON nor the CSV covers loaded as zero demand
-            ("uncovered_with_csv", "load d2: phase a has no p_profile and no loads CSV row"),
-            ("null_profile", "load d1: phase b has no p_profile and no loads CSV row"),
+            (lambda doc: doc["loads"][1].pop("p_profile"), lambda text: "".join(r for r in text.splitlines(True) if not r.startswith("d2,")),
+             "load d2: phase a has no p_profile and no loads CSV row"),
+            (set_in("loads", 0, "p_profile", None), None, "load d1: phase b has no p_profile and no loads CSV row"),
         ],
+        ids=["unknown_load", "unconnected_phase", "uncovered_with_csv", "null_profile"],
     )
-    def test_load_without_demand_exits_1(self, tmp_path, capsys, case, message):
-        def drop_d2_profile(doc):
-            del doc["loads"][1]["p_profile"]
-
-        if case == "null_profile":
-            doc = self._doc()
-            doc["loads"][0]["p_profile"] = None
-            args = ["--network", str(self._write(tmp_path, doc))]
-        else:
-            args = self._synth4_with_csv(tmp_path, **{
-                "unknown_load": dict(extra_rows=[("d9", "a")]),
-                "unconnected_phase": dict(extra_rows=[("d1", "c")]),
-                "uncovered_with_csv": dict(edit_doc=drop_d2_profile, drop_load="d2"),
-            }[case])
-        rc = main(["solve", *args, "--scenario", "5", "--out", str(tmp_path / "o")])
-        assert rc == 1
+    def test_load_without_demand_exits_1(self, tmp_path, capsys, edit_doc, edit_csv, message):
+        assert self._solve_synth4(tmp_path, edit_doc, edit_csv) == 1
         assert message in capsys.readouterr().err
 
     def test_missing_q_profile_is_zero(self, tmp_path):
@@ -256,35 +258,23 @@ class TestLoadNetwork:
         del doc["loads"][0]["q_profile"]
         assert not load_network(self._write(tmp_path, doc)).loads[0].q.any()
 
+    # json accepts NaN and Infinity and float() accepts "nan": a NaN load
+    # used to crash the solve in scipy.linalg.lstsq.
     @pytest.mark.parametrize(
-        "where, message",
+        "edit_doc, edit_csv, message",
         [
-            ("bus", "field 'vmin' must be a finite number"),
-            ("big_int", "field 'vmax' must be a finite number"),
-            ("matrix", "r_matrix: every entry must be a finite number"),
-            ("profile", "p_profile: every entry must be a finite number"),
-            ("csv", "loads CSV line 2: p_kw and q_kvar must be finite"),
+            (set_in("buses", 1, "vmin", float("nan")), None, "field 'vmin' must be a finite number"),
+            # beyond float range: float() raised OverflowError
+            (set_in("buses", 1, "vmax", 10**400), None, "field 'vmax' must be a finite number"),
+            (set_in("branches", 0, "r_matrix", 0, float("inf")), None, "r_matrix: every entry must be a finite number"),
+            (set_in("loads", 0, "p_profile", 3, float("nan")), None, "p_profile: every entry must be a finite number"),
+            (set_in(), lambda text: text.replace("d1,b,0,0.4837,", "d1,b,0,nan,"),
+             "loads CSV line 2: p_kw and q_kvar must be finite"),
         ],
+        ids=["field", "big_int", "matrix", "profile", "csv"],
     )
-    def test_non_finite_number_exits_1(self, tmp_path, capsys, where, message):
-        # json accepts NaN and Infinity, float() accepts "nan": a NaN load used to
-        # crash the solve in scipy.linalg.lstsq
-        def edit(doc):
-            if where == "bus":
-                doc["buses"][1]["vmin"] = float("nan")
-            elif where == "big_int":
-                doc["buses"][1]["vmax"] = 10**400  # beyond float range: float() raised OverflowError
-            elif where == "matrix":
-                doc["branches"][0]["r_matrix"][0] = float("inf")
-            elif where == "profile":
-                doc["loads"][0]["p_profile"][3] = float("nan")
-
-        args = self._synth4_with_csv(tmp_path, edit_doc=edit)
-        if where == "csv":
-            csv_path = tmp_path / "loads.csv"
-            csv_path.write_text(csv_path.read_text().replace("d1,b,0,0.4837,", "d1,b,0,nan,", 1))
-        rc = main(["solve", *args, "--scenario", "5", "--out", str(tmp_path / "o")])
-        assert rc == 1
+    def test_non_finite_number_exits_1(self, tmp_path, capsys, edit_doc, edit_csv, message):
+        assert self._solve_synth4(tmp_path, edit_doc, edit_csv) == 1
         assert message in capsys.readouterr().err
 
 
