@@ -33,6 +33,11 @@ def add_rows(element, phase):
     return lambda text: text + "".join(f"{element},{phase},{t},1.0,0.0\n" for t in range(24))
 
 
+def drop_rows(element):
+    """An edit of loads-CSV text that removes every row of element."""
+    return lambda text: "".join(r for r in text.splitlines(True) if not r.startswith(f"{element},"))
+
+
 def fortescue_oracle(z1: complex, z0: complex) -> np.ndarray:
     return A_MAT @ np.diag([z0, z1, z1]) @ np.linalg.inv(A_MAT)
 
@@ -243,7 +248,7 @@ class TestLoadNetwork:
             (set_in(), add_rows("d9", "a"), "loads CSV: no load 'd9' on phase 'a'"),
             (set_in(), add_rows("d1", "c"), "loads CSV: no load 'd1' on phase 'c'"),
             # a load phase that neither the JSON nor the CSV covers loaded as zero demand
-            (lambda doc: doc["loads"][1].pop("p_profile"), lambda text: "".join(r for r in text.splitlines(True) if not r.startswith("d2,")),
+            (lambda doc: doc["loads"][1].pop("p_profile"), drop_rows("d2"),
              "load d2: phase a has no p_profile and no loads CSV row"),
             (set_in("loads", 0, "p_profile", None), None, "load d1: phase b has no p_profile and no loads CSV row"),
         ],
