@@ -186,9 +186,10 @@ def _run_periods(
             fixed_p=None if fixed_p is None else fixed_p[:, :, t],
         )
         t1 = clock()
+        form = solver.internalize(problem)
         sol, won, tried = None, 0, []
         for k, scale in enumerate(scales):
-            cand = solver.solve(problem, opts, x0=nlp.initial_point(problem, voltage_scale=scale))
+            cand = solver.solve(problem, opts, x0=nlp.initial_point(problem, voltage_scale=scale), form=form)
             tried.append({"status": cand.status, "objective": cand.objective})
             if sol is None or (
                 cand.status == "optimal" and (sol.status != "optimal" or cand.objective > sol.objective + 1e-10)
@@ -415,6 +416,8 @@ def _read_envelopes_csv(path: Path) -> dict[tuple[str, str, int], tuple[float, f
                 ) from None
             if not np.isfinite(value).all():
                 raise InputError(f"{path}, line {n}: p_kw and q_kvar must be finite, got {line.strip()!r}")
+            if key[2] < 0:
+                raise InputError(f"{path}, line {n}: period {key[2]} is negative")
             if key in out:
                 raise InputError(
                     f"{path}, line {n}: duplicate row for generator {gid!r}, phase {ph!r}, period {key[2]}"

@@ -16,18 +16,29 @@ Biegler 2006, Sec. 3).  The inequality rows are condensed into the Hessian,
 so the dense KKT matrix has a row per free variable and equality row:
 [W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I], as in MATPOWER's MIPS.
 
-Private pairs leave that matrix too.  A free variable whose only entries
-are one linear coefficient c in one equality row r and its own bounds (each
-unit-phase's P and Q with its gen_p / gen_q row) meets the rest of the
-system only through row r's entries j_r.  Exact block elimination of the
-pair's 2x2 block [[h, c], [c, -dc]], h = its bounds' z/s + dw, adds
-h / (c^2 + h*dc) * j_r' j_r to the kept columns and shifts the right-hand
-side; the step of the pair is recovered from the reduced solution.  The
-block's determinant is negative, so each pair holds inertia (1, 1).  A
-pivot that is exactly zero in the unreduced matrix keeps roundoff of a few
-eps times the weight on its row, so the zero test scales with that weight.
-The weight depends on dw and dc, so a regularization retry rewrites it with
-the matrix.  On feeder_hr this removes 86 pairs, 558 -> 386 rows.
+Private blocks leave that matrix too.  A block is a connected set V of
+free variables outside lin_vars that enter every row only linearly, the
+equality rows S whose entries all lie in V together with the user
+inequality rows that touch V (which must touch only V), and exactly one
+equality row r that has entries in V (coefficients c) and outside it.  V
+meets the rest of the system only through r's outside entries j_r, so exact
+elimination of the block matrix B = [[H + dw*I, A_S', c'], [A_S, -dc*I, 0],
+[c, 0, -dc]], H being V's bound z/s and condensed local inequality rows,
+adds w j_r' j_r with w = -(B^-1)_rr to the kept columns and shifts the
+right-hand side; V's step and the multipliers of S, r and the local rows are
+recovered from B after the reduced solve.  B holds inertia (|V|, |S| + 1,
+0) for dw, dc >= 0 under the rule that private_blocks states, so the
+reduced matrix keeps the full one's inertia test.  A block of one variable
+and no S is a pair, and its B is solved in closed form: w = h / (c^2 +
+h*dc).  Each
+unit-phase's P and Q with its gen_p / gen_q row is a pair; under the
+margin objective a unit-phase's (qg, q+, q-, q_aux) with qsplit, qaux_plus,
+qaux_minus and gen_q is a block of four.  A pivot that is exactly zero in
+the unreduced matrix keeps roundoff of a few eps times the weight on its
+row, so the zero test scales with that weight.  The weight depends on dw and
+dc, so a regularization retry rewrites it with the matrix.  On feeder_hr
+this takes 558 -> 386 rows for active export and 687 -> 429 for a stage-2
+margin program.
 
 The network's linear rows leave it next, in the reduced-space manner of
 Pacaud et al. 2022 (arXiv:2203.11875).  The voltage-drop and KCL rows L
@@ -37,10 +48,11 @@ period.  So internalize builds T = -A_d^-1 Jg[L, C] once, C being the
 element currents that L couples to D; the steps that solve L are dx = x_p
 + Z dr with Z = [T; I], and the factored matrix is [[Z'HZ, Z'Jq'], [Jq Z,
 -dc*I]] over the reduced variables and the remaining rows Jq (the loads'
-power rows, and the generators' ones that no pair took).  L takes no dc,
+power rows, and the generators' ones that no block took).  L takes no dc,
 and it holds inertia (|L|, |L|, 0), so the factored matrix needs one
 positive eigenvalue per reduced variable and no zero pivot.  On feeder_hr
-this leaves 146 of the 386 rows.
+this leaves 146 of the 386 rows, and 189 of the 429 of a stage-2 margin
+program.
 
 A user inequality row on D is condensed while its z/s is at most
 SIGMA_CONDENSED_MAX.  Above that it stays a row of the factored matrix,
@@ -72,6 +84,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from . import nlp as nlp_mod
 from .nlp import NlpProblem, QuadBlock
@@ -83,7 +97,7 @@ REGULARIZATION_MIN = 1e-10
 # Consecutive iterations with zero pivots at dw = dc = 0 after which the
 # remaining iterations of a solve skip that attempt.
 DEGENERATE_ITERATIONS = 3
-# A 1x1 pivot on a row that carries pair weight w counts as zero below this
+# A 1x1 pivot on a row that carries block weight w counts as zero below this
 # times w (see _ldlt).
 PIVOT_ROUNDOFF = 100.0 * np.finfo(float).eps
 # A user inequality row on the linear rows' columns D whose z/s exceeds this
@@ -134,12 +148,13 @@ class Solution:
 
 
 @dataclass(frozen=True)
-class Pairs:
-    """Private pairs (v, r) that the KKT system eliminates (see kkt_assemble)."""
+class Blocks:
+    """Private blocks of one shape that the KKT system eliminates (see private_blocks)."""
 
-    var: np.ndarray   # eliminated variable v ...
-    row: np.ndarray   # ... the one equality row r it enters ...
-    coef: np.ndarray  # ... and its constant coefficient c = Jg[r, v] there
+    var: np.ndarray   # (nb, nv) each block's variables V ...
+    srow: np.ndarray  # (nb, ns) ... the equality rows S inside it ...
+    row: np.ndarray   # (nb,) ... the one equality row r it shares with the kept system ...
+    coef: np.ndarray  # (nb, ns + 1, nv) ... and the constant coefficients of S's rows, then r's, on V
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,7 @@ class InternalForm:
 
     The positions that the Hessian terms take in the dense kept block depend
     only on the row structure and the free set, so they are built once here,
-    as are the private pairs and the basis of the linear rows that the KKT
+    as are the private blocks and the basis of the linear rows that the KKT
     system eliminates.  The kept variables come in three runs: the free
     lin_vars D, then the variables that the linear rows couple to them (C),
     then the rest.
@@ -162,36 +177,125 @@ class InternalForm:
     bnd_sign: np.ndarray   # the user rows in h, z and s: each free variable's finite upper
     bnd_const: np.ndarray  # bound (+1, -ub), then its finite lower bound (-1, lb)
     free: np.ndarray       # variables with lb != ub; the step moves only these
-    keep: np.ndarray       # free variables that are not in a pair: D, then C, then the rest
+    keep: np.ndarray       # free variables that are not in a block: D, then C, then the rest
     lin_rows: np.ndarray   # the linear rows L, as many as D
     lin_inv: np.ndarray    # inverse of A_d = Jg[L, D]
     basis: np.ndarray      # T = -A_d^-1 Jg[L, C]; the steps that keep L are (T dr_C, dr)
     basis_gram: np.ndarray  # T' T
-    eq_keep: np.ndarray    # equality rows left in the reduced system: neither in L nor in a pair
+    eq_keep: np.ndarray    # equality rows left in the reduced system: neither in L nor in a block
     ineq_on_d: np.ndarray  # user inequality rows with an entry on D
-    row_take: np.ndarray   # flat Jg positions of the rows eq_keep, then the pair rows, on keep
-    w_index: np.ndarray    # position in the kept block of each eq, ineq, condensed Hessian and bound term
+    row_take: np.ndarray   # flat Jg positions of the rows eq_keep, then the blocks' rows r, on keep
+    w_index: np.ndarray    # flat position of each eq, ineq, condensed Hessian and bound term:
+    hess_size: int         # the kept block, then each block's H, up to hess_size; a sink there
     pair_a: np.ndarray     # flat Jh positions (row * n_vars + col) of entry pairs
     pair_b: np.ndarray     # that share a row; their products condense Jh' diag(z/s) Jh
-    pairs: Pairs
+    blocks: tuple[Blocks, ...]
 
 
-def private_pairs(problem: NlpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(variables, rows, coefficients) of the pairs the KKT system eliminates.
+def private_blocks(problem: NlpProblem) -> tuple[Blocks, ...]:
+    """The private blocks that the KKT system eliminates, one Blocks per shape.
 
-    A free variable qualifies when its only entries are one linear
-    coefficient in one equality row and its own bounds: no quadratic term
-    and no user-inequality entry.  Each row takes at most one variable, the
-    lowest-numbered; the pairs come in increasing row order.
+    Candidates are the free variables outside lin_vars that have no
+    quadratic entry and enter no linear row.  They are joined through the
+    equality rows whose entries on free variables all lie among them (S) and
+    through the user inequality rows that touch them; a component qualifies
+    when no inequality row joins it to another variable and exactly one
+    further equality row r touches it, and touches no other component.  A
+    component that no further row touches takes its last S row as r, whose
+    j_r is then zero.
+
+    Qualification rule: V enters rows only linearly, so H is positive
+    semidefinite, and every variable of V with a finite bound adds z/s > 0
+    to it.  If the rows [A_S; c] have full row rank and their columns on
+    V's unbounded variables are linearly independent, H is positive
+    definite on their null space, so B has inertia (|V|, |S| + 1, 0) for
+    every dw >= 0 and dc >= 0, and the reduced matrix keeps the inertia
+    test of the full one.  Blocks that fail the rule stay in the KKT system.
+    (Under the margin objective q+, q- and q_aux have finite bounds and
+    qsplit ties qg to them.)  Blocks come ordered by r, their variables and
+    rows in index order; the shapes by (|V|, |S|).
     """
-    eq, ineq, n = problem.eq, problem.ineq, problem.n_vars
-    shared = np.zeros(n, dtype=bool)
-    shared[np.concatenate([eq.qi, ineq.qi, ineq.li])] = True
-    private = (np.bincount(eq.li, minlength=n) == 1) & (problem.lb != problem.ub) & ~shared
-    k = np.flatnonzero(private[eq.li] & (eq.lv != 0.0))
-    k = k[np.argsort(eq.li[k], kind="stable")]
-    rows, first = np.unique(eq.lk[k], return_index=True)
-    return eq.li[k[first]], rows, eq.lv[k[first]]
+    eq, ineq, n, me = problem.eq, problem.ineq, problem.n_vars, problem.eq.n_rows
+    free = problem.lb != problem.ub
+    lin_row = np.zeros(me, dtype=bool)
+    lin_row[problem.lin_rows] = True
+    cand = free.copy()
+    cand[problem.lin_vars] = False
+    cand[np.concatenate([eq.qi, ineq.qi, eq.li[lin_row[eq.lk]]])] = False
+
+    # The equality rows' entries on free variables: S rows have them all on
+    # candidates, boundary rows some.
+    ek, ev = np.concatenate([eq.lk, eq.qk]), np.concatenate([eq.li, eq.qi])
+    ek, ev = ek[free[ev]], ev[free[ev]]
+    inside = cand[ev]
+    n_in = np.bincount(ek[inside], minlength=me)
+    n_out = np.bincount(ek[~inside], minlength=me)
+    s_row = (n_in > 0) & (n_out == 0)
+    ik, iv = np.concatenate([ineq.lk, ineq.qk]), np.concatenate([ineq.li, ineq.qi])
+    ik, iv = ik[free[iv]], iv[free[iv]]
+    touch = np.zeros(ineq.n_rows, dtype=bool)
+    touch[ik[cand[iv]]] = True
+
+    # Components of the graph of variables (0..n-1), equality rows (n..) and
+    # inequality rows (n+me..) joined by these entries.
+    a = np.concatenate([ev[s_row[ek]], iv[touch[ik]]])
+    b = np.concatenate([n + ek[s_row[ek]], n + me + ik[touch[ik]]])
+    size = n + me + ineq.n_rows
+    graph = scipy.sparse.coo_matrix((np.ones(a.size), (a, b)), shape=(size, size))
+    n_comp, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    ok = np.zeros(n_comp, dtype=bool)
+    ok[label[:n][cand]] = True
+    ok[label[:n][~cand]] = False
+    # Each qualifying component has one boundary row r, which touches no
+    # other one; a component that meets none takes its last S row as r.
+    boundary = inside & (n_out[ek] > 0)
+    t_row, t_comp = np.divmod(np.unique(ek[boundary] * n_comp + label[ev[boundary]]), n_comp)
+    n_touch = np.bincount(t_comp, minlength=n_comp)
+    r_of = np.full(n_comp, -1)
+    r_of[t_comp] = t_row
+    inner = np.flatnonzero(s_row)
+    last = np.full(n_comp, -1)
+    np.maximum.at(last, label[n + inner], inner)
+    r_of = np.where(n_touch == 0, last, r_of)
+    ok &= (n_touch <= 1) & (r_of >= 0)
+    ok[t_comp[np.bincount(t_row, minlength=me)[t_row] > 1]] = False
+    s_row[r_of[ok]] = False
+
+    var = np.flatnonzero(cand & ok[label[:n]])
+    srow = np.flatnonzero(s_row & ok[label[n : n + me]])
+    var = var[np.lexsort((var, r_of[label[var]]))]
+    srow = srow[np.lexsort((srow, r_of[label[n + srow]]))]
+    comp = np.unique(label[var])
+    nv = np.bincount(label[var], minlength=n_comp)[comp]
+    ns = np.bincount(label[n + srow], minlength=n_comp)[comp]
+
+    groups = []
+    for shape_v, shape_s in sorted(set(zip(nv.tolist(), ns.tolist()))):
+        sel = comp[(nv == shape_v) & (ns == shape_s)]
+        sel = sel[np.argsort(r_of[sel])]
+        mine = np.zeros(n_comp, dtype=bool)
+        mine[sel] = True
+        g_var = var[mine[label[var]]].reshape(sel.size, shape_v)
+        g_srow = srow[mine[label[n + srow]]].reshape(sel.size, shape_s)
+        g_row = r_of[sel]
+        # Slot of each block variable and row: S's rows, then r.
+        slot_v = np.full(n, -1)
+        slot_v[g_var] = np.arange(sel.size)[:, None] * shape_v + np.arange(shape_v)
+        slot_r = np.full(me, -1)
+        slot_r[g_srow] = np.arange(sel.size)[:, None] * (shape_s + 1) + np.arange(shape_s)
+        slot_r[g_row] = np.arange(sel.size) * (shape_s + 1) + shape_s
+        k = (slot_v[eq.li] >= 0) & (slot_r[eq.lk] >= 0)
+        flat = slot_r[eq.lk[k]] * shape_v + slot_v[eq.li[k]] % shape_v
+        coef = np.bincount(flat, weights=eq.lv[k], minlength=sel.size * (shape_s + 1) * shape_v)
+        coef = coef.astype(float, copy=False).reshape(sel.size, shape_s + 1, shape_v)
+        # The qualification rule, block by block.
+        bounded = np.isfinite(problem.lb[g_var]) | np.isfinite(problem.ub[g_var])
+        good = (np.linalg.matrix_rank(coef) == shape_s + 1) & (
+            np.linalg.matrix_rank(coef * ~bounded[:, None, :]) == np.count_nonzero(~bounded, axis=1)
+        )
+        if good.any():
+            groups.append(Blocks(var=g_var[good], srow=g_srow[good], row=g_row[good], coef=coef[good]))
+    return tuple(groups)
 
 
 def internalize(problem: NlpProblem) -> InternalForm:
@@ -207,18 +311,16 @@ def internalize(problem: NlpProblem) -> InternalForm:
     finite = np.isfinite(bnd_const)
     bnd_var = np.repeat(free, 2)[finite]
 
-    var, row, coef = private_pairs(problem)
+    blocks = private_blocks(problem)
     in_kkt = np.zeros(n, dtype=bool)
     in_kkt[free] = True
-    in_kkt[var] = False
+    row_in_kkt = np.ones(me, dtype=bool)
+    for blk in blocks:
+        in_kkt[blk.var] = False
+        row_in_kkt[blk.srow] = row_in_kkt[blk.row] = False
 
-    # The linear rows over every variable, from their linear triplets.  A
-    # pair may own one (a voltage that enters only its voltage-drop row), and
-    # then its row leaves with it, as its variable leaves D.
-    pair_row = np.zeros(me, dtype=bool)
-    pair_row[row] = True
+    # The linear rows over every variable, from their linear triplets.
     lin_rows = np.asarray(problem.lin_rows, dtype=np.intp)
-    lin_rows = lin_rows[~pair_row[lin_rows]]
     lin_of_row = np.full(me, -1)
     lin_of_row[lin_rows] = np.arange(lin_rows.size)
     sel = lin_of_row[eq.lk] >= 0
@@ -242,16 +344,27 @@ def internalize(problem: NlpProblem) -> InternalForm:
         )
     basis = -lin_inv @ a_lin[:, rest[coupled]]
 
-    row_in_kkt = ~pair_row
     row_in_kkt[lin_rows] = False
     eq_keep = np.flatnonzero(row_in_kkt)
     nk = keep.size
     pos = np.full(n, -1)
     pos[keep] = np.arange(nk)
+    # Each block's H follows the kept block: the flat position of H[i, j] is
+    # row_at[i] + col_at[j] when i and j are in the same block.
+    row_at, col_at, block_of = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.full(n, -1)
+    end, n_blocks = nk * nk, 0
+    for blk in blocks:
+        nb, nv = blk.var.shape
+        row_at[blk.var] = end + nv * np.arange(nb * nv).reshape(nb, nv)
+        col_at[blk.var] = np.arange(nv)
+        block_of[blk.var] = n_blocks + np.arange(nb)[:, None]
+        end, n_blocks = end + nb * nv * nv, n_blocks + nb
 
     def w_pos(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Flat position of H[i, j] in the kept block; a sink past the end unless i and j are kept."""
-        return np.where((pos[i] >= 0) & (pos[j] >= 0), pos[i] * nk + pos[j], nk * nk)
+        """Flat position of H[i, j] in the kept block or a block's H; a sink
+        at `end` unless i and j are both kept or in the same block."""
+        in_block = (block_of[i] >= 0) & (block_of[i] == block_of[j])
+        return np.where((pos[i] >= 0) & (pos[j] >= 0), pos[i] * nk + pos[j], np.where(in_block, row_at[i] + col_at[j], end))
 
     ineq = problem.ineq
     on_d = pos < d.size
@@ -260,7 +373,7 @@ def internalize(problem: NlpProblem) -> InternalForm:
     ineq_on_d[ineq.qk[on_d[ineq.qi] | on_d[ineq.qj]]] = True
     ineq_on_d[ineq.lk[on_d[ineq.li]]] = True
     nz = np.unique(problem.ineq.jac_index)
-    nz = nz[pos[nz % n] >= 0]
+    nz = nz[(pos[nz % n] >= 0) | (block_of[nz % n] >= 0)]
     a, b = np.nonzero((nz // n)[:, None] == (nz // n)[None, :])
     pair_a, pair_b = nz[a], nz[b]
     return InternalForm(
@@ -279,7 +392,7 @@ def internalize(problem: NlpProblem) -> InternalForm:
         basis_gram=basis.T @ basis,
         eq_keep=eq_keep,
         ineq_on_d=ineq_on_d,
-        row_take=(np.concatenate([eq_keep, row])[:, None] * n + keep).ravel(),
+        row_take=(np.concatenate([eq_keep, *(blk.row for blk in blocks)])[:, None] * n + keep).ravel(),
         w_index=np.concatenate([
             w_pos(eq.qi, eq.qj),
             w_pos(problem.ineq.qi, problem.ineq.qj),
@@ -288,7 +401,8 @@ def internalize(problem: NlpProblem) -> InternalForm:
         ]),
         pair_a=pair_a,
         pair_b=pair_b,
-        pairs=Pairs(var=var, row=row, coef=coef),
+        hess_size=end,
+        blocks=blocks,
     )
 
 
@@ -337,19 +451,19 @@ def kkt_assemble(
     The kept block H is W + Jh' diag(z/s) Jh on the kept variables, a bound
     row condensing to its z/s on its variable's diagonal and a split row not
     at all; constraint Hessians are constant, so H is a weighted sum over
-    fixed positions.  Each private pair (v, r) adds w j_r' j_r to H, w = h /
-    (c^2 + h*dc) with h = the z/s of v's bound rows + dw and c = Jg[r, v],
-    and shifts the right-hand side.  With the linear rows L solved by x_p =
-    A_d^-1 r_L on D, the reduced matrix [[Z'HZ, Z'Jq'], [Jq Z, -diag(dc,
+    fixed positions, and so is each private block's H.  Each block adds
+    w j_r' j_r to H, w = -(B^-1)_rr (_block_solver), and shifts the
+    right-hand side.  With the linear rows L solved by x_p = A_d^-1 r_L on
+    D, the reduced matrix [[Z'HZ, Z'Jq'], [Jq Z, -diag(dc,
     s/z)]] acts on (dr, dy_q), where Jq holds the remaining equality rows
     and then the split rows, whose dz come last in dy_q.  T is nonzero only
     on C, so Z'HZ = H_RR + X + X' with X = T'(H_DR + H_DD T / 2) on the rows
     of C, formed once per iteration; a retry adds dw*(I + T'T), T'T being
-    constant, and the pair terms w v' v with v = j_r Z.
+    constant, and the block terms w v' v with v = j_r Z.
 
     The system is (step, pivot_scale): step(solve_fn), given the solve of a
     factorization of the matrix, returns (dx, dy, dz, ds), and pivot_scale
-    is the weight that the pairs put on each row's diagonal, which scales
+    is the weight that the blocks put on each row's diagonal, which scales
     _ldlt's zero-pivot test.  regularize(dw, dc) rewrites the matrix in
     place from the same unregularized projection, so the matrix depends on
     the iterate and (dw, dc) alone, and returns the new system.
@@ -377,13 +491,18 @@ def kkt_assemble(
         sigma[mi:],
     ])
     # (bincount returns integers when there are no terms at all)
-    hess = np.bincount(form.w_index, weights=weights, minlength=nk * nk + 1)[:-1].astype(float, copy=False)
-    hess = hess.reshape(nk, nk)
+    flat = np.bincount(form.w_index, weights=weights, minlength=form.hess_size + 1).astype(float, copy=False)
+    hess = flat[: nk * nk].reshape(nk, nk)
+    block_hess, end = [], nk * nk
+    for blk in form.blocks:
+        nb, nv = blk.var.shape
+        block_hess.append(flat[end : end + nb * nv * nv].reshape(nb, nv, nv))
+        end += nb * nv * nv
 
-    # The remaining equality rows, the split rows and the pair rows on the
-    # kept variables, and their products with Z.
-    pp = form.pairs
-    rows = jg.take(form.row_take).reshape(nq + pp.row.size, nk)
+    # The remaining equality rows, the split rows and the blocks' rows r on
+    # the kept variables, and their products with Z.
+    r_rows = np.concatenate([np.zeros(0, dtype=np.intp), *(blk.row for blk in form.blocks)])
+    rows = jg.take(form.row_take).reshape(nq + r_rows.size, nk)
     if split.size:
         rows = np.concatenate([rows[:nq], jh[np.ix_(split, keep)], rows[nq:]])
     rows_z = rows[:, nd:].astype(float)
@@ -407,36 +526,40 @@ def kkt_assemble(
     r_x, r_y = -grad, -pt.g
     r_k, b_l = r_x[keep], r_y[form.lin_rows]
     b_q = np.concatenate([r_y[form.eq_keep], -(h[split] + mu / z[split])])
-    # Per pair: the bound curvature of v, and the right-hand sides of v and r.
-    h_v = np.bincount(form.bnd_var, weights=sigma[mi:], minlength=n)[pp.var]
-    c = pp.coef
-    r_v, r_r = r_x[pp.var], r_y[pp.row]
+    r_r = r_y[r_rows]
 
     def regularize(delta_w: float, delta_c: float) -> tuple[Callable, np.ndarray]:
-        hv = h_v + delta_w
-        det = c * c + hv * delta_c  # minus the determinant of each pair's block
-        w = hv / det
-        pair_terms = (v.T * w) @ v
+        solvers = [_block_solver(blk, hb, delta_w, delta_c) for blk, hb in zip(form.blocks, block_hess)]
+        w = np.concatenate([np.zeros(0), *(w_b for _, w_b in solvers)])
+        block_terms = (v.T * w) @ v
         block = kkt[:nr, :nr]
-        np.add(base, pair_terms, out=block)
+        np.add(base, block_terms, out=block)
         block[:nc, :nc] += delta_w * form.basis_gram
         kkt[diag_r, diag_r] += delta_w
         kkt[diag_q, diag_q] = -delta_c
         pivot_scale = np.zeros(dim)
-        pivot_scale[:nr] = pair_terms.diagonal()
+        pivot_scale[:nr] = block_terms.diagonal()
 
         def h_times(dx_k: np.ndarray) -> np.ndarray:
-            """(H + dw*I + pair terms) dx_k on the kept variables."""
+            """(H + dw*I + block terms) dx_k on the kept variables."""
             return hess @ dx_k + delta_w * dx_k + jp.T @ (w * (jp @ dx_k))
+
+        def block_steps(rhs_r: np.ndarray):
+            """Each block's solve of B with the right-hand side (r_x[V], r_y[S], rhs_r)."""
+            at = np.cumsum([0] + [blk.row.size for blk in form.blocks])
+            return [
+                (blk, solve_b(r_x[blk.var], r_y[blk.srow], rhs_r[a:b]))
+                for blk, (solve_b, _), a, b in zip(form.blocks, solvers, at[:-1], at[1:])
+            ]
 
         def step(solve_fn: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             """dx_k = x_p + Z dr on the kept variables, x_p = A_d^-1 r_L on
             D, with (dr, dy_q) from the reduced solve and A_d' dy_L = (b_x -
             H dx_k - Jq' dy_q)[D]; dy_q holds the split rows' dz after the
             remaining equality rows.  dx is zero on fixed variables; each
-            pair's 2x2 block gives dv and dy_r, the condensed inequality rows
+            block's B gives dV, dy_S and dy_r, the condensed inequality rows
             dz = (z/s)(Jh dx + h + mu/z), and the complementarity rows ds."""
-            b_x = r_k - jp.T @ ((c * r_v - hv * r_r) / det)
+            b_x = r_k - jp.T @ np.concatenate([np.zeros(0), *(d_r for _, (_, _, d_r) in block_steps(r_r))])
             dx_k = np.zeros(nk)
             dx_k[:nd] = form.lin_inv @ b_l
             b = b_x - h_times(dx_k)
@@ -451,9 +574,8 @@ def kkt_assemble(
             dy = np.empty(r_y.size)
             dy[form.lin_rows] = form.lin_inv.T @ u[:nd]
             dy[form.eq_keep] = dy_q[:nq]
-            tr = r_r - jp @ dx_k
-            dx[pp.var] = (delta_c * r_v + c * tr) / det
-            dy[pp.row] = (c * r_v - hv * tr) / det
+            for blk, (d_v, d_s, d_r) in block_steps(r_r - jp @ dx_k):
+                dx[blk.var], dy[blk.srow], dy[blk.row] = d_v, d_s, d_r
             dz = sigma * (np.concatenate([jh @ dx, form.bnd_sign * dx[form.bnd_var]]) + h + mu / z)
             dz[split] = dy_q[nq:]
             return dx, dy, dz, mu / z - s - (s / z) * dz
@@ -461,6 +583,42 @@ def kkt_assemble(
         return step, pivot_scale
 
     return kkt, regularize(delta_w, delta_c), regularize
+
+
+def _block_solver(blk: Blocks, hess: np.ndarray, delta_w: float, delta_c: float) -> tuple[Callable, np.ndarray]:
+    """(solve, w) for blocks of one shape with H = hess at (dw, dc).
+
+    solve(r_v, r_s, r_r) returns (dV, dy_S, dy_r) = B^-1 (r_v, r_s, r_r) per
+    block, and w = -(B^-1)_rr.  A pair's B = [[h, c], [c, -dc]] is solved in
+    closed form, w = h / (c^2 + h*dc), in a few vector operations; larger
+    blocks by one batched inverse per shape.
+    """
+    nb, nv = blk.var.shape
+    ns = blk.srow.shape[1]
+    if nv == 1 and ns == 0:
+        h = hess[:, 0, 0] + delta_w
+        c = blk.coef[:, 0, 0]
+        det = c * c + h * delta_c  # minus the determinant of each pair's block
+
+        def solve_pair(r_v, r_s, r_r):
+            r_v = r_v[:, 0]
+            return ((delta_c * r_v + c * r_r) / det)[:, None], r_s, (c * r_v - h * r_r) / det
+
+        return solve_pair, h / det
+    m = nv + ns + 1
+    mat = np.zeros((nb, m, m))
+    mat[:, :nv, :nv] = hess
+    mat[:, range(nv), range(nv)] += delta_w
+    mat[:, nv:, :nv] = blk.coef
+    mat[:, :nv, nv:] = blk.coef.transpose(0, 2, 1)
+    mat[:, range(nv, m), range(nv, m)] = -delta_c
+    inv = np.linalg.inv(mat)
+
+    def solve(r_v, r_s, r_r):
+        sol = (inv @ np.concatenate([r_v, r_s, r_r[:, None]], axis=1)[:, :, None])[:, :, 0]
+        return sol[:, :nv], sol[:, nv:-1], sol[:, -1]
+
+    return solve, -inv[:, -1, -1]
 
 
 def _pivot_rows(ipiv: np.ndarray, two: np.ndarray) -> np.ndarray:
@@ -488,7 +646,7 @@ def _ldlt(kdense: np.ndarray, scale: np.ndarray | None = None):
     1e10 and beyond, so a relative threshold would misclassify small but
     healthy curvature pivots.  scale, when given, raises the threshold of a
     1x1 pivot on row i to PIVOT_ROUNDOFF * scale[i] where that is larger: the
-    eliminated pairs' weight scale[i] on row i leaves roundoff of a few eps
+    eliminated blocks' weight scale[i] on row i leaves roundoff of a few eps
     times it on a pivot that is exactly zero in the unreduced system (9e-12
     at weight 2.3e4 on synth4_unbal), while the smallest healthy pivots seen
     on such rows are 1e-12 times their weight (3e-7 at 4e5 on feeder_hr).
@@ -546,15 +704,19 @@ def solve(
     problem: NlpProblem,
     options: SolverOptions | None = None,
     x0: np.ndarray | None = None,
+    form: InternalForm | None = None,
 ) -> Solution:
     """Drive the interior-point iteration to a first-order KKT point.
 
     Deterministic: identical problems and options reproduce the iteration
     history bit for bit.  Nonconvexity means the result is a KKT point, not
-    a certified global optimum.  x0 overrides the flat-start initialization.
+    a certified global optimum.  x0 overrides the flat-start initialization;
+    form, internalize(problem) when given, saves building it again for
+    another start.
     """
     opts = options or SolverOptions()
-    form = internalize(problem)
+    if form is None:
+        form = internalize(problem)
     me, mi = form.eq.n_rows, form.ineq.n_rows + form.bnd_var.size
     n_reduced = form.keep.size - form.lin_rows.size
 

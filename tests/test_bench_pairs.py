@@ -21,8 +21,12 @@ def stub_runner(calls):
     def runner(side, workload, seed, trace):
         calls.append((side, workload, seed, trace))
         if trace:
-            return {"correct": True, "attempted": 24, "failed": 0, "rounds": 1,
-                    "metrics": {"solver.kkt_dim_max": {"value": 146 if side == "change" else 386, "unit": "rows"}}}
+            # The parent's traced run makes 4 rounds, the change's 5.
+            rounds, solves = (5, 110) if side == "change" else (4, 96)
+            return {"correct": True, "attempted": 24 * rounds, "failed": 0, "rounds": rounds,
+                    "metrics": {"solver.kkt_dim_max": {"value": 146 if side == "change" else 386, "unit": "rows"},
+                                "solver.solve.calls": {"value": solves, "unit": "count"},
+                                "solver.factorize.s": {"value": 2.0, "unit": "s"}}}
         # run_s: the parent takes 10 + seed s, the change 5 + seed s except on seed 3,
         # where it takes 20 s; export_kwh is equal on both sides.
         run_s = 10.0 + seed if side == "parent" else (20.0 if seed == 3 else 5.0 + seed)
@@ -66,6 +70,13 @@ def test_report_from_stub_runner(bench_pairs, tmp_path):
     assert (export["change_wins"], export["ties"]) == (0, 4)
     # A metric that no run reports is left out.
     assert "peak_rss_mb" not in summary["end_to_end"]
+    # Traced times and counts per round; the maximum dimension as it is.
+    assert summary["traced_per_round"] == {
+        "parent": {"rounds": 4, "metrics": {"solver.kkt_dim_max": 386, "solver.solve.calls": 24.0,
+                                            "solver.factorize.s": 0.5}},
+        "change": {"rounds": 5, "metrics": {"solver.kkt_dim_max": 146, "solver.solve.calls": 22.0,
+                                            "solver.factorize.s": 0.4}},
+    }
 
 
 def test_source_lines_counts_package_python_files(bench_pairs, tmp_path):

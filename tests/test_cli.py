@@ -178,8 +178,8 @@ class TestValidateCommand:
         "field, value, message",
         [
             (2, "99", "period 99 outside horizon 24"),
-            # numpy indexing would silently write period 23
-            (2, "-1", "period -1 outside horizon 24"),
+            # numpy indexing would silently write period 23; the reader rejects it
+            (2, "-1", "line 2: period -1 is negative"),
             (1, "x", "unknown phase 'x'"),
             # malformed lines: a missing or extra field, a period or number that does not parse
             (4, None, ROW_ERROR),
@@ -270,6 +270,15 @@ class TestPlotCommand:
         rc = main(["plot", "--result", str(bad), "--out", str(tmp_path / "x.svg")])
         assert rc == 1
         assert f"{bad}, line 2: expected" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_negative_period_exits_1(self, tmp_path, capsys):
+        # Period -1 used to add its 5 kW to the last period.
+        bad = tmp_path / "envelopes.csv"
+        bad.write_text("generator_id,phase,period,p_kw,q_kvar\ng1,a,0,1.0,0\ng1,a,1,2.0,0\ng1,a,-1,5.0,0\n")
+        rc = main(["plot", "--result", str(bad), "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        assert f"{bad}, line 4: period -1 is negative" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
 
 

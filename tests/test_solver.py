@@ -88,15 +88,72 @@ def full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c=0.0):
     return k, rhs
 
 
-# feeder_hr has 86 private pairs; two_bus and synth4 have fewer.  The last
-# case puts an equality regularization on every kept and eliminated row that
-# is not linear.
-WITH_FULL_REFERENCE = [("two_bus", 0.0), ("synth4", 0.0), ("feeder_hr", 0.0), ("feeder_hr", 1e-3)]
-WITH_FULL_REFERENCE_IDS = ["two_bus", "synth4", "feeder_hr", "feeder_hr-dc"]
+# feeder_hr has 86 private pairs; two_bus and synth4 have fewer, and a
+# stage-2 margin program on feeder_hr has 43 blocks of four variables.  The
+# "-dc" cases put an equality regularization on every kept and eliminated row
+# that is not linear.
+WITH_FULL_REFERENCE = [
+    ("two_bus", 0.0), ("synth4", 0.0), ("feeder_hr", 0.0), ("feeder_hr", 1e-3),
+    ("feeder_hr_margin", 0.0), ("feeder_hr_margin", 1e-3),
+]
+WITH_FULL_REFERENCE_IDS = ["two_bus", "synth4", "feeder_hr", "feeder_hr-dc", "feeder_hr-margin", "feeder_hr-margin-dc"]
 
 
-def no_pairs(problem):
-    return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+def reference_problem(request, network):
+    """Scenario 5, period 0 of network; "feeder_hr_margin" is feeder_hr's
+    stage-2 margin program, P pinned at 0.01 pu."""
+    if network == "two_bus":
+        return build_problem(two_bus_case(), ScenarioSpec(5), 0)
+    if network == "feeder_hr_margin":
+        case = request.getfixturevalue("feeder_hr")
+        fixed_p = np.full((len(case.generators), 3), 0.01)
+        return build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 0, fixed_p=fixed_p)
+    return build_problem(request.getfixturevalue(network), ScenarioSpec(5), 0)
+
+
+def block_inertia_deficit(prob, form, k_full):
+    """Sum over the private blocks of |V| minus the positive eigenvalues of
+    the block's part of k_full (full_augmented_system): V, S, r, and V's
+    user inequality and bound rows.  By Sylvester's law the full matrix has
+    the reduced one's positive eigenvalues plus those of every block."""
+    n, me, nf = prob.n_vars, prob.eq.n_rows, np.count_nonzero(prob.lb == prob.ub)
+    first_ineq, first_bound = n + me + nf, n + me + nf + prob.ineq.n_rows
+    deficit = 0
+    for blk in form.blocks:
+        for var, srow, row in zip(blk.var, blk.srow, blk.row):
+            local = np.unique(prob.ineq.lk[np.isin(prob.ineq.li, var)])
+            bounds = np.flatnonzero(np.isin(form.bnd_var, var))
+            idx = np.concatenate([var, n + srow, [n + row], first_ineq + local, first_bound + bounds])
+            deficit += var.size - np.count_nonzero(np.linalg.eigvalsh(k_full[np.ix_(idx, idx)]) > 0.0)
+    return deficit
+
+
+def no_blocks(problem):
+    return ()
+
+
+def toy_block_problem():
+    """max x0 + m subject to 0.5 x0^2 - q - 0.5 = 0 (the row r), q - p + m = 0
+    (S), p + m - 1.5 <= 0, -2 <= x0 <= 2 and 0 <= p, m <= 1: one block
+    V = {q, p, m} with q unbounded, tied to the kept x0 by r."""
+    eq = QuadBlock(4)
+    r = eq.new_row("r", const=-0.5)
+    eq.quad(r, 0, 0, 0.5)
+    eq.lin(r, 1, -1.0)
+    k = eq.new_row("s")
+    for i, coef in ((1, 1.0), (2, -1.0), (3, 1.0)):
+        eq.lin(k, i, coef)
+    eq.seal()
+    ineq = QuadBlock(4)
+    k = ineq.new_row("p+m", const=-1.5)
+    ineq.lin(k, 2, 1.0)
+    ineq.lin(k, 3, 1.0)
+    ineq.seal()
+    return SimpleNamespace(
+        n_vars=4, lb=np.array([-2.0, -np.inf, 0.0, 0.0]), ub=np.array([2.0, np.inf, 1.0, 1.0]), eq=eq, ineq=ineq,
+        obj_coef=np.array([1.0, 0.0, 0.0, 1.0]), lin_rows=np.zeros(0, dtype=np.intp),
+        lin_vars=np.zeros(0, dtype=np.intp),
+    )
 
 
 class TestKktAssemble:
@@ -144,8 +201,9 @@ class TestKktAssemble:
         pt = perturbed_point(prob, form, 2)
         kkt, _, _ = kkt_assemble(form, pt, 0.1, 1e-4, 1e-6)
         assert isinstance(kkt, np.ndarray) and kkt.flags.f_contiguous
-        n_pairs, n_lin = form.pairs.var.size, prob.lin_rows.size
-        assert n_pairs > 0 and n_lin == 12
+        (pairs,) = form.blocks
+        n_pairs, n_lin = pairs.row.size, prob.lin_rows.size
+        assert pairs.var.shape == (n_pairs, 1) and n_pairs > 0 and n_lin == 12
         assert kkt.shape[0] == np.count_nonzero(prob.lb != prob.ub) + prob.eq.n_rows - 2 * n_pairs - 2 * n_lin
         assert np.abs(kkt - kkt.T).max() <= 1e-14
 
@@ -156,8 +214,7 @@ class TestKktAssemble:
 
     @pytest.mark.parametrize("network, delta_c", WITH_FULL_REFERENCE, ids=WITH_FULL_REFERENCE_IDS)
     def test_condensed_step_matches_full_augmented_system(self, request, network, delta_c):
-        case = two_bus_case() if network == "two_bus" else request.getfixturevalue(network)
-        prob = build_problem(case, ScenarioSpec(5), 0)
+        prob = reference_problem(request, network)
         form = internalize(prob)
         pt = perturbed_point(prob, form, 7)
         mu, delta_w = 0.1, 0.5
@@ -176,21 +233,25 @@ class TestKktAssemble:
 
     @pytest.mark.parametrize("network, delta_c", WITH_FULL_REFERENCE, ids=WITH_FULL_REFERENCE_IDS)
     def test_inertia_test_agrees_with_full_system(self, request, network, delta_c):
-        case = two_bus_case() if network == "two_bus" else request.getfixturevalue(network)
-        prob = build_problem(case, ScenarioSpec(5), 0)
+        prob = reference_problem(request, network)
         form = internalize(prob)
         pt = perturbed_point(prob, form, 3)
         y_fix = np.zeros(np.count_nonzero(prob.lb == prob.ub))
         kkt, _, regularize = kkt_assemble(form, pt, 0.1)
         outcomes = set()
-        # A negative shift stands in for negative curvature of W.
+        # A negative shift stands in for negative curvature of W.  It also
+        # shifts the blocks, which have none (their variables enter every row
+        # linearly), so a block may then lose a positive eigenvalue that the
+        # reduced matrix cannot see; the blocks' own inertia is counted apart.
         for delta_w in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 100.0):
             _, pivot_scale = regularize(delta_w, delta_c)
             _, (pos, _, zero) = solver._ldlt(kkt, pivot_scale)
             k_full, _ = full_augmented_system(prob, pt, 0.1, delta_w, y_fix, delta_c)
             full_pos = int(np.count_nonzero(np.linalg.eigvalsh(k_full) > 0.0))
+            deficit = block_inertia_deficit(prob, form, k_full)
+            assert deficit == 0 or delta_w < 0.0
             condensed_ok = pos == form.keep.size - form.lin_rows.size and zero == 0
-            assert condensed_ok == (full_pos == prob.n_vars)
+            assert condensed_ok == (full_pos + deficit == prob.n_vars)
             outcomes.add(condensed_ok)
         assert outcomes == {True, False}
 
@@ -403,7 +464,7 @@ class TestDegenerateJacobianRule:
         monkeypatch.setattr(solver, "_ldlt", recording)
         monkeypatch.setattr(solver, "DEGENERATE_ITERATIONS", 10**9)
         prob = build_problem(synth4_unbal, ScenarioSpec(5), 3)
-        assert internalize(prob).pairs.var.size > 0
+        assert internalize(prob).blocks
         sol = solve(prob, SolverOptions(trace=True))
         assert sol.status == "optimal"
         first = np.cumsum([0] + [rec["factorizations"] for rec in sol.trace])[:-1]
@@ -419,31 +480,87 @@ class TestDegenerateJacobianRule:
         assert rule.x.tobytes() == ladder.x.tobytes()
 
 
+def labels(block, rows):
+    return {block.labels[k].split("[")[0] for k in np.ravel(rows)}
+
+
 class TestPairElimination:
-    """Each free variable that enters one equality row linearly, and nothing
-    else but its bounds, is eliminated from the KKT system with that row."""
+    """Each private block, a set of free variables that enter only their own
+    rows and bounds and one equality row shared with the rest, is eliminated
+    from the KKT system with its rows; a pair is a block of one variable."""
 
     def test_pairs_and_reduced_dimensions(self, feeder_hr):
         prob = build_problem(feeder_hr, ScenarioSpec(5), 12)
         form = internalize(prob)
-        assert form.pairs.var.size == 86
-        assert {prob.eq.labels[r].split("[")[0] for r in form.pairs.row} == {"gen_p", "gen_q"}
+        (pairs,) = form.blocks
+        assert pairs.var.shape == (86, 1) and pairs.srow.shape == (86, 0)
+        assert labels(prob.eq, pairs.row) == {"gen_p", "gen_q"}
         assert form.free.size + prob.eq.n_rows == 558
         kkt = kkt_assemble(form, perturbed_point(prob, form, 1), 0.1)[0]
         assert form.lin_rows.size == 120
         assert kkt.shape == (146, 146)
 
-        # A stage-2 margin program: P pinned, Q tied to its split rows.
+        # A stage-2 margin program: P pinned, each unit-phase's Q a block of
+        # four with its split rows, removed with its gen_q row.
         fixed_p = np.full((len(feeder_hr.generators), 3), 0.01)
         stage2 = build_problem(feeder_hr, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 12, fixed_p=fixed_p)
         form2 = internalize(stage2)
-        assert form2.pairs.var.size == 0
+        (blocks,) = form2.blocks
+        assert blocks.var.shape == (43, 4) and blocks.srow.shape == (43, 1)
         kkt2, (_, pivot_scale), _ = kkt_assemble(form2, perturbed_point(stage2, form2, 1), 0.1)
         assert form2.free.size + stage2.eq.n_rows == 687
-        assert kkt2.shape[0] == 687 - 2 * 120 == 447
-        # no pair terms, but float weights that a float update can write into
-        assert pivot_scale.dtype == float
-        pivot_scale += 1.0
+        assert kkt2.shape[0] == 687 - 43 * 6 - 2 * 120 == 189
+        assert pivot_scale.dtype == float and pivot_scale.max() > 0.0
+
+    def test_blocks_of_a_margin_program(self, feeder_hr):
+        fixed_p = np.full((len(feeder_hr.generators), 3), 0.01)
+        prob = build_problem(feeder_hr, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 12, fixed_p=fixed_p)
+        (blocks,) = internalize(prob).blocks
+        lay = prob.layout
+        np.testing.assert_array_equal(blocks.var, np.column_stack([lay.qg, lay.qplus, lay.qminus, lay.qaux]))
+        assert labels(prob.eq, blocks.row) == {"gen_q"} and labels(prob.eq, blocks.srow) == {"qsplit"}
+        # Each block's local inequality rows are its two q_aux rows.
+        for var in blocks.var:
+            local = prob.ineq.lk[np.isin(prob.ineq.li, var)]
+            assert local.size == 4 and labels(prob.ineq, local) == {"qaux_plus", "qaux_minus"}
+        # qsplit's coefficients on (qg, q+, q-, q_aux), then gen_q's.
+        np.testing.assert_array_equal(blocks.coef, np.broadcast_to([[1, -1, 1, 0], [-1, 0, 0, 0]], (43, 2, 4)))
+
+        # The same program with P free (--reactive-p free) adds the gen_p pairs.
+        free_p = build_problem(feeder_hr, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 12)
+        pairs, blocks = internalize(free_p).blocks
+        assert pairs.var.shape == (43, 1) and labels(free_p.eq, pairs.row) == {"gen_p"}
+        assert blocks.var.shape == (43, 4)
+
+    def test_blocks_that_break_the_rule_stay(self):
+        # Without the bounds on p and m, H is zero on the null space of
+        # [S; r] and B would be singular at dw = 0.
+        prob = toy_block_problem()
+        assert internalize(prob).blocks[0].var.tolist() == [[1, 2, 3]]
+        unbounded = SimpleNamespace(**{**vars(prob), "lb": np.array([-2.0, -np.inf, -np.inf, -np.inf]),
+                                       "ub": np.array([2.0, np.inf, np.inf, np.inf])})
+        form = internalize(unbounded)
+        assert form.blocks == () and form.keep.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("delta_w, delta_c", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.2), (0.01, 0.2)])
+    def test_lone_block_matches_hand_algebra(self, delta_w, delta_c):
+        prob = toy_block_problem()
+        form = internalize(prob)
+        (blk,) = form.blocks
+        assert blk.srow.tolist() == [[1]] and blk.row.tolist() == [0] and form.keep.tolist() == [0]
+        pt = solver._evaluate(
+            form, np.array([0.5, -0.3, 0.4, 0.7]), y=np.array([0.3, -0.2]),
+            z=np.array([0.2, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7]), s=np.array([0.4, 1.5, 2.5, 0.4, 0.6, 0.3, 0.7]),
+        )
+        mu = 0.3
+        kkt, (step, _), _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
+        assert kkt.shape == (1, 1)
+        dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
+        # The full system with every row kept (no fixed variables, so no y_fix).
+        k_full, rhs_full = full_augmented_system(prob, pt, mu, delta_w, np.zeros(0), delta_c)
+        want = np.linalg.solve(k_full, rhs_full)
+        np.testing.assert_allclose(np.concatenate([dx, dy, dz]), want, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(ds, mu / pt.z - pt.s - (pt.s / pt.z) * dz, rtol=1e-14)
 
     @pytest.mark.parametrize("delta_w, delta_c", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.2), (0.01, 0.2)])
     def test_lone_pair_matches_hand_algebra(self, delta_w, delta_c):
@@ -470,7 +587,7 @@ class TestPairElimination:
         case = request.getfixturevalue(fixture)
         prob = build_problem(case, ScenarioSpec(5), period)
         reduced = solve(prob)
-        monkeypatch.setattr(solver, "private_pairs", no_pairs)
+        monkeypatch.setattr(solver, "private_blocks", no_blocks)
         full = solve(prob)
         assert reduced.status == full.status == "optimal"
         assert reduced.iterations == full.iterations

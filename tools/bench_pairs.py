@@ -13,7 +13,10 @@ The output records the machine (nproc, Python, numpy and scipy versions),
 the commit and the ``src/lvdoe/*.py`` line count of each side, every run's
 metrics and, per workload and end-to-end metric, each side's median and
 quartiles and the number of pairs the change won.  Whether lower or higher is better comes from
-``BENCHMARK.json``.
+``BENCHMARK.json``.  Per workload it also gives each side's traced per-layer
+metrics per round: a traced run repeats the workload for as many rounds as
+fit its time, so its times and counts are totals over a number of rounds
+that differs between the sides.
 """
 
 from __future__ import annotations
@@ -59,9 +62,23 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def per_round(result: dict) -> dict:
+    """A traced run's per-layer metrics divided by its rounds.  Times (s) and
+    counts are totals over the rounds; other metrics, such as the maximum
+    KKT dimension in rows, are kept as they are."""
+    rounds = result.get("rounds")
+    if not rounds:
+        return {}
+    return {
+        name: m["value"] / rounds if m["unit"] in ("s", "count") else m["value"]
+        for name, m in result["metrics"].items()
+    }
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and end-to-end metric: both sides' quartiles, the runs by
-    seed and the change's wins over the pairs (ties count for neither)."""
+    seed and the change's wins over the pairs (ties count for neither); and
+    each side's traced per-layer metrics per round."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -96,6 +113,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "all_runs_correct": all(p[side]["correct"] for p in pairs.values() for side in p),
             "failed_ops": {side: sum(pairs[s][side]["failed"] for s in seeds) for side in ("parent", "change")},
             "attempted_ops": {side: sum(pairs[s][side]["attempted"] for s in seeds) for side in ("parent", "change")},
+            "traced_per_round": {
+                r["side"]: {"rounds": r["result"].get("rounds"), "metrics": per_round(r["result"])}
+                for r in runs if r["workload"] == workload and r["trace"]
+            },
         }
     return out
 
