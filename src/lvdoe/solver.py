@@ -84,8 +84,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from . import nlp as nlp_mod
 from .nlp import NlpProblem, QuadBlock
@@ -187,6 +185,7 @@ class InternalForm:
     row_take: np.ndarray   # flat Jg positions of the rows eq_keep, then the blocks' rows r, on keep
     w_index: np.ndarray    # flat position of each eq, ineq, condensed Hessian and bound term:
     hess_size: int         # the kept block, then each block's H, up to hess_size; a sink there
+    block_row: np.ndarray  # the blocks' rows r, one shape after the other
     pair_a: np.ndarray     # flat Jh positions (row * n_vars + col) of entry pairs
     pair_b: np.ndarray     # that share a row; their products condense Jh' diag(z/s) Jh
     blocks: tuple[Blocks, ...]
@@ -207,10 +206,10 @@ def private_blocks(problem: NlpProblem) -> tuple[Blocks, ...]:
     Qualification rule: V enters rows only linearly, so H is positive
     semidefinite, and every variable of V with a finite bound adds z/s > 0
     to it.  If the rows [A_S; c] have full row rank and their columns on
-    V's unbounded variables are linearly independent, H is positive
-    definite on their null space, so B has inertia (|V|, |S| + 1, 0) for
-    every dw >= 0 and dc >= 0, and the reduced matrix keeps the inertia
-    test of the full one.  Blocks that fail the rule stay in the KKT system.
+    V's unbounded variables are linearly independent (both tested by
+    _independent), H is positive definite on their null space, so B has
+    inertia (|V|, |S| + 1, 0) for every dw >= 0 and dc >= 0, and the
+    reduced matrix keeps the inertia test of the full one.  Blocks that fail the rule stay in the KKT system.
     (Under the margin objective q+, q- and q_aux have finite bounds and
     qsplit ties qg to them.)  Blocks come ordered by r, their variables and
     rows in index order; the shapes by (|V|, |S|).
@@ -223,38 +222,48 @@ def private_blocks(problem: NlpProblem) -> tuple[Blocks, ...]:
     cand[problem.lin_vars] = False
     cand[np.concatenate([eq.qi, ineq.qi, eq.li[lin_row[eq.lk]]])] = False
 
-    # The equality rows' entries on free variables: S rows have them all on
-    # candidates, boundary rows some.
+    # The equality rows' entries on free variables: an S row has them all on
+    # candidates, a boundary row some.  No quadratic entry is on a candidate.
     ek, ev = np.concatenate([eq.lk, eq.qk]), np.concatenate([eq.li, eq.qi])
     ek, ev = ek[free[ev]], ev[free[ev]]
     inside = cand[ev]
-    n_in = np.bincount(ek[inside], minlength=me)
     n_out = np.bincount(ek[~inside], minlength=me)
-    s_row = (n_in > 0) & (n_out == 0)
+    k_in, v_in = ek[inside], ev[inside]
+    in_s = n_out[k_in] == 0
+    s_row = np.zeros(me, dtype=bool)
+    s_row[k_in[in_s]] = True
     ik, iv = np.concatenate([ineq.lk, ineq.qk]), np.concatenate([ineq.li, ineq.qi])
     ik, iv = ik[free[iv]], iv[free[iv]]
     touch = np.zeros(ineq.n_rows, dtype=bool)
     touch[ik[cand[iv]]] = True
 
     # Components of the graph of variables (0..n-1), equality rows (n..) and
-    # inequality rows (n+me..) joined by these entries.
-    a = np.concatenate([ev[s_row[ek]], iv[touch[ik]]])
-    b = np.concatenate([n + ek[s_row[ek]], n + me + ik[touch[ik]]])
+    # inequality rows (n+me..) joined by these entries, each labelled by its
+    # lowest node: propagate the minimum along the edges, halving the paths.
+    a = np.concatenate([v_in[in_s], iv[touch[ik]]])
+    b = np.concatenate([n + k_in[in_s], n + me + ik[touch[ik]]])
     size = n + me + ineq.n_rows
-    graph = scipy.sparse.coo_matrix((np.ones(a.size), (a, b)), shape=(size, size))
-    n_comp, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
-    ok = np.zeros(n_comp, dtype=bool)
+    label = np.arange(size)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    ok = np.zeros(size, dtype=bool)
     ok[label[:n][cand]] = True
     ok[label[:n][~cand]] = False
     # Each qualifying component has one boundary row r, which touches no
     # other one; a component that meets none takes its last S row as r.
-    boundary = inside & (n_out[ek] > 0)
-    t_row, t_comp = np.divmod(np.unique(ek[boundary] * n_comp + label[ev[boundary]]), n_comp)
-    n_touch = np.bincount(t_comp, minlength=n_comp)
-    r_of = np.full(n_comp, -1)
+    t_row, t_comp = np.divmod(np.unique(k_in[~in_s] * size + label[v_in[~in_s]]), size)
+    n_touch = np.bincount(t_comp, minlength=size)
+    r_of = np.full(size, -1)
     r_of[t_comp] = t_row
     inner = np.flatnonzero(s_row)
-    last = np.full(n_comp, -1)
+    last = np.full(size, -1)
     np.maximum.at(last, label[n + inner], inner)
     r_of = np.where(n_touch == 0, last, r_of)
     ok &= (n_touch <= 1) & (r_of >= 0)
@@ -266,14 +275,14 @@ def private_blocks(problem: NlpProblem) -> tuple[Blocks, ...]:
     var = var[np.lexsort((var, r_of[label[var]]))]
     srow = srow[np.lexsort((srow, r_of[label[n + srow]]))]
     comp = np.unique(label[var])
-    nv = np.bincount(label[var], minlength=n_comp)[comp]
-    ns = np.bincount(label[n + srow], minlength=n_comp)[comp]
+    nv = np.bincount(label[var], minlength=size)[comp]
+    ns = np.bincount(label[n + srow], minlength=size)[comp]
 
     groups = []
     for shape_v, shape_s in sorted(set(zip(nv.tolist(), ns.tolist()))):
         sel = comp[(nv == shape_v) & (ns == shape_s)]
         sel = sel[np.argsort(r_of[sel])]
-        mine = np.zeros(n_comp, dtype=bool)
+        mine = np.zeros(size, dtype=bool)
         mine[sel] = True
         g_var = var[mine[label[var]]].reshape(sel.size, shape_v)
         g_srow = srow[mine[label[n + srow]]].reshape(sel.size, shape_s)
@@ -289,13 +298,21 @@ def private_blocks(problem: NlpProblem) -> tuple[Blocks, ...]:
         coef = np.bincount(flat, weights=eq.lv[k], minlength=sel.size * (shape_s + 1) * shape_v)
         coef = coef.astype(float, copy=False).reshape(sel.size, shape_s + 1, shape_v)
         # The qualification rule, block by block.
-        bounded = np.isfinite(problem.lb[g_var]) | np.isfinite(problem.ub[g_var])
-        good = (np.linalg.matrix_rank(coef) == shape_s + 1) & (
-            np.linalg.matrix_rank(coef * ~bounded[:, None, :]) == np.count_nonzero(~bounded, axis=1)
-        )
+        unbounded = ~(np.isfinite(problem.lb[g_var]) | np.isfinite(problem.ub[g_var]))
+        a_u = coef * unbounded[:, None, :]
+        gram_cols = a_u.transpose(0, 2, 1) @ a_u
+        gram_cols[:, range(shape_v), range(shape_v)] += ~unbounded
+        good = _independent(coef @ coef.transpose(0, 2, 1)) & _independent(gram_cols)
         if good.any():
             groups.append(Blocks(var=g_var[good], srow=g_srow[good], row=g_row[good], coef=coef[good]))
     return tuple(groups)
+
+
+def _independent(gram: np.ndarray) -> np.ndarray:
+    """Whether the vectors of each stacked Gram matrix are linearly
+    independent: its determinant is above 1e-10 of Hadamard's bound, the
+    product of its diagonal."""
+    return np.linalg.det(gram) > 1e-10 * np.diagonal(gram, axis1=1, axis2=2).prod(axis=1)
 
 
 def internalize(problem: NlpProblem) -> InternalForm:
@@ -346,34 +363,33 @@ def internalize(problem: NlpProblem) -> InternalForm:
 
     row_in_kkt[lin_rows] = False
     eq_keep = np.flatnonzero(row_in_kkt)
+    block_row = np.concatenate([np.zeros(0, dtype=np.intp), *(blk.row for blk in blocks)])
     nk = keep.size
-    pos = np.full(n, -1)
-    pos[keep] = np.arange(nk)
-    # Each block's H follows the kept block: the flat position of H[i, j] is
-    # row_at[i] + col_at[j] when i and j are in the same block.
-    row_at, col_at, block_of = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.full(n, -1)
-    end, n_blocks = nk * nk, 0
+    # The Hessian's dense blocks in one flat array: the kept block (group 0),
+    # then each private block's H.  H[i, j] of variables i and j in one group
+    # lies at start[i] + width[i] * slot[i] + slot[j].
+    group, start = np.full(n, -1), np.zeros(n, dtype=np.intp)
+    width, slot = np.full(n, nk), np.zeros(n, dtype=np.intp)
+    group[keep], slot[keep] = 0, np.arange(nk)
+    end, n_groups = nk * nk, 1
     for blk in blocks:
         nb, nv = blk.var.shape
-        row_at[blk.var] = end + nv * np.arange(nb * nv).reshape(nb, nv)
-        col_at[blk.var] = np.arange(nv)
-        block_of[blk.var] = n_blocks + np.arange(nb)[:, None]
-        end, n_blocks = end + nb * nv * nv, n_blocks + nb
+        group[blk.var] = n_groups + np.arange(nb)[:, None]
+        start[blk.var] = end + nv * nv * np.arange(nb)[:, None]
+        width[blk.var], slot[blk.var] = nv, np.arange(nv)
+        end, n_groups = end + nb * nv * nv, n_groups + nb
 
     def w_pos(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Flat position of H[i, j] in the kept block or a block's H; a sink
-        at `end` unless i and j are both kept or in the same block."""
-        in_block = (block_of[i] >= 0) & (block_of[i] == block_of[j])
-        return np.where((pos[i] >= 0) & (pos[j] >= 0), pos[i] * nk + pos[j], np.where(in_block, row_at[i] + col_at[j], end))
+        """Flat position of H[i, j]; a sink at `end` unless i and j share a group."""
+        return np.where((group[i] >= 0) & (group[i] == group[j]), start[i] + width[i] * slot[i] + slot[j], end)
 
     ineq = problem.ineq
-    on_d = pos < d.size
-    on_d[pos < 0] = False
+    on_d = (group == 0) & (slot < d.size)
     ineq_on_d = np.zeros(ineq.n_rows, dtype=bool)
     ineq_on_d[ineq.qk[on_d[ineq.qi] | on_d[ineq.qj]]] = True
     ineq_on_d[ineq.lk[on_d[ineq.li]]] = True
     nz = np.unique(problem.ineq.jac_index)
-    nz = nz[(pos[nz % n] >= 0) | (block_of[nz % n] >= 0)]
+    nz = nz[group[nz % n] >= 0]
     a, b = np.nonzero((nz // n)[:, None] == (nz // n)[None, :])
     pair_a, pair_b = nz[a], nz[b]
     return InternalForm(
@@ -392,7 +408,7 @@ def internalize(problem: NlpProblem) -> InternalForm:
         basis_gram=basis.T @ basis,
         eq_keep=eq_keep,
         ineq_on_d=ineq_on_d,
-        row_take=(np.concatenate([eq_keep, *(blk.row for blk in blocks)])[:, None] * n + keep).ravel(),
+        row_take=(np.concatenate([eq_keep, block_row])[:, None] * n + keep).ravel(),
         w_index=np.concatenate([
             w_pos(eq.qi, eq.qj),
             w_pos(problem.ineq.qi, problem.ineq.qj),
@@ -402,6 +418,7 @@ def internalize(problem: NlpProblem) -> InternalForm:
         pair_a=pair_a,
         pair_b=pair_b,
         hess_size=end,
+        block_row=block_row,
         blocks=blocks,
     )
 
@@ -493,16 +510,10 @@ def kkt_assemble(
     # (bincount returns integers when there are no terms at all)
     flat = np.bincount(form.w_index, weights=weights, minlength=form.hess_size + 1).astype(float, copy=False)
     hess = flat[: nk * nk].reshape(nk, nk)
-    block_hess, end = [], nk * nk
-    for blk in form.blocks:
-        nb, nv = blk.var.shape
-        block_hess.append(flat[end : end + nb * nv * nv].reshape(nb, nv, nv))
-        end += nb * nv * nv
 
     # The remaining equality rows, the split rows and the blocks' rows r on
     # the kept variables, and their products with Z.
-    r_rows = np.concatenate([np.zeros(0, dtype=np.intp), *(blk.row for blk in form.blocks)])
-    rows = jg.take(form.row_take).reshape(nq + r_rows.size, nk)
+    rows = jg.take(form.row_take).reshape(nq + form.block_row.size, nk)
     if split.size:
         rows = np.concatenate([rows[:nq], jh[np.ix_(split, keep)], rows[nq:]])
     rows_z = rows[:, nd:].astype(float)
@@ -526,11 +537,19 @@ def kkt_assemble(
     r_x, r_y = -grad, -pt.g
     r_k, b_l = r_x[keep], r_y[form.lin_rows]
     b_q = np.concatenate([r_y[form.eq_keep], -(h[split] + mu / z[split])])
-    r_r = r_y[r_rows]
+    r_r = r_y[form.block_row]
+    # Per block shape: its H, its rows among the blocks' rows r, and the
+    # right-hand sides of V and S.
+    shapes, end, at = [], nk * nk, 0
+    for blk in form.blocks:
+        nb, nv = blk.var.shape
+        hb = flat[end : end + nb * nv * nv].reshape(nb, nv, nv)
+        shapes.append((blk, hb, slice(at, at + nb), r_x[blk.var], r_y[blk.srow]))
+        end, at = end + nb * nv * nv, at + nb
 
     def regularize(delta_w: float, delta_c: float) -> tuple[Callable, np.ndarray]:
-        solvers = [_block_solver(blk, hb, delta_w, delta_c) for blk, hb in zip(form.blocks, block_hess)]
-        w = np.concatenate([np.zeros(0), *(w_b for _, w_b in solvers)])
+        solvers = [_block_solver(blk, hb, delta_w, delta_c) for blk, hb, _, _, _ in shapes]
+        w = np.concatenate([np.zeros(0), *(w_b for w_b, _ in solvers)])
         block_terms = (v.T * w) @ v
         block = kkt[:nr, :nr]
         np.add(base, block_terms, out=block)
@@ -544,14 +563,6 @@ def kkt_assemble(
             """(H + dw*I + block terms) dx_k on the kept variables."""
             return hess @ dx_k + delta_w * dx_k + jp.T @ (w * (jp @ dx_k))
 
-        def block_steps(rhs_r: np.ndarray):
-            """Each block's solve of B with the right-hand side (r_x[V], r_y[S], rhs_r)."""
-            at = np.cumsum([0] + [blk.row.size for blk in form.blocks])
-            return [
-                (blk, solve_b(r_x[blk.var], r_y[blk.srow], rhs_r[a:b]))
-                for blk, (solve_b, _), a, b in zip(form.blocks, solvers, at[:-1], at[1:])
-            ]
-
         def step(solve_fn: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             """dx_k = x_p + Z dr on the kept variables, x_p = A_d^-1 r_L on
             D, with (dr, dy_q) from the reduced solve and A_d' dy_L = (b_x -
@@ -559,7 +570,8 @@ def kkt_assemble(
             remaining equality rows.  dx is zero on fixed variables; each
             block's B gives dV, dy_S and dy_r, the condensed inequality rows
             dz = (z/s)(Jh dx + h + mu/z), and the complementarity rows ds."""
-            b_x = r_k - jp.T @ np.concatenate([np.zeros(0), *(d_r for _, (_, _, d_r) in block_steps(r_r))])
+            u_r = [solve_b(r_v, r_s, r_r[rows])[2] for (_, _, rows, r_v, r_s), (_, solve_b) in zip(shapes, solvers)]
+            b_x = r_k - jp.T @ np.concatenate([np.zeros(0), *u_r])
             dx_k = np.zeros(nk)
             dx_k[:nd] = form.lin_inv @ b_l
             b = b_x - h_times(dx_k)
@@ -574,8 +586,9 @@ def kkt_assemble(
             dy = np.empty(r_y.size)
             dy[form.lin_rows] = form.lin_inv.T @ u[:nd]
             dy[form.eq_keep] = dy_q[:nq]
-            for blk, (d_v, d_s, d_r) in block_steps(r_r - jp @ dx_k):
-                dx[blk.var], dy[blk.srow], dy[blk.row] = d_v, d_s, d_r
+            t_r = r_r - jp @ dx_k
+            for (blk, _, rows, r_v, r_s), (_, solve_b) in zip(shapes, solvers):
+                dx[blk.var], dy[blk.srow], dy[blk.row] = solve_b(r_v, r_s, t_r[rows])
             dz = sigma * (np.concatenate([jh @ dx, form.bnd_sign * dx[form.bnd_var]]) + h + mu / z)
             dz[split] = dy_q[nq:]
             return dx, dy, dz, mu / z - s - (s / z) * dz
@@ -585,12 +598,12 @@ def kkt_assemble(
     return kkt, regularize(delta_w, delta_c), regularize
 
 
-def _block_solver(blk: Blocks, hess: np.ndarray, delta_w: float, delta_c: float) -> tuple[Callable, np.ndarray]:
-    """(solve, w) for blocks of one shape with H = hess at (dw, dc).
+def _block_solver(blk: Blocks, hess: np.ndarray, delta_w: float, delta_c: float) -> tuple[np.ndarray, Callable]:
+    """(w, solve) for blocks of one shape with H = hess at (dw, dc).
 
-    solve(r_v, r_s, r_r) returns (dV, dy_S, dy_r) = B^-1 (r_v, r_s, r_r) per
-    block, and w = -(B^-1)_rr.  A pair's B = [[h, c], [c, -dc]] is solved in
-    closed form, w = h / (c^2 + h*dc), in a few vector operations; larger
+    Per block, w = -(B^-1)_rr and solve(r_v, r_s, r_r) returns (dV, dy_S,
+    dy_r) = B^-1 (r_v, r_s, r_r).  A pair's B = [[h, c], [c, -dc]] is solved
+    in closed form, w = h / (c^2 + h*dc), in a few vector operations; larger
     blocks by one batched inverse per shape.
     """
     nb, nv = blk.var.shape
@@ -604,7 +617,7 @@ def _block_solver(blk: Blocks, hess: np.ndarray, delta_w: float, delta_c: float)
             r_v = r_v[:, 0]
             return ((delta_c * r_v + c * r_r) / det)[:, None], r_s, (c * r_v - h * r_r) / det
 
-        return solve_pair, h / det
+        return h / det, solve_pair
     m = nv + ns + 1
     mat = np.zeros((nb, m, m))
     mat[:, :nv, :nv] = hess
@@ -618,7 +631,7 @@ def _block_solver(blk: Blocks, hess: np.ndarray, delta_w: float, delta_c: float)
         sol = (inv @ np.concatenate([r_v, r_s, r_r[:, None]], axis=1)[:, :, None])[:, :, 0]
         return sol[:, :nv], sol[:, nv:-1], sol[:, -1]
 
-    return solve, -inv[:, -1, -1]
+    return -inv[:, -1, -1], solve
 
 
 def _pivot_rows(ipiv: np.ndarray, two: np.ndarray) -> np.ndarray:
