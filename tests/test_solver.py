@@ -114,8 +114,9 @@ def reference_problem(request, network):
 def block_inertia_deficit(prob, form, k_full):
     """Sum over the private blocks of |V| minus the positive eigenvalues of
     the block's part of k_full (full_augmented_system): V, S, r, and V's
-    user inequality and bound rows.  By Sylvester's law the full matrix has
-    the reduced one's positive eigenvalues plus those of every block."""
+    user inequality and bound rows.  Inertia adds over a Schur complement
+    (Haynsworth), so the full matrix has the reduced one's positive
+    eigenvalues plus those of every block."""
     n, me, nf = prob.n_vars, prob.eq.n_rows, np.count_nonzero(prob.lb == prob.ub)
     first_ineq, first_bound = n + me + nf, n + me + nf + prob.ineq.n_rows
     deficit = 0
