@@ -186,7 +186,7 @@ def _run_periods(
             fixed_p=None if fixed_p is None else fixed_p[:, :, t],
         )
         t1 = clock()
-        form = solver.internalize(problem)
+        form = solver.internalize(problem) if t == 0 else form  # periods differ only in their pins
         sol, won, tried = None, 0, []
         for k, scale in enumerate(scales):
             cand = solver.solve(problem, opts, x0=nlp.initial_point(problem, voltage_scale=scale), form=form)
@@ -438,7 +438,8 @@ def _build_parser() -> _Parser:
     common(ps)
     ps.add_argument("--scenario", type=int, choices=range(1, 6), required=True)
     ps.add_argument("--objective", choices=["active", "reactive-margin"], default="active")
-    ps.add_argument("--reactive-p", choices=["two_stage", "free"], default="two_stage")
+    ps.add_argument("--reactive-p", choices=["two_stage", "free"], default="two_stage",
+                    help="pin P from an active-export stage, or leave it free: the P written is then no envelope")
     ps.add_argument("--out", required=True, help="output directory")
     ps.add_argument("--tol", type=float, default=1e-8)
     ps.add_argument("--max-iter", type=int, default=300)

@@ -147,15 +147,15 @@ class QuadBlock:
 # ---------------------------------------------------------------------------
 
 # Blocks of x in storage order; see VarLayout.
-_BLOCKS = ("u_re", "u_im", "ib_re", "ib_im", "il_re", "il_im", "ig_re", "ig_im", "pg", "qg", "qplus", "qminus", "qaux")
+_BLOCKS = ("u_re", "u_im", "ib_re", "ib_im", "il_re", "il_im", "pl", "ql", "ig_re", "ig_im", "pg", "qg", "qplus", "qminus", "qaux")
 
 
 @dataclass(frozen=True, eq=False)
 class VarLayout:
     """The vector x as one partition of range(n_vars) into the _BLOCKS index arrays.
 
-    u_re, u_im are (n_bus, 3) and ib_re, ib_im (n_branch, 3); il_* hold one
-    position per load entry and ig_*, pg, qg, qplus, qminus, qaux one per
+    u_re, u_im are (n_bus, 3) and ib_re, ib_im (n_branch, 3); il_*, pl, ql hold
+    one position per load entry and ig_*, pg, qg, qplus, qminus, qaux one per
     generator entry, the last three empty without the reactive split.  Each
     array indexes x directly: x[lay.pg], lb[lay.u_re[slack]].
     """
@@ -170,6 +170,8 @@ class VarLayout:
     ib_im: np.ndarray
     il_re: np.ndarray
     il_im: np.ndarray
+    pl: np.ndarray
+    ql: np.ndarray
     ig_re: np.ndarray
     ig_im: np.ndarray
     pg: np.ndarray
@@ -182,7 +184,7 @@ class VarLayout:
     def of(cls, case: NetworkCase, with_reactive_split: bool) -> VarLayout:
         loads, gens = tuple(case.load_entries()), tuple(case.gen_entries())
         n_split = len(gens) if with_reactive_split else 0
-        shapes = [(len(case.buses), 3)] * 2 + [(len(case.branches), 3)] * 2 + [(len(loads),)] * 2
+        shapes = [(len(case.buses), 3)] * 2 + [(len(case.branches), 3)] * 2 + [(len(loads),)] * 4
         shapes += [(len(gens),)] * 4 + [(n_split,)] * 3
         blocks, end = {}, 0
         for name, shape in zip(_BLOCKS, shapes):
@@ -200,10 +202,10 @@ def _entry_arrays(entries: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.
 class NlpProblem:
     """One period's program: maximize obj_coef . x subject to eq = 0, ineq <= 0, lb <= x <= ub.
 
-    lin_rows are the voltage-drop and KCL rows of eq: linear, with the same
-    coefficients in every period, and as many as the free lin_vars (every u
-    and i_branch column but the slack voltages), which they determine from
-    the element currents.
+    The period enters only through the pins lb == ub.  lin_rows are the
+    voltage-drop and KCL rows of eq: linear, and as many as the free lin_vars
+    (every u and i_branch column but the slack voltages), which they
+    determine from the element currents.
     """
 
     case: NetworkCase
@@ -267,11 +269,12 @@ def build_custom(
 
     layout = VarLayout.of(case, with_reactive_split=(objective is Objective.REACTIVE_MARGIN))
 
-    eq, lin_rows = _equality_block(case, layout, period)
+    eq, lin_rows = _equality_block(case, layout)
     ineq = _inequality_block(case, layout, constraints)
     lb, ub = _bounds(
         case,
         layout,
+        period,
         fix_q_zero=fix_q_zero,
         bound_q_by_rating=bound_q_by_rating,
         fixed_p=fixed_p,
@@ -294,7 +297,7 @@ def build_custom(
     )
 
 
-def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> tuple[QuadBlock, np.ndarray]:
+def _equality_block(case: NetworkCase, layout: VarLayout) -> tuple[QuadBlock, np.ndarray]:
     """The equality rows, and the indices of the voltage-drop and KCL rows among them."""
     eq = QuadBlock(layout.n_vars)
 
@@ -323,17 +326,18 @@ def _equality_block(case: NetworkCase, layout: VarLayout, period: int) -> tuple[
 
     n_vdrop = eq.n_rows
 
-    # Power definition of each fixed load phase: U x conj(I) = P + jQ.
+    # Power definition of each load phase (P, Q are variables pinned by bounds).
     for e, (d, p) in enumerate(layout.load_entries):
         ld = case.loads[d]
         n = case.bus_pos[ld.bus]
-        row = ld.phases.index(PHASES[p])
-        k = eq.new_row(f"load_p[{ld.id},{PHASES[p]}]", const=-float(ld.p[row, period]))
+        k = eq.new_row(f"load_p[{ld.id},{PHASES[p]}]")
         eq.quad(k, layout.u_re[n, p], layout.il_re[e], 1.0)
         eq.quad(k, layout.u_im[n, p], layout.il_im[e], 1.0)
-        k = eq.new_row(f"load_q[{ld.id},{PHASES[p]}]", const=-float(ld.q[row, period]))
+        eq.lin(k, layout.pl[e], -1.0)
+        k = eq.new_row(f"load_q[{ld.id},{PHASES[p]}]")
         eq.quad(k, layout.u_im[n, p], layout.il_re[e], 1.0)
         eq.quad(k, layout.u_re[n, p], layout.il_im[e], -1.0)
+        eq.lin(k, layout.ql[e], -1.0)
 
     # Power definition of each generator phase (P, Q are variables).
     for e, (g, p) in enumerate(layout.gen_entries):
@@ -447,6 +451,7 @@ def _inequality_block(case: NetworkCase, layout: VarLayout, constraints: frozens
 def _bounds(
     case: NetworkCase,
     layout: VarLayout,
+    period: int,
     *,
     fix_q_zero: bool,
     bound_q_by_rating: bool,
@@ -458,6 +463,10 @@ def _bounds(
     ref = slack_reference(case)
     lb[layout.u_re[case.slack]] = ub[layout.u_re[case.slack]] = ref.real
     lb[layout.u_im[case.slack]] = ub[layout.u_im[case.slack]] = ref.imag
+
+    # The load entries follow each load's profile rows in order.
+    lb[layout.pl] = ub[layout.pl] = np.concatenate([np.zeros(0), *(ld.p[:, period] for ld in case.loads)])
+    lb[layout.ql] = ub[layout.ql] = np.concatenate([np.zeros(0), *(ld.q[:, period] for ld in case.loads)])
 
     gen, phase = _entry_arrays(layout.gen_entries)
     q_max = np.array([case.generators[g].q_abs_max for g in gen])
@@ -510,13 +519,13 @@ def decode_generation(problem: NlpProblem, x: np.ndarray) -> tuple[np.ndarray, n
 
 
 def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray:
-    """Flat start: balanced voltages, load currents from one backward sweep.
+    """Flat start: balanced voltages, element currents from one backward sweep.
 
-    Element currents are evaluated at the flat voltage and accumulated down
-    the tree, which satisfies nodal balance exactly at the start; fixed
-    variables sit at their pinned values.  voltage_scale shifts the initial
-    magnitude away from nominal, giving a deterministic family of starting
-    points for multi-start polishing.
+    Each injection pinned by bounds draws its current at the flat voltage,
+    and the currents are accumulated down the tree, which satisfies nodal
+    balance exactly at the start; fixed variables sit at their pinned values.
+    voltage_scale shifts the initial magnitude away from nominal, giving a
+    deterministic family of starting points for multi-start polishing.
     """
     lay = problem.layout
     case = problem.case
@@ -524,32 +533,27 @@ def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray
     ref = slack_reference(case, vm=voltage_scale)
     x[lay.u_re] = ref.real
     x[lay.u_im] = ref.imag
+    fixed = problem.lb == problem.ub
+    x[fixed] = problem.lb[fixed]
 
+    # Every load phase, and the generation that two-stage runs pin (a free P
+    # or Q is still 0 in x); a generator's current enters the balance negated.
+    tree = TreeIndex(case)
+    load, load_phase = _entry_arrays(lay.load_entries)
+    gen, gen_phase = _entry_arrays(lay.gen_entries)
+    bus = np.concatenate([tree.load_bus[load], tree.gen_bus[gen]])
+    phase = np.concatenate([load_phase, gen_phase])
+    sign = np.repeat([1.0, -1.0], [load.size, gen.size])
+    s = x[np.concatenate([lay.pl, lay.pg])] + 1j * x[np.concatenate([lay.ql, lay.qg])]
+    on = s != 0.0
+    cur = np.conj(s[on] / ref[phase[on]])
+    x[np.concatenate([lay.il_re, lay.ig_re])[on]] = cur.real
+    x[np.concatenate([lay.il_im, lay.ig_im])[on]] = cur.imag
     i_net = np.zeros((len(case.buses), 3), dtype=complex)
-    for e, (d, p) in enumerate(lay.load_entries):
-        ld = case.loads[d]
-        row = ld.phases.index(PHASES[p])
-        s = complex(ld.p[row, problem.period], ld.q[row, problem.period])
-        cur = np.conj(s / ref[p])
-        x[lay.il_re[e]] = cur.real
-        x[lay.il_im[e]] = cur.imag
-        i_net[case.bus_pos[ld.bus], p] += cur
-
-    # Generation pinned by bounds (two-stage runs) joins the sweep too.
-    for e, (g, p) in enumerate(lay.gen_entries):
-        lo, hi = problem.lb[lay.pg[e]], problem.ub[lay.pg[e]]
-        if lo == hi and lo != 0.0:
-            cur = np.conj(complex(lo, 0.0) / ref[p])
-            x[lay.ig_re[e]] = cur.real
-            x[lay.ig_im[e]] = cur.imag
-            i_net[case.bus_pos[case.generators[g].bus], p] -= cur
+    np.add.at(i_net, (bus[on], phase[on]), sign[on] * cur)
 
     # Real and imaginary parts are multiplied apart: a complex product would
     # turn some zero currents into -0.0.
-    path = TreeIndex(case).P
-    x[lay.ib_re] = path @ i_net.real
-    x[lay.ib_im] = path @ i_net.imag
-
-    fixed = problem.lb == problem.ub
-    x[fixed] = problem.lb[fixed]
+    x[lay.ib_re] = tree.P @ i_net.real
+    x[lay.ib_im] = tree.P @ i_net.imag
     return x

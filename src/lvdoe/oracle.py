@@ -9,7 +9,7 @@ optimization model; it is the ground truth the model is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -217,9 +217,9 @@ def validate(
 ) -> ValidationReport:
     """Re-solve the power flow at fixed injections and check one period.
 
-    The selected limits are checked on the oracle's own state, to 1e-6.
-    When the optimizer's (n_bus, 3) voltages u are given, the largest
-    deviation of the oracle's voltages from them is reported as well.  A
+    The selected limits are checked on the oracle's own state, to 1e-6, and
+    each violation names period; when the optimizer's (n_bus, 3) voltages u
+    are given, their largest deviation from the oracle's is reported too.  A
     power flow that diverges fails the period instead of raising.
     """
     try:
@@ -227,4 +227,4 @@ def validate(
     except PowerFlowDivergedError as exc:
         return ValidationReport(violations=(), error=str(exc))
     dev = 0.0 if u is None else float(np.abs(u - state.u[:, :, 0]).max())
-    return ValidationReport(tuple(check_limits(state, constraint_set, tol=1e-6)), dev)
+    return ValidationReport(tuple(replace(v, period=period) for v in check_limits(state, constraint_set, tol=1e-6)), dev)

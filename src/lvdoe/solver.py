@@ -724,8 +724,8 @@ def solve(
     Deterministic: identical problems and options reproduce the iteration
     history bit for bit.  Nonconvexity means the result is a KKT point, not
     a certified global optimum.  x0 overrides the flat-start initialization;
-    form, internalize(problem) when given, saves building it again for
-    another start.
+    form, internalize() of problem or of a program that differs from it only
+    in its pins (another period of the stage), saves building it again.
     """
     opts = options or SolverOptions()
     if form is None:

@@ -79,6 +79,25 @@ def test_report_from_stub_runner(bench_pairs, tmp_path):
     }
 
 
+def test_spans_counted_per_round(bench_pairs, tmp_path):
+    # A traced run of 2 rounds names its spans file on stderr, relative to its checkout.
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    names = ["solver.solve", "solver.internalize", "solver.solve", "solver.factorize", "solver.factorize"]
+    spans = [[name, 0.0, 1.0, -1] for name in names]
+    (out / "spans-hr_day-seed1.json").write_text(json.dumps({"fields": ["name", "start", "end", "parent"],
+                                                            "spans": spans}))
+    stderr = "hr_day seed 1: 2 round(s), run_s 1.0\nspans written to perfbench/out/spans-hr_day-seed1.json\n"
+    counts = bench_pairs.span_calls(stderr, tmp_path)
+    assert counts == {"solver.factorize": 2, "solver.internalize": 1, "solver.solve": 2}
+    assert bench_pairs.span_calls("hr_day seed 1: 2 round(s), run_s 1.0\n", tmp_path) == {}
+    # The tracer's own counts agree with the spans; the spans add the calls it does not report.
+    result = {"rounds": 2, "span_calls": counts, "metrics": {"solver.solve.calls": {"value": 2, "unit": "count"},
+                                                             "solver.kkt_dim_max": {"value": 146, "unit": "rows"}}}
+    assert bench_pairs.per_round(result) == {"solver.factorize.calls": 1.0, "solver.internalize.calls": 0.5,
+                                             "solver.solve.calls": 1.0, "solver.kkt_dim_max": 146}
+
+
 def test_source_lines_counts_package_python_files(bench_pairs, tmp_path):
     pkg = tmp_path / "src" / "lvdoe"
     pkg.mkdir(parents=True)

@@ -396,6 +396,22 @@ class TestRunScenario:
         # margin-stage P sits a whisker below the stage-1 export
         np.testing.assert_allclose(result.p_kw, result.stage1.p_kw * (1 - 1e-4), rtol=1e-9)
 
+    def test_each_stage_internalizes_once(self, monkeypatch):
+        # Periods differ only in their pins, so one form serves every period
+        # and start of a stage.
+        internalized = []
+        internalize = solver.internalize
+
+        def recording(problem):
+            internalized.append((problem.layout.with_reactive_split, problem.period))
+            return internalize(problem)
+
+        monkeypatch.setattr(solver, "internalize", recording)
+        result = run_scenario(two_bus_case(), ScenarioSpec(5, Objective.REACTIVE_MARGIN), starts=2)
+        assert len(result.diagnostics) == len(result.stage1.diagnostics) == 4
+        # Stage 1 (active export), then stage 2 (the margin, with its reactive split).
+        assert internalized == [(False, 0), (True, 0)]
+
     def test_free_variant_zeroes_reactive(self):
         case = two_bus_case()
         result = run_scenario(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), reactive_p="free", starts=1)

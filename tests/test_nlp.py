@@ -21,6 +21,38 @@ def random_x(problem, rng):
     return x
 
 
+def loop_start(problem, voltage_scale):
+    """initial_point as a loop over the elements: each load draws its profile's
+    current and each generator the current of its pinned P and Q (a free one
+    counts 0) at the flat voltage, unless that power is zero."""
+    lay, case = problem.layout, problem.case
+    x = np.zeros(lay.n_vars)
+    ref = nm.slack_reference(case, vm=voltage_scale)
+    x[lay.u_re], x[lay.u_im] = ref.real, ref.imag
+    lb, ub = problem.lb, problem.ub
+    i_net = np.zeros((len(case.buses), 3), dtype=complex)
+    for e, (d, p) in enumerate(lay.load_entries):
+        ld = case.loads[d]
+        row = ld.phases.index("abc"[p])
+        s = complex(ld.p[row, problem.period], ld.q[row, problem.period])
+        if s != 0.0:
+            cur = np.conj(s / ref[p])
+            x[lay.il_re[e]], x[lay.il_im[e]] = cur.real, cur.imag
+            i_net[case.bus_pos[ld.bus], p] += cur
+    for e, (g, p) in enumerate(lay.gen_entries):
+        pg, qg = lay.pg[e], lay.qg[e]
+        s = complex(lb[pg] if lb[pg] == ub[pg] else 0.0, lb[qg] if lb[qg] == ub[qg] else 0.0)
+        if s != 0.0:
+            cur = np.conj(s / ref[p])
+            x[lay.ig_re[e]], x[lay.ig_im[e]] = cur.real, cur.imag
+            i_net[case.bus_pos[case.generators[g].bus], p] -= cur
+    path = nm.TreeIndex(case).P
+    x[lay.ib_re], x[lay.ib_im] = path @ i_net.real, path @ i_net.imag
+    fixed = lb == ub
+    x[fixed] = lb[fixed]
+    return x
+
+
 class TestScenarioSpec:
     def test_bad_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -113,6 +145,18 @@ class TestEvaluation:
         x = nlp.initial_point(prob)
         res = prob.eq.value(x)
         assert np.abs(res).max() <= 1e-12
+
+    @pytest.mark.parametrize("fixture", ["feeder_hr", "synth4_unbal"])
+    def test_flat_start_matches_loop_reference(self, request, fixture):
+        # Stage 1, and stage 2 with every P pinned, one unit at zero; bit for bit.
+        net = request.getfixturevalue(fixture)
+        fixed_p = np.full((len(net.generators), 3), 0.02)
+        fixed_p[0] = 0.0
+        stage1 = build_problem(net, ScenarioSpec(5), 7, bound_q_by_rating=True)
+        stage2 = build_problem(net, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 7, fixed_p=fixed_p)
+        for prob in (stage1, stage2):
+            for scale in (1.0, 0.9):
+                assert nlp.initial_point(prob, scale).tobytes() == loop_start(prob, scale).tobytes()
 
     def test_matches_phasecalc_on_decoded_state(self, case):
         # every equality row must agree with the reference evaluation
@@ -287,7 +331,8 @@ class TestOptionsAndFixing:
             case, {LimitKind.VOLTAGE}, Objective.REACTIVE_MARGIN, 0, fixed_p=fixed
         )
         assert prob.lb[prob.layout.pg[0]] == prob.ub[prob.layout.pg[0]] == pytest.approx(0.123)
-        assert np.count_nonzero(prob.lb == prob.ub) == 7  # six slack voltages and the pin
+        # Six slack voltages, the load's P and Q, and the pin.
+        assert np.count_nonzero(prob.lb == prob.ub) == 9
 
     def test_q_rating_bound(self, case):
         prob = build_custom(
@@ -316,8 +361,10 @@ class TestSeparability:
         other = dataclasses.replace(base, loads=loads)
         p0a = build_problem(base, ScenarioSpec(5), 0)
         p0b = build_problem(other, ScenarioSpec(5), 0)
-        np.testing.assert_array_equal(p0a.eq.c0, p0b.eq.c0)
+        pl = p0a.layout.pl
+        np.testing.assert_array_equal(p0a.lb[pl], p0b.lb[pl])
         p1a = build_problem(base, ScenarioSpec(5), 1)
         p1b = build_problem(other, ScenarioSpec(5), 1)
         # the case is already per-unit, so the perturbation lands unscaled
-        assert np.abs(p1a.eq.c0 - p1b.eq.c0).max() == pytest.approx(5.0)
+        assert np.abs(p1a.lb[pl] - p1b.lb[pl]).max() == pytest.approx(5.0)
+        assert np.array_equal(p1b.lb[pl], p1b.ub[pl])

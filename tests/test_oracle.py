@@ -211,6 +211,18 @@ class TestValidateSolution:
         assert report.max_voltage_deviation > 0.1
         assert report.violations == ()
 
+    def test_violations_carry_the_checked_period(self, feeder_hr):
+        # Every unit at three times its cap in period 17 overloads branches
+        # and lifts voltages; the one-period state of solve_pf numbers them 0.
+        inj = InjectionSet.from_case(feeder_hr)
+        for g, ph in feeder_hr.gen_entries():
+            inj.p_gen[g, ph, 17] = 3.0 * feeder_hr.generators[g].p_cap
+        report = validate(feeder_hr, inj, 17, pc.ALL_LIMITS)
+        assert {v.kind for v in report.violations} == {"current", "voltage_high"}
+        assert {v.period for v in report.violations} == {17}
+        own = pc.check_limits(solve_pf(feeder_hr, inj, 17), pc.ALL_LIMITS, tol=1e-6)
+        assert [dataclasses.replace(v, period=17) for v in own] == list(report.violations)
+
     def test_diverged_power_flow_fails_the_period(self):
         case = two_bus_case()
         inj = one_generator(case, "g1", 1000.0, 0.0, 0)

@@ -46,6 +46,20 @@ def perturbed_point(prob, form, seed):
     )
 
 
+def fingerprint(value):
+    """value with every array as (dtype, shape, bytes), recursing into
+    dataclasses, QuadBlocks and tuples, so that == compares bit for bit."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, fingerprint(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, QuadBlock):
+        return tuple((name, fingerprint(v)) for name, v in sorted(vars(value).items()))
+    if isinstance(value, (tuple, list)):
+        return tuple(fingerprint(v) for v in value)
+    return value
+
+
 def bound_rows(prob):
     """(Jacobian, constants) of the rows sign * x_i + const <= 0: each free
     variable's finite upper bound, then its finite lower bound."""
@@ -383,8 +397,8 @@ class TestSolve:
         assert sol.status == "iteration_limit"
 
     def test_pinned_variables_stay_on_their_pins(self, synth4_unbal):
-        # Slack voltages in an active-export solve, and every pinned P as
-        # well in a two-stage stage-2 (reactive-margin) solve.
+        # Slack voltages and load powers in an active-export solve, and every
+        # pinned P as well in a two-stage stage-2 (reactive-margin) solve.
         case = synth4_unbal
         stage1 = build_problem(case, ScenarioSpec(5), 19, bound_q_by_rating=True)
         sol1 = solve(stage1)
@@ -394,7 +408,8 @@ class TestSolve:
         stage2 = build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 19, fixed_p=fixed_p)
         sol2 = solve(stage2)
         assert sol2.status == "optimal"
-        assert np.count_nonzero(stage2.lb == stage2.ub) > np.count_nonzero(stage1.lb == stage1.ub) == 6
+        n_loads = len(stage1.layout.load_entries)
+        assert np.count_nonzero(stage2.lb == stage2.ub) > np.count_nonzero(stage1.lb == stage1.ub) == 6 + 2 * n_loads
         np.testing.assert_array_equal(nlp.decode_generation(stage2, sol2.x)[0], fixed_p)
         for prob, sol in ((stage1, sol1), (stage2, sol2)):
             pinned = prob.lb == prob.ub
@@ -612,10 +627,24 @@ class TestLinearBasis:
         # The other kept columns enter no linear row.
         assert not a_k[:, nd + nc :].any()
 
-    def test_basis_is_the_same_in_every_period(self, feeder_hr):
-        forms = [internalize(build_problem(feeder_hr, ScenarioSpec(5), t)) for t in range(feeder_hr.horizon)]
-        assert all(f.basis.tobytes() == forms[0].basis.tobytes() for f in forms)
-        assert all(f.keep.tobytes() == forms[0].keep.tobytes() for f in forms)
+    @pytest.mark.parametrize("stage", ["active", "active-rated-q", "margin-pinned-p"])
+    @pytest.mark.parametrize("fixture", ["feeder_hr", "synth4_unbal"])
+    def test_basis_is_the_same_in_every_period(self, request, fixture, stage):
+        # Periods differ only in their pins: load powers, and stage-2 P.  So the
+        # whole form, not only the basis, is the same in every period.
+        case = request.getfixturevalue(fixture)
+        p_cap = np.array([g.p_cap for g in case.generators])[:, None, None]
+        fixed_p = np.random.default_rng(3).uniform(0.0, 1.0, (len(case.generators), 3, case.horizon)) * p_cap
+
+        def program(t):
+            if stage == "margin-pinned-p":
+                return build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), t, fixed_p=fixed_p[:, :, t])
+            return build_problem(case, ScenarioSpec(5), t, bound_q_by_rating=stage == "active-rated-q")
+
+        probs = [program(t) for t in range(case.horizon)]
+        forms = [fingerprint(internalize(prob)) for prob in probs]
+        assert all(f == forms[0] for f in forms[1:])
+        assert not np.array_equal(probs[0].lb, probs[12].lb)
 
     @pytest.mark.parametrize("sigma", [1e8, 1e15])
     def test_split_rows_keep_the_step_of_the_full_system(self, feeder_hr, sigma):

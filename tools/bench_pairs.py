@@ -16,7 +16,8 @@ quartiles and the number of pairs the change won.  Whether lower or higher is be
 ``BENCHMARK.json``.  Per workload it also gives each side's traced per-layer
 metrics per round: a traced run repeats the workload for as many rounds as
 fit its time, so its times and counts are totals over a number of rounds
-that differs between the sides.
+that differs between the sides.  The calls of every traced layer, such as
+``solver.internalize.calls``, are counted from the run's spans file.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -52,7 +54,17 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trac
     rounds = re.search(r"(\d+) round\(s\)", proc.stderr)
     result["exit_code"] = proc.returncode
     result["rounds"] = int(rounds.group(1)) if rounds else None
+    result["span_calls"] = span_calls(proc.stderr, checkout)
     return result
+
+
+def span_calls(stderr: str, checkout: Path) -> dict[str, int]:
+    """Spans per name in the spans file that a traced run names on stderr; {} without one."""
+    written = re.search(r"spans written to (.+)", stderr)
+    if not written:
+        return {}
+    spans = json.loads((checkout / written.group(1).strip()).read_text())["spans"]
+    return dict(sorted(Counter(span[0] for span in spans).items()))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -63,15 +75,17 @@ def quartiles(values: list[float]) -> dict:
 
 
 def per_round(result: dict) -> dict:
-    """A traced run's per-layer metrics divided by its rounds.  Times (s) and
-    counts are totals over the rounds; other metrics, such as the maximum
-    KKT dimension in rows, are kept as they are."""
+    """A traced run's per-layer metrics, and its span counts as <name>.calls,
+    divided by its rounds.  Times (s) and counts are totals over the rounds;
+    other metrics, such as the maximum KKT dimension in rows, are kept as
+    they are."""
     rounds = result.get("rounds")
     if not rounds:
         return {}
+    calls = {f"{name}.calls": {"value": n, "unit": "count"} for name, n in result.get("span_calls", {}).items()}
     return {
         name: m["value"] / rounds if m["unit"] in ("s", "count") else m["value"]
-        for name, m in result["metrics"].items()
+        for name, m in {**calls, **result["metrics"]}.items()
     }
 
 
