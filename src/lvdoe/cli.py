@@ -138,22 +138,6 @@ def _run_scenario_1(case: NetworkCase, spec: ScenarioSpec) -> EnvelopeResult:
     )
 
 
-def _shared_q_groups(case: NetworkCase) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """(generators, phase, share of the group's Q) for each bus and phase
-    that more than one generator feeds; shares follow q_abs_max, or are
-    equal when every unit in the group has q_abs_max 0."""
-    groups: dict[tuple[str, int], list[int]] = {}
-    for g, ph in case.gen_entries():
-        groups.setdefault((case.generators[g].bus, ph), []).append(g)
-    out = []
-    for (_, ph), gens in groups.items():
-        if len(gens) > 1:
-            w = np.array([case.generators[g].q_abs_max for g in gens])
-            share = w / w.sum() if w.sum() > 0.0 else np.full(len(gens), 1.0 / len(gens))
-            out.append((np.array(gens), ph, share))
-    return out
-
-
 def _run_periods(
     case: NetworkCase,
     spec: ScenarioSpec,
@@ -170,23 +154,20 @@ def _run_periods(
     # Generation per period in pu, filled in as the periods are solved; the
     # oracle only reads the period it checks.
     injections = oracle.InjectionSet.from_case(case)
-    # Units that share a bus and phase see the same voltage, so an
-    # active-export optimum fixes only the sum of their Q, not its split.
-    shared = _shared_q_groups(case) if spec.objective is Objective.ACTIVE_EXPORT else []
     objective = np.zeros(T)
     diags, timings = [], []
     clock = time.perf_counter
     for t in range(T):
         t0 = clock()
-        problem = nlp.build_problem(
-            case,
-            spec,
-            t,
-            bound_q_by_rating=bound_q_by_rating,
-            fixed_p=None if fixed_p is None else fixed_p[:, :, t],
-        )
+        pins = None if fixed_p is None else fixed_p[:, :, t]
+        # The periods of a stage differ only in their pins, so the stage
+        # builds its rows and its solver form once.
+        if t == 0:
+            problem = nlp.build_problem(case, spec, 0, bound_q_by_rating=bound_q_by_rating, fixed_p=pins)
+        else:
+            problem = nlp.pin_period(problem, t, pins)
         t1 = clock()
-        form = solver.internalize(problem) if t == 0 else form  # periods differ only in their pins
+        form = solver.internalize(problem) if t == 0 else form
         sol, won, tried = None, 0, []
         for k, scale in enumerate(scales):
             cand = solver.solve(problem, opts, x0=nlp.initial_point(problem, voltage_scale=scale), form=form)
@@ -198,11 +179,7 @@ def _run_periods(
         t2 = clock()
         if sol.status != "optimal":
             raise ScenarioSolveError(t, sol.status)
-        pg, qg = nlp.decode_generation(problem, sol.x)
-        for gens, ph, share in shared:
-            qg[gens, ph] = qg[gens, ph].sum() * share
-        injections.p_gen[:, :, t] = pg
-        injections.q_gen[:, :, t] = qg
+        injections.p_gen[:, :, t], injections.q_gen[:, :, t] = nlp.decode_generation(problem, sol.x)
         u = nlp.decode_state(problem, sol.x).u[:, :, 0]
         t3 = clock()
         report = oracle.validate(case, injections, t, problem.constraint_set, u)

@@ -6,13 +6,15 @@ objective are assembled into a purely quadratic description: every row is
 second derivatives never change between iterations.  The solver consumes
 this structure directly.  Every row, bound, start and decode addresses x
 through VarLayout, which cuts range(n_vars) into one index array per block.
+Generation enters as one injection per (bus, phase); the units behind it
+exist only in decode_generation and decode_state.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -156,12 +158,16 @@ class VarLayout:
 
     u_re, u_im are (n_bus, 3) and ib_re, ib_im (n_branch, 3); il_*, pl, ql hold
     one position per load entry and ig_*, pg, qg, qplus, qminus, qaux one per
-    generator entry, the last three empty without the reactive split.  Each
-    array indexes x directly: x[lay.pg], lb[lay.u_re[slack]].
+    injection, the last three empty without the reactive split.  An
+    injection is a (bus, phase) that generator entries feed: its units see
+    one voltage and their currents only add, so they share one current, P
+    and Q.  Each array indexes x directly: x[lay.pg], lb[lay.u_re[slack]].
     """
 
     load_entries: tuple[tuple[int, int], ...]  # (load, phase)
     gen_entries: tuple[tuple[int, int], ...]   # (generator, phase)
+    injections: tuple[tuple[int, int], ...]    # (bus, phase), in order of their first generator entry
+    gen_injection: np.ndarray                  # the injection of each generator entry
     with_reactive_split: bool
     n_vars: int
     u_re: np.ndarray
@@ -183,14 +189,18 @@ class VarLayout:
     @classmethod
     def of(cls, case: NetworkCase, with_reactive_split: bool) -> VarLayout:
         loads, gens = tuple(case.load_entries()), tuple(case.gen_entries())
-        n_split = len(gens) if with_reactive_split else 0
+        first: dict[tuple[int, int], int] = {}
+        for g, p in gens:
+            first.setdefault((case.bus_pos[case.generators[g].bus], p), len(first))
+        gen_injection = np.array([first[case.bus_pos[case.generators[g].bus], p] for g, p in gens], dtype=np.intp)
+        n_split = len(first) if with_reactive_split else 0
         shapes = [(len(case.buses), 3)] * 2 + [(len(case.branches), 3)] * 2 + [(len(loads),)] * 4
-        shapes += [(len(gens),)] * 4 + [(n_split,)] * 3
+        shapes += [(len(first),)] * 4 + [(n_split,)] * 3
         blocks, end = {}, 0
         for name, shape in zip(_BLOCKS, shapes):
             start, end = end, end + math.prod(shape)
             blocks[name] = np.arange(start, end).reshape(shape)
-        return cls(loads, gens, with_reactive_split, end, **blocks)
+        return cls(loads, gens, tuple(first), gen_injection, with_reactive_split, end, **blocks)
 
 
 def _entry_arrays(entries: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +212,7 @@ def _entry_arrays(entries: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.
 class NlpProblem:
     """One period's program: maximize obj_coef . x subject to eq = 0, ineq <= 0, lb <= x <= ub.
 
-    The period enters only through the pins lb == ub.  lin_rows are the
+    The period enters only through the pins lb == ub (pin_period).  lin_rows are the
     voltage-drop and KCL rows of eq: linear, and as many as the free lin_vars
     (every u and i_branch column but the slack voltages), which they
     determine from the element currents.
@@ -255,10 +265,10 @@ def build_custom(
 ) -> NlpProblem:
     """Assemble a program for an arbitrary technical-constraint subset.
 
-    fixed_p, a dense (n_gen, 3) array in pu, pins the active power of every
-    connected generator phase (used by the two-stage reactive-margin
-    pipeline); fix_q_zero disables reactive support, and bound_q_by_rating
-    boxes Q by the per-phase device rating.
+    fixed_p, a dense (n_gen, 3) array in pu, pins each injection's P at its
+    units' sum (used by the two-stage reactive-margin pipeline); fix_q_zero
+    disables reactive support, and bound_q_by_rating boxes each injection's
+    Q by its units' summed per-phase rating.
     """
     if not case.in_per_unit:
         raise ValueError("case must be in per-unit")
@@ -339,15 +349,14 @@ def _equality_block(case: NetworkCase, layout: VarLayout) -> tuple[QuadBlock, np
         eq.quad(k, layout.u_re[n, p], layout.il_im[e], -1.0)
         eq.lin(k, layout.ql[e], -1.0)
 
-    # Power definition of each generator phase (P, Q are variables).
-    for e, (g, p) in enumerate(layout.gen_entries):
-        gen = case.generators[g]
-        n = case.bus_pos[gen.bus]
-        k = eq.new_row(f"gen_p[{gen.id},{PHASES[p]}]")
+    # Power definition of each injection (P, Q are variables).
+    for e, (n, p) in enumerate(layout.injections):
+        name = f"{case.buses[n].id},{PHASES[p]}"
+        k = eq.new_row(f"gen_p[{name}]")
         eq.quad(k, layout.u_re[n, p], layout.ig_re[e], 1.0)
         eq.quad(k, layout.u_im[n, p], layout.ig_im[e], 1.0)
         eq.lin(k, layout.pg[e], -1.0)
-        k = eq.new_row(f"gen_q[{gen.id},{PHASES[p]}]")
+        k = eq.new_row(f"gen_q[{name}]")
         eq.quad(k, layout.u_im[n, p], layout.ig_re[e], 1.0)
         eq.quad(k, layout.u_re[n, p], layout.ig_im[e], -1.0)
         eq.lin(k, layout.qg[e], -1.0)
@@ -355,13 +364,13 @@ def _equality_block(case: NetworkCase, layout: VarLayout) -> tuple[QuadBlock, np
     # Nodal current balance at every non-slack bus, a re and an im row per
     # phase: demand - generation - A' i_branch = 0.  One pass over the
     # elements files each term under its bus and phase; a row lists its
-    # loads, then its generators, then its branches in index order.
+    # loads, then its injection, then its branches in index order.
     tree = TreeIndex(case)
     terms: dict[tuple[int, int], list[tuple[int, int, float]]] = defaultdict(list)  # (re col, im col, coef)
     for e, (d, p) in enumerate(layout.load_entries):
         terms[tree.load_bus[d], p].append((layout.il_re[e], layout.il_im[e], 1.0))
-    for e, (g, p) in enumerate(layout.gen_entries):
-        terms[tree.gen_bus[g], p].append((layout.ig_re[e], layout.ig_im[e], -1.0))
+    for e, (n, p) in enumerate(layout.injections):
+        terms[n, p].append((layout.ig_re[e], layout.ig_im[e], -1.0))
     for l, n in zip(*np.nonzero(tree.A)):
         for p in range(3):
             terms[n, p].append((layout.ib_re[l, p], layout.ib_im[l, p], -tree.A[l, n]))
@@ -378,9 +387,8 @@ def _equality_block(case: NetworkCase, layout: VarLayout) -> tuple[QuadBlock, np
 
     # Reactive import/export split for the margin objective.
     if layout.with_reactive_split:
-        for e, (g, p) in enumerate(layout.gen_entries):
-            gen = case.generators[g]
-            k = eq.new_row(f"qsplit[{gen.id},{PHASES[p]}]")
+        for e, (n, p) in enumerate(layout.injections):
+            k = eq.new_row(f"qsplit[{case.buses[n].id},{PHASES[p]}]")
             eq.lin(k, layout.qg[e], 1.0)
             eq.lin(k, layout.qplus[e], -1.0)
             eq.lin(k, layout.qminus[e], 1.0)
@@ -435,12 +443,12 @@ def _inequality_block(case: NetworkCase, layout: VarLayout, constraints: frozens
 
     # Margin auxiliaries: q_aux bounded by both directions of the split.
     if layout.with_reactive_split:
-        for e, (g, p) in enumerate(layout.gen_entries):
-            gen = case.generators[g]
-            k = ineq.new_row(f"qaux_plus[{gen.id},{PHASES[p]}]")
+        for e, (n, p) in enumerate(layout.injections):
+            name = f"{case.buses[n].id},{PHASES[p]}"
+            k = ineq.new_row(f"qaux_plus[{name}]")
             ineq.lin(k, layout.qaux[e], 1.0)
             ineq.lin(k, layout.qplus[e], -1.0)
-            k = ineq.new_row(f"qaux_minus[{gen.id},{PHASES[p]}]")
+            k = ineq.new_row(f"qaux_minus[{name}]")
             ineq.lin(k, layout.qaux[e], 1.0)
             ineq.lin(k, layout.qminus[e], -1.0)
 
@@ -464,15 +472,9 @@ def _bounds(
     lb[layout.u_re[case.slack]] = ub[layout.u_re[case.slack]] = ref.real
     lb[layout.u_im[case.slack]] = ub[layout.u_im[case.slack]] = ref.imag
 
-    # The load entries follow each load's profile rows in order.
-    lb[layout.pl] = ub[layout.pl] = np.concatenate([np.zeros(0), *(ld.p[:, period] for ld in case.loads)])
-    lb[layout.ql] = ub[layout.ql] = np.concatenate([np.zeros(0), *(ld.q[:, period] for ld in case.loads)])
-
-    gen, phase = _entry_arrays(layout.gen_entries)
-    q_max = np.array([case.generators[g].q_abs_max for g in gen])
+    # An injection's Q is boxed by its units' summed rating.
+    q_max = _injection_sums(layout, np.array([case.generators[g].q_abs_max for g, _ in layout.gen_entries]))
     lb[layout.pg] = 0.0
-    if fixed_p is not None:
-        lb[layout.pg] = ub[layout.pg] = fixed_p[gen, phase]
     if fix_q_zero:
         lb[layout.qg] = ub[layout.qg] = 0.0
     elif bound_q_by_rating:
@@ -482,22 +484,82 @@ def _bounds(
         lb[layout.qplus] = lb[layout.qminus] = lb[layout.qaux] = 0.0
         ub[layout.qplus] = ub[layout.qminus] = q_max
 
+    _pin(case, layout, lb, ub, period, fixed_p)
     return lb, ub
+
+
+def _pin(
+    case: NetworkCase, layout: VarLayout, lb: np.ndarray, ub: np.ndarray, period: int, fixed_p: np.ndarray | None
+) -> None:
+    """Write the pins of period into lb and ub: each load phase's P and Q
+    and, when fixed_p is given, each injection's P as its units' sum."""
+    # The load entries follow each load's profile rows in order.
+    lb[layout.pl] = ub[layout.pl] = np.concatenate([np.zeros(0), *(ld.p[:, period] for ld in case.loads)])
+    lb[layout.ql] = ub[layout.ql] = np.concatenate([np.zeros(0), *(ld.q[:, period] for ld in case.loads)])
+    if fixed_p is not None:
+        lb[layout.pg] = ub[layout.pg] = _injection_sums(layout, fixed_p[_entry_arrays(layout.gen_entries)])
+
+
+def pin_period(problem: NlpProblem, period: int, fixed_p: np.ndarray | None = None) -> NlpProblem:
+    """problem with the pins of another period of its stage; fixed_p must be
+    given exactly when problem was built with it.  Its rows, objective and
+    free set are problem's own, so internalize() of either serves both."""
+    lay = problem.layout
+    if not 0 <= period < problem.case.horizon:
+        raise ValueError(f"period {period} outside horizon {problem.case.horizon}")
+    pins_p = bool(np.all(problem.lb[lay.pg] == problem.ub[lay.pg]))
+    if lay.pg.size and (fixed_p is not None) != pins_p:
+        raise ValueError("fixed_p must be given exactly when the program pins P")
+    lb, ub = problem.lb.copy(), problem.ub.copy()
+    _pin(problem.case, lay, lb, ub, period, fixed_p)
+    return replace(problem, period=period, lb=lb, ub=ub)
+
+
+def _injection_sums(layout: VarLayout, per_entry: np.ndarray) -> np.ndarray:
+    """Sum over each injection's generator entries of a per-entry array."""
+    return np.bincount(layout.gen_injection, weights=per_entry, minlength=len(layout.injections))
 
 
 # ---------------------------------------------------------------------------
 # Decoding and the flat start
 # ---------------------------------------------------------------------------
 
+def _unit_shares(case: NetworkCase, layout: VarLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Each generator entry's share of its injection's P and of its Q.
+
+    P is shared by p_cap and Q by q_abs_max, and equally where an
+    injection's ratings sum to 0.  Each unit's reactive margin, q_abs_max -
+    |Q|, is then its rating share of the injection's, so the units' margins
+    add up to the injection's: the optimum of a program with one Q per unit.
+    """
+    units = [case.generators[g] for g, _ in layout.gen_entries]
+    count = np.bincount(layout.gen_injection, minlength=len(layout.injections))[layout.gen_injection]
+    shares = []
+    for rating in (np.array([u.p_cap for u in units]), np.array([u.q_abs_max for u in units])):
+        total = _injection_sums(layout, rating)[layout.gen_injection]
+        shares.append(np.divide(rating, total, out=1.0 / count, where=total > 0.0))
+    return shares[0], shares[1]
+
+
 def decode_state(problem: NlpProblem, x: np.ndarray) -> PhasorState:
-    """Unpack a solution vector into a single-period phasor state."""
+    """Unpack a solution vector into a single-period phasor state.
+
+    Each unit draws the part of its injection's current that carries its
+    decoded power, conj(s_unit / s_injection) of it, so the units' currents
+    sum to the injection's (its P share where the injection carries none).
+    """
     lay = problem.layout
     case = problem.case
 
     i_load = np.zeros((len(case.loads), 3, 1), dtype=complex)
     i_load[(*_entry_arrays(lay.load_entries), 0)] = x[lay.il_re] + 1j * x[lay.il_im]
+    share_p, share_q = _unit_shares(case, lay)
+    inj = lay.gen_injection
+    s_inj = x[lay.pg][inj] + 1j * x[lay.qg][inj]
+    s_unit = share_p * x[lay.pg][inj] + 1j * share_q * x[lay.qg][inj]
+    part = np.divide(s_unit, s_inj, out=share_p.astype(complex), where=s_inj != 0.0)
     i_gen = np.zeros((len(case.generators), 3, 1), dtype=complex)
-    i_gen[(*_entry_arrays(lay.gen_entries), 0)] = x[lay.ig_re] + 1j * x[lay.ig_im]
+    i_gen[(*_entry_arrays(lay.gen_entries), 0)] = (x[lay.ig_re] + 1j * x[lay.ig_im])[inj] * np.conj(part)
     return PhasorState(
         case=case,
         u=(x[lay.u_re] + 1j * x[lay.u_im])[:, :, None],
@@ -508,13 +570,15 @@ def decode_state(problem: NlpProblem, x: np.ndarray) -> PhasorState:
 
 
 def decode_generation(problem: NlpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-generator (n_gen, 3) active/reactive outputs from a solution."""
+    """Per-generator (n_gen, 3) active/reactive outputs: each unit's share
+    (_unit_shares) of its injection's P and Q."""
     lay = problem.layout
     entries = _entry_arrays(lay.gen_entries)
+    share_p, share_q = _unit_shares(problem.case, lay)
     pg = np.zeros((len(problem.case.generators), 3))
     qg = np.zeros_like(pg)
-    pg[entries] = x[lay.pg]
-    qg[entries] = x[lay.qg]
+    pg[entries] = share_p * x[lay.pg][lay.gen_injection]
+    qg[entries] = share_q * x[lay.qg][lay.gen_injection]
     return pg, qg
 
 
@@ -536,14 +600,14 @@ def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray
     fixed = problem.lb == problem.ub
     x[fixed] = problem.lb[fixed]
 
-    # Every load phase, and the generation that two-stage runs pin (a free P
-    # or Q is still 0 in x); a generator's current enters the balance negated.
+    # Every load phase, and the injections that two-stage runs pin (a free P
+    # or Q is still 0 in x); an injection's current enters the balance negated.
     tree = TreeIndex(case)
     load, load_phase = _entry_arrays(lay.load_entries)
-    gen, gen_phase = _entry_arrays(lay.gen_entries)
-    bus = np.concatenate([tree.load_bus[load], tree.gen_bus[gen]])
-    phase = np.concatenate([load_phase, gen_phase])
-    sign = np.repeat([1.0, -1.0], [load.size, gen.size])
+    inj_bus, inj_phase = _entry_arrays(lay.injections)
+    bus = np.concatenate([tree.load_bus[load], inj_bus])
+    phase = np.concatenate([load_phase, inj_phase])
+    sign = np.repeat([1.0, -1.0], [load.size, inj_bus.size])
     s = x[np.concatenate([lay.pl, lay.pg])] + 1j * x[np.concatenate([lay.ql, lay.qg])]
     on = s != 0.0
     cur = np.conj(s[on] / ref[phase[on]])

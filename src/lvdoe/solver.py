@@ -30,15 +30,11 @@ recovered from B after the reduced solve.  B holds inertia (|V|, |S| + 1,
 0) for dw, dc >= 0 under the rule that private_blocks states, so the
 reduced matrix keeps the full one's inertia test.  A block of one variable
 and no S is a pair, and its B is solved in closed form: w = h / (c^2 +
-h*dc).  Each
-unit-phase's P and Q with its gen_p / gen_q row is a pair; under the
-margin objective a unit-phase's (qg, q+, q-, q_aux) with qsplit, qaux_plus,
-qaux_minus and gen_q is a block of four.  A pivot that is exactly zero in
-the unreduced matrix keeps roundoff of a few eps times the weight on its
-row, so the zero test scales with that weight.  The weight depends on dw and
-dc, so a regularization retry rewrites it with the matrix.  On feeder_hr
-this takes 558 -> 386 rows for active export and 687 -> 429 for a stage-2
-margin program.
+h*dc).  Each injection's P and Q with its gen_p / gen_q row is a pair;
+under the margin objective an injection's (qg, q+, q-, q_aux) with qsplit,
+qaux_plus, qaux_minus and gen_q is a block of four.  On feeder_hr, whose 43
+units feed 9 injections, this takes 354 -> 318 rows for active export and
+381 -> 327 for a stage-2 margin program.
 
 The network's linear rows leave it next, in the reduced-space manner of
 Pacaud et al. 2022 (arXiv:2203.11875).  The voltage-drop and KCL rows L
@@ -51,7 +47,7 @@ element currents that L couples to D; the steps that solve L are dx = x_p
 power rows, and the generators' ones that no block took).  L takes no dc,
 and it holds inertia (|L|, |L|, 0), so the factored matrix needs one
 positive eigenvalue per reduced variable and no zero pivot.  On feeder_hr
-this leaves 146 of the 386 rows, and 189 of the 429 of a stage-2 margin
+this leaves 78 of the 318 rows, and 87 of the 327 of a stage-2 margin
 program.
 
 A user inequality row on D is condensed while its z/s is at most
@@ -67,13 +63,8 @@ and the trace all read it.  A guard probe that is accepted becomes the next
 Iterate, as Ipopt caches its evaluations per point.
 
 Each iteration first tries dw = dc = 0 and climbs a regularization ladder
-while the inertia is wrong.  Once DEGENERATE_ITERATIONS consecutive
-iterations have found zero pivots in that first attempt, the equality
-Jacobian is taken as rank-deficient and later iterations start the ladder at
-dc > 0 directly (Ipopt's degenerate-Jacobian rule, Waechter & Biegler 2006,
-Sec. 3.1).  On the bundled feeders the cause is structural: units that share
-a bus and phase with free Q leave only their group's total Q and current
-fixed, so the unregularized matrix is singular at every iteration.
+while the inertia is wrong.  Units that share a bus and phase share one
+injection, so the equality Jacobian keeps no structural null direction.
 """
 
 from __future__ import annotations
@@ -92,12 +83,6 @@ MU_INIT = 0.1
 MU_SHRINK = 0.2
 STEP_FRACTION = 0.995
 REGULARIZATION_MIN = 1e-10
-# Consecutive iterations with zero pivots at dw = dc = 0 after which the
-# remaining iterations of a solve skip that attempt.
-DEGENERATE_ITERATIONS = 3
-# A 1x1 pivot on a row that carries block weight w counts as zero below this
-# times w (see _ldlt).
-PIVOT_ROUNDOFF = 100.0 * np.finfo(float).eps
 # A user inequality row on the linear rows' columns D whose z/s exceeds this
 # stays in the factored matrix instead of being condensed (see kkt_assemble).
 SIGMA_CONDENSED_MAX = 1e6
@@ -461,9 +446,9 @@ def _kkt_errors(form: InternalForm, pt: Iterate, *mus: float) -> list[float]:
 
 def kkt_assemble(
     form: InternalForm, pt: Iterate, mu: float, delta_w: float = 0.0, delta_c: float = 0.0
-) -> tuple[np.ndarray, tuple, Callable]:
+) -> tuple[np.ndarray, Callable, Callable]:
     """Dense reduced KKT matrix (Fortran order) at regularization (dw, dc),
-    its system and its regularize function (see the module docstring).
+    its step function and its regularize function (see the module docstring).
 
     The kept block H is W + Jh' diag(z/s) Jh on the kept variables, a bound
     row condensing to its z/s on its variable's diagonal and a split row not
@@ -478,12 +463,10 @@ def kkt_assemble(
     of C, formed once per iteration; a retry adds dw*(I + T'T), T'T being
     constant, and the block terms w v' v with v = j_r Z.
 
-    The system is (step, pivot_scale): step(solve_fn), given the solve of a
-    factorization of the matrix, returns (dx, dy, dz, ds), and pivot_scale
-    is the weight that the blocks put on each row's diagonal, which scales
-    _ldlt's zero-pivot test.  regularize(dw, dc) rewrites the matrix in
+    step(solve_fn), given the solve of a factorization of the matrix,
+    returns (dx, dy, dz, ds).  regularize(dw, dc) rewrites the matrix in
     place from the same unregularized projection, so the matrix depends on
-    the iterate and (dw, dc) alone, and returns the new system.
+    the iterate and (dw, dc) alone, and returns the new step.
     """
     if mu <= 0.0:
         raise ValueError("barrier parameter mu must be positive")
@@ -547,7 +530,7 @@ def kkt_assemble(
         shapes.append((blk, hb, slice(at, at + nb), r_x[blk.var], r_y[blk.srow]))
         end, at = end + nb * nv * nv, at + nb
 
-    def regularize(delta_w: float, delta_c: float) -> tuple[Callable, np.ndarray]:
+    def regularize(delta_w: float, delta_c: float) -> Callable:
         solvers = [_block_solver(blk, hb, delta_w, delta_c) for blk, hb, _, _, _ in shapes]
         w = np.concatenate([np.zeros(0), *(w_b for w_b, _ in solvers)])
         block_terms = (v.T * w) @ v
@@ -556,8 +539,6 @@ def kkt_assemble(
         block[:nc, :nc] += delta_w * form.basis_gram
         kkt[diag_r, diag_r] += delta_w
         kkt[diag_q, diag_q] = -delta_c
-        pivot_scale = np.zeros(dim)
-        pivot_scale[:nr] = block_terms.diagonal()
 
         def h_times(dx_k: np.ndarray) -> np.ndarray:
             """(H + dw*I + block terms) dx_k on the kept variables."""
@@ -593,7 +574,7 @@ def kkt_assemble(
             dz[split] = dy_q[nq:]
             return dx, dy, dz, mu / z - s - (s / z) * dz
 
-        return step, pivot_scale
+        return step
 
     return kkt, regularize(delta_w, delta_c), regularize
 
@@ -634,22 +615,7 @@ def _block_solver(blk: Blocks, hess: np.ndarray, delta_w: float, delta_c: float)
     return -inv[:, -1, -1], solve
 
 
-def _pivot_rows(ipiv: np.ndarray, two: np.ndarray) -> np.ndarray:
-    """Row of the input matrix that each pivot of a lower sytrf eliminates.
-
-    Pivot k of a 1x1 block swapped rows k and ipiv[k] (1-based) before it
-    was taken; in a 2x2 block at (k, k+1) only row k+1 swapped, with
-    -ipiv[k+1].  Later swaps touch only later rows.
-    """
-    target = np.abs(ipiv) - 1
-    target[two] = two
-    rows = list(range(ipiv.size))
-    for k, t in enumerate(target.tolist()):
-        rows[k], rows[t] = rows[t], rows[k]
-    return np.array(rows)
-
-
-def _ldlt(kdense: np.ndarray, scale: np.ndarray | None = None):
+def _ldlt(kdense: np.ndarray):
     """Bunch-Kaufman LDL' with inertia; returns (solve_fn, (pos, neg, zero)).
 
     Uses LAPACK sytrf/sytrs directly.  2x2 pivots of the Bunch-Kaufman
@@ -657,12 +623,7 @@ def _ldlt(kdense: np.ndarray, scale: np.ndarray | None = None):
     the inertia falls out of the pivot structure without eigenvalue work.
     The zero threshold is absolute: barrier diagonals legitimately reach
     1e10 and beyond, so a relative threshold would misclassify small but
-    healthy curvature pivots.  scale, when given, raises the threshold of a
-    1x1 pivot on row i to PIVOT_ROUNDOFF * scale[i] where that is larger: the
-    eliminated blocks' weight scale[i] on row i leaves roundoff of a few eps
-    times it on a pivot that is exactly zero in the unreduced system (9e-12
-    at weight 2.3e4 on synth4_unbal), while the smallest healthy pivots seen
-    on such rows are 1e-12 times their weight (3e-7 at 4e5 on feeder_hr).
+    healthy curvature pivots.
     """
     n = kdense.shape[0]
     sytrf, sytrs, sytrf_lwork = scipy.linalg.get_lapack_funcs(
@@ -680,12 +641,8 @@ def _ldlt(kdense: np.ndarray, scale: np.ndarray | None = None):
     one = np.ones(n, dtype=bool)
     one[two] = one[two + 1] = False
     v = d[one]
-    floor = tiny
-    # Rows are traced only when a pivot could be reclassified.
-    if scale is not None and v.size and np.abs(v).min() <= PIVOT_ROUNDOFF * scale.max():
-        floor = np.maximum(tiny, PIVOT_ROUNDOFF * scale[_pivot_rows(ipiv, two)[one]])
-    pos = int(np.count_nonzero(v > floor))
-    neg = int(np.count_nonzero(v < -floor))
+    pos = int(np.count_nonzero(v > tiny))
+    neg = int(np.count_nonzero(v < -tiny))
     zero = v.size - pos - neg
     a, b, c = d[two], ldu[two + 1, two], d[two + 1]
     det = a * c - b * b
@@ -754,7 +711,6 @@ def solve(
 
     mu = MU_INIT
     delta_last = 0.0
-    degenerate = 0  # consecutive iterations whose unregularized matrix had zero pivots
     factorizations = 0
     trace: list[dict] = []
     status = "iteration_limit"
@@ -778,22 +734,16 @@ def solve(
 
         delta_c_first = np.sqrt(np.finfo(float).eps) * max(mu, 1e-6)
         delta_w, delta_c = 0.0, 0.0
-        if degenerate >= DEGENERATE_ITERATIONS:
-            # Start where the failed unregularized attempt would have left off.
-            delta_w, delta_c = max(REGULARIZATION_MIN, delta_last / 3.0), delta_c_first
         # sytrf leaves its input intact, so a retry rewrites only the entries
         # that depend on the regularization rather than the whole matrix.
-        kkt, system, regularize = kkt_assemble(form, pt, mu, delta_w, delta_c)
+        kkt, step, regularize = kkt_assemble(form, pt, mu)
         iter_factorizations = 0
         factorize_s = 0.0
         for _ in range(60):
-            step, pivot_scale = system
             t0 = time.perf_counter()
-            solve_fn, inertia = _ldlt(kkt, pivot_scale)
+            solve_fn, inertia = _ldlt(kkt)
             factorize_s += time.perf_counter() - t0
             iter_factorizations += 1
-            if delta_w == 0.0 and delta_c == 0.0:
-                degenerate = degenerate + 1 if inertia[2] > 0 else 0
             if inertia[0] == n_reduced and inertia[2] == 0:
                 break
             if inertia[2] > 0:
@@ -806,7 +756,7 @@ def solve(
                 raise KktSingularError(
                     f"KKT inertia {inertia} not correctable at regularization {delta_w:g}"
                 )
-            system = regularize(delta_w, delta_c)
+            step = regularize(delta_w, delta_c)
         delta_last = delta_w
         factorizations += iter_factorizations
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 from pathlib import Path
 
@@ -89,3 +90,17 @@ def two_bus_case(
         period_hours=1.0,
     )
     return nm.to_per_unit(case)
+
+
+def shared_units_case(case: nm.NetworkCase, unrated_q_kvar: tuple[float, float] = (0.0, 0.0)) -> nm.NetworkCase:
+    """case (synth4_unbal) with three more units: t3 at n3 on all three
+    phases, which shares phase a with g2 and g3 (5 kW and 1 kVAr against
+    their 3.68 kW and 2.5 kVAr), and z1, z2 at n2 on phase b, which have no
+    P rating and the Q ratings unrated_q_kvar."""
+    physical = nm.to_physical(case)
+    extra = (
+        nm.Generator("t3", "n3", ("a", "b", "c"), p_cap=5.0, q_abs_max=1.0),
+        nm.Generator("z1", "n2", ("b",), p_cap=0.0, q_abs_max=unrated_q_kvar[0]),
+        nm.Generator("z2", "n2", ("b",), p_cap=0.0, q_abs_max=unrated_q_kvar[1]),
+    )
+    return nm.to_per_unit(dataclasses.replace(physical, generators=physical.generators + extra))

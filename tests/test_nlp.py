@@ -6,7 +6,7 @@ from lvdoe import nlp, phasecalc as pc
 from lvdoe.nlp import Objective, ScenarioSpec, build_custom, build_problem
 from lvdoe.phasecalc import LimitKind
 
-from conftest import two_bus_case
+from conftest import shared_units_case, two_bus_case
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def random_x(problem, rng):
 
 def loop_start(problem, voltage_scale):
     """initial_point as a loop over the elements: each load draws its profile's
-    current and each generator the current of its pinned P and Q (a free one
+    current and each injection the current of its pinned P and Q (a free one
     counts 0) at the flat voltage, unless that power is zero."""
     lay, case = problem.layout, problem.case
     x = np.zeros(lay.n_vars)
@@ -39,13 +39,13 @@ def loop_start(problem, voltage_scale):
             cur = np.conj(s / ref[p])
             x[lay.il_re[e]], x[lay.il_im[e]] = cur.real, cur.imag
             i_net[case.bus_pos[ld.bus], p] += cur
-    for e, (g, p) in enumerate(lay.gen_entries):
+    for e, (n, p) in enumerate(lay.injections):
         pg, qg = lay.pg[e], lay.qg[e]
         s = complex(lb[pg] if lb[pg] == ub[pg] else 0.0, lb[qg] if lb[qg] == ub[qg] else 0.0)
         if s != 0.0:
             cur = np.conj(s / ref[p])
             x[lay.ig_re[e]], x[lay.ig_im[e]] = cur.real, cur.imag
-            i_net[case.bus_pos[case.generators[g].bus], p] -= cur
+            i_net[n, p] -= cur
     path = nm.TreeIndex(case).P
     x[lay.ib_re], x[lay.ib_im] = path @ i_net.real, path @ i_net.imag
     fixed = lb == ub
@@ -107,9 +107,10 @@ class TestStructure:
 
     def test_reactive_margin_adds_split_rows(self, case):
         prob = build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 0)
-        assert "qsplit[g1,a]" in prob.eq.labels
-        assert "qaux_plus[g1,a]" in prob.ineq.labels
-        assert "qaux_minus[g1,a]" in prob.ineq.labels
+        # Rows of an injection are named by its bus and phase.
+        assert "qsplit[h1,a]" in prob.eq.labels
+        assert "qaux_plus[h1,a]" in prob.ineq.labels
+        assert "qaux_minus[h1,a]" in prob.ineq.labels
         e = 0
         lay = prob.layout
         assert prob.ub[lay.qplus[e]] == pytest.approx(case.generators[0].q_abs_max)
@@ -125,8 +126,8 @@ class TestStructure:
         assert np.array_equal(np.concatenate(blocks), np.arange(lay.n_vars))
         assert np.array_equal(prob.lin_vars, np.concatenate(blocks[:4]))
         assert lay.u_re.shape == (len(net.buses), 3) and lay.ib_im.shape == (len(net.branches), 3)
-        assert len(lay.il_re) == len(lay.load_entries) and len(lay.pg) == len(lay.gen_entries)
-        split = len(lay.gen_entries) if objective is Objective.REACTIVE_MARGIN else 0
+        assert len(lay.il_re) == len(lay.load_entries) and len(lay.pg) == len(lay.injections)
+        split = len(lay.injections) if objective is Objective.REACTIVE_MARGIN else 0
         assert len(lay.qplus) == len(lay.qminus) == len(lay.qaux) == split
 
     def test_period_out_of_range(self, case):
@@ -188,11 +189,12 @@ class TestEvaluation:
                 row = ld.phases.index(args[1])
                 expect = (pw - ld.p[row, 3]) if kind == "load_p" else (qw - ld.q[row, 3])
             elif kind in ("gen_p", "gen_q"):
-                g, gen = next((g, gen) for g, gen in enumerate(case.generators) if gen.id == args[0])
-                p = "abc".index(args[1])
-                power = state.u[case.bus_pos[gen.bus], p, 0] * np.conj(state.i_gen[g, p, 0])
+                # An injection's row: its bus and phase, and its units' summed current.
+                n, p = case.bus_pos[args[0]], "abc".index(args[1])
+                units = [g for g, gen in enumerate(case.generators) if gen.bus == args[0] and args[1] in gen.phases]
+                power = state.u[n, p, 0] * np.conj(state.i_gen[units, p, 0].sum())
                 pw, qw = power.real, power.imag
-                e = prob.layout.gen_entries.index((g, p))
+                e = prob.layout.injections.index((n, p))
                 if kind == "gen_p":
                     expect = pw - x[prob.layout.pg[e]]
                 else:
@@ -368,3 +370,79 @@ class TestSeparability:
         # the case is already per-unit, so the perturbation lands unscaled
         assert np.abs(p1a.lb[pl] - p1b.lb[pl]).max() == pytest.approx(5.0)
         assert np.array_equal(p1b.lb[pl], p1b.ub[pl])
+
+    @pytest.mark.parametrize("stage", ["active-rated-q", "margin-pinned-p"])
+    def test_pin_period_matches_a_fresh_build(self, synth4_unbal, stage):
+        # A stage builds its rows once and only moves its pins from period to period.
+        case = synth4_unbal
+        fixed_p = np.random.default_rng(5).uniform(0.0, 0.03, (len(case.generators), 3, case.horizon))
+
+        def program(t):
+            if stage == "margin-pinned-p":
+                return build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), t, fixed_p=fixed_p[:, :, t])
+            return build_problem(case, ScenarioSpec(5), t, bound_q_by_rating=True)
+
+        first = program(0)
+        for t in (0, 7, case.horizon - 1):
+            pinned = nlp.pin_period(first, t, fixed_p[:, :, t] if stage == "margin-pinned-p" else None)
+            fresh = program(t)
+            assert pinned.period == t and pinned.eq is first.eq and pinned.ineq is first.ineq
+            assert pinned.lb.tobytes() == fresh.lb.tobytes() and pinned.ub.tobytes() == fresh.ub.tobytes()
+            assert pinned.obj_coef.tobytes() == fresh.obj_coef.tobytes()
+        assert first.lb.tobytes() == program(0).lb.tobytes()  # pinning copies the bounds
+
+    def test_pin_period_needs_the_programs_p_pins(self, case):
+        fixed = np.full((1, 3), 0.01)
+        free_p = build_problem(case, ScenarioSpec(5), 0)
+        pinned_p = build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 0, fixed_p=fixed)
+        with pytest.raises(ValueError, match="fixed_p"):
+            nlp.pin_period(free_p, 1, fixed)
+        with pytest.raises(ValueError, match="fixed_p"):
+            nlp.pin_period(pinned_p, 1)
+        with pytest.raises(ValueError, match="period"):
+            nlp.pin_period(free_p, case.horizon)
+
+
+class TestInjections:
+    """Generator entries at one bus and phase form one injection; its units
+    exist only in decode, each with its share of the injection."""
+
+    def test_injections_group_entries_by_bus_and_phase(self, synth4_unbal):
+        case = shared_units_case(synth4_unbal)
+        lay = build_problem(case, ScenarioSpec(5), 0).layout
+        # g1 at n2/a; g2, g3 and t3 at n3/a; t3 alone at n3/b and n3/c; z1, z2 at n2/b.
+        n2, n3 = case.bus_pos["n2"], case.bus_pos["n3"]
+        assert lay.injections == ((n2, 0), (n3, 0), (n3, 1), (n3, 2), (n2, 1))
+        assert lay.gen_injection.tolist() == [0, 1, 1, 1, 2, 3, 4, 4]
+        assert len(lay.gen_entries) == 8 and len(lay.pg) == len(lay.ig_re) == 5
+
+    def test_units_share_their_injection_by_rating(self, synth4_unbal):
+        case = shared_units_case(synth4_unbal)
+        prob = build_problem(case, ScenarioSpec(5), 0)
+        lay = prob.layout
+        x = random_x(prob, np.random.default_rng(11))
+        p, q = nlp.decode_generation(prob, x)
+        gen = {g.id: k for k, g in enumerate(case.generators)}
+        p_inj, q_inj = x[lay.pg], x[lay.qg]
+        # n3/a: P by p_cap (3.68, 3.68, 5 kW), Q by q_abs_max (2.5, 2.5, 1 kVAr).
+        np.testing.assert_allclose(p[[gen["g2"], gen["g3"], gen["t3"]], 0], np.array([3.68, 3.68, 5.0]) / 12.36 * p_inj[1],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(q[[gen["g2"], gen["g3"], gen["t3"]], 0], np.array([2.5, 2.5, 1.0]) / 6.0 * q_inj[1],
+                                   rtol=1e-15)
+        # t3 alone on n3/b and n3/c, and g1 alone on n2/a, take their injection whole.
+        assert (p[gen["t3"], 1:] == p_inj[2:4]).all() and (q[gen["t3"], 1:] == q_inj[2:4]).all()
+        assert p[gen["g1"], 0] == p_inj[0] and q[gen["g1"], 0] == q_inj[0]
+        # z1 and z2 have no ratings, so they share n2/b equally.
+        assert p[gen["z1"], 1] == p[gen["z2"], 1] == 0.5 * p_inj[4]
+        assert q[gen["z1"], 1] == q[gen["z2"], 1] == 0.5 * q_inj[4]
+        # The units' P and Q sum to their injection's, and so do their currents (criterion 2).
+        state = nlp.decode_state(prob, x)
+        i_inj = x[lay.ig_re] + 1j * x[lay.ig_im]
+        eps = np.finfo(float).eps
+        for e, (n, ph) in enumerate(lay.injections):
+            units = [g for g, entry_ph in lay.gen_entries if entry_ph == ph and case.bus_pos[case.generators[g].bus] == n]
+            assert abs(p[units, ph].sum() - p_inj[e]) <= 4 * eps * abs(p_inj[e])
+            assert abs(q[units, ph].sum() - q_inj[e]) <= 4 * eps * abs(q_inj[e])
+            assert abs(state.i_gen[units, ph, 0].sum() - i_inj[e]) <= 4 * eps * abs(i_inj[e])
+        kcl = np.array([label.startswith("kcl_") for label in prob.eq.labels])
+        assert pc.max_kcl_residual(state) == pytest.approx(np.abs(prob.eq.value(x)[kcl]).max(), rel=1e-9)

@@ -3,15 +3,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from lvdoe import nlp, oracle, phasecalc as pc, solver
-from lvdoe.netmodel import load_network
+from lvdoe import netmodel as nm, nlp, oracle, phasecalc as pc, solver
 from lvdoe.nlp import Objective, QuadBlock, ScenarioSpec, build_custom, build_problem
 from lvdoe.phasecalc import LimitKind
 from lvdoe.solver import SolverOptions, internalize, kkt_assemble, solve
 
-from conftest import fixture_path, two_bus_case
+from conftest import two_bus_case
 
 
 def toy_form(lb: float = -np.inf, ub: float = 2.0, eq_row: str | None = None) -> solver.InternalForm:
@@ -102,8 +100,8 @@ def full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c=0.0):
     return k, rhs
 
 
-# feeder_hr has 86 private pairs; two_bus and synth4 have fewer, and a
-# stage-2 margin program on feeder_hr has 43 blocks of four variables.  The
+# feeder_hr has 18 private pairs; two_bus and synth4 have fewer, and a
+# stage-2 margin program on feeder_hr has 9 blocks of four variables.  The
 # "-dc" cases put an equality regularization on every kept and eliminated row
 # that is not linear.
 WITH_FULL_REFERENCE = [
@@ -182,7 +180,7 @@ class TestKktAssemble:
             x, s, z, mu = np.array([0.5]), np.array([1.5, 1.2])[:m], np.array([0.1, 0.4])[:m], 0.3
             pt = solver._evaluate(form, x, y=np.zeros(0), z=z, s=s)
             np.testing.assert_array_equal(pt.h, h)
-            kkt, (step, _), regularize = kkt_assemble(form, pt, mu)
+            kkt, step, regularize = kkt_assemble(form, pt, mu)
             # [sum z/s]: the bound rows condensed into the Hessian
             sigma = z / s
             np.testing.assert_allclose(kkt, [[sigma.sum()]], rtol=1e-15)
@@ -193,7 +191,7 @@ class TestKktAssemble:
             step(lambda r: seen.append(r) or np.linalg.solve(kkt, r))
             np.testing.assert_allclose(seen[0], [rhs], rtol=1e-15)
             # with the regularization dw = 0.01 that solve adds on a retry
-            step, _ = regularize(0.01, 0.0)
+            step = regularize(0.01, 0.0)
             np.testing.assert_allclose(kkt, [[0.01 + sigma.sum()]], rtol=1e-15)
             dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
             np.testing.assert_allclose(dx, [rhs / (0.01 + sigma.sum())], rtol=1e-15)
@@ -234,7 +232,7 @@ class TestKktAssemble:
         pt = perturbed_point(prob, form, 7)
         mu, delta_w = 0.1, 0.5
         y_fix = np.random.default_rng(8).standard_normal(np.count_nonzero(prob.lb == prob.ub))
-        kkt, (step, _), _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
+        kkt, step, _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
         dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
 
         k_full, rhs_full = full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c)
@@ -259,8 +257,8 @@ class TestKktAssemble:
         # linearly), so a block may then lose a positive eigenvalue that the
         # reduced matrix cannot see; the blocks' own inertia is counted apart.
         for delta_w in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 100.0):
-            _, pivot_scale = regularize(delta_w, delta_c)
-            _, (pos, _, zero) = solver._ldlt(kkt, pivot_scale)
+            regularize(delta_w, delta_c)
+            _, (pos, _, zero) = solver._ldlt(kkt)
             k_full, _ = full_augmented_system(prob, pt, 0.1, delta_w, y_fix, delta_c)
             full_pos = int(np.count_nonzero(np.linalg.eigvalsh(k_full) > 0.0))
             deficit = block_inertia_deficit(prob, form, k_full)
@@ -298,35 +296,6 @@ class TestLdlt:
         k[0, 0] = 1.0
         _, inertia = solver._ldlt(k)
         assert inertia[2] == 1
-
-    def test_pivot_rows_follow_the_interchanges(self):
-        # Each 1x1 pivot is the Schur complement of its row after the rows
-        # eliminated before it; the blocked sytrf path takes n = 100.
-        rng = np.random.default_rng(5)
-        for n in (2, 5, 12, 30, 100):
-            a = rng.standard_normal((n, n))
-            a = a + a.T
-            a[np.diag_indices(n)] *= rng.uniform(0.0, 1.0, n) ** 3  # small diagonals force swaps
-            sytrf, lwork = scipy.linalg.get_lapack_funcs(("sytrf", "sytrf_lwork"), (a,))
-            ldu, ipiv, _ = sytrf(a, lower=1, lwork=int(lwork(n, lower=1)[0]))
-            two = np.flatnonzero(ipiv < 0)[::2]
-            rows = solver._pivot_rows(ipiv, two)
-            assert np.array_equal(np.sort(rows), np.arange(n))
-            b = a[np.ix_(rows, rows)]
-            for k in np.flatnonzero(ipiv > 0):
-                sign_k, log_k = np.linalg.slogdet(b[: k + 1, : k + 1])
-                sign_0, log_0 = np.linalg.slogdet(b[:k, :k])
-                assert sign_k * sign_0 * np.exp(log_k - log_0) == pytest.approx(ldu[k, k], rel=1e-6, abs=1e-9)
-
-    def test_scale_raises_the_zero_threshold_of_its_row(self):
-        # sytrf swaps rows 0 and 1 and takes the pivot 10 first; row 0 is left
-        # with 0.9 + 5e-12 - 3 * 3 / 10, a 5e-12 pivot: roundoff at weight 1e4,
-        # healthy at weight 10.
-        k = np.array([[0.9 + 5e-12, 3.0, 0.0], [3.0, 10.0, 0.0], [0.0, 0.0, -1.0]])
-        assert solver._ldlt(k)[1] == (2, 1, 0)
-        assert solver._ldlt(k, np.array([1e4, 0.0, 0.0]))[1] == (1, 1, 1)
-        assert solver._ldlt(k, np.array([10.0, 0.0, 0.0]))[1] == (2, 1, 0)
-        assert solver._ldlt(k, np.array([0.0, 1e8, 1e8]))[1] == (2, 1, 0)
 
 
 class TestSolve:
@@ -430,70 +399,70 @@ class TestSolve:
         assert free.objective >= pinned.objective - 1e-6
 
 
-class TestDegenerateJacobianRule:
-    """Skipping the unregularized attempt once it has been singular three
-    iterations running only removes factorizations that would fail."""
-
-    THRESHOLD = solver.DEGENERATE_ITERATIONS
-
-    @staticmethod
-    def solve_counting(monkeypatch, prob, threshold):
-        calls = []
-        ldlt = solver._ldlt
-
-        def counting(k, *scale):
-            calls.append(k.shape[0])
-            return ldlt(k, *scale)
-
-        monkeypatch.setattr(solver, "_ldlt", counting)
-        monkeypatch.setattr(solver, "DEGENERATE_ITERATIONS", threshold)
-        sol = solve(prob)
-        assert sol.factorizations == len(calls)
-        return sol
+class TestInjections:
+    """Units that share a bus and phase share one current, P and Q, so the
+    program keeps no structural null direction."""
 
     @pytest.mark.parametrize(
         "fixture, period",
         [("feeder_hr", 3), ("feeder_hr", 19), ("synth4_unbal", 3), ("synth4_unbal", 19)],
     )
-    def test_same_iterates_fewer_factorizations(self, request, monkeypatch, fixture, period):
-        # Co-located units with free Q make every unregularized matrix singular.
-        prob = build_problem(request.getfixturevalue(fixture), ScenarioSpec(5), period)
-        ladder = self.solve_counting(monkeypatch, prob, 10**9)
-        rule = self.solve_counting(monkeypatch, prob, self.THRESHOLD)
-        assert rule.status == ladder.status == "optimal"
-        assert rule.iterations == ladder.iterations
-        assert rule.x.tobytes() == ladder.x.tobytes()
-        assert rule.factorizations < ladder.factorizations
-
-    def test_unregularized_reduced_matrix_stays_singular(self, synth4_unbal, monkeypatch):
-        # The pair weights (1e8 and more) leave 9e-12 of roundoff on the
-        # exactly zero pivot in iteration 18; the ladder alone must still
-        # see a zero pivot in every unregularized attempt.
+    def test_first_attempt_never_singular(self, request, monkeypatch, fixture, period):
+        # Each iteration's first, unregularized matrix has no zero pivot; with
+        # one current per unit it had one in every iteration of these solves.
         inertias = []
         ldlt = solver._ldlt
 
-        def recording(k, *scale):
-            out = ldlt(k, *scale)
+        def recording(k):
+            out = ldlt(k)
             inertias.append(out[1])
             return out
 
         monkeypatch.setattr(solver, "_ldlt", recording)
-        monkeypatch.setattr(solver, "DEGENERATE_ITERATIONS", 10**9)
-        prob = build_problem(synth4_unbal, ScenarioSpec(5), 3)
-        assert internalize(prob).blocks
+        prob = build_problem(request.getfixturevalue(fixture), ScenarioSpec(5), period)
         sol = solve(prob, SolverOptions(trace=True))
-        assert sol.status == "optimal"
+        assert sol.status == "optimal" and len(inertias) == sol.factorizations
         first = np.cumsum([0] + [rec["factorizations"] for rec in sol.trace])[:-1]
-        assert first.size == sol.iterations >= 18
-        assert all(inertias[i][2] > 0 for i in first)
+        assert first.size == sol.iterations
+        assert all(inertias[i][2] == 0 for i in first)
 
-    def test_nonsingular_problem_unchanged(self, monkeypatch):
-        case = load_network(fixture_path("synth4.json"), fixture_path("synth4_loads.csv"))
-        prob = build_problem(case, ScenarioSpec(5), 12)
-        ladder = self.solve_counting(monkeypatch, prob, 10**9)
-        rule = self.solve_counting(monkeypatch, prob, self.THRESHOLD)
-        assert rule.factorizations == ladder.factorizations
-        assert rule.x.tobytes() == ladder.x.tobytes()
+    @pytest.mark.parametrize(
+        "fixture, period, stage",
+        [("feeder_hr", 12, "active"), ("feeder_hr", 12, "margin"), ("synth4_unbal", 3, "active")],
+    )
+    def test_merged_units_same_optimum(self, request, fixture, period, stage):
+        # Each (bus, phase)'s units merged into one unit with their summed
+        # ratings: the same program, so the same optimum, and each merged
+        # unit reports the sum of its units' P and Q.
+        case = request.getfixturevalue(fixture)
+        groups: dict[tuple[str, int], list[int]] = {}
+        for g, ph in case.gen_entries():
+            groups.setdefault((case.generators[g].bus, ph), []).append(g)
+        merged = dataclasses.replace(case, generators=tuple(
+            nm.Generator(f"{bus}-{ph}", bus, ("abc"[ph],), p_cap=sum(case.generators[g].p_cap for g in units),
+                         q_abs_max=sum(case.generators[g].q_abs_max for g in units))
+            for (bus, ph), units in groups.items()
+        ))
+
+        def group_sums(per_unit):
+            out = np.zeros((len(groups), 3))
+            for m, ((_, ph), units) in enumerate(groups.items()):
+                out[m, ph] = per_unit[units, ph].sum()
+            return out
+
+        if stage == "active":
+            progs = [build_problem(c, ScenarioSpec(5), period) for c in (case, merged)]
+        else:
+            stage1 = build_problem(case, ScenarioSpec(5), period, bound_q_by_rating=True)
+            fixed_p = nlp.decode_generation(stage1, solve(stage1).x)[0] * (1.0 - 1e-4)
+            spec = ScenarioSpec(5, Objective.REACTIVE_MARGIN)
+            progs = [build_problem(case, spec, period, fixed_p=fixed_p),
+                     build_problem(merged, spec, period, fixed_p=group_sums(fixed_p))]
+        units, one = (solve(prob) for prob in progs)
+        assert units.status == one.status == "optimal"
+        assert abs(units.objective - one.objective) <= 1e-9
+        for got, want in zip(nlp.decode_generation(progs[1], one.x), nlp.decode_generation(progs[0], units.x)):
+            np.testing.assert_allclose(got, group_sums(want), rtol=0.0, atol=1e-12)
 
 
 def labels(block, rows):
@@ -508,25 +477,25 @@ class TestPairElimination:
     def test_pairs_and_reduced_dimensions(self, feeder_hr):
         prob = build_problem(feeder_hr, ScenarioSpec(5), 12)
         form = internalize(prob)
+        # 43 units feed 9 injections, each a P and a Q pair.
         (pairs,) = form.blocks
-        assert pairs.var.shape == (86, 1) and pairs.srow.shape == (86, 0)
+        assert pairs.var.shape == (18, 1) and pairs.srow.shape == (18, 0)
         assert labels(prob.eq, pairs.row) == {"gen_p", "gen_q"}
-        assert form.free.size + prob.eq.n_rows == 558
+        assert form.free.size + prob.eq.n_rows == 354
         kkt = kkt_assemble(form, perturbed_point(prob, form, 1), 0.1)[0]
         assert form.lin_rows.size == 120
-        assert kkt.shape == (146, 146)
+        assert kkt.shape == (78, 78)
 
-        # A stage-2 margin program: P pinned, each unit-phase's Q a block of
+        # A stage-2 margin program: P pinned, each injection's Q a block of
         # four with its split rows, removed with its gen_q row.
         fixed_p = np.full((len(feeder_hr.generators), 3), 0.01)
         stage2 = build_problem(feeder_hr, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 12, fixed_p=fixed_p)
         form2 = internalize(stage2)
         (blocks,) = form2.blocks
-        assert blocks.var.shape == (43, 4) and blocks.srow.shape == (43, 1)
-        kkt2, (_, pivot_scale), _ = kkt_assemble(form2, perturbed_point(stage2, form2, 1), 0.1)
-        assert form2.free.size + stage2.eq.n_rows == 687
-        assert kkt2.shape[0] == 687 - 43 * 6 - 2 * 120 == 189
-        assert pivot_scale.dtype == float and pivot_scale.max() > 0.0
+        assert blocks.var.shape == (9, 4) and blocks.srow.shape == (9, 1)
+        kkt2 = kkt_assemble(form2, perturbed_point(stage2, form2, 1), 0.1)[0]
+        assert form2.free.size + stage2.eq.n_rows == 381
+        assert kkt2.shape[0] == 381 - 9 * 6 - 2 * 120 == 87
 
     def test_blocks_of_a_margin_program(self, feeder_hr):
         fixed_p = np.full((len(feeder_hr.generators), 3), 0.01)
@@ -540,13 +509,13 @@ class TestPairElimination:
             local = prob.ineq.lk[np.isin(prob.ineq.li, var)]
             assert local.size == 4 and labels(prob.ineq, local) == {"qaux_plus", "qaux_minus"}
         # qsplit's coefficients on (qg, q+, q-, q_aux), then gen_q's.
-        np.testing.assert_array_equal(blocks.coef, np.broadcast_to([[1, -1, 1, 0], [-1, 0, 0, 0]], (43, 2, 4)))
+        np.testing.assert_array_equal(blocks.coef, np.broadcast_to([[1, -1, 1, 0], [-1, 0, 0, 0]], (9, 2, 4)))
 
         # The same program with P free (--reactive-p free) adds the gen_p pairs.
         free_p = build_problem(feeder_hr, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 12)
         pairs, blocks = internalize(free_p).blocks
-        assert pairs.var.shape == (43, 1) and labels(free_p.eq, pairs.row) == {"gen_p"}
-        assert blocks.var.shape == (43, 4)
+        assert pairs.var.shape == (9, 1) and labels(free_p.eq, pairs.row) == {"gen_p"}
+        assert blocks.var.shape == (9, 4)
 
     def test_blocks_that_break_the_rule_stay(self):
         # Without the bounds on p and m, H is zero on the null space of
@@ -569,7 +538,7 @@ class TestPairElimination:
             z=np.array([0.2, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7]), s=np.array([0.4, 1.5, 2.5, 0.4, 0.6, 0.3, 0.7]),
         )
         mu = 0.3
-        kkt, (step, _), _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
+        kkt, step, _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
         assert kkt.shape == (1, 1)
         dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
         # The full system with every row kept (no fixed variables, so no y_fix).
@@ -583,7 +552,7 @@ class TestPairElimination:
         # min -x s.t. x <= 2 and x - 1 = 0: the pair (x, row) leaves nothing behind.
         form = toy_form(ub=2.0, eq_row="linear")
         x, y, s, z, mu = np.array([0.5]), np.array([0.3]), np.array([1.5]), np.array([0.1]), 0.3
-        kkt, (step, _), _ = kkt_assemble(form, solver._evaluate(form, x, y=y, z=z, s=s), mu, delta_w, delta_c)
+        kkt, step, _ = kkt_assemble(form, solver._evaluate(form, x, y=y, z=z, s=s), mu, delta_w, delta_c)
         assert kkt.shape == (0, 0)
         seen = []
         dx, dy, dz, ds = step(lambda r: seen.append(r) or np.zeros(0))
@@ -620,7 +589,7 @@ class TestLinearBasis:
         prob = build_problem(feeder_hr, ScenarioSpec(5), 12)
         form = internalize(prob)
         nd, nc = form.basis.shape
-        assert nd == form.lin_rows.size == 120 and form.keep.size - nd == nc == 116
+        assert nd == form.lin_rows.size == 120 and form.keep.size - nd == nc == 48
         a_k = prob.eq.jacobian(nlp.initial_point(prob))[np.ix_(form.lin_rows, form.keep)]
         z = np.vstack([form.basis, np.eye(form.keep.size - nd)[:nc]])
         assert np.abs(a_k[:, : nd + nc] @ z).max() <= 1e-12 * np.abs(a_k).max() * np.abs(z).max()
@@ -660,8 +629,8 @@ class TestLinearBasis:
         s[split] = pt.z[split] / sigma
         pt = dataclasses.replace(pt, s=s)
         mu, delta_w = 0.1, 0.5
-        kkt, (step, _), _ = kkt_assemble(form, pt, mu, delta_w)
-        assert kkt.shape[0] == 146 + len(split)
+        kkt, step, _ = kkt_assemble(form, pt, mu, delta_w)
+        assert kkt.shape[0] == 78 + len(split)
         dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
 
         y_fix = np.random.default_rng(8).standard_normal(np.count_nonzero(prob.lb == prob.ub))
