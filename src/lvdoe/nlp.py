@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -119,9 +120,12 @@ class QuadBlock:
         self.li = np.asarray(self._li, dtype=np.intp)
         self.lv = np.asarray(self._lv, dtype=float)
         self.c0 = np.asarray(self._c0, dtype=float)
-        # Flat positions (row * n_vars + col) of the Jacobian entries: one per
-        # linear triplet, then one per quadratic triplet.
-        self.jac_index = np.concatenate([self.lk * self.n_vars + self.li, self.qk * self.n_vars + self.qi])
+        # The Jacobian's pattern: the distinct flat positions (row * n_vars +
+        # col) of its entries, one per linear triplet and one per quadratic
+        # triplet, in row-major order; jac_slot is each triplet's entry.
+        flat = np.concatenate([self.lk * self.n_vars + self.li, self.qk * self.n_vars + self.qi])
+        pattern, self.jac_slot = np.unique(flat, return_inverse=True)
+        self.jac_row, self.jac_col = np.divmod(pattern, self.n_vars)
         self._sealed = True
 
     @property
@@ -129,19 +133,40 @@ class QuadBlock:
         return len(self.c0) if self._sealed else len(self._c0)
 
     # -- evaluation --------------------------------------------------------
+    # Each method takes one point x or a (B, n_vars) batch of points, and
+    # evaluates every point of a batch exactly as it would evaluate it alone.
     def value(self, x: np.ndarray) -> np.ndarray:
-        out = self.c0.copy()
+        """The rows at x: (n_rows,), or (B, n_rows) for a batch."""
+        xb = np.atleast_2d(x)
+        out = np.repeat(self.c0[None], xb.shape[0], axis=0)
         if self.lk.size:
-            out += np.bincount(self.lk, weights=self.lv * x[self.li], minlength=self.n_rows)
+            out += batched_bincount(self.lk, self.lv * xb[:, self.li], self.n_rows)
         if self.qk.size:
-            out += 0.5 * np.bincount(self.qk, weights=self.qv * x[self.qi] * x[self.qj], minlength=self.n_rows)
-        return out
+            out += 0.5 * batched_bincount(self.qk, self.qv * xb[:, self.qi] * xb[:, self.qj], self.n_rows)
+        return out if x.ndim == 2 else out[0]
+
+    def jacobian_values(self, x: np.ndarray) -> np.ndarray:
+        """The Jacobian at x on its pattern (jac_row, jac_col): (nnz,), or (B, nnz) for a batch."""
+        xb = np.atleast_2d(x)
+        data = np.concatenate([np.broadcast_to(self.lv, (xb.shape[0], self.lv.size)), self.qv * xb[:, self.qj]], axis=1)
+        out = batched_bincount(self.jac_slot, data, self.jac_row.size)
+        return out if x.ndim == 2 else out[0]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Dense (n_rows, n_vars) Jacobian at x."""
-        data = np.concatenate([self.lv, self.qv * x[self.qj]])
-        flat = np.bincount(self.jac_index, weights=data, minlength=self.n_rows * self.n_vars)
-        return flat.reshape(self.n_rows, self.n_vars)
+        """Dense (n_rows, n_vars) Jacobian at one point x."""
+        out = np.zeros((self.n_rows, self.n_vars))
+        out[self.jac_row, self.jac_col] = self.jacobian_values(x)
+        return out
+
+
+def batched_bincount(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """np.bincount(index, weights[b], minlength=size) for each row b of the
+    (B, len(index)) weights, as a (B, size) float array: each sum adds its
+    terms in index order, as one bincount of that row would."""
+    b = weights.shape[0]
+    flat = (np.arange(b)[:, None] * size + index).ravel()
+    # (bincount returns integers when there are no terms at all)
+    return np.bincount(flat, weights=weights.ravel(), minlength=b * size).astype(float, copy=False).reshape(b, size)
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +182,20 @@ class VarLayout:
     """The vector x as one partition of range(n_vars) into the _BLOCKS index arrays.
 
     u_re, u_im are (n_bus, 3) and ib_re, ib_im (n_branch, 3); il_*, pl, ql hold
-    one position per load entry and ig_*, pg, qg, qplus, qminus, qaux one per
-    injection, the last three empty without the reactive split.  An
+    one position per load entry and ig_*, pg, qg one per injection.  An
     injection is a (bus, phase) that generator entries feed: its units see
     one voltage and their currents only add, so they share one current, P
-    and Q.  Each array indexes x directly: x[lay.pg], lb[lay.u_re[slack]].
+    and Q.  qplus, qminus and qaux hold one position per injection of
+    split_injections: with the reactive split, those whose units have a
+    reactive rating at all; without it, none.  Each array indexes x
+    directly: x[lay.pg], lb[lay.u_re[slack]].
     """
 
     load_entries: tuple[tuple[int, int], ...]  # (load, phase)
     gen_entries: tuple[tuple[int, int], ...]   # (generator, phase)
     injections: tuple[tuple[int, int], ...]    # (bus, phase), in order of their first generator entry
     gen_injection: np.ndarray                  # the injection of each generator entry
+    split_injections: np.ndarray               # the injections that qplus, qminus and qaux belong to
     with_reactive_split: bool
     n_vars: int
     u_re: np.ndarray
@@ -193,14 +221,16 @@ class VarLayout:
         for g, p in gens:
             first.setdefault((case.bus_pos[case.generators[g].bus], p), len(first))
         gen_injection = np.array([first[case.bus_pos[case.generators[g].bus], p] for g, p in gens], dtype=np.intp)
-        n_split = len(first) if with_reactive_split else 0
+        q_abs_max = [case.generators[g].q_abs_max for g, _ in gens]
+        rating = np.bincount(gen_injection, weights=q_abs_max, minlength=len(first))
+        split = np.flatnonzero(rating > 0.0) if with_reactive_split else np.zeros(0, dtype=np.intp)
         shapes = [(len(case.buses), 3)] * 2 + [(len(case.branches), 3)] * 2 + [(len(loads),)] * 4
-        shapes += [(len(first),)] * 4 + [(n_split,)] * 3
+        shapes += [(len(first),)] * 4 + [(split.size,)] * 3
         blocks, end = {}, 0
         for name, shape in zip(_BLOCKS, shapes):
             start, end = end, end + math.prod(shape)
             blocks[name] = np.arange(start, end).reshape(shape)
-        return cls(loads, gens, tuple(first), gen_injection, with_reactive_split, end, **blocks)
+        return cls(loads, gens, tuple(first), gen_injection, split, with_reactive_split, end, **blocks)
 
 
 def _entry_arrays(entries: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -386,12 +416,12 @@ def _equality_block(case: NetworkCase, layout: VarLayout) -> tuple[QuadBlock, np
     lin_rows = np.concatenate([np.arange(n_vdrop), np.arange(kcl_start, eq.n_rows)])
 
     # Reactive import/export split for the margin objective.
-    if layout.with_reactive_split:
-        for e, (n, p) in enumerate(layout.injections):
-            k = eq.new_row(f"qsplit[{case.buses[n].id},{PHASES[p]}]")
-            eq.lin(k, layout.qg[e], 1.0)
-            eq.lin(k, layout.qplus[e], -1.0)
-            eq.lin(k, layout.qminus[e], 1.0)
+    for k_split, e in enumerate(layout.split_injections):
+        n, p = layout.injections[e]
+        k = eq.new_row(f"qsplit[{case.buses[n].id},{PHASES[p]}]")
+        eq.lin(k, layout.qg[e], 1.0)
+        eq.lin(k, layout.qplus[k_split], -1.0)
+        eq.lin(k, layout.qminus[k_split], 1.0)
 
     eq.seal()
     return eq, lin_rows
@@ -442,15 +472,15 @@ def _inequality_block(case: NetworkCase, layout: VarLayout, constraints: frozens
             ineq.sym_matrix(k, idx, m)
 
     # Margin auxiliaries: q_aux bounded by both directions of the split.
-    if layout.with_reactive_split:
-        for e, (n, p) in enumerate(layout.injections):
-            name = f"{case.buses[n].id},{PHASES[p]}"
-            k = ineq.new_row(f"qaux_plus[{name}]")
-            ineq.lin(k, layout.qaux[e], 1.0)
-            ineq.lin(k, layout.qplus[e], -1.0)
-            k = ineq.new_row(f"qaux_minus[{name}]")
-            ineq.lin(k, layout.qaux[e], 1.0)
-            ineq.lin(k, layout.qminus[e], -1.0)
+    for k_split, e in enumerate(layout.split_injections):
+        n, p = layout.injections[e]
+        name = f"{case.buses[n].id},{PHASES[p]}"
+        k = ineq.new_row(f"qaux_plus[{name}]")
+        ineq.lin(k, layout.qaux[k_split], 1.0)
+        ineq.lin(k, layout.qplus[k_split], -1.0)
+        k = ineq.new_row(f"qaux_minus[{name}]")
+        ineq.lin(k, layout.qaux[k_split], 1.0)
+        ineq.lin(k, layout.qminus[k_split], -1.0)
 
     ineq.seal()
     return ineq
@@ -481,8 +511,11 @@ def _bounds(
         lb[layout.qg] = -q_max
         ub[layout.qg] = q_max
     if layout.with_reactive_split:
+        # An injection with no reactive rating has no split: its Q is pinned at 0.
+        unrated = np.setdiff1d(np.arange(len(layout.injections)), layout.split_injections)
+        lb[layout.qg[unrated]] = ub[layout.qg[unrated]] = 0.0
         lb[layout.qplus] = lb[layout.qminus] = lb[layout.qaux] = 0.0
-        ub[layout.qplus] = ub[layout.qminus] = q_max
+        ub[layout.qplus] = ub[layout.qminus] = q_max[layout.split_injections]
 
     _pin(case, layout, lb, ub, period, fixed_p)
     return lb, ub
@@ -582,7 +615,9 @@ def decode_generation(problem: NlpProblem, x: np.ndarray) -> tuple[np.ndarray, n
     return pg, qg
 
 
-def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray:
+def initial_point(
+    problem: NlpProblem | Sequence[NlpProblem], voltage_scale: float | Sequence[float] = 1.0
+) -> np.ndarray:
     """Flat start: balanced voltages, element currents from one backward sweep.
 
     Each injection pinned by bounds draws its current at the flat voltage,
@@ -590,7 +625,19 @@ def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray
     balance exactly at the start; fixed variables sit at their pinned values.
     voltage_scale shifts the initial magnitude away from nominal, giving a
     deterministic family of starting points for multi-start polishing.
+
+    Given the programs of one stage (pin_period of one build) and a sequence
+    of scales, it returns every program's start at every scale, shaped
+    (programs, scales, n_vars), all from one walk of the tree.
     """
+    if isinstance(problem, NlpProblem):
+        return _flat_start(problem, voltage_scale, TreeIndex(problem.case))
+    tree = TreeIndex(problem[0].case)
+    return np.array([[_flat_start(prob, scale, tree) for scale in voltage_scale] for prob in problem])
+
+
+def _flat_start(problem: NlpProblem, voltage_scale: float, tree: TreeIndex) -> np.ndarray:
+    """initial_point of one program at one scale, on the case's tree."""
     lay = problem.layout
     case = problem.case
     x = np.zeros(lay.n_vars)
@@ -602,7 +649,6 @@ def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray
 
     # Every load phase, and the injections that two-stage runs pin (a free P
     # or Q is still 0 in x); an injection's current enters the balance negated.
-    tree = TreeIndex(case)
     load, load_phase = _entry_arrays(lay.load_entries)
     inj_bus, inj_phase = _entry_arrays(lay.injections)
     bus = np.concatenate([tree.load_bus[load], inj_bus])

@@ -65,19 +65,36 @@ Iterate, as Ipopt caches its evaluations per point.
 Each iteration first tries dw = dc = 0 and climbs a regularization ladder
 while the inertia is wrong.  Units that share a bus and phase share one
 injection, so the equality Jacobian keeps no structural null direction.
+
+The periods and starts of a stage are one lockstep batch (solve_batch): B
+instances of one InternalForm that differ only in their start x0, whose
+fixed entries carry each period's pins.  Every array of an Iterate has one
+row per instance, and each instance keeps its own barrier parameter,
+regularization ladder, step lengths, divergence guard, counters, trace and
+stopping test; an instance that stops leaves the batch.  So only the Python
+overhead of an iteration is shared.  Each operation treats an instance as
+it would treat it alone: one BLAS call of the same shape per instance, and
+sums in a fixed order, so an instance's iterates do not depend on the batch
+it is solved in, and solve() is the batch of one.  The Jacobians are held
+as values on their rows' fixed patterns and the Hessian as values on its
+fixed pattern (H_DD is block diagonal), never as dense stacks; kkt_assemble
+builds the reduced matrices of the whole batch at once, and _ldlt factors
+them one by one and reads the inertia of all of them in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from . import nlp as nlp_mod
-from .nlp import NlpProblem, QuadBlock
+from .nlp import NlpProblem, QuadBlock, batched_bincount
 
 MU_INIT = 0.1
 MU_SHRINK = 0.2
@@ -106,7 +123,8 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class Iterate:
-    """A point of the iteration, with the rows and Jacobians evaluated at x."""
+    """The points of a batch, one row per instance, with the rows and
+    Jacobians evaluated at x."""
 
     x: np.ndarray
     y: np.ndarray   # equality multipliers
@@ -114,8 +132,12 @@ class Iterate:
     s: np.ndarray   # inequality slacks, > 0
     g: np.ndarray   # equality rows at x
     h: np.ndarray   # inequality rows at x, user rows then bound rows
-    jg: np.ndarray  # dense equality Jacobian at x
-    jh: np.ndarray  # dense Jacobian of the user inequality rows at x
+    jg: np.ndarray  # equality Jacobian at x, its values on form.eq's pattern
+    jh: np.ndarray  # user inequality Jacobian at x, its values on form.ineq's pattern
+
+    def take(self, rows: np.ndarray) -> Iterate:
+        """The instances `rows` (indices or a mask) of the batch."""
+        return Iterate(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -144,12 +166,12 @@ class Blocks:
 class InternalForm:
     """Minimization form over the free variables, with their finite bounds.
 
-    The positions that the Hessian terms take in the dense kept block depend
-    only on the row structure and the free set, so they are built once here,
-    as are the private blocks and the basis of the linear rows that the KKT
-    system eliminates.  The kept variables come in three runs: the free
-    lin_vars D, then the variables that the linear rows couple to them (C),
-    then the rest.
+    The pattern of the Hessian terms in the kept block depends only on the
+    row structure and the free set, so it is built once here, as are the
+    private blocks and the basis of the linear rows that the KKT system
+    eliminates.  The kept variables come in three runs: the free lin_vars
+    D, then the variables that the linear rows couple to them (C), then the
+    rest.
     """
 
     n_vars: int
@@ -161,18 +183,24 @@ class InternalForm:
     bnd_const: np.ndarray  # bound (+1, -ub), then its finite lower bound (-1, lb)
     free: np.ndarray       # variables with lb != ub; the step moves only these
     keep: np.ndarray       # free variables that are not in a block: D, then C, then the rest
+    keep_pos: np.ndarray   # each variable's position in keep, or -1
     lin_rows: np.ndarray   # the linear rows L, as many as D
     lin_inv: np.ndarray    # inverse of A_d = Jg[L, D]
     basis: np.ndarray      # T = -A_d^-1 Jg[L, C]; the steps that keep L are (T dr_C, dr)
     basis_gram: np.ndarray  # T' T
     eq_keep: np.ndarray    # equality rows left in the reduced system: neither in L nor in a block
     ineq_on_d: np.ndarray  # user inequality rows with an entry on D
-    row_take: np.ndarray   # flat Jg positions of the rows eq_keep, then the blocks' rows r, on keep
-    w_index: np.ndarray    # flat position of each eq, ineq, condensed Hessian and bound term:
-    hess_size: int         # the kept block, then each block's H, up to hess_size; a sink there
+    row_src: np.ndarray    # entries of eq's Jacobian pattern on the rows eq_keep, then the blocks'
+    row_dst: np.ndarray    # rows r, and on keep; their flat positions in those rows on keep
+    w_slot: np.ndarray     # Hessian slot of each eq, ineq, condensed and bound term: the kept
+    hess_row: np.ndarray   # block's pattern (hess_row, hess_col, positions in keep), then each
+    hess_col: np.ndarray   # block's dense H, then a sink for terms across groups, then a zero
+    n_hess: int            # slot that no term reaches; n_hess slots in all
+    dd_slot: np.ndarray    # (nd, width) slots of each row of H_DD, padded with the zero slot,
+    dd_col: np.ndarray     # and their columns (0 in the padding)
     block_row: np.ndarray  # the blocks' rows r, one shape after the other
-    pair_a: np.ndarray     # flat Jh positions (row * n_vars + col) of entry pairs
-    pair_b: np.ndarray     # that share a row; their products condense Jh' diag(z/s) Jh
+    pair_a: np.ndarray     # entries of ineq's Jacobian pattern in pairs that share a row;
+    pair_b: np.ndarray     # their products condense Jh' diag(z/s) Jh
     blocks: tuple[Blocks, ...]
 
 
@@ -350,6 +378,8 @@ def internalize(problem: NlpProblem) -> InternalForm:
     eq_keep = np.flatnonzero(row_in_kkt)
     block_row = np.concatenate([np.zeros(0, dtype=np.intp), *(blk.row for blk in blocks)])
     nk = keep.size
+    keep_pos = np.full(n, -1)
+    keep_pos[keep] = np.arange(nk)
     # The Hessian's dense blocks in one flat array: the kept block (group 0),
     # then each private block's H.  H[i, j] of variables i and j in one group
     # lies at start[i] + width[i] * slot[i] + slot[j].
@@ -373,71 +403,113 @@ def internalize(problem: NlpProblem) -> InternalForm:
     ineq_on_d = np.zeros(ineq.n_rows, dtype=bool)
     ineq_on_d[ineq.qk[on_d[ineq.qi] | on_d[ineq.qj]]] = True
     ineq_on_d[ineq.lk[on_d[ineq.li]]] = True
-    nz = np.unique(problem.ineq.jac_index)
-    nz = nz[group[nz % n] >= 0]
-    a, b = np.nonzero((nz // n)[:, None] == (nz // n)[None, :])
+    nz = np.flatnonzero(group[ineq.jac_col] >= 0)
+    a, b = np.nonzero(ineq.jac_row[nz][:, None] == ineq.jac_row[nz][None, :])
     pair_a, pair_b = nz[a], nz[b]
+    terms = np.concatenate([
+        w_pos(eq.qi, eq.qj),
+        w_pos(ineq.qi, ineq.qj),
+        w_pos(ineq.jac_col[pair_a], ineq.jac_col[pair_b]),
+        w_pos(bnd_var, bnd_var),
+    ])
+    # Only the kept block's pattern is stored; the blocks' H, the sink and
+    # the zero slot follow it as laid out above.
+    pattern = np.unique(terms[terms < nk * nk])
+    in_kept = terms < nk * nk
+    w_slot = np.where(in_kept, np.searchsorted(pattern, terms), pattern.size + terms - nk * nk)
+    n_hess = pattern.size + end - nk * nk + 2
+    hess_row, hess_col = np.divmod(pattern, nk)
+    # H_DD row by row: each row of the pattern on D, padded to the longest.
+    nd = d.size
+    dd = np.flatnonzero((hess_row < nd) & (hess_col < nd))
+    per_row = np.bincount(hess_row[dd], minlength=nd)
+    rank = np.arange(dd.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    dd_slot = np.full((nd, per_row.max(initial=0)), n_hess - 1)
+    dd_col = np.zeros_like(dd_slot)
+    dd_slot[hess_row[dd], rank], dd_col[hess_row[dd], rank] = dd, hess_col[dd]
+
+    # eq's Jacobian entries on the rows eq_keep, then the blocks' rows r, and on keep.
+    row_pos = np.full(me, -1)
+    row_pos[np.concatenate([eq_keep, block_row])] = np.arange(eq_keep.size + block_row.size)
+    dst_r, dst_c = row_pos[eq.jac_row], keep_pos[eq.jac_col]
+    row_src = np.flatnonzero((dst_r >= 0) & (dst_c >= 0))
     return InternalForm(
         n_vars=n,
         c=-problem.obj_coef,  # maximize -> minimize
         eq=eq,
-        ineq=problem.ineq,
+        ineq=ineq,
         bnd_var=bnd_var,
         bnd_sign=np.tile([1.0, -1.0], free.size)[finite],
         bnd_const=bnd_const[finite],
         free=free,
         keep=keep,
+        keep_pos=keep_pos,
         lin_rows=lin_rows,
         lin_inv=lin_inv,
         basis=basis,
         basis_gram=basis.T @ basis,
         eq_keep=eq_keep,
         ineq_on_d=ineq_on_d,
-        row_take=(np.concatenate([eq_keep, block_row])[:, None] * n + keep).ravel(),
-        w_index=np.concatenate([
-            w_pos(eq.qi, eq.qj),
-            w_pos(problem.ineq.qi, problem.ineq.qj),
-            w_pos(pair_a % n, pair_b % n),
-            w_pos(bnd_var, bnd_var),
-        ]),
+        row_src=row_src,
+        row_dst=dst_r[row_src] * nk + dst_c[row_src],
+        w_slot=w_slot,
+        hess_row=hess_row,
+        hess_col=hess_col,
+        n_hess=n_hess,
+        dd_slot=dd_slot,
+        dd_col=dd_col,
+        block_row=block_row,
         pair_a=pair_a,
         pair_b=pair_b,
-        hess_size=end,
-        block_row=block_row,
         blocks=blocks,
     )
 
 
 def _evaluate(form: InternalForm, x: np.ndarray, y: np.ndarray, z: np.ndarray, s: np.ndarray) -> Iterate:
-    """The iterate (x, y, z, s); the only place the rows and Jacobians are evaluated."""
+    """The iterates (x, y, z, s) of a batch, one row per instance (a single
+    point is a batch of one); the only place the rows and Jacobians are
+    evaluated."""
+    x, y, z, s = (np.atleast_2d(a) for a in (x, y, z, s))
     return Iterate(
         x=x, y=y, z=z, s=s,
         g=form.eq.value(x),
-        h=np.concatenate([form.ineq.value(x), form.bnd_sign * x[form.bnd_var] + form.bnd_const]),
-        jg=form.eq.jacobian(x), jh=form.ineq.jacobian(x),
+        h=np.concatenate([form.ineq.value(x), form.bnd_sign * x[:, form.bnd_var] + form.bnd_const], axis=1),
+        jg=form.eq.jacobian_values(x), jh=form.ineq.jacobian_values(x),
     )
 
 
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v per instance, v (B, k) and a (m, k) or (B, m, k): one matrix-vector product each."""
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def _jt(block: QuadBlock, jac: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J' v per instance, J being block's Jacobian with the values jac."""
+    return batched_bincount(block.jac_col, jac * v[:, block.jac_row], block.n_vars)
+
+
 def _jh_t(form: InternalForm, jh: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Jh' v over every inequality row: the dense user rows, then the bound rows."""
+    """Jh' v per instance over every inequality row: the user rows, then the bound rows."""
     m = form.ineq.n_rows
-    return jh.T @ v[:m] + np.bincount(form.bnd_var, weights=form.bnd_sign * v[m:], minlength=form.n_vars)
+    return batched_bincount(
+        np.concatenate([form.ineq.jac_col, form.bnd_var]),
+        np.concatenate([jh * v[:, form.ineq.jac_row], form.bnd_sign * v[:, m:]], axis=1),
+        form.n_vars,
+    )
 
 
-def _theta(pt: Iterate) -> float:
-    """Largest primal residual: equality rows and slacked inequality rows."""
-    t = np.abs(pt.g).max() if pt.g.size else 0.0
-    if pt.h.size:
-        t = max(t, np.abs(pt.h + pt.s).max())
-    return t
+def _theta(pt: Iterate) -> np.ndarray:
+    """Largest primal residual per instance: equality rows and slacked inequality rows."""
+    return np.maximum(np.abs(pt.g).max(axis=1, initial=0.0), np.abs(pt.h + pt.s).max(axis=1, initial=0.0))
 
 
-def _kkt_errors(form: InternalForm, pt: Iterate, *mus: float) -> list[float]:
-    """KKT error at pt for each barrier parameter in mus: the largest dual,
-    primal and complementarity residual."""
-    r_d = (form.c + pt.jg.T @ pt.y + _jh_t(form, pt.jh, pt.z))[form.free]
-    feas = max(np.abs(r_d).max() if form.free.size else 0.0, _theta(pt))
-    return [max(feas, np.abs(pt.s * pt.z - mu).max()) if pt.s.size else feas for mu in mus]
+def _kkt_errors(form: InternalForm, pt: Iterate, *mus) -> list[np.ndarray]:
+    """KKT error per instance at pt for each barrier parameter in mus (a
+    number or one per instance): the largest dual, primal and
+    complementarity residual."""
+    r_d = (form.c + _jt(form.eq, pt.jg, pt.y) + _jh_t(form, pt.jh, pt.z))[:, form.free]
+    feas = np.maximum(np.abs(r_d).max(axis=1, initial=0.0), _theta(pt))
+    return [np.maximum(feas, np.abs(pt.s * pt.z - np.reshape(mu, (-1, 1))).max(axis=1, initial=0.0)) for mu in mus]
 
 
 # ---------------------------------------------------------------------------
@@ -445,225 +517,427 @@ def _kkt_errors(form: InternalForm, pt: Iterate, *mus: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def kkt_assemble(
-    form: InternalForm, pt: Iterate, mu: float, delta_w: float = 0.0, delta_c: float = 0.0
-) -> tuple[np.ndarray, Callable, Callable]:
-    """Dense reduced KKT matrix (Fortran order) at regularization (dw, dc),
-    its step function and its regularize function (see the module docstring).
+    form: InternalForm, pt: Iterate, mu, delta_w=0.0, delta_c=0.0
+) -> tuple[np.ndarray, np.ndarray, Callable, Callable]:
+    """Dense reduced KKT matrices of a batch at regularization (dw, dc), as
+    (kkt, dims, step, regularize); mu, dw and dc are numbers or one per
+    instance (see the module docstring).
 
-    The kept block H is W + Jh' diag(z/s) Jh on the kept variables, a bound
-    row condensing to its z/s on its variable's diagonal and a split row not
-    at all; constraint Hessians are constant, so H is a weighted sum over
-    fixed positions, and so is each private block's H.  Each block adds
-    w j_r' j_r to H, w = -(B^-1)_rr (_block_solver), and shifts the
-    right-hand side.  With the linear rows L solved by x_p = A_d^-1 r_L on
-    D, the reduced matrix [[Z'HZ, Z'Jq'], [Jq Z, -diag(dc,
+    kkt is (dim, dim, B) in Fortran order: instance b's matrix is
+    kkt[:d, :d, b] with d = dims[b], dim the largest; its split rows make
+    the difference.  The kept block H is W + Jh' diag(z/s) Jh on the kept
+    variables, a bound row condensing to its z/s on its variable's diagonal
+    and a split row not at all; constraint Hessians are constant, so H is a
+    weighted sum over fixed positions, and so is each private block's H.
+    Each block adds w j_r' j_r to H, w = -(B^-1)_rr (_block_solver), and
+    shifts the right-hand side.  With the linear rows L solved by x_p =
+    A_d^-1 r_L on D, the reduced matrix [[Z'HZ, Z'Jq'], [Jq Z, -diag(dc,
     s/z)]] acts on (dr, dy_q), where Jq holds the remaining equality rows
     and then the split rows, whose dz come last in dy_q.  T is nonzero only
     on C, so Z'HZ = H_RR + X + X' with X = T'(H_DR + H_DD T / 2) on the rows
-    of C, formed once per iteration; a retry adds dw*(I + T'T), T'T being
-    constant, and the block terms w v' v with v = j_r Z.
+    of C, formed once per iteration (H_DD T row by row, through H_DD's few
+    entries per row); a retry adds dw*(I + T'T), T'T being constant, and
+    the block terms w v' v with v = j_r Z.
 
-    step(solve_fn), given the solve of a factorization of the matrix,
-    returns (dx, dy, dz, ds).  regularize(dw, dc) rewrites the matrix in
-    place from the same unregularized projection, so the matrix depends on
-    the iterate and (dw, dc) alone, and returns the new step.
+    step(solve_fn), given a function that solves every instance's matrix
+    for a (B, dim) right-hand side, returns (dx, dy, dz, ds), one row per
+    instance.  regularize(dw, dc, which) rewrites the matrices of the
+    instances `which` (all by default) in place from the same
+    unregularized projection, so each matrix depends on its iterate and
+    (dw, dc) alone, and returns the step at the new regularization.
     """
-    if mu <= 0.0:
+    n_b = pt.x.shape[0]
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n_b,))
+    if not np.all(mu > 0.0):
         raise ValueError("barrier parameter mu must be positive")
-    n, mi, keep, t = form.n_vars, form.ineq.n_rows, form.keep, form.basis
+    n, mi, keep, t, ineq = form.n_vars, form.ineq.n_rows, form.keep, form.basis, form.ineq
     nd, nc = t.shape
     nk = keep.size
     nr = nk - nd
+    nq = form.eq_keep.size
     y, z, s, h, jg, jh = pt.y, pt.z, pt.s, pt.h, pt.jg, pt.jh
     sigma = z / s
-    # The user rows on D whose z/s is large stay rows; the others are condensed.
-    split = np.flatnonzero(form.ineq_on_d & (sigma[:mi] > SIGMA_CONDENSED_MAX))
+    # The user rows on D whose z/s is large stay rows (split rows); the
+    # others are condensed.  Each split row's place in its matrix follows
+    # its instance's remaining equality rows.
+    sb, sr = np.nonzero(form.ineq_on_d & (sigma[:, :mi] > SIGMA_CONDENSED_MAX))
+    n_split = np.bincount(sb, minlength=n_b)
+    place = nr + nq + np.arange(sb.size) - np.repeat(np.cumsum(n_split) - n_split, n_split)
     sigma_c = sigma.copy()
-    sigma_c[split] = 0.0
-    nq = form.eq_keep.size
-    nqa = nq + split.size
-    dim = nr + nqa
+    sigma_c[sb, sr] = 0.0
+    dims = nr + nq + n_split
+    dim = nr + nq + n_split.max(initial=0)
 
     weights = np.concatenate([
-        y[form.eq.qk] * form.eq.qv,
-        z[form.ineq.qk] * form.ineq.qv,
-        sigma_c[form.pair_a // n] * jh.take(form.pair_a) * jh.take(form.pair_b),
-        sigma[mi:],
-    ])
-    # (bincount returns integers when there are no terms at all)
-    flat = np.bincount(form.w_index, weights=weights, minlength=form.hess_size + 1).astype(float, copy=False)
-    hess = flat[: nk * nk].reshape(nk, nk)
+        y[:, form.eq.qk] * form.eq.qv,
+        z[:, ineq.qk] * ineq.qv,
+        sigma_c[:, ineq.jac_row[form.pair_a]] * jh[:, form.pair_a] * jh[:, form.pair_b],
+        sigma[:, mi:],
+    ], axis=1)
+    hess = batched_bincount(form.w_slot, weights, form.n_hess)
+    del weights
+    n_pat = form.hess_row.size
+    h_row, h_col = form.hess_row, form.hess_col
+    dr = np.flatnonzero((h_row < nd) & (h_col >= nd))
+    rr = np.flatnonzero((h_row >= nd) & (h_col >= nd))
 
-    # The remaining equality rows, the split rows and the blocks' rows r on
-    # the kept variables, and their products with Z.
-    rows = jg.take(form.row_take).reshape(nq + form.block_row.size, nk)
-    if split.size:
-        rows = np.concatenate([rows[:nq], jh[np.ix_(split, keep)], rows[nq:]])
-    rows_z = rows[:, nd:].astype(float)
-    rows_z[:, :nc] += rows[:, :nd] @ t
-    jq, jp, v = rows[:nqa], rows[nqa:], rows_z[nqa:]
-    x = hess[:nd, nd:].copy()
-    x[:, :nc] += 0.5 * (hess[:nd, :nd] @ t)
+    # The remaining equality rows (Jq) and the blocks' rows r (Jp) on the
+    # kept variables: their entries, for the products with them, and their
+    # products with Z, through the dense rows; then the split rows.
+    n_blk = form.block_row.size
+    e_row, e_col = np.divmod(form.row_dst, nk)
+    e_val = jg[:, form.row_src]
+    on_q = e_row < nq
+    q_row, q_col, q_val = e_row[on_q], e_col[on_q], e_val[:, on_q]
+    p_row, p_col, p_val = e_row[~on_q] - nq, e_col[~on_q], e_val[:, ~on_q]
+    q_d = q_col < nd
+
+    def jp_times(dx_k: np.ndarray) -> np.ndarray:
+        return batched_bincount(p_row, p_val * dx_k[:, p_col], n_blk)
+
+    def jp_t(u: np.ndarray) -> np.ndarray:
+        return batched_bincount(p_col, p_val * u[:, p_row], nk)
+
+    rows = np.zeros((n_b, (nq + n_blk) * nk))
+    rows[:, form.row_dst] = e_val
+    rows = rows.reshape(n_b, nq + n_blk, nk)
+    rows_z = rows[:, :, nd:].copy()
+    rows_z[:, :, :nc] += rows[:, :, :nd] @ t
+    del rows
+    v = rows_z[:, nq:]
+    split_rows = np.zeros((sb.size, nk))
+    if sb.size:
+        split_id = np.full((n_b, mi), -1)
+        split_id[sb, sr] = np.arange(sb.size)
+        eb, ee = np.nonzero(split_id[:, ineq.jac_row] >= 0)
+        col = form.keep_pos[ineq.jac_col[ee]]
+        on = col >= 0
+        split_rows[split_id[eb[on], ineq.jac_row[ee[on]]], col[on]] = jh[eb[on], ee[on]]
+    split_z = split_rows[:, nd:].copy()
+    split_z[:, :nc] += (split_rows[:, None, :nd] @ t)[:, 0]
+
+    x = np.zeros((n_b, nd * nr))
+    x[:, h_row[dr] * nr + h_col[dr] - nd] = hess[:, dr]
+    x = x.reshape(n_b, nd, nr)
+    # H_DD T / 2 added to X's columns of C, one entry of each H_DD row at a time.
+    half_t = 0.5 * t
+    for slot_k, col_k in zip(form.dd_slot.T, form.dd_col.T):
+        x[:, :, :nc] += hess[:, slot_k, None] * half_t[col_k]
     x = t.T @ x
-    base = hess[nd:, nd:].copy()
-    base[:nc] += x
-    base[:, :nc] += x.T
-    # Fortran order hands LAPACK a plain copy instead of a transposed one.
-    kkt = np.zeros((dim, dim), order="F")
-    kkt[nr:, :nr] = rows_z[:nqa]
-    kkt[:nr, nr:] = rows_z[:nqa].T
-    diag = np.arange(dim)
-    diag_r, diag_q = diag[:nr], diag[nr : nr + nq]
-    kkt[diag[nr + nq :], diag[nr + nq :]] = -s[split] / z[split]
+    base = np.zeros((n_b, nr * nr))
+    base[:, (h_row[rr] - nd) * nr + h_col[rr] - nd] = hess[:, rr]
+    base = base.reshape(n_b, nr, nr)
+    base[:, :nc] += x
+    base[:, :, :nc] += x.transpose(0, 2, 1)
+    # Fortran order hands LAPACK a plain copy of each matrix; kv[b] is instance b's.
+    kkt = np.zeros((dim, dim, n_b), order="F")
+    kv = kkt.transpose(2, 0, 1)
+    kv[:, nr : nr + nq, :nr] = rows_z[:, :nq]
+    kv[:, :nr, nr : nr + nq] = rows_z[:, :nq].transpose(0, 2, 1)
+    kv[sb, place, :nr] = split_z
+    kv[sb, :nr, place] = split_z
+    kv[sb, place, place] = -s[sb, sr] / z[sb, sr]
+    diag_r, diag_q = np.arange(nr), np.arange(nr, nr + nq)
 
-    grad = form.c + jg.T @ y + _jh_t(form, jh, z + sigma_c * (h + mu / z))
+    grad = form.c + _jt(form.eq, jg, y) + _jh_t(form, jh, z + sigma_c * (h + mu[:, None] / z))
     r_x, r_y = -grad, -pt.g
-    r_k, b_l = r_x[keep], r_y[form.lin_rows]
-    b_q = np.concatenate([r_y[form.eq_keep], -(h[split] + mu / z[split])])
-    r_r = r_y[form.block_row]
+    r_k, b_l = r_x[:, keep], r_y[:, form.lin_rows]
+    b_q = r_y[:, form.eq_keep]
+    b_s = -(h[sb, sr] + mu[sb] / z[sb, sr])
+    r_r = r_y[:, form.block_row]
     # Per block shape: its H, its rows among the blocks' rows r, and the
     # right-hand sides of V and S.
-    shapes, end, at = [], nk * nk, 0
+    shapes, end, at = [], n_pat, 0
     for blk in form.blocks:
         nb, nv = blk.var.shape
-        hb = flat[end : end + nb * nv * nv].reshape(nb, nv, nv)
-        shapes.append((blk, hb, slice(at, at + nb), r_x[blk.var], r_y[blk.srow]))
+        hb = hess[:, end : end + nb * nv * nv].reshape(n_b, nb, nv, nv)
+        shapes.append((blk, hb, slice(at, at + nb), r_x[:, blk.var], r_y[:, blk.srow]))
         end, at = end + nb * nv * nv, at + nb
+    reg_w = np.zeros(n_b)
+    reg_c = np.zeros(n_b)
 
-    def regularize(delta_w: float, delta_c: float) -> Callable:
-        solvers = [_block_solver(blk, hb, delta_w, delta_c) for blk, hb, _, _, _ in shapes]
-        w = np.concatenate([np.zeros(0), *(w_b for w_b, _ in solvers)])
-        block_terms = (v.T * w) @ v
-        block = kkt[:nr, :nr]
-        np.add(base, block_terms, out=block)
-        block[:nc, :nc] += delta_w * form.basis_gram
-        kkt[diag_r, diag_r] += delta_w
-        kkt[diag_q, diag_q] = -delta_c
+    def regularize(delta_w, delta_c, which=None) -> Callable:
+        which = np.arange(n_b) if which is None else np.asarray(which)
+        reg_w[which] = np.broadcast_to(delta_w, (n_b,))[which]
+        reg_c[which] = np.broadcast_to(delta_c, (n_b,))[which]
+        dw, dc = reg_w[which], reg_c[which]
+        w_b = [_block_solver(blk, hb[which], dw, dc)[0] for blk, hb, *_ in shapes]
+        w = np.concatenate([np.zeros((which.size, 0)), *w_b], axis=1)
+        v_w = v[which]
+        block = (v_w.transpose(0, 2, 1) * w[:, None, :]) @ v_w
+        block += base[which]
+        block[:, :nc, :nc] += dw[:, None, None] * form.basis_gram
+        block[:, diag_r, diag_r] += dw[:, None]
+        kv[which, :nr, :nr] = block
+        kv[which[:, None], diag_q, diag_q] = -dc[:, None]
+        return step
+
+    def step(solve_fn: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """dx_k = x_p + Z dr on the kept variables, x_p = A_d^-1 r_L on D,
+        with (dr, dy_q) from the reduced solve and A_d' dy_L = (b_x - H dx_k
+        - Jq' dy_q)[D]; dy_q holds the split rows' dz after the remaining
+        equality rows.  dx is zero on fixed variables; each block's B gives
+        dV, dy_S and dy_r, the condensed inequality rows dz = (z/s)(Jh dx +
+        h + mu/z), and the complementarity rows ds."""
+        solvers = [_block_solver(blk, hb, reg_w, reg_c) for blk, hb, *_ in shapes]
+        w = np.concatenate([np.zeros((n_b, 0)), *(w_b for w_b, _ in solvers)], axis=1)
 
         def h_times(dx_k: np.ndarray) -> np.ndarray:
             """(H + dw*I + block terms) dx_k on the kept variables."""
-            return hess @ dx_k + delta_w * dx_k + jp.T @ (w * (jp @ dx_k))
+            h_dx = batched_bincount(h_row, hess[:, :n_pat] * dx_k[:, h_col], nk)
+            return h_dx + reg_w[:, None] * dx_k + jp_t(w * jp_times(dx_k))
 
-        def step(solve_fn: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-            """dx_k = x_p + Z dr on the kept variables, x_p = A_d^-1 r_L on
-            D, with (dr, dy_q) from the reduced solve and A_d' dy_L = (b_x -
-            H dx_k - Jq' dy_q)[D]; dy_q holds the split rows' dz after the
-            remaining equality rows.  dx is zero on fixed variables; each
-            block's B gives dV, dy_S and dy_r, the condensed inequality rows
-            dz = (z/s)(Jh dx + h + mu/z), and the complementarity rows ds."""
-            u_r = [solve_b(r_v, r_s, r_r[rows])[2] for (_, _, rows, r_v, r_s), (_, solve_b) in zip(shapes, solvers)]
-            b_x = r_k - jp.T @ np.concatenate([np.zeros(0), *u_r])
-            dx_k = np.zeros(nk)
-            dx_k[:nd] = form.lin_inv @ b_l
-            b = b_x - h_times(dx_k)
-            b[nd : nd + nc] += t.T @ b[:nd]
-            sol = solve_fn(np.concatenate([b[nd:], b_q - jq @ dx_k]))
-            dx_k[:nd] += t @ sol[:nc]
-            dx_k[nd:] = sol[:nr]
-            dy_q = sol[nr:]
-            u = b_x - h_times(dx_k) - jq.T @ dy_q
-            dx = np.zeros(n)
-            dx[keep] = dx_k
-            dy = np.empty(r_y.size)
-            dy[form.lin_rows] = form.lin_inv.T @ u[:nd]
-            dy[form.eq_keep] = dy_q[:nq]
-            t_r = r_r - jp @ dx_k
-            for (blk, _, rows, r_v, r_s), (_, solve_b) in zip(shapes, solvers):
-                dx[blk.var], dy[blk.srow], dy[blk.row] = solve_b(r_v, r_s, t_r[rows])
-            dz = sigma * (np.concatenate([jh @ dx, form.bnd_sign * dx[form.bnd_var]]) + h + mu / z)
-            dz[split] = dy_q[nq:]
-            return dx, dy, dz, mu / z - s - (s / z) * dz
+        u_r = [solve_b(r_v, r_s, r_r[:, rows])[2] for (_, _, rows, r_v, r_s), (_, solve_b) in zip(shapes, solvers)]
+        b_x = r_k - jp_t(np.concatenate([np.zeros((n_b, 0)), *u_r], axis=1))
+        dx_k = np.zeros((n_b, nk))
+        dx_k[:, :nd] = _mv(form.lin_inv, b_l)
+        b = b_x - h_times(dx_k)
+        b[:, nd : nd + nc] += _mv(t.T, b[:, :nd])
+        rhs = np.zeros((n_b, dim))
+        rhs[:, :nr] = b[:, nd:]
+        rhs[:, nr : nr + nq] = b_q - batched_bincount(q_row, q_val * dx_k[:, q_col], nq)
+        rhs[sb, place] = b_s - np.matmul(split_rows[:, None, :], dx_k[sb, :, None])[:, 0, 0]
+        sol = solve_fn(rhs)
+        dx_k[:, :nd] += _mv(t, sol[:, :nc])
+        dx_k[:, nd:] = sol[:, :nr]
+        dy_q, dz_split = sol[:, nr : nr + nq], sol[sb, place]
+        u = (b_x - h_times(dx_k))[:, :nd] - batched_bincount(q_col[q_d], q_val[:, q_d] * dy_q[:, q_row[q_d]], nd)
+        np.subtract.at(u, sb, split_rows[:, :nd] * dz_split[:, None])
+        dx = np.zeros((n_b, n))
+        dx[:, keep] = dx_k
+        dy = np.empty_like(r_y)
+        dy[:, form.lin_rows] = _mv(form.lin_inv.T, u)
+        dy[:, form.eq_keep] = dy_q
+        t_r = r_r - jp_times(dx_k)
+        for (blk, _, rows, r_v, r_s), (_, solve_b) in zip(shapes, solvers):
+            dx[:, blk.var], dy[:, blk.srow], dy[:, blk.row] = solve_b(r_v, r_s, t_r[:, rows])
+        jh_dx = batched_bincount(ineq.jac_row, jh * dx[:, ineq.jac_col], mi)
+        dz = sigma * (np.concatenate([jh_dx, form.bnd_sign * dx[:, form.bnd_var]], axis=1) + h + mu[:, None] / z)
+        dz[sb, sr] = dz_split
+        return dx, dy, dz, mu[:, None] / z - s - (s / z) * dz
 
-        return step
-
-    return kkt, regularize(delta_w, delta_c), regularize
+    return kkt, dims, regularize(delta_w, delta_c), regularize
 
 
-def _block_solver(blk: Blocks, hess: np.ndarray, delta_w: float, delta_c: float) -> tuple[np.ndarray, Callable]:
-    """(w, solve) for blocks of one shape with H = hess at (dw, dc).
+def _block_solver(
+    blk: Blocks, hess: np.ndarray, delta_w: np.ndarray, delta_c: np.ndarray
+) -> tuple[np.ndarray, Callable]:
+    """(w, solve) for blocks of one shape, hess (B, nb, nv, nv) their H in
+    each instance and (dw, dc) each instance's regularization.
 
     Per block, w = -(B^-1)_rr and solve(r_v, r_s, r_r) returns (dV, dy_S,
     dy_r) = B^-1 (r_v, r_s, r_r).  A pair's B = [[h, c], [c, -dc]] is solved
     in closed form, w = h / (c^2 + h*dc), in a few vector operations; larger
     blocks by one batched inverse per shape.
     """
-    nb, nv = blk.var.shape
+    nv = blk.var.shape[1]
     ns = blk.srow.shape[1]
+    dw, dc = delta_w[:, None], delta_c[:, None]
     if nv == 1 and ns == 0:
-        h = hess[:, 0, 0] + delta_w
+        h = hess[:, :, 0, 0] + dw
         c = blk.coef[:, 0, 0]
-        det = c * c + h * delta_c  # minus the determinant of each pair's block
+        det = c * c + h * dc  # minus the determinant of each pair's block
 
         def solve_pair(r_v, r_s, r_r):
-            r_v = r_v[:, 0]
-            return ((delta_c * r_v + c * r_r) / det)[:, None], r_s, (c * r_v - h * r_r) / det
+            r_v = r_v[:, :, 0]
+            return ((dc * r_v + c * r_r) / det)[:, :, None], r_s, (c * r_v - h * r_r) / det
 
         return h / det, solve_pair
     m = nv + ns + 1
-    mat = np.zeros((nb, m, m))
-    mat[:, :nv, :nv] = hess
-    mat[:, range(nv), range(nv)] += delta_w
-    mat[:, nv:, :nv] = blk.coef
-    mat[:, :nv, nv:] = blk.coef.transpose(0, 2, 1)
-    mat[:, range(nv, m), range(nv, m)] = -delta_c
+    mat = np.zeros((*hess.shape[:2], m, m))
+    mat[:, :, :nv, :nv] = hess
+    mat[:, :, range(nv), range(nv)] += dw[:, :, None]
+    mat[:, :, nv:, :nv] = blk.coef
+    mat[:, :, :nv, nv:] = blk.coef.transpose(0, 2, 1)
+    mat[:, :, range(nv, m), range(nv, m)] = -dc[:, :, None]
     inv = np.linalg.inv(mat)
 
     def solve(r_v, r_s, r_r):
-        sol = (inv @ np.concatenate([r_v, r_s, r_r[:, None]], axis=1)[:, :, None])[:, :, 0]
-        return sol[:, :nv], sol[:, nv:-1], sol[:, -1]
+        sol = _mv(inv, np.concatenate([r_v, r_s, r_r[:, :, None]], axis=2))
+        return sol[..., :nv], sol[..., nv:-1], sol[..., -1]
 
-    return -inv[:, -1, -1], solve
+    return -inv[:, :, -1, -1], solve
 
 
-def _ldlt(kdense: np.ndarray):
-    """Bunch-Kaufman LDL' with inertia; returns (solve_fn, (pos, neg, zero)).
+@functools.cache
+def _lapack() -> tuple[Callable, Callable, Callable]:
+    """LAPACK's sytrf, sytrs and sytrf_lwork for float64, looked up once."""
+    return scipy.linalg.get_lapack_funcs(("sytrf", "sytrs", "sytrf_lwork"), dtype=np.float64)
 
-    Uses LAPACK sytrf/sytrs directly.  2x2 pivots of the Bunch-Kaufman
-    factorization are always indefinite (one eigenvalue of each sign), so
-    the inertia falls out of the pivot structure without eigenvalue work.
-    The zero threshold is absolute: barrier diagonals legitimately reach
-    1e10 and beyond, so a relative threshold would misclassify small but
-    healthy curvature pivots.
+
+@functools.cache
+def _sytrf_lwork(n: int) -> int:
+    return int(_lapack()[2](n, lower=1)[0])
+
+
+def _ldlt(mats: Sequence[np.ndarray]) -> tuple[list, np.ndarray]:
+    """Bunch-Kaufman LDL' of each symmetric matrix, from its lower triangle;
+    returns (factors, inertia), factors[k] for _ldlt_solve and inertia[k] =
+    (pos, neg, zero) of mats[k].
+
+    Uses LAPACK sytrf directly, once per matrix, and reads the inertia of
+    all of them in one pass.  2x2 pivots of the Bunch-Kaufman factorization
+    are always indefinite (one eigenvalue of each sign), so the inertia
+    falls out of the pivot structure without eigenvalue work.  The zero
+    threshold is absolute: barrier diagonals legitimately reach 1e10 and
+    beyond, so a relative threshold would misclassify small but healthy
+    curvature pivots.
     """
-    n = kdense.shape[0]
-    sytrf, sytrs, sytrf_lwork = scipy.linalg.get_lapack_funcs(
-        ("sytrf", "sytrs", "sytrf_lwork"), (kdense,)
-    )
-    lwork, _ = sytrf_lwork(n, lower=1)
-    ldu, ipiv, info = sytrf(kdense, lower=1, lwork=int(lwork))
-    if info < 0:
-        raise ValueError(f"sytrf illegal argument {-info}")
+    sytrf = _lapack()[0]
+    factors, diag, sub = [], [], []
+    for a in mats:
+        ldu, ipiv, info = sytrf(a, lower=1, lwork=_sytrf_lwork(a.shape[0]))
+        if info < 0:
+            raise ValueError(f"sytrf illegal argument {-info}")
+        factors.append((ldu, ipiv))
+        diag.append(np.diagonal(ldu))
+        sub.append(np.diagonal(ldu, -1))
     tiny = 1e-12
-    d = np.diagonal(ldu)
-    # A 2x2 pivot marks both of its rows with a negative ipiv, so the blocks
-    # start at every other negative entry.
-    two = np.flatnonzero(ipiv < 0)[::2]
-    one = np.ones(n, dtype=bool)
-    one[two] = one[two + 1] = False
-    v = d[one]
-    pos = int(np.count_nonzero(v > tiny))
-    neg = int(np.count_nonzero(v < -tiny))
-    zero = v.size - pos - neg
-    a, b, c = d[two], ldu[two + 1, two], d[two + 1]
+    sizes = np.array([ipiv.size for _, ipiv in factors], dtype=np.intp)
+    first = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    d = np.concatenate([np.zeros(0), *diag])
+    two = np.concatenate([np.zeros(0, dtype=bool), *(ipiv < 0 for _, ipiv in factors)])
+    # A 2x2 pivot marks both of its rows with a negative ipiv and every
+    # matrix holds an even number of them, so the blocks start at every
+    # other negative entry of all the matrices' rows in a row.
+    start = np.flatnonzero(two & (np.cumsum(two) % 2 == 1))
+    one = ~two
+
+    def count(rows: np.ndarray) -> np.ndarray:
+        return np.bincount(owner[rows], minlength=sizes.size)
+
+    # sub holds n - 1 entries of an n-row matrix: ldu[k + 1, k] is entry k of its own.
+    a, c = d[start], d[start + 1]
+    sub_first = np.cumsum(np.maximum(sizes - 1, 0)) - np.maximum(sizes - 1, 0)
+    b = np.concatenate([np.zeros(0), *sub])[sub_first[owner[start]] + start - first[owner[start]]]
     det = a * c - b * b
     singular = np.abs(det) <= tiny * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(c))
     # A regular 2x2 pivot has one eigenvalue of each sign; a singular one
     # counts one zero, and its trace signs the other eigenvalue.
-    tr = (a + c)[singular]
-    tr_pos = int(np.count_nonzero(tr > tiny))
-    tr_neg = int(np.count_nonzero(tr < -tiny))
-    regular = two.size - tr.size
-    pos += regular + tr_pos
-    neg += regular + tr_neg
-    zero += tr.size + (tr.size - tr_pos - tr_neg)
+    tr = a + c
+    regular = count(start[~singular])
+    pos = count(np.flatnonzero(one & (d > tiny))) + regular + count(start[singular & (tr > tiny)])
+    neg = count(np.flatnonzero(one & (d < -tiny))) + regular + count(start[singular & (tr < -tiny)])
+    return factors, np.column_stack([pos, neg, sizes - pos - neg])
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        out, sinfo = sytrs(ldu, ipiv, rhs, lower=1)
-        if sinfo != 0:
-            raise ValueError(f"sytrs failed with info {sinfo}")
-        return out
 
-    return solve, (pos, neg, zero)
+def _ldlt_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """The solution of a matrix that _ldlt factored, for one right-hand side."""
+    ldu, ipiv = factor
+    if not ipiv.size:  # sytrs rejects an empty system
+        return rhs.copy()
+    out, info = _lapack()[1](ldu, ipiv, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"sytrs failed with info {info}")
+    return out
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Per instance, the fraction-to-boundary step: the largest alpha <= 1
+    with v + alpha dv >= (1 - STEP_FRACTION) v."""
+    neg = dv < 0.0
+    ratio = np.where(neg, -STEP_FRACTION * v / np.where(neg, dv, -1.0), np.inf)
+    return np.minimum(1.0, ratio.min(axis=1, initial=np.inf))
+
+
+def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np.ndarray) -> tuple:
+    """The regularized Newton step of every instance of pt at its barrier
+    parameter mu: (dx, dy, dz, ds, dw, dc, factorizations, factorize_s),
+    one row or entry per instance.
+
+    Each instance first tries dw = dc = 0 and climbs its own regularization
+    ladder, from delta_last (its last iteration's dw), while its inertia is
+    wrong; the matrices are freed on return.
+    """
+    n_a = pt.x.shape[0]
+    n_reduced = form.keep.size - form.lin_rows.size
+    delta_c_first = np.sqrt(np.finfo(float).eps) * np.maximum(mu, 1e-6)
+    delta_w, delta_c = np.zeros(n_a), np.zeros(n_a)
+    # sytrf leaves its input intact, so a retry rewrites only the entries
+    # that depend on the regularization rather than the whole matrix, and
+    # only of the instances whose inertia is still wrong.
+    kkt, dims, step, regularize = kkt_assemble(form, pt, mu)
+    factors: list = [None] * n_a
+    iter_factorizations = np.zeros(n_a, dtype=int)
+    factorize_s = np.zeros(n_a)
+    pending = np.arange(n_a)
+    for _ in range(60):
+        t0 = time.perf_counter()
+        got, inertia = _ldlt([kkt[: dims[k], : dims[k], k] for k in pending])
+        # Each instance's trace gets its share of the lockstep factorization time.
+        factorize_s[pending] += (time.perf_counter() - t0) / pending.size
+        for k, factor in zip(pending, got):
+            factors[k] = factor
+        iter_factorizations[pending] += 1
+        wrong = (inertia[:, 0] != n_reduced) | (inertia[:, 2] != 0)
+        if not wrong.any():
+            break
+        pending, inertia = pending[wrong], inertia[wrong]
+        dc, dw = delta_c[pending], delta_w[pending]
+        delta_c[pending] = np.where(inertia[:, 2] > 0, np.where(dc > 0.0, 10.0 * dc, delta_c_first[pending]), dc)
+        delta_w[pending] = np.where(dw == 0.0, np.maximum(REGULARIZATION_MIN, delta_last[pending] / 3.0), 10.0 * dw)
+        worst = np.argmax(delta_w[pending])
+        if delta_w[pending[worst]] > 1e12:
+            raise KktSingularError(
+                f"KKT inertia {tuple(int(v) for v in inertia[worst])} not correctable at regularization "
+                f"{delta_w[pending[worst]]:g}"
+            )
+        step = regularize(delta_w, delta_c, pending)
+
+    del kkt, regularize  # the factors are all the step needs
+
+    def solve_fn(rhs: np.ndarray) -> np.ndarray:
+        sol = np.zeros_like(rhs)
+        for k, (factor, d) in enumerate(zip(factors, dims)):
+            sol[k, :d] = _ldlt_solve(factor, rhs[k, :d])
+        return sol
+
+    return (*step(solve_fn), delta_w, delta_c, iter_factorizations, factorize_s)
+
+
+def _take_step(
+    form: InternalForm, pt: Iterate, mu: np.ndarray, dx: np.ndarray, dy: np.ndarray, dz: np.ndarray, ds: np.ndarray
+) -> tuple[Iterate, np.ndarray, np.ndarray]:
+    """The next iterate of every instance of pt, whether it moved, and its
+    step length alpha.
+
+    Fraction-to-boundary limits keep s and z strictly positive.  No merit
+    line search: the fraction-to-boundary step is taken as is, with a
+    divergence guard that halves the step while the infeasibility grows out
+    of proportion.  Each probe is evaluated once, and an accepted one
+    becomes the next iterate; an instance whose guard accepts no step of at
+    least 1e-11 stays where it is.
+    """
+    alpha = _max_step(pt.s, ds)
+    alpha_z = _max_step(pt.z, dz)
+    guard = np.maximum(10.0 * _theta(pt), 1e-2)
+    accepted = np.zeros(alpha.size, dtype=bool)
+    cand = {name: getattr(pt, name).copy() for name in ("x", "s", "g", "h", "jg", "jh")}
+    probing = np.arange(alpha.size)
+    for _ in range(30):
+        a_p = alpha[probing, None]
+        probe = _evaluate(
+            form, pt.x[probing] + a_p * dx[probing], pt.y[probing], pt.z[probing], pt.s[probing] + a_p * ds[probing]
+        )
+        val = _theta(probe)
+        ok = np.isfinite(val) & (val <= guard[probing])
+        for name, rows in cand.items():
+            rows[probing[ok]] = getattr(probe, name)[ok]
+        accepted[probing[ok]] = True
+        probing = probing[~ok]
+        alpha[probing] *= 0.5
+        if not probing.size:
+            break
+
+    took = accepted & (alpha >= 1e-11)
+    z = np.maximum(pt.z + alpha_z[:, None] * dz, 1e-16)
+    # Upper dual safeguard: degenerate active sets have unbounded
+    # multipliers, which would blow up the Lagrangian Hessian.
+    z = np.minimum(z, np.maximum(1e10 * mu[:, None] / cand["s"], 1e4))
+    new = dict(cand, y=pt.y + alpha[:, None] * dy, z=z)
+    moved = Iterate(**{f.name: np.where(took[:, None], new[f.name], getattr(pt, f.name)) for f in fields(Iterate)})
+    return moved, took, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +950,8 @@ def solve(
     x0: np.ndarray | None = None,
     form: InternalForm | None = None,
 ) -> Solution:
-    """Drive the interior-point iteration to a first-order KKT point.
+    """Drive the interior-point iteration to a first-order KKT point: the
+    batch of one of solve_batch.
 
     Deterministic: identical problems and options reproduce the iteration
     history bit for bit.  Nonconvexity means the result is a KKT point, not
@@ -684,148 +959,135 @@ def solve(
     form, internalize() of problem or of a program that differs from it only
     in its pins (another period of the stage), saves building it again.
     """
-    opts = options or SolverOptions()
     if form is None:
         form = internalize(problem)
-    me, mi = form.eq.n_rows, form.ineq.n_rows + form.bnd_var.size
-    n_reduced = form.keep.size - form.lin_rows.size
-
     x = nlp_mod.initial_point(problem) if x0 is None else x0.astype(float).copy()
     # Fixed variables start on their pins; the step never moves them.
-    x[problem.lb == problem.ub] = problem.lb[problem.lb == problem.ub]
+    fixed = problem.lb == problem.ub
+    x[fixed] = problem.lb[fixed]
+    return solve_batch(form, x[None], options)[0]
+
+
+def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | None = None) -> tuple[Solution, ...]:
+    """Drive B instances of form to first-order KKT points in lockstep.
+
+    x0 is (B, n_vars), each instance's start with its fixed entries on its
+    pins: the instances are the programs of one stage, which differ only in
+    their pins, at their starts.  Each instance iterates exactly as it
+    would alone, and leaves the batch when it stops; the Solutions come in
+    the order of x0.  Raises KktSingularError as soon as any instance's KKT
+    matrix stays singular.
+    """
+    opts = options or SolverOptions()
+    x = np.array(x0, dtype=float, ndmin=2)
+    n_b = x.shape[0]
+    me, mi = form.eq.n_rows, form.ineq.n_rows + form.bnd_var.size
+
     # The duals start from this first evaluation; zeros hold their places.
-    pt = _evaluate(form, x, np.zeros(me), np.zeros(mi), np.zeros(mi))
+    pt = _evaluate(form, x, np.zeros((n_b, me)), np.zeros((n_b, mi)), np.zeros((n_b, mi)))
     s = np.maximum(-pt.h, 1e-2)
     z = np.minimum(np.maximum(MU_INIT / s, 1e-8), 1e8)
     # Least-squares multiplier estimate for the equalities; a poor guess here
     # costs many early iterations on feasibility-dominated steps.
-    y = np.zeros(me)
+    y = np.zeros((n_b, me))
     if me:
-        rhs0 = -(form.c + _jh_t(form, pt.jh, z))[form.free]
-        # Jg[:, free] has full row rank on every bundled feeder, so the
-        # QR-based gelsy gives the same unique solution as an SVD, faster.
-        y_ls, *_ = scipy.linalg.lstsq(pt.jg[:, form.free].T, rhs0, lapack_driver="gelsy")
-        if np.abs(y_ls).max() <= 1e3:
-            y = y_ls
+        rhs0 = -(form.c + _jh_t(form, pt.jh, z))[:, form.free]
+        jg = np.zeros((me, form.n_vars))
+        for k in range(n_b):
+            jg[form.eq.jac_row, form.eq.jac_col] = pt.jg[k]
+            # Jg[:, free] has full row rank on every bundled feeder, so the
+            # QR-based gelsy gives the same unique solution as an SVD, faster.
+            y_ls, *_ = scipy.linalg.lstsq(jg[:, form.free].T, rhs0[k], lapack_driver="gelsy")
+            if np.abs(y_ls).max() <= 1e3:
+                y[k] = y_ls
+        del jg
     pt = replace(pt, y=y, z=z, s=s)
 
-    mu = MU_INIT
-    delta_last = 0.0
-    factorizations = 0
-    trace: list[dict] = []
-    status = "iteration_limit"
-    small_steps = 0
+    # Per instance of the batch; pt holds the rows of the instances `ids`
+    # that still iterate, all at iteration `it`.
+    ids = np.arange(n_b)
+    mu = np.full(n_b, MU_INIT)
+    delta_last = np.zeros(n_b)
+    small_steps = np.zeros(n_b, dtype=int)
+    factorizations = np.zeros(n_b, dtype=int)
+    traces: list[list[dict]] = [[] for _ in range(n_b)]
+    out: list[Solution | None] = [None] * n_b
     it = 0
 
-    while it < opts.max_iter:
-        err, err_mu = _kkt_errors(form, pt, 0.0, mu)
-        if err <= opts.tol_kkt:
-            status = "optimal"
+    def finish(rows: np.ndarray, status) -> None:
+        """Record the Solutions of the active instances `rows` (a mask), stopped with `status` (one or one each)."""
+        ended = pt.take(rows)
+        errors = _kkt_errors(form, ended, 0.0)[0]
+        for k, i in enumerate(ids[rows]):
+            st = str(np.broadcast_to(status, errors.shape)[k])
+            if st == "optimal" and np.any(ended.h[k] > opts.tol_kkt):
+                st = "iteration_limit"
+            out[i] = Solution(
+                x=ended.x[k],
+                objective=float(-form.c @ ended.x[k]),
+                status=st,
+                iterations=it,
+                max_kkt_residual=float(errors[k]),
+                ineq_active=ended.h[k, : form.ineq.n_rows] > -1e-6,
+                factorizations=int(factorizations[i]),
+                trace=tuple(traces[i]),
+            )
+
+    while ids.size:
+        if it >= opts.max_iter:
+            finish(np.ones(ids.size, dtype=bool), "iteration_limit")
             break
+        err, err_mu = _kkt_errors(form, pt, 0.0, mu[ids])
+        done = err <= opts.tol_kkt
+        if done.any():
+            finish(done, "optimal")
+            pt, ids, err_mu = pt.take(~done), ids[~done], err_mu[~done]
+            if not ids.size:
+                break
         # Monotone Fiacco-McCormick barrier reduction, gated on the inner
         # problem being solved to within a multiple of the current mu; the
         # target blends the fixed shrink with the measured complementarity.
-        if mi and mu > opts.tol_kkt / 100.0 and err_mu <= 10.0 * mu:
-            compl = float(pt.s @ pt.z) / mi
-            mu = max(
-                opts.tol_kkt / 100.0,
-                min(MU_SHRINK * mu, max(0.1 * compl, mu**1.5)),
-            )
+        m_u = mu[ids]
+        if mi:
+            compl = np.matmul(pt.s[:, None, :], pt.z[:, :, None])[:, 0, 0] / mi
+            shrink = (m_u > opts.tol_kkt / 100.0) & (err_mu <= 10.0 * m_u)
+            target = np.maximum(opts.tol_kkt / 100.0, np.minimum(MU_SHRINK * m_u, np.maximum(0.1 * compl, m_u**1.5)))
+            m_u = np.where(shrink, target, m_u)
+            mu[ids] = m_u
 
-        delta_c_first = np.sqrt(np.finfo(float).eps) * max(mu, 1e-6)
-        delta_w, delta_c = 0.0, 0.0
-        # sytrf leaves its input intact, so a retry rewrites only the entries
-        # that depend on the regularization rather than the whole matrix.
-        kkt, step, regularize = kkt_assemble(form, pt, mu)
-        iter_factorizations = 0
-        factorize_s = 0.0
-        for _ in range(60):
-            t0 = time.perf_counter()
-            solve_fn, inertia = _ldlt(kkt)
-            factorize_s += time.perf_counter() - t0
-            iter_factorizations += 1
-            if inertia[0] == n_reduced and inertia[2] == 0:
-                break
-            if inertia[2] > 0:
-                delta_c = 10.0 * delta_c if delta_c > 0.0 else delta_c_first
-            if delta_w == 0.0:
-                delta_w = max(REGULARIZATION_MIN, delta_last / 3.0)
-            else:
-                delta_w *= 10.0
-            if delta_w > 1e12:
-                raise KktSingularError(
-                    f"KKT inertia {inertia} not correctable at regularization {delta_w:g}"
-                )
-            step = regularize(delta_w, delta_c)
-        delta_last = delta_w
-        factorizations += iter_factorizations
+        dx, dy, dz, ds, delta_w, delta_c, iter_factorizations, factorize_s = _newton_step(
+            form, pt, m_u, delta_last[ids]
+        )
+        delta_last[ids] = delta_w
+        factorizations[ids] += iter_factorizations
 
-        dx, dy, dz, ds = step(solve_fn)
-
-        # Fraction-to-boundary limits keep s and z strictly positive.
-        alpha = 1.0
-        neg = ds < 0.0
-        if np.any(neg):
-            alpha = min(1.0, float(np.min(-STEP_FRACTION * pt.s[neg] / ds[neg])))
-        alpha_z = 1.0
-        neg = dz < 0.0
-        if np.any(neg):
-            alpha_z = min(1.0, float(np.min(-STEP_FRACTION * pt.z[neg] / dz[neg])))
-
-        # No merit line search: the fraction-to-boundary step is taken as is,
-        # with a divergence guard that halves the step while the infeasibility
-        # grows out of proportion.  Each probe is evaluated once, and an
-        # accepted one becomes the next iterate.
-        guard = max(10.0 * _theta(pt), 1e-2)
-        cand = None
-        for _ in range(30):
-            probe = _evaluate(form, pt.x + alpha * dx, pt.y, pt.z, pt.s + alpha * ds)
-            val = _theta(probe)
-            if np.isfinite(val) and val <= guard:
-                cand = probe
-                break
-            alpha *= 0.5
-
-        if cand is not None and alpha >= 1e-11:
-            small_steps = 0
-            z = np.maximum(pt.z + alpha_z * dz, 1e-16)
-            # Upper dual safeguard: degenerate active sets have unbounded
-            # multipliers, which would blow up the Lagrangian Hessian.
-            z = np.minimum(z, np.maximum(1e10 * mu / cand.s, 1e4))
-            pt = replace(cand, y=pt.y + alpha * dy, z=z)
-        else:
-            small_steps += 1
-            delta_last = max(delta_last, 1e-4)
+        pt, took, alpha = _take_step(form, pt, m_u, dx, dy, dz, ds)
+        small_steps[ids] = np.where(took, 0, small_steps[ids] + 1)
+        delta_last[ids] = np.where(took, delta_last[ids], np.maximum(delta_last[ids], 1e-4))
         it += 1
 
-        if small_steps >= 3:
-            status = "infeasible_local" if _theta(pt) > 1e-6 else "iteration_limit"
-            break
+        theta = _theta(pt)
+        stuck = small_steps[ids] >= 3
         # Diverging multipliers with persistent constraint violation is the
         # interior-point certificate of local infeasibility.
-        dual_norm = max(np.abs(pt.y).max() if me else 0.0, np.abs(pt.z).max() if mi else 0.0)
-        if dual_norm > 1e8 and _theta(pt) > 1e-6:
-            status = "infeasible_local"
-            break
+        dual_norm = np.maximum(np.abs(pt.y).max(axis=1, initial=0.0), np.abs(pt.z).max(axis=1, initial=0.0))
+        stop = stuck | ((dual_norm > 1e8) & (theta > 1e-6))
+        if stop.any():
+            status = np.where(stuck & (theta <= 1e-6), "iteration_limit", "infeasible_local")
+            finish(stop, status[stop])
+            pt, ids, theta = pt.take(~stop), ids[~stop], theta[~stop]
+            alpha, delta_w, delta_c = alpha[~stop], delta_w[~stop], delta_c[~stop]
+            iter_factorizations, factorize_s = iter_factorizations[~stop], factorize_s[~stop]
 
-        if opts.trace:
-            trace.append({
-                "iter": it, "mu": mu, "objective": float(-form.c @ pt.x),
-                "kkt_error": _kkt_errors(form, pt, 0.0)[0], "theta": _theta(pt), "alpha": alpha,
-                "delta_w": delta_w, "delta_c": delta_c,
-                "factorizations": iter_factorizations, "factorize_s": factorize_s,
-            })
+        if opts.trace and ids.size:
+            objective = np.matmul(pt.x[:, None, :], -form.c)[:, 0]
+            kkt_error = _kkt_errors(form, pt, 0.0)[0]
+            for k, i in enumerate(ids):
+                traces[i].append({
+                    "iter": it, "mu": float(mu[i]), "objective": float(objective[k]),
+                    "kkt_error": float(kkt_error[k]), "theta": float(theta[k]), "alpha": float(alpha[k]),
+                    "delta_w": float(delta_w[k]), "delta_c": float(delta_c[k]),
+                    "factorizations": int(iter_factorizations[k]), "factorize_s": float(factorize_s[k]),
+                })
 
-    if status == "optimal" and np.any(pt.h > opts.tol_kkt):
-        status = "iteration_limit"
-
-    return Solution(
-        x=pt.x,
-        objective=float(problem.obj_coef @ pt.x),
-        status=status,
-        iterations=it,
-        max_kkt_residual=_kkt_errors(form, pt, 0.0)[0],
-        ineq_active=pt.h[: problem.ineq.n_rows] > -1e-6,
-        factorizations=factorizations,
-        trace=tuple(trace),
-    )
+    return tuple(out)

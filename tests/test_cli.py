@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -120,11 +121,25 @@ class TestErrorPaths:
         rc = main(["solve", "--network", str(net), "--scenario", "5", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_margin_run_with_unrated_units_exits_0(self, tmp_path):
+        # Two units at n2/b that give no reactive rating (q_abs_max_kvar defaults to 0).
+        doc = json.loads(fixture_path("synth4_unbal.json").read_text())
+        doc["generators"] += [{"id": z, "bus": "n2", "phase": "b", "p_cap_kw": 0.0} for z in ("z1", "z2")]
+        net = tmp_path / "unrated.json"
+        net.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        rc = main(["solve", "--network", str(net), "--scenario", "5", "--objective", "reactive-margin",
+                   "--starts", "1", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in (out / "envelopes.csv").read_text().splitlines()[1:]]
+        assert {float(r[4]) for r in rows if r[0] in ("z1", "z2")} == {0.0}
+        assert main(["validate", "--network", str(net), "--result", str(out), "--scenario", "5"]) == 0
+
     def test_singular_kkt_exits_2(self, tmp_path, monkeypatch, capsys):
         def singular(*args, **kwargs):
             raise solver.KktSingularError("KKT matrix singular")
 
-        monkeypatch.setattr(solver, "solve", singular)
+        monkeypatch.setattr(solver, "solve_batch", singular)
         rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "KKT matrix singular" in capsys.readouterr().err
@@ -350,7 +365,8 @@ class TestRunScenario:
         assert all(d["winning_start"] == 0 and len(d["starts"]) == 1 for d in diagnostics["stage1"])
 
     def test_timings_apart_from_deterministic_files(self, tmp_path):
-        # Two-stage margin run: stage 1 and stage 2 each time every period.
+        # Two-stage margin run: stage 1 and stage 2 each time their one batch
+        # solve, and the build and validation of every period.
         runs = [
             run_scenario(two_bus_case(), ScenarioSpec(5, Objective.REACTIVE_MARGIN), starts=1) for _ in range(2)
         ]
@@ -359,13 +375,15 @@ class TestRunScenario:
         for name in ("envelopes.csv", "summary.json", "diagnostics.json", "envelopes.svg"):
             assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
         timings = json.loads((tmp_path / "0" / "timings.json").read_text())
-        assert set(timings) == {"periods", "stage1", "emit_s"}
+        assert set(timings) == {"periods", "solve_s", "stage1", "emit_s"}
+        assert set(timings["stage1"]) == {"periods", "solve_s"}
         assert timings["emit_s"] > 0.0
-        for stage in (timings["periods"], timings["stage1"]):
-            assert [d["period"] for d in stage] == [0, 1, 2, 3]
-            for d in stage:
-                assert set(d) == {"period", "build_s", "solve_s", "validate_s"}
-                assert d["solve_s"] > 0.0 and d["build_s"] > 0.0 and d["validate_s"] > 0.0
+        for stage in (timings, timings["stage1"]):
+            assert stage["solve_s"] > 0.0
+            assert [d["period"] for d in stage["periods"]] == [0, 1, 2, 3]
+            for d in stage["periods"]:
+                assert set(d) == {"period", "build_s", "validate_s"}
+                assert d["build_s"] > 0.0 and d["validate_s"] > 0.0
 
     def test_scenario1_has_no_start_spread(self, synth4):
         assert run_scenario(synth4, ScenarioSpec(1)).start_spread_pu == 0.0
@@ -399,6 +417,32 @@ class TestRunScenario:
         # The shares sum to the optimized injections.
         np.testing.assert_allclose(s1.p_kw.sum(axis=(0, 1)), s1.objective_pu * case.s_base, rtol=1e-14)
         np.testing.assert_allclose(result.p_kw, s1.p_kw * (1.0 - 1e-4), rtol=1e-12)
+
+    def test_margin_run_with_an_unrated_injection(self, synth4_unbal):
+        # z1 and z2 share n2/b and have no reactive rating at all: their
+        # injection has no reactive split, and its Q is pinned at 0.
+        case = shared_units_case(synth4_unbal, unrated_q_kvar=(0.0, 0.0))
+        result = run_scenario(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), starts=1)
+        gen = {g.id: k for k, g in enumerate(case.generators)}
+        for stage in (result.stage1, result):
+            assert [d["status"] for d in stage.diagnostics] == ["optimal"] * case.horizon
+            assert all(d["oracle_violations"] == 0 for d in stage.diagnostics)
+            assert not stage.q_kvar[[gen["z1"], gen["z2"]], 1].any()
+
+    @pytest.mark.parametrize("heavy, first", [([7], 7), ([17, 5], 5)])
+    def test_names_the_first_failed_period(self, synth2, heavy, first):
+        # A load 100 times its profile makes a period infeasible; the whole
+        # stage is solved as one batch, and the first failure in time order
+        # is the one reported.
+        loads = []
+        for ld in synth2.loads:
+            p, q = ld.p.copy(), ld.q.copy()
+            p[:, heavy] *= 100.0
+            q[:, heavy] *= 100.0
+            loads.append(dataclasses.replace(ld, p=p, q=q))
+        with pytest.raises(cli.ScenarioSolveError) as exc:
+            run_scenario(dataclasses.replace(synth2, loads=tuple(loads)), ScenarioSpec(5))
+        assert exc.value.period == first and exc.value.status == "infeasible_local"
 
     def test_two_stage_reports_both(self):
         case = two_bus_case()

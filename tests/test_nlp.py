@@ -116,6 +116,22 @@ class TestStructure:
         assert prob.ub[lay.qplus[e]] == pytest.approx(case.generators[0].q_abs_max)
         assert prob.lb[lay.qaux[e]] == 0.0
 
+    def test_unrated_injection_has_no_split(self, synth4_unbal):
+        # z1 and z2 share n2/b with no reactive rating: that injection's Q is
+        # pinned at 0, and it has no (Q+, Q-, Q_aux) and no split rows.
+        case = shared_units_case(synth4_unbal, unrated_q_kvar=(0.0, 0.0))
+        prob = build_problem(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), 0)
+        lay = prob.layout
+        e = lay.injections.index((case.bus_pos["n2"], 1))
+        assert e not in lay.split_injections and len(lay.split_injections) == len(lay.injections) - 1
+        assert prob.lb[lay.qg[e]] == prob.ub[lay.qg[e]] == 0.0
+        labels = prob.eq.labels + prob.ineq.labels
+        assert not any(label.endswith("[n2,b]") and label.startswith(("qsplit", "qaux")) for label in labels)
+        assert "qsplit[n2,a]" in labels
+        # Rated, the same injection keeps its split.
+        rated = build_problem(shared_units_case(synth4_unbal, (1.0, 2.0)), ScenarioSpec(5, Objective.REACTIVE_MARGIN), 0)
+        assert "qsplit[n2,b]" in rated.eq.labels and len(rated.layout.split_injections) == len(lay.injections)
+
     @pytest.mark.parametrize("fixture", ["feeder_hr", "synth4"])
     @pytest.mark.parametrize("objective", list(Objective))
     def test_layout_partitions_x(self, request, fixture, objective):

@@ -30,6 +30,19 @@ def toy_form(lb: float = -np.inf, ub: float = 2.0, eq_row: str | None = None) ->
     return internalize(toy)
 
 
+def assemble_one(form, pt, mu, delta_w=0.0, delta_c=0.0):
+    """kkt_assemble of a batch of one iterate, as (matrix, step, regularize)
+    of that instance: its step takes the solve of one right-hand side and
+    returns the instance's (dx, dy, dz, ds)."""
+    kkt, dims, step, regularize = kkt_assemble(form, pt, mu, delta_w, delta_c)
+    assert kkt.shape[2] == 1
+
+    def one(batch_step):
+        return lambda solve_fn: tuple(a[0] for a in batch_step(lambda r: solve_fn(r[0])[None]))
+
+    return kkt[: dims[0], : dims[0], 0], one(step), lambda dw, dc: one(regularize(dw, dc))
+
+
 def perturbed_point(prob, form, seed):
     rng = np.random.default_rng(seed)
     x = nlp.initial_point(prob)
@@ -78,7 +91,7 @@ def full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c=0.0):
     jb, cb = bound_rows(prob)
     n, me, mi = prob.n_vars, prob.eq.n_rows, prob.ineq.n_rows + cb.size
     fixed = np.flatnonzero(prob.lb == prob.ub)
-    x, y, z, s = pt.x, pt.y, pt.z, pt.s
+    x, y, z, s = pt.x[0], pt.y[0], pt.z[0], pt.s[0]
     w = delta_w * np.eye(n)
     for block, lam in ((prob.eq, y), (prob.ineq, z)):
         np.add.at(w, (block.qi, block.qj), lam[block.qk] * block.qv)
@@ -179,8 +192,8 @@ class TestKktAssemble:
             sign, h = np.array(sign), np.full(m, -1.5)
             x, s, z, mu = np.array([0.5]), np.array([1.5, 1.2])[:m], np.array([0.1, 0.4])[:m], 0.3
             pt = solver._evaluate(form, x, y=np.zeros(0), z=z, s=s)
-            np.testing.assert_array_equal(pt.h, h)
-            kkt, step, regularize = kkt_assemble(form, pt, mu)
+            np.testing.assert_array_equal(pt.h[0], h)
+            kkt, step, regularize = assemble_one(form, pt, mu)
             # [sum z/s]: the bound rows condensed into the Hessian
             sigma = z / s
             np.testing.assert_allclose(kkt, [[sigma.sum()]], rtol=1e-15)
@@ -212,12 +225,13 @@ class TestKktAssemble:
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
         pt = perturbed_point(prob, form, 2)
-        kkt, _, _ = kkt_assemble(form, pt, 0.1, 1e-4, 1e-6)
-        assert isinstance(kkt, np.ndarray) and kkt.flags.f_contiguous
+        stack, dims, _, _ = kkt_assemble(form, pt, 0.1, 1e-4, 1e-6)
+        assert isinstance(stack, np.ndarray) and stack.flags.f_contiguous and stack.shape[2] == 1
         (pairs,) = form.blocks
         n_pairs, n_lin = pairs.row.size, prob.lin_rows.size
         assert pairs.var.shape == (n_pairs, 1) and n_pairs > 0 and n_lin == 12
-        assert kkt.shape[0] == np.count_nonzero(prob.lb != prob.ub) + prob.eq.n_rows - 2 * n_pairs - 2 * n_lin
+        assert dims[0] == stack.shape[0] == np.count_nonzero(prob.lb != prob.ub) + prob.eq.n_rows - 2 * n_pairs - 2 * n_lin
+        kkt = stack[:, :, 0]
         assert np.abs(kkt - kkt.T).max() <= 1e-14
 
     def test_rejects_nonpositive_mu(self):
@@ -232,14 +246,14 @@ class TestKktAssemble:
         pt = perturbed_point(prob, form, 7)
         mu, delta_w = 0.1, 0.5
         y_fix = np.random.default_rng(8).standard_normal(np.count_nonzero(prob.lb == prob.ub))
-        kkt, step, _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
+        kkt, step, _ = assemble_one(form, pt, mu, delta_w, delta_c)
         dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
 
         k_full, rhs_full = full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c)
         ref = np.linalg.solve(k_full, rhs_full)
         n, me = prob.n_vars, prob.eq.n_rows
         dx_ref, dy_ref, dz_ref = ref[:n], ref[n : n + me], ref[n + me + y_fix.size :]
-        ds_ref = mu / pt.z - pt.s - (pt.s / pt.z) * dz_ref
+        ds_ref = mu / pt.z[0] - pt.s[0] - (pt.s[0] / pt.z[0]) * dz_ref
         for got, want in ((dx, dx_ref), (dy, dy_ref), (dz, dz_ref), (ds, ds_ref)):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
         assert np.all(dx[prob.lb == prob.ub] == 0.0)
@@ -250,7 +264,7 @@ class TestKktAssemble:
         form = internalize(prob)
         pt = perturbed_point(prob, form, 3)
         y_fix = np.zeros(np.count_nonzero(prob.lb == prob.ub))
-        kkt, _, regularize = kkt_assemble(form, pt, 0.1)
+        kkt, _, regularize = assemble_one(form, pt, 0.1)
         outcomes = set()
         # A negative shift stands in for negative curvature of W.  It also
         # shifts the blocks, which have none (their variables enter every row
@@ -258,7 +272,7 @@ class TestKktAssemble:
         # reduced matrix cannot see; the blocks' own inertia is counted apart.
         for delta_w in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 100.0):
             regularize(delta_w, delta_c)
-            _, (pos, _, zero) = solver._ldlt(kkt)
+            _, ((pos, _, zero),) = solver._ldlt([kkt])
             k_full, _ = full_augmented_system(prob, pt, 0.1, delta_w, y_fix, delta_c)
             full_pos = int(np.count_nonzero(np.linalg.eigvalsh(k_full) > 0.0))
             deficit = block_inertia_deficit(prob, form, k_full)
@@ -275,27 +289,30 @@ class TestLdlt:
         # (quadratic, so the pair is not eliminated)
         form = toy_form(eq_row="quadratic")
         pt = solver._evaluate(form, np.array([1.0]), np.zeros(1), np.ones(1), np.ones(1))
-        kkt = kkt_assemble(form, pt, 0.1)[0]
+        kkt = assemble_one(form, pt, 0.1)[0]
         np.testing.assert_allclose(kkt, [[1.0, 1.0], [1.0, 0.0]])
-        _, inertia = solver._ldlt(kkt)
-        assert inertia == (1, 1, 0)
+        _, inertia = solver._ldlt([kkt])
+        assert inertia.tolist() == [[1, 1, 0]]
 
     def test_solve_matches_dense_reference(self):
         rng = np.random.default_rng(4)
+        mats = []
         for n in (3, 10, 40):
             a = rng.standard_normal((n, n))
-            k = a + a.T + 0.1 * np.eye(n)
-            b = rng.standard_normal(n)
-            fn, inertia = solver._ldlt(k)
-            np.testing.assert_allclose(fn(b), np.linalg.solve(k, b), rtol=1e-9, atol=1e-9)
+            mats.append(a + a.T + 0.1 * np.eye(n))
+        # One call factors them all and reads each one's inertia.
+        factors, inertia = solver._ldlt(mats)
+        for k, factor, got in zip(mats, factors, inertia):
+            b = rng.standard_normal(k.shape[0])
+            np.testing.assert_allclose(solver._ldlt_solve(factor, b), np.linalg.solve(k, b), rtol=1e-9, atol=1e-9)
             ev = np.linalg.eigvalsh(k)
-            assert inertia == ((ev > 0).sum(), (ev < 0).sum(), 0)
+            assert got.tolist() == [(ev > 0).sum(), (ev < 0).sum(), 0]
 
     def test_detects_singularity(self):
         k = np.zeros((2, 2))
         k[0, 0] = 1.0
-        _, inertia = solver._ldlt(k)
-        assert inertia[2] == 1
+        _, inertia = solver._ldlt([k])
+        assert inertia[0, 2] == 1
 
 
 class TestSolve:
@@ -413,9 +430,9 @@ class TestInjections:
         inertias = []
         ldlt = solver._ldlt
 
-        def recording(k):
-            out = ldlt(k)
-            inertias.append(out[1])
+        def recording(mats):
+            out = ldlt(mats)
+            inertias.extend(out[1].tolist())
             return out
 
         monkeypatch.setattr(solver, "_ldlt", recording)
@@ -482,7 +499,7 @@ class TestPairElimination:
         assert pairs.var.shape == (18, 1) and pairs.srow.shape == (18, 0)
         assert labels(prob.eq, pairs.row) == {"gen_p", "gen_q"}
         assert form.free.size + prob.eq.n_rows == 354
-        kkt = kkt_assemble(form, perturbed_point(prob, form, 1), 0.1)[0]
+        kkt = assemble_one(form, perturbed_point(prob, form, 1), 0.1)[0]
         assert form.lin_rows.size == 120
         assert kkt.shape == (78, 78)
 
@@ -493,7 +510,7 @@ class TestPairElimination:
         form2 = internalize(stage2)
         (blocks,) = form2.blocks
         assert blocks.var.shape == (9, 4) and blocks.srow.shape == (9, 1)
-        kkt2 = kkt_assemble(form2, perturbed_point(stage2, form2, 1), 0.1)[0]
+        kkt2 = assemble_one(form2, perturbed_point(stage2, form2, 1), 0.1)[0]
         assert form2.free.size + stage2.eq.n_rows == 381
         assert kkt2.shape[0] == 381 - 9 * 6 - 2 * 120 == 87
 
@@ -538,21 +555,21 @@ class TestPairElimination:
             z=np.array([0.2, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7]), s=np.array([0.4, 1.5, 2.5, 0.4, 0.6, 0.3, 0.7]),
         )
         mu = 0.3
-        kkt, step, _ = kkt_assemble(form, pt, mu, delta_w, delta_c)
+        kkt, step, _ = assemble_one(form, pt, mu, delta_w, delta_c)
         assert kkt.shape == (1, 1)
         dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
         # The full system with every row kept (no fixed variables, so no y_fix).
         k_full, rhs_full = full_augmented_system(prob, pt, mu, delta_w, np.zeros(0), delta_c)
         want = np.linalg.solve(k_full, rhs_full)
         np.testing.assert_allclose(np.concatenate([dx, dy, dz]), want, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(ds, mu / pt.z - pt.s - (pt.s / pt.z) * dz, rtol=1e-14)
+        np.testing.assert_allclose(ds, mu / pt.z[0] - pt.s[0] - (pt.s[0] / pt.z[0]) * dz, rtol=1e-14)
 
     @pytest.mark.parametrize("delta_w, delta_c", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.2), (0.01, 0.2)])
     def test_lone_pair_matches_hand_algebra(self, delta_w, delta_c):
         # min -x s.t. x <= 2 and x - 1 = 0: the pair (x, row) leaves nothing behind.
         form = toy_form(ub=2.0, eq_row="linear")
         x, y, s, z, mu = np.array([0.5]), np.array([0.3]), np.array([1.5]), np.array([0.1]), 0.3
-        kkt, step, _ = kkt_assemble(form, solver._evaluate(form, x, y=y, z=z, s=s), mu, delta_w, delta_c)
+        kkt, step, _ = assemble_one(form, solver._evaluate(form, x, y=y, z=z, s=s), mu, delta_w, delta_c)
         assert kkt.shape == (0, 0)
         seen = []
         dx, dy, dz, ds = step(lambda r: seen.append(r) or np.zeros(0))
@@ -626,10 +643,10 @@ class TestLinearBasis:
         split = [labels.index("vmax"), labels.index("vmax") + 4, labels.index("imax"), labels.index("imax") + 7]
         assert form.ineq_on_d[split].all() and solver.SIGMA_CONDENSED_MAX < sigma
         s = pt.s.copy()
-        s[split] = pt.z[split] / sigma
+        s[0, split] = pt.z[0, split] / sigma
         pt = dataclasses.replace(pt, s=s)
         mu, delta_w = 0.1, 0.5
-        kkt, step, _ = kkt_assemble(form, pt, mu, delta_w)
+        kkt, step, _ = assemble_one(form, pt, mu, delta_w)
         assert kkt.shape[0] == 78 + len(split)
         dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
 
@@ -687,7 +704,7 @@ class TestOneEvaluationPerIterate:
     def test_each_point_evaluated_once(self, request, monkeypatch, fixture, period):
         prob = build_problem(request.getfixturevalue(fixture), ScenarioSpec(5), period)
         values, jacobians, iterates = [], [], []
-        value, jacobian, assemble = QuadBlock.value, QuadBlock.jacobian, solver.kkt_assemble
+        value, jacobian, assemble = QuadBlock.value, QuadBlock.jacobian_values, solver.kkt_assemble
 
         def counting_value(block, x):
             values.append(x.tobytes())
@@ -702,7 +719,7 @@ class TestOneEvaluationPerIterate:
             return assemble(form, pt, mu, *regularization)
 
         monkeypatch.setattr(QuadBlock, "value", counting_value)
-        monkeypatch.setattr(QuadBlock, "jacobian", counting_jacobian)
+        monkeypatch.setattr(QuadBlock, "jacobian_values", counting_jacobian)
         monkeypatch.setattr(solver, "kkt_assemble", recording_assemble)
         sol = solve(prob)
         assert sol.status == "optimal"
@@ -728,3 +745,73 @@ class TestOptions:
         # a nan tolerance would never stop the iteration before max_iter
         with pytest.raises(ValueError, match="finite"):
             SolverOptions(tol_kkt=tol)
+
+
+def stage_starts(problem, fixed_p=None, scales=(1.0, 0.9)):
+    """The programs of problem's stage, one per period, and every period's
+    starts at scales, as one (periods * scales, n_vars) batch."""
+    pins = [None if fixed_p is None else fixed_p[:, :, t] for t in range(problem.case.horizon)]
+    probs = [problem] + [nlp.pin_period(problem, t, pins[t]) for t in range(1, problem.case.horizon)]
+    return probs, nlp.initial_point(probs, scales).reshape(len(probs) * len(scales), -1)
+
+
+def stage2_program(case):
+    """The stage-2 margin program of a two-stage run, P pinned a whisker
+    below the stage-1 optimum of every period."""
+    stage1 = build_problem(case, ScenarioSpec(5), 0, bound_q_by_rating=True)
+    probs, x0 = stage_starts(stage1, scales=(1.0,))
+    sols = solver.solve_batch(internalize(stage1), x0)
+    assert all(sol.status == "optimal" for sol in sols)
+    fixed_p = np.stack([nlp.decode_generation(p, sol.x)[0] for p, sol in zip(probs, sols)], axis=2) * (1.0 - 1e-4)
+    spec = ScenarioSpec(5, Objective.REACTIVE_MARGIN)
+    return build_problem(case, spec, 0, fixed_p=fixed_p[:, :, 0]), fixed_p
+
+
+class TestLockstepBatch:
+    """A stage's periods and starts are solved as one batch, in which each
+    instance iterates exactly as it would alone."""
+
+    @pytest.mark.parametrize(
+        "fixture, scenario, stage",
+        [("feeder_hr", 5, "active"), ("feeder_hr", 5, "margin")]
+        + [("synth4_unbal", scenario, "active") for scenario in (2, 3, 4, 5)],
+    )
+    def test_batch_does_not_change_its_instances(self, request, fixture, scenario, stage):
+        case = request.getfixturevalue(fixture)
+        if stage == "margin":
+            problem, fixed_p = stage2_program(case)
+        else:
+            problem, fixed_p = build_problem(case, ScenarioSpec(scenario), 0), None
+        probs, x0 = stage_starts(problem, fixed_p)
+        form = internalize(problem)
+        batch = solver.solve_batch(form, x0)
+        assert len(batch) == 2 * case.horizon
+        for t in (3, 12, 19):
+            for k in (2 * t, 2 * t + 1):
+                alone = solve(probs[t], x0=x0[k], form=form)
+                got = batch[k]
+                assert (got.status, got.iterations, got.factorizations) == (
+                    alone.status, alone.iterations, alone.factorizations)
+                np.testing.assert_allclose(got.x, alone.x, rtol=0.0, atol=1e-12)
+
+    def test_a_failed_instance_leaves_the_others_alone(self, synth2):
+        # Period 7's load at 100 times its profile: both its starts end
+        # infeasible, and every other instance matches its lone solve.
+        loads = []
+        for ld in synth2.loads:
+            p, q = ld.p.copy(), ld.q.copy()
+            p[:, 7] *= 100.0
+            q[:, 7] *= 100.0
+            loads.append(dataclasses.replace(ld, p=p, q=q))
+        case = dataclasses.replace(synth2, loads=tuple(loads))
+        problem = build_problem(case, ScenarioSpec(5), 0)
+        probs, x0 = stage_starts(problem)
+        form = internalize(problem)
+        batch = solver.solve_batch(form, x0)
+        failed = [k for k, sol in enumerate(batch) if sol.status != "optimal"]
+        assert failed == [14, 15]
+        for k, got in enumerate(batch):
+            alone = solve(probs[k // 2], x0=x0[k], form=form)
+            assert (got.status, got.iterations, got.factorizations) == (
+                alone.status, alone.iterations, alone.factorizations)
+            np.testing.assert_allclose(got.x, alone.x, rtol=0.0, atol=1e-12)
