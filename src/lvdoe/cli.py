@@ -170,8 +170,8 @@ def _run_periods(
         timings.append({"period": t, "build_s": clock() - t0})
     t0 = clock()
     form = solver.internalize(problems[0])
-    x0 = nlp.initial_point(problems, scales)
-    solutions = solver.solve_batch(form, x0.reshape(T * starts, -1), opts)
+    x0 = np.array([nlp.initial_point(problem, scale) for problem in problems for scale in scales])
+    solutions = solver.solve_batch(form, x0, opts)
     solve_s = clock() - t0
 
     # Generation per period in pu, filled in as the periods are checked; the

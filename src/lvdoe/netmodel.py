@@ -120,6 +120,8 @@ class NetworkCase:
     bus_pos: dict = field(init=False, repr=False, compare=False)
     branch_pos: dict = field(init=False, repr=False, compare=False)
     slack: int = field(init=False, repr=False, compare=False)
+    tree: TreeIndex = field(init=False, repr=False, compare=False)
+    z: np.ndarray = field(init=False, repr=False, compare=False)  # (n_branch, 3, 3) complex series impedances
 
     def __post_init__(self) -> None:
         _require(self.s_base > 0.0 and self.v_base > 0.0, "bases must be positive")
@@ -152,7 +154,9 @@ class NetworkCase:
         object.__setattr__(self, "bus_pos", bus_pos)
         object.__setattr__(self, "branch_pos", branch_pos)
         object.__setattr__(self, "slack", slacks[0])
-        TreeIndex(self)  # raises InputError unless the branches span the buses as a tree
+        # raises InputError unless the branches span the buses as a tree
+        object.__setattr__(self, "tree", TreeIndex(self))
+        object.__setattr__(self, "z", np.array([br.z for br in self.branches]).reshape(-1, 3, 3))
 
     # Base quantities used by the per-unit transform.
     @property
@@ -164,10 +168,6 @@ class NetworkCase:
     def i_base(self) -> float:
         """Current base in ampere, per phase."""
         return self.s_base * 1e3 / self.v_base
-
-    def branch_z(self) -> np.ndarray:
-        """(n_branch, 3, 3) complex series impedances, stacked."""
-        return np.array([br.z for br in self.branches]).reshape(-1, 3, 3)
 
     def gen_entries(self) -> list[tuple[int, int]]:
         """(generator index, phase index) pairs, one per connected phase."""

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .netmodel import NetworkCase, PHASES, TreeIndex
+from .netmodel import NetworkCase, PHASES
 
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 # Anything below this (relative to the phasor scale) is roundoff, not unbalance.
@@ -83,13 +83,13 @@ class PhasorState:
 def _voltage_drop_residuals(state: PhasorState) -> np.ndarray:
     """(n_branch, 3, T) mismatch of the series voltage-drop law, A u + Z i_branch."""
     case = state.case
-    rise = np.einsum("lm,mpt->lpt", TreeIndex(case).A, state.u)
-    return rise + np.einsum("lpq,lqt->lpt", case.branch_z(), state.i_branch)
+    rise = np.einsum("lm,mpt->lpt", case.tree.A, state.u)
+    return rise + np.einsum("lpq,lqt->lpt", case.z, state.i_branch)
 
 
 def _kcl_residuals(state: PhasorState) -> np.ndarray:
     """(n_bus, 3, T) nodal balance: demand - generation - A' i_branch."""
-    tree = TreeIndex(state.case)
+    tree = state.case.tree
     total = -np.einsum("lm,lpt->mpt", tree.A, state.i_branch)
     np.add.at(total, tree.load_bus, state.i_load)
     np.subtract.at(total, tree.gen_bus, state.i_gen)

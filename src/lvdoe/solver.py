@@ -516,12 +516,10 @@ def _kkt_errors(form: InternalForm, pt: Iterate, *mus) -> list[np.ndarray]:
 # KKT assembly and symmetric indefinite factorization
 # ---------------------------------------------------------------------------
 
-def kkt_assemble(
-    form: InternalForm, pt: Iterate, mu, delta_w=0.0, delta_c=0.0
-) -> tuple[np.ndarray, np.ndarray, Callable, Callable]:
-    """Dense reduced KKT matrices of a batch at regularization (dw, dc), as
-    (kkt, dims, step, regularize); mu, dw and dc are numbers or one per
-    instance (see the module docstring).
+def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.ndarray, Callable, Callable]:
+    """Dense reduced KKT matrices of a batch, unregularized, as (kkt, dims,
+    step, regularize); mu is a number or one per instance (see the module
+    docstring).
 
     kkt is (dim, dim, B) in Fortran order: instance b's matrix is
     kkt[:d, :d, b] with d = dims[b], dim the largest; its split rows make
@@ -544,7 +542,8 @@ def kkt_assemble(
     instance.  regularize(dw, dc, which) rewrites the matrices of the
     instances `which` (all by default) in place from the same
     unregularized projection, so each matrix depends on its iterate and
-    (dw, dc) alone, and returns the step at the new regularization.
+    (dw, dc) alone, and returns the step at the new regularization; dw and
+    dc are numbers or one per instance.
     """
     n_b = pt.x.shape[0]
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (n_b,))
@@ -716,7 +715,7 @@ def kkt_assemble(
         dz[sb, sr] = dz_split
         return dx, dy, dz, mu[:, None] / z - s - (s / z) * dz
 
-    return kkt, dims, regularize(delta_w, delta_c), regularize
+    return kkt, dims, regularize(0.0, 0.0), regularize
 
 
 def _block_solver(
@@ -944,28 +943,15 @@ def _take_step(
 # Main iteration
 # ---------------------------------------------------------------------------
 
-def solve(
-    problem: NlpProblem,
-    options: SolverOptions | None = None,
-    x0: np.ndarray | None = None,
-    form: InternalForm | None = None,
-) -> Solution:
-    """Drive the interior-point iteration to a first-order KKT point: the
-    batch of one of solve_batch.
+def solve(problem: NlpProblem, options: SolverOptions | None = None) -> Solution:
+    """Drive the interior-point iteration to a first-order KKT point:
+    solve_batch's batch of one from the flat start.
 
     Deterministic: identical problems and options reproduce the iteration
     history bit for bit.  Nonconvexity means the result is a KKT point, not
-    a certified global optimum.  x0 overrides the flat-start initialization;
-    form, internalize() of problem or of a program that differs from it only
-    in its pins (another period of the stage), saves building it again.
+    a certified global optimum.
     """
-    if form is None:
-        form = internalize(problem)
-    x = nlp_mod.initial_point(problem) if x0 is None else x0.astype(float).copy()
-    # Fixed variables start on their pins; the step never moves them.
-    fixed = problem.lb == problem.ub
-    x[fixed] = problem.lb[fixed]
-    return solve_batch(form, x[None], options)[0]
+    return solve_batch(internalize(problem), nlp_mod.initial_point(problem)[None], options)[0]
 
 
 def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | None = None) -> tuple[Solution, ...]:

@@ -39,6 +39,14 @@ def feeder_au():
     return load_network(fixture_path("feeder_au.json"))
 
 
+def dense_jacobian(block, x: np.ndarray) -> np.ndarray:
+    """block's Jacobian at one point x as a dense (n_rows, n_vars) array: the
+    values the solver uses, jacobian_values, scattered onto (jac_row, jac_col)."""
+    out = np.zeros((block.n_rows, block.n_vars))
+    out[block.jac_row, block.jac_col] = block.jacobian_values(x)
+    return out
+
+
 def flat_state(case: nm.NetworkCase, n_periods: int = 1, vm: float = 1.0) -> PhasorState:
     """Balanced nominal voltages everywhere, all currents zero."""
     ref = nm.slack_reference(case, vm)

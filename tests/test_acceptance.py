@@ -19,7 +19,7 @@ from lvdoe.nlp import Objective, ScenarioSpec, build_custom, build_problem
 from lvdoe.phasecalc import LimitKind
 from lvdoe.solver import SolverOptions
 
-from conftest import fixture_path
+from conftest import dense_jacobian, fixture_path
 
 
 def _solve_all_periods(case, scenario=5):
@@ -166,7 +166,7 @@ def test_criterion_6_derivative_correctness(synth2, synth4):
             free = ~(prob.lb == prob.ub)
             x[free] += 0.25 * rng.standard_normal(int(free.sum()))
             for block in (prob.eq, prob.ineq):
-                j_an = block.jacobian(x)
+                j_an = dense_jacobian(block, x)
                 j_fd = np.empty_like(j_an)
                 for i in range(x.size):
                     xp, xm = x.copy(), x.copy()

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lvdoe import netmodel as nm
-from lvdoe.cli import main
+from lvdoe import netmodel as nm, oracle
+from lvdoe.cli import emit_results, main, run_scenario
 from lvdoe.netmodel import InputError, load_network, seq_to_phase_impedance, to_per_unit, to_physical
+from lvdoe.nlp import Objective, ScenarioSpec
+from lvdoe.phasecalc import ALL_LIMITS
 
 from conftest import fixture_path
 
@@ -337,3 +340,40 @@ class TestTreeIndex:
         others = np.delete(np.arange(len(case.buses)), case.slack)
         np.testing.assert_array_equal(tree.A[:, others].T @ tree.P[:, others], np.eye(len(others)))
         assert not tree.P[:, case.slack].any()
+
+    def test_one_walk_per_case(self, monkeypatch, tmp_path):
+        # The case walks its tree once, on load; the programs of a two-stage
+        # run, its result files and the oracle's checks all read case.tree.
+        case = load_network(fixture_path("synth4_unbal.json"))
+        walks = []
+        init = nm.TreeIndex.__init__
+
+        def counting(tree, walked):
+            walks.append(walked)
+            init(tree, walked)
+
+        monkeypatch.setattr(nm.TreeIndex, "__init__", counting)
+        result = run_scenario(case, ScenarioSpec(5, Objective.REACTIVE_MARGIN), starts=2)
+        emit_results(result, tmp_path)
+        assert oracle.validate(case, oracle.InjectionSet.from_case(case), 0, ALL_LIMITS).ok
+        oracle.doe_bisection(case, case.generators[0].id, ALL_LIMITS, 0)
+        assert walks == []
+
+    def test_derived_fields_follow_the_case(self, feeder_hr):
+        # A copy with other fields, as a benchmark cuts a case down to some
+        # periods, and the physical case both hold their own tree and z.
+        periods = [3, 12, 19]
+        loads = tuple(dataclasses.replace(ld, p=ld.p[:, periods].copy(), q=ld.q[:, periods].copy())
+                      for ld in feeder_hr.loads)
+        for case in (dataclasses.replace(feeder_hr, loads=loads, horizon=3), to_physical(feeder_hr)):
+            fresh = nm.TreeIndex(case)
+            assert case.tree is not feeder_hr.tree
+            for name in ("A", "P", "down_sign", "load_bus", "gen_bus"):
+                np.testing.assert_array_equal(getattr(case.tree, name), getattr(fresh, name))
+            np.testing.assert_array_equal(case.z, np.array([br.r + 1j * br.x for br in case.branches]))
+        np.testing.assert_allclose(to_physical(feeder_hr).z, feeder_hr.z * feeder_hr.z_base, rtol=1e-15)
+
+    def test_derived_fields_leave_equality_alone(self, synth4):
+        copy = dataclasses.replace(synth4)
+        assert copy.tree is not synth4.tree and copy.z is not synth4.z
+        assert copy == synth4

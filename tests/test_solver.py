@@ -9,7 +9,7 @@ from lvdoe.nlp import Objective, QuadBlock, ScenarioSpec, build_custom, build_pr
 from lvdoe.phasecalc import LimitKind
 from lvdoe.solver import SolverOptions, internalize, kkt_assemble, solve
 
-from conftest import two_bus_case
+from conftest import dense_jacobian, two_bus_case
 
 
 def toy_form(lb: float = -np.inf, ub: float = 2.0, eq_row: str | None = None) -> solver.InternalForm:
@@ -31,10 +31,11 @@ def toy_form(lb: float = -np.inf, ub: float = 2.0, eq_row: str | None = None) ->
 
 
 def assemble_one(form, pt, mu, delta_w=0.0, delta_c=0.0):
-    """kkt_assemble of a batch of one iterate, as (matrix, step, regularize)
-    of that instance: its step takes the solve of one right-hand side and
-    returns the instance's (dx, dy, dz, ds)."""
-    kkt, dims, step, regularize = kkt_assemble(form, pt, mu, delta_w, delta_c)
+    """kkt_assemble of a batch of one iterate, regularized by (delta_w,
+    delta_c), as (matrix, step, regularize) of that instance: its step takes
+    the solve of one right-hand side and returns the instance's (dx, dy, dz, ds)."""
+    kkt, dims, _, regularize = kkt_assemble(form, pt, mu)
+    step = regularize(delta_w, delta_c)
     assert kkt.shape[2] == 1
 
     def one(batch_step):
@@ -95,7 +96,7 @@ def full_augmented_system(prob, pt, mu, delta_w, y_fix, delta_c=0.0):
     w = delta_w * np.eye(n)
     for block, lam in ((prob.eq, y), (prob.ineq, z)):
         np.add.at(w, (block.qi, block.qj), lam[block.qk] * block.qv)
-    jg, jh = prob.eq.jacobian(x), np.vstack([prob.ineq.jacobian(x), jb])
+    jg, jh = dense_jacobian(prob.eq, x), np.vstack([dense_jacobian(prob.ineq, x), jb])
     jf = np.eye(n)[fixed]
     cons = np.vstack([jg, jf, jh])
     dim = n + me + fixed.size + mi
@@ -225,7 +226,8 @@ class TestKktAssemble:
         prob = build_problem(case, ScenarioSpec(5), 0)
         form = internalize(prob)
         pt = perturbed_point(prob, form, 2)
-        stack, dims, _, _ = kkt_assemble(form, pt, 0.1, 1e-4, 1e-6)
+        stack, dims, _, regularize = kkt_assemble(form, pt, 0.1)
+        regularize(1e-4, 1e-6)
         assert isinstance(stack, np.ndarray) and stack.flags.f_contiguous and stack.shape[2] == 1
         (pairs,) = form.blocks
         n_pairs, n_lin = pairs.row.size, prob.lin_rows.size
@@ -607,7 +609,7 @@ class TestLinearBasis:
         form = internalize(prob)
         nd, nc = form.basis.shape
         assert nd == form.lin_rows.size == 120 and form.keep.size - nd == nc == 48
-        a_k = prob.eq.jacobian(nlp.initial_point(prob))[np.ix_(form.lin_rows, form.keep)]
+        a_k = dense_jacobian(prob.eq, nlp.initial_point(prob))[np.ix_(form.lin_rows, form.keep)]
         z = np.vstack([form.basis, np.eye(form.keep.size - nd)[:nc]])
         assert np.abs(a_k[:, : nd + nc] @ z).max() <= 1e-12 * np.abs(a_k).max() * np.abs(z).max()
         # The other kept columns enter no linear row.
@@ -669,7 +671,7 @@ class TestLinearBasis:
         x0 = nlp.initial_point(prob)
         moved = x0.copy()
         moved[prob.lb != prob.ub] *= 1 + 1e-13
-        a, b = solve(prob, x0=x0), solve(prob, x0=moved)
+        a, b = solver.solve_batch(internalize(prob), np.array([x0, moved]))
         assert a.status == b.status == "optimal"
         assert abs(a.objective - b.objective) <= 1e-9
         _, q_a = nlp.decode_generation(prob, a.x)
@@ -714,9 +716,9 @@ class TestOneEvaluationPerIterate:
             jacobians.append(x.tobytes())
             return jacobian(block, x)
 
-        def recording_assemble(form, pt, mu, *regularization):
+        def recording_assemble(form, pt, mu):
             iterates.append(pt.x.tobytes())
-            return assemble(form, pt, mu, *regularization)
+            return assemble(form, pt, mu)
 
         monkeypatch.setattr(QuadBlock, "value", counting_value)
         monkeypatch.setattr(QuadBlock, "jacobian_values", counting_jacobian)
@@ -752,7 +754,7 @@ def stage_starts(problem, fixed_p=None, scales=(1.0, 0.9)):
     starts at scales, as one (periods * scales, n_vars) batch."""
     pins = [None if fixed_p is None else fixed_p[:, :, t] for t in range(problem.case.horizon)]
     probs = [problem] + [nlp.pin_period(problem, t, pins[t]) for t in range(1, problem.case.horizon)]
-    return probs, nlp.initial_point(probs, scales).reshape(len(probs) * len(scales), -1)
+    return probs, np.array([nlp.initial_point(prob, scale) for prob in probs for scale in scales])
 
 
 def stage2_program(case):
@@ -788,7 +790,7 @@ class TestLockstepBatch:
         assert len(batch) == 2 * case.horizon
         for t in (3, 12, 19):
             for k in (2 * t, 2 * t + 1):
-                alone = solve(probs[t], x0=x0[k], form=form)
+                (alone,) = solver.solve_batch(form, x0[k][None])
                 got = batch[k]
                 assert (got.status, got.iterations, got.factorizations) == (
                     alone.status, alone.iterations, alone.factorizations)
@@ -811,7 +813,7 @@ class TestLockstepBatch:
         failed = [k for k, sol in enumerate(batch) if sol.status != "optimal"]
         assert failed == [14, 15]
         for k, got in enumerate(batch):
-            alone = solve(probs[k // 2], x0=x0[k], form=form)
+            (alone,) = solver.solve_batch(form, x0[k][None])
             assert (got.status, got.iterations, got.factorizations) == (
                 alone.status, alone.iterations, alone.factorizations)
             np.testing.assert_allclose(got.x, alone.x, rtol=0.0, atol=1e-12)

@@ -50,7 +50,8 @@ solver._ldlt = recording
 case = netmodel.load_network(sys.argv[1])
 cli.run_scenario(case, ScenarioSpec(5), starts=2)
 metrics = {name: value for name, (value, _) in tracer.metrics().items()}
-print(json.dumps({"metrics": metrics, "factored_max": max(factored), "batch": 2 * case.horizon}))
+starts = sum(span[0] == "nlp.initial_point" for span in tracer.spans)
+print(json.dumps({"metrics": metrics, "factored_max": max(factored), "batch": 2 * case.horizon, "starts": starts}))
 """
 
 
@@ -88,3 +89,8 @@ def test_traced_scenario_run_reports_the_factored_dimension():
     assert metrics["solver.factorize.calls"] >= metrics["solver.kkt_assemble.calls"]
     assert metrics["solver.internalize.s"] > 0.0 and metrics["nlp.initial_point.s"] > 0.0
     assert metrics["oracle.solve_pf.calls"] == 24
+    # The case holds its tree, so the hook on nlp.TreeIndex and
+    # oracle.TreeIndex counts no walk; and each start of the stage's batch
+    # (24 periods x 2 starts) is its own initial_point call.
+    assert metrics["netmodel.tree_index.calls"] == 0
+    assert out["starts"] == out["batch"] == 48
