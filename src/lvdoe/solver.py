@@ -91,7 +91,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import nlp as nlp_mod
 from .nlp import NlpProblem, QuadBlock, batched_bincount
@@ -760,7 +759,14 @@ def _block_solver(
 
 @functools.cache
 def _lapack() -> tuple[Callable, Callable, Callable]:
-    """LAPACK's sytrf, sytrs and sytrf_lwork for float64, looked up once."""
+    """LAPACK's sytrf, sytrs and sytrf_lwork for float64, looked up once.
+
+    scipy.linalg is imported here, on the first factorization, so that
+    importing the package, or running only the power-flow oracle, does not
+    pay for it.
+    """
+    import scipy.linalg
+
     return scipy.linalg.get_lapack_funcs(("sytrf", "sytrs", "sytrf_lwork"), dtype=np.float64)
 
 
@@ -977,13 +983,15 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
     # costs many early iterations on feasibility-dominated steps.
     y = np.zeros((n_b, me))
     if me:
+        from scipy.linalg import lstsq
+
         rhs0 = -(form.c + _jh_t(form, pt.jh, z))[:, form.free]
         jg = np.zeros((me, form.n_vars))
         for k in range(n_b):
             jg[form.eq.jac_row, form.eq.jac_col] = pt.jg[k]
             # Jg[:, free] has full row rank on every bundled feeder, so the
             # QR-based gelsy gives the same unique solution as an SVD, faster.
-            y_ls, *_ = scipy.linalg.lstsq(jg[:, form.free].T, rhs0[k], lapack_driver="gelsy")
+            y_ls, *_ = lstsq(jg[:, form.free].T, rhs0[k], lapack_driver="gelsy")
             if np.abs(y_ls).max() <= 1e3:
                 y[k] = y_ls
         del jg
