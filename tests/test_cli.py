@@ -179,7 +179,7 @@ class TestErrorPaths:
 
         def stops(form, x0, options):
             sols = batch(form, x0, options)
-            per_period = len(sols) // 24
+            per_period = len(sols) // 24  # synth2's 24 periods, each with its starts
             return [dataclasses.replace(s, status="iteration_limit") if k // per_period == period else s
                     for k, s in enumerate(sols)]
 
