@@ -54,7 +54,6 @@ class EnvelopeResult:
     diagnostics: tuple[dict, ...]
     timings: tuple[dict, ...] = ()  # per solved period: build and validation seconds
     solve_s: float = 0.0  # seconds of the stage's one batch solve
-    validate_s: float = 0.0  # seconds of the stage's one stacked oracle check
     stage1: "EnvelopeResult | None" = None
     starts: int = 2
     reactive_p: str = "two_stage"
@@ -153,10 +152,9 @@ def _run_periods(
 
     The periods of a stage differ only in their pins, so the stage builds
     its rows and its solver form once and solves all its periods and starts
-    as one lockstep batch.  It picks each period's best start, decodes the
-    periods and has the oracle check them in one stacked call; then, in
-    time order, the first period that has no optimum or that the oracle
-    rejects stops the run.
+    as one lockstep batch.  Then, period by period in time order, it picks
+    each period's best start, decodes it and has the oracle check it; the
+    first period that fails stops the run.
     """
     T = case.horizon
     scales = START_SCALES[:starts]
@@ -176,9 +174,12 @@ def _run_periods(
     solutions = solver.solve_batch(form, x0, opts)
     solve_s = clock() - t0
 
-    # Each period's best start, up to the first period that has none.
-    picked, failure = [], None
-    for t in range(T):
+    # Generation per period in pu, filled in as the periods are checked; the
+    # oracle only reads the period it checks.
+    injections = oracle.InjectionSet.from_case(case)
+    objective = np.zeros(T)
+    diags = []
+    for t, problem in enumerate(problems):
         sol, won, tried = None, 0, []
         for k, cand in enumerate(solutions[t * starts : (t + 1) * starts]):
             tried.append({"status": cand.status, "objective": cand.objective})
@@ -187,30 +188,12 @@ def _run_periods(
             ):
                 sol, won = cand, k
         if sol.status != "optimal":
-            failure = ScenarioSolveError(t, sol.status)
-            break
-        picked.append((sol, won, tried))
-
-    # The periods before it are decoded, then checked by the oracle in one
-    # stacked call; each period's validate_s is its decode time plus its
-    # share of that call.
-    checked = range(len(picked))
-    injections = oracle.InjectionSet.from_case(case)  # generation per period in pu
-    u = np.zeros((len(case.buses), 3, len(picked)), dtype=complex)
-    for t, (sol, _, _) in enumerate(picked):
+            raise ScenarioSolveError(t, sol.status)
         t0 = clock()
-        injections.p_gen[:, :, t], injections.q_gen[:, :, t] = nlp.decode_generation(problems[t], sol.x)
-        u[:, :, t] = nlp.decode_state(problems[t], sol.x).u[:, :, 0]
+        injections.p_gen[:, :, t], injections.q_gen[:, :, t] = nlp.decode_generation(problem, sol.x)
+        u = nlp.decode_state(problem, sol.x).u[:, :, 0]
+        report = oracle.validate(case, injections, t, problem.constraint_set, u)
         timings[t]["validate_s"] = clock() - t0
-    t0 = clock()
-    reports = oracle.validate(case, injections, checked, problems[0].constraint_set, u)
-    validate_s = clock() - t0
-
-    objective = np.zeros(T)
-    diags = []
-    for t in checked:  # in time order: the first period that fails stops the run
-        (sol, won, tried), report = picked[t], reports[t]
-        timings[t]["validate_s"] += validate_s / len(picked)
         if not report.ok:
             raise ScenarioSolveError(t, "oracle_rejected")
         objective[t] = sol.objective
@@ -234,8 +217,6 @@ def _run_periods(
                     f"dw {rec['delta_w']:8.2e}  dc {rec['delta_c']:8.2e}  fact {rec['factorizations']} "
                     f"in {rec['factorize_s'] * 1e3:.3f} ms"
                 )
-    if failure is not None:
-        raise failure
     return EnvelopeResult(
         case=case,
         spec=spec,
@@ -245,7 +226,6 @@ def _run_periods(
         diagnostics=tuple(diags),
         timings=tuple(timings),
         solve_s=solve_s,
-        validate_s=validate_s,
     )
 
 
@@ -274,9 +254,8 @@ def emit_results(
     go into the CSV, so the two files always agree exactly.  The per-period
     diagnostics (stage 1 included) hold no timings, so they are deterministic;
     the wall times go to timings.json alone: each solved period's build_s
-    and validate_s, each stage's solve_s for its one batch solve and
-    validate_s for its one stacked oracle check, and emit_s, the time taken
-    to write the four deterministic files.
+    and validate_s, each stage's solve_s for its one batch solve, and
+    emit_s, the time taken to write the four deterministic files.
     """
     t0 = time.perf_counter()
     out = Path(out_dir)
@@ -332,12 +311,9 @@ def emit_results(
     svg_path.write_text(render_svg([(label, per_period)], h))
     written.append(svg_path)
 
-    def stage_timings(stage: EnvelopeResult) -> dict:
-        return {"periods": list(stage.timings), "solve_s": stage.solve_s, "validate_s": stage.validate_s}
-
-    timings = {**stage_timings(result), "emit_s": time.perf_counter() - t0}
+    timings = {"periods": list(result.timings), "solve_s": result.solve_s, "emit_s": time.perf_counter() - t0}
     if result.stage1 is not None:
-        timings["stage1"] = stage_timings(result.stage1)
+        timings["stage1"] = {"periods": list(result.stage1.timings), "solve_s": result.stage1.solve_s}
     timings_path = out / "timings.json"
     timings_path.write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     written.append(timings_path)
@@ -550,7 +526,8 @@ def _cmd_validate(args) -> int:
         )
 
     worst = 0
-    for t, report in enumerate(oracle.validate(case, injections, range(case.horizon), cs)):
+    for t in range(case.horizon):
+        report = oracle.validate(case, injections, t, cs)
         if report.error is not None:
             print(f"period {t}: power flow failed: {report.error}")
             worst += 1

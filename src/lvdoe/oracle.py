@@ -9,7 +9,6 @@ optimization model; it is the ground truth the model is checked against.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,119 +53,87 @@ PF_TOL = 1e-12  # pu, largest voltage-drop residual at which the power flow stop
 PF_MAX_ITER = 50  # Newton iterations before the power flow counts as diverged
 
 
-class _Newton:
-    """The arrays of the Newton power flow that depend only on the case.
+def solve_pf(case: NetworkCase, injections: InjectionSet, period: int) -> PhasorState:
+    """Newton power flow at fixed injections; returns a single-period state.
 
-    Built once per bisection search or stacked solve: the path-impedance
-    stack of the drop Jacobian, the voltage-rise Jacobian on the non-slack
-    buses and the flat start.
+    Unknowns are the rectangular non-slack voltages.  Branch currents are
+    the path matrix applied to the injection currents, so nodal balance
+    holds exactly by construction and the residual being driven to zero is
+    the branch voltage-drop law, A u + Z i_branch.  The iteration stops once
+    that residual is at most PF_TOL and raises PowerFlowDivergedError after
+    PF_MAX_ITER iterations without it.
     """
-
-    def __init__(self, case: NetworkCase):
-        tree, z = case.tree, case.z
-        n = len(case.buses)
-        self.unknown = np.delete(np.arange(n), case.slack)
-        # Real form of each impedance, acting on (re a..c, im a..c) currents,
-        # indexed [branch, re/im, phase, re/im, phase].
-        z_real = np.block([[z.real, -z.imag], [z.imag, z.real]]).reshape(-1, 2, 3, 2, 3)
-        # blockdiag(Z) (P x I): each branch's drop per unit of bus injection
-        # current, as a stack over [unknown bus, phase] of (branch re/im phase, re/im).
-        zp = np.einsum("lm,lapcq->mqlapc", tree.P, z_real).reshape(n, 3, 6 * len(z), 2)
-        self.zp = zp[self.unknown]
-        cols = (6 * self.unknown[:, None] + np.arange(6)).ravel()
-        self.jac_volt = np.kron(tree.A, np.eye(6))[:, cols]
-        self.flat = np.tile(slack_reference(case)[None, :], (n, 1)).astype(complex)
-
-
-def solve_pf(
-    case: NetworkCase,
-    injections: InjectionSet,
-    period: int | Sequence[int],
-    newton: _Newton | None = None,
-) -> PhasorState:
-    """Newton power flow at fixed injections; returns one state per period.
-
-    period is one period or a sequence of them; the state's period axis
-    follows it, so one period gives a single-period state.  Unknowns are
-    the rectangular non-slack voltages.  Branch currents are the path
-    matrix applied to the injection currents, so nodal balance holds
-    exactly by construction and the residual being driven to zero is the
-    branch voltage-drop law, A u + Z i_branch.  The periods are one stack
-    of [period, bus, phase] unknowns solved together; each period leaves the
-    stack once its residual is at most PF_TOL, and takes the same steps as
-    it would alone.  PowerFlowDivergedError is raised when any period of
-    the stack collapses, meets a singular Jacobian or is still above
-    PF_TOL after PF_MAX_ITER iterations.  newton holds the case's
-    constants when the caller solves the same case many times.
-    """
-    tree, z = case.tree, case.z
-    nw = newton or _Newton(case)
-    periods = np.atleast_1d(np.asarray(period, dtype=np.intp))
-    s_load = injections.p_load[:, :, periods] + 1j * injections.q_load[:, :, periods]
-    s_gen = injections.p_gen[:, :, periods] + 1j * injections.q_gen[:, :, periods]
-    s_net = np.zeros((len(case.buses), 3, len(periods)), dtype=complex)  # demand minus generation
+    tree = case.tree
+    n = len(case.buses)
+    s_load = injections.p_load[:, :, period] + 1j * injections.q_load[:, :, period]
+    s_gen = injections.p_gen[:, :, period] + 1j * injections.q_gen[:, :, period]
+    s_net = np.zeros((n, 3), dtype=complex)  # drawn per bus and phase: demand minus generation
     np.add.at(s_net, tree.load_bus, s_load)
     np.subtract.at(s_net, tree.gen_bus, s_gen)
-    s_net = np.ascontiguousarray(s_net.transpose(2, 0, 1))  # [period, bus, phase]
 
-    def injection_currents(s: np.ndarray, volt: np.ndarray) -> np.ndarray:
+    z = case.z
+    # Real form of each impedance, acting on (re a..c, im a..c) currents,
+    # indexed [branch, re/im, phase, re/im, phase].
+    z_real = np.block([[z.real, -z.imag], [z.imag, z.real]]).reshape(-1, 2, 3, 2, 3)
+    # blockdiag(Z) (P x I): each branch's drop per unit of bus injection
+    # current, as a stack over [bus, phase] of (branch re/im phase, re/im).
+    zp = np.einsum("lm,lapcq->mqlapc", tree.P, z_real).reshape(n, 3, 6 * len(z), 2)
+    unknown = np.delete(np.arange(n), case.slack)
+    cols = (6 * unknown[:, None] + np.arange(6)).ravel()
+    jac_volt = np.kron(tree.A, np.eye(6))[:, cols]
+
+    u = np.tile(slack_reference(case)[None, :], (n, 1)).astype(complex)
+
+    def injection_currents(volt: np.ndarray) -> np.ndarray:
         if np.any(np.abs(volt) < 1e-3):
             raise PowerFlowDivergedError("voltage collapsed during Newton iteration")
-        return np.conj(s / volt)
+        return np.conj(s_net / volt)
 
-    u = np.repeat(nw.flat[None], len(periods), axis=0)
-    active = np.arange(len(periods))
     for _ in range(PF_MAX_ITER):
-        ua, sa = u[active], s_net[active]
-        i_br = tree.P @ injection_currents(sa, ua)
-        r = tree.A @ ua + np.einsum("lpq,klq->klp", z, i_br)
-        res = np.concatenate([r.real, r.imag], axis=2).reshape(len(active), 6 * len(z))
-        going = np.abs(res).max(axis=1) > PF_TOL
-        if not going.any():
+        i_br = tree.P @ injection_currents(u)
+        r = tree.A @ u + np.einsum("lpq,lq->lp", z, i_br)
+        res = np.concatenate([r.real, r.imag], axis=1).ravel()
+        if np.abs(res).max() <= PF_TOL:
             break
-        if not going.all():
-            active, ua, sa, res = active[going], ua[going], sa[going], res[going]
 
         # Impedance drops move with the voltages through the injection
         # currents: blockdiag(Z) (P x I) blockdiag(d i_net / d u).
-        unk = nw.unknown
-        dnet = _injection_current_jacobian(sa[:, unk], ua[:, unk])
-        jac_drop = (nw.zp @ dnet).transpose(0, 3, 1, 4, 2).reshape(len(active), *nw.jac_volt.shape)
+        dnet = _injection_current_jacobian(s_net, u)
+        jac_drop = (zp @ dnet).transpose(2, 0, 3, 1).reshape(6 * len(z), 6 * n)
         try:
-            dv = np.linalg.solve(nw.jac_volt + jac_drop, -res[:, :, None])
+            dv = np.linalg.solve(jac_volt + jac_drop[:, cols], -res).reshape(-1, 2, 3)
         except np.linalg.LinAlgError as exc:
             raise PowerFlowDivergedError(f"singular Jacobian: {exc}") from None
-        dv = dv.reshape(len(active), -1, 2, 3)
-        u[active[:, None], unk] += dv[:, :, 0] + 1j * dv[:, :, 1]
+        u[unknown] += dv[:, 0] + 1j * dv[:, 1]
     else:
         raise PowerFlowDivergedError(f"no convergence in {PF_MAX_ITER} iterations")
 
-    s_gen, s_load = s_gen.transpose(2, 0, 1), s_load.transpose(2, 0, 1)
     return PhasorState(
         case=case,
-        u=u.transpose(1, 2, 0),
-        i_branch=(tree.P @ injection_currents(s_net, u)).transpose(1, 2, 0),
-        i_load=np.conj(s_load / u[:, tree.load_bus]).transpose(1, 2, 0),
-        i_gen=np.conj(s_gen / u[:, tree.gen_bus]).transpose(1, 2, 0),
+        u=u[:, :, None],
+        i_branch=(tree.P @ injection_currents(u))[:, :, None],
+        i_load=np.conj(s_load / u[tree.load_bus])[:, :, None],
+        i_gen=np.conj(s_gen / u[tree.gen_bus])[:, :, None],
     )
 
 
 def _injection_current_jacobian(s_net: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """d(net injection current)/d(voltage) as one 2x2 real block per entry of s_net.
+    """d(net injection current)/d(voltage) as (n_bus, 3) blocks of 2x2 reals.
 
     The current of a constant-power element is conj(S/U); for U = a + jb,
     i_re = (P a + Q b)/(a^2+b^2) and i_im = (P b - Q a)/(a^2+b^2).
     """
-    out = np.zeros(s_net.shape + (2, 2))
+    n = s_net.shape[0]
+    out = np.zeros((n, 3, 2, 2))
     a, b = u.real, u.imag
     m2 = a * a + b * b
     p_, q_ = s_net.real, s_net.imag
     ire = (p_ * a + q_ * b) / m2
     iim = (p_ * b - q_ * a) / m2
-    out[..., 0, 0] = p_ / m2 - 2.0 * a * ire / m2
-    out[..., 0, 1] = q_ / m2 - 2.0 * b * ire / m2
-    out[..., 1, 0] = -q_ / m2 - 2.0 * a * iim / m2
-    out[..., 1, 1] = p_ / m2 - 2.0 * b * iim / m2
+    out[:, :, 0, 0] = p_ / m2 - 2.0 * a * ire / m2
+    out[:, :, 0, 1] = q_ / m2 - 2.0 * b * ire / m2
+    out[:, :, 1, 0] = -q_ / m2 - 2.0 * a * iim / m2
+    out[:, :, 1, 1] = p_ / m2 - 2.0 * b * iim / m2
     return out
 
 
@@ -199,13 +166,12 @@ def doe_bisection(
     phases = [PHASE_INDEX[ph] for ph in gen.phases]
     # One working set per search: each candidate overwrites the target's P.
     work = InjectionSet.from_case(case)
-    newton = _Newton(case)
     hi = BRACKET_CAP_MULTIPLE * gen.p_cap
 
     def feasible(p: float) -> bool:
         work.p_gen[g, phases, period] = p
         try:
-            state = solve_pf(case, work, period, newton)
+            state = solve_pf(case, work, period)
         except PowerFlowDivergedError:
             return False
         return not check_limits(state, constraint_set)
@@ -246,36 +212,20 @@ class ValidationReport:
 def validate(
     case: NetworkCase,
     injections: InjectionSet,
-    period: int | Sequence[int],
+    period: int,
     constraint_set: frozenset[LimitKind] | set[LimitKind],
     u: np.ndarray | None = None,
-) -> ValidationReport | tuple[ValidationReport, ...]:
-    """Re-solve the power flow at fixed injections and check each period.
+) -> ValidationReport:
+    """Re-solve the power flow at fixed injections and check one period.
 
-    period is one period, checked alone, or a sequence of periods, checked
-    in one stacked power flow and one limit check, which gives one report
-    per period, each equal to that period's one-period report.  The
-    selected limits are checked on the oracle's own state, to 1e-6, and
-    each violation names its period; when the optimizer's (n_bus, 3)
-    voltages u are given, (n_bus, 3, n_periods) for a sequence, their
-    largest deviation from the oracle's is reported too.  A power flow that
-    diverges fails its period instead of raising: a stack that diverges is
-    checked again one period at a time.
+    The selected limits are checked on the oracle's own state, to 1e-6, and
+    each violation names period; when the optimizer's (n_bus, 3) voltages u
+    are given, their largest deviation from the oracle's is reported too.  A
+    power flow that diverges fails the period instead of raising.
     """
-    if np.ndim(period) == 0:
-        return validate(case, injections, [period], constraint_set, None if u is None else u[:, :, None])[0]
-    periods = [int(t) for t in period]
     try:
-        state = solve_pf(case, injections, periods)
+        state = solve_pf(case, injections, period)
     except PowerFlowDivergedError as exc:
-        if len(periods) == 1:
-            return (ValidationReport(violations=(), error=str(exc)),)
-        return tuple(
-            validate(case, injections, t, constraint_set, None if u is None else u[:, :, k])
-            for k, t in enumerate(periods)
-        )
-    found: list[list[Violation]] = [[] for _ in periods]
-    for v in check_limits(state, constraint_set, tol=1e-6):
-        found[v.period].append(replace(v, period=periods[v.period]))
-    dev = np.zeros(len(periods)) if u is None else np.abs(u - state.u).max(axis=(0, 1))
-    return tuple(ValidationReport(tuple(f), float(d)) for f, d in zip(found, dev))
+        return ValidationReport(violations=(), error=str(exc))
+    dev = 0.0 if u is None else float(np.abs(u - state.u[:, :, 0]).max())
+    return ValidationReport(tuple(replace(v, period=period) for v in check_limits(state, constraint_set, tol=1e-6)), dev)

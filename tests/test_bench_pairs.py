@@ -79,20 +79,6 @@ def test_report_from_stub_runner(bench_pairs, tmp_path):
     }
 
 
-def test_workloads_option_pairs_only_the_named_ones(bench_pairs):
-    declared = ["hr_day", "synth_sweep", "hr_margin", "au_oracle"]
-    assert bench_pairs.pick_workloads(None, declared) == declared
-    assert bench_pairs.pick_workloads("au_oracle, hr_day,au_oracle", declared) == ["au_oracle", "hr_day"]
-    for raw in ("au_oracel", "", ","):
-        with pytest.raises(ValueError):
-            bench_pairs.pick_workloads(raw, declared)
-    calls = []
-    runs = bench_pairs.collect(stub_runner(calls), bench_pairs.pick_workloads("au_oracle", declared), pairs=2)
-    assert {c[1] for c in calls} == {"au_oracle"} and len(calls) == 6
-    summary = bench_pairs.summarize(runs, {"run_s": "lower"})
-    assert list(summary) == ["au_oracle"] and summary["au_oracle"]["seeds"] == [1, 2]
-
-
 def test_spans_counted_per_round(bench_pairs, tmp_path):
     # A traced run of 2 rounds names its spans file on stderr, relative to its checkout.
     out = tmp_path / "perfbench" / "out"

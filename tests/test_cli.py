@@ -162,12 +162,9 @@ class TestErrorPaths:
         """oracle.validate rejects the given periods and passes the rest; returns the periods it was asked about."""
         asked = []
 
-        def rejects(case, injections, periods, constraint_set, u=None):
-            asked.extend(periods)
-            return tuple(
-                oracle.ValidationReport((Violation("voltage_high", "n1", "a", t, 0.01),) if t in rejected else ())
-                for t in periods
-            )
+        def rejects(case, injections, period, constraint_set, u=None):
+            asked.append(period)
+            return oracle.ValidationReport((Violation("voltage_high", "n1", "a", period, 0.01),) if period in rejected else ())
 
         monkeypatch.setattr(oracle, "validate", rejects)
         return asked
@@ -186,12 +183,14 @@ class TestErrorPaths:
         monkeypatch.setattr(solver, "solve_batch", stops)
 
     def test_oracle_rejection_exits_2(self, tmp_path, monkeypatch, capsys):
-        asked = self.reject_periods(monkeypatch, {0})
+        def rejects(*args, **kwargs):
+            return oracle.ValidationReport((Violation("voltage_high", "n1", "a", 0, 0.01),))
+
+        monkeypatch.setattr(oracle, "validate", rejects)
         rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "period 0 failed with status 'oracle_rejected'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-        assert asked == list(range(24))  # one stacked check of every period
 
     def test_rejection_before_a_period_without_optimum_is_named(self, tmp_path, monkeypatch, capsys):
         asked = self.reject_periods(monkeypatch, {5})
@@ -199,7 +198,7 @@ class TestErrorPaths:
         rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "period 5 failed with status 'oracle_rejected'" in capsys.readouterr().err
-        assert asked == list(range(7))
+        assert asked == list(range(6))  # the scan stops at the rejected period
 
     def test_period_without_optimum_before_a_rejection_is_named(self, tmp_path, monkeypatch, capsys):
         self.reject_periods(monkeypatch, {9})
@@ -416,11 +415,11 @@ class TestRunScenario:
         for name in ("envelopes.csv", "summary.json", "diagnostics.json", "envelopes.svg"):
             assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
         timings = json.loads((tmp_path / "0" / "timings.json").read_text())
-        assert set(timings) == {"periods", "solve_s", "validate_s", "stage1", "emit_s"}
-        assert set(timings["stage1"]) == {"periods", "solve_s", "validate_s"}
+        assert set(timings) == {"periods", "solve_s", "stage1", "emit_s"}
+        assert set(timings["stage1"]) == {"periods", "solve_s"}
         assert timings["emit_s"] > 0.0
         for stage in (timings, timings["stage1"]):
-            assert stage["solve_s"] > 0.0 and stage["validate_s"] > 0.0
+            assert stage["solve_s"] > 0.0
             assert [d["period"] for d in stage["periods"]] == [0, 1, 2, 3]
             for d in stage["periods"]:
                 assert set(d) == {"period", "build_s", "validate_s"}

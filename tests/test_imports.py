@@ -30,8 +30,8 @@ from lvdoe.phasecalc import ALL_LIMITS
 net = sys.argv[1]
 case = load_network(net)
 oracle.doe_bisection(case, case.generators[0].id, ALL_LIMITS, 12)
-reports = oracle.validate(case, oracle.InjectionSet.from_case(case), range(case.horizon), ALL_LIMITS)
-assert len(reports) == case.horizon and all(r.ok for r in reports)
+injections = oracle.InjectionSet.from_case(case)
+assert all(oracle.validate(case, injections, t, ALL_LIMITS).ok for t in range(case.horizon))
 out = Path(tempfile.mkdtemp())
 with open(out / "envelopes.csv", "w") as fh:
     fh.write("generator_id,phase,period,p_kw,q_kvar\\n")

