@@ -436,7 +436,7 @@ def _build_parser() -> _Parser:
                     help="deterministic multi-start attempts per period")
     ps.add_argument("--trace", action="store_true", help="stream per-iteration solver diagnostics")
 
-    po = sub.add_parser("oracle", help="bisection export limit via the power-flow oracle")
+    po = sub.add_parser("oracle", help="largest feasible export of one unit, searched on power-flow limit excesses")
     common(po)
     po.add_argument("--generator", required=True)
     po.add_argument("--constraints", default="voltage,current,vuf", help="comma list of voltage|current|vuf")

@@ -1,7 +1,7 @@
 """Independent verification path for optimization results.
 
 A fixed-injection Newton power flow over the same current-voltage physics,
-a one-dimensional bisection search for the largest feasible export, and
+a one-dimensional bracketing search for the largest feasible export, and
 `validate`, the one check of a period's injections that both `lvdoe solve`
 and `lvdoe validate` run.  This code shares no assembly machinery with the
 optimization model; it is the ground truth the model is checked against.
@@ -15,7 +15,7 @@ import numpy as np
 
 # TreeIndex is unused here but stays importable: the benchmark's tracer counts its calls by this name.
 from .netmodel import NetworkCase, PHASE_INDEX, TreeIndex, slack_reference  # noqa: F401
-from .phasecalc import LimitKind, PhasorState, Violation, check_limits
+from .phasecalc import LimitKind, PhasorState, Violation, check_limits, limit_excess
 
 
 class PowerFlowDivergedError(RuntimeError):
@@ -138,7 +138,7 @@ def _injection_current_jacobian(s_net: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Envelope search by bisection
+# Envelope search
 # ---------------------------------------------------------------------------
 
 BRACKET_CAP_MULTIPLE = 10.0  # bracket top, in units of the target's grid-code cap
@@ -155,40 +155,76 @@ def doe_bisection(
 
     Loads stay at their profiles and every other generator is silent.  A
     candidate is feasible when the power flow converges and no selected
-    limit is violated.  The search bracket tops out at BRACKET_CAP_MULTIPLE
-    times the generator's grid-code cap; a generator that is feasible there
-    gets that top back.  Otherwise the bracket is halved until it is at
-    most BISECTION_TOL wide, and its feasible end is returned.  An unknown
+    row of limit_excess is positive.  The search bracket runs from 0 to
+    BRACKET_CAP_MULTIPLE times the generator's grid-code cap; a generator
+    that is feasible at the top gets the top back, and one that is
+    infeasible at zero raises InfeasibleAtZeroExportError.  Otherwise the
+    bracket [lo feasible, hi infeasible] shrinks until it is at most
+    BISECTION_TOL wide, and its feasible end is returned.  An unknown
     generator id raises InputError.
+
+    The bracket shrinks by a safeguarded secant on the per-row excess, not
+    by halving: every row beyond its limit at hi is interpolated linearly
+    to its zero crossing, and the next probe is the smallest crossing, the
+    first limit to bind.  A bracket end kept twice in a row has its excess
+    halved (Illinois), each probe stays BISECTION_TOL/2 inside the bracket
+    so the last probes close it, and the midpoint is probed instead when
+    the power flow diverged at hi or the last three probes did not together
+    halve the bracket (two would cut off the Illinois step that follows a
+    pair of probes on one side).  The name stays from the pure bisection this search
+    replaced, which returned a limit within the same tolerance: the CLI,
+    the tests and the benchmark call it by that name.
     """
     g = case.gen_index(target_generator)
     gen = case.generators[g]
     phases = [PHASE_INDEX[ph] for ph in gen.phases]
     # One working set per search: each candidate overwrites the target's P.
     work = InjectionSet.from_case(case)
-    hi = BRACKET_CAP_MULTIPLE * gen.p_cap
 
-    def feasible(p: float) -> bool:
+    def excess(p: float) -> np.ndarray | None:
+        """Every selected row's excess at export p; None if the power flow diverges."""
         work.p_gen[g, phases, period] = p
         try:
             state = solve_pf(case, work, period)
         except PowerFlowDivergedError:
-            return False
-        return not check_limits(state, constraint_set)
+            return None
+        rows = [e.ravel() for e in limit_excess(state, constraint_set).values()]
+        return np.concatenate(rows) if rows else np.zeros(0)
 
-    if feasible(hi):
+    def feasible(e: np.ndarray | None) -> bool:
+        return e is not None and not (e > 0.0).any()
+
+    hi = BRACKET_CAP_MULTIPLE * gen.p_cap
+    e_hi = excess(hi)
+    if feasible(e_hi):
         return hi
-    if not feasible(0.0):
+    lo, e_lo = 0.0, excess(0.0)
+    if not feasible(e_lo):
         raise InfeasibleAtZeroExportError(
             f"limits violated with generator {target_generator} at zero export"
         )
-    lo = 0.0
+    widths = [hi - lo]
+    last_ok = None  # verdict of the previous probe
     while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
+        if e_hi is None or (len(widths) > 3 and widths[-1] > 0.5 * widths[-4]):
+            p = 0.5 * (lo + hi)
         else:
-            hi = mid
+            over = e_hi > 0.0
+            step = (hi - lo) * (e_lo[over] / (e_lo[over] - e_hi[over])).min()
+            p = lo + min(max(step, 0.5 * BISECTION_TOL), hi - lo - 0.5 * BISECTION_TOL)
+        e = excess(p)
+        ok = feasible(e)
+        if ok:
+            lo, e_lo = p, e
+        else:
+            hi, e_hi = p, e
+        if ok == last_ok:  # the other end is kept twice in a row
+            if not ok:
+                e_lo = 0.5 * e_lo
+            elif e_hi is not None:
+                e_hi = 0.5 * e_hi
+        last_ok = ok
+        widths.append(hi - lo)
     return lo
 
 

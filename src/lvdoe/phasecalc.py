@@ -136,34 +136,28 @@ def vuf_from_phasors(ua: complex, ub: complex, uc: complex) -> float:
 # Limit checks
 # ---------------------------------------------------------------------------
 
-def check_limits(
+def limit_excess(
     state: PhasorState,
     constraint_set: frozenset[LimitKind] | set[LimitKind] = ALL_LIMITS,
-    tol: float = 0.0,
-) -> list[Violation]:
-    """Every exceedance of the selected technical limits, largest first.
+) -> dict[str, np.ndarray]:
+    """Value minus limit of every selected limit row; positive is beyond it.
 
-    Voltage magnitude and unbalance are checked at every bus, current at
-    every branch phase, over all periods held by the state.  Ties keep the
-    order voltage, current, unbalance, each by element, phase and period.
+    Keyed by violation kind, in the order check_limits reports ties:
+    'voltage_high' (|u| - vmax) and 'voltage_low' (vmin - |u|) per bus,
+    phase and period, 'current' (|i| - imax) per branch, phase and period,
+    and 'vuf' (VUF - vuf_max) per bus and period, where an unbalance under
+    the roundoff floor counts as 0.  A row is violated at tolerance tol when
+    its excess exceeds tol; this is the one definition of a violation that
+    check_limits and the oracle's export search both use.
     """
     case = state.case
-    out: list[Violation] = []
+    out: dict[str, np.ndarray] = {}
     if LimitKind.VOLTAGE in constraint_set:
         vmag = np.abs(state.u)
-        vmax = np.array([bus.vmax for bus in case.buses])
-        vmin = np.array([bus.vmin for bus in case.buses])
-        high = vmag > vmax[:, None, None] + tol
-        for n, p, t in zip(*np.nonzero(high | (vmag < vmin[:, None, None] - tol))):
-            if high[n, p, t]:
-                out.append(Violation("voltage_high", case.buses[n].id, PHASES[p], int(t), vmag[n, p, t] - vmax[n]))
-            else:
-                out.append(Violation("voltage_low", case.buses[n].id, PHASES[p], int(t), vmin[n] - vmag[n, p, t]))
+        out["voltage_high"] = vmag - np.array([bus.vmax for bus in case.buses])[:, None, None]
+        out["voltage_low"] = np.array([bus.vmin for bus in case.buses])[:, None, None] - vmag
     if LimitKind.CURRENT in constraint_set:
-        imag = np.abs(state.i_branch)
-        imax = np.array([br.i_max for br in case.branches])
-        for l, p, t in zip(*np.nonzero(imag > imax[:, None, None] + tol)):
-            out.append(Violation("current", case.branches[l].id, PHASES[p], int(t), imag[l, p, t] - imax[l]))
+        out["current"] = np.abs(state.i_branch) - np.array([br.i_max for br in case.branches])[:, None, None]
     if LimitKind.VUF in constraint_set:
         # vuf_from_phasors at every bus and period at once
         u2_sq, u1_sq, scale = _sequence_squares(state.u[:, 0], state.u[:, 1], state.u[:, 2])
@@ -171,9 +165,35 @@ def check_limits(
         if np.any(u1_sq <= floor * floor):
             raise DegenerateStateError("undefined VUF: positive-sequence voltage is zero")
         ratio = np.where(u2_sq <= floor * floor, 0.0, np.sqrt(u2_sq / u1_sq))
-        vuf_max = np.array([bus.vuf_max for bus in case.buses])
-        for n, t in zip(*np.nonzero(ratio > vuf_max[:, None] + tol)):
-            out.append(Violation("vuf", case.buses[n].id, None, int(t), ratio[n, t] - vuf_max[n]))
+        out["vuf"] = ratio - np.array([bus.vuf_max for bus in case.buses])[:, None]
+    return out
+
+
+def check_limits(
+    state: PhasorState,
+    constraint_set: frozenset[LimitKind] | set[LimitKind] = ALL_LIMITS,
+    tol: float = 0.0,
+) -> list[Violation]:
+    """Every row of limit_excess beyond tol, largest excess first.
+
+    Voltage magnitude and unbalance are checked at every bus, current at
+    every branch phase, over all periods held by the state.  Ties keep the
+    order voltage, current, unbalance, each by element, phase and period.
+    """
+    case = state.case
+    excess = limit_excess(state, constraint_set)
+    out: list[Violation] = []
+    if "voltage_high" in excess:
+        high, low = excess["voltage_high"], excess["voltage_low"]
+        for n, p, t in zip(*np.nonzero((high > tol) | (low > tol))):
+            kind = "voltage_high" if high[n, p, t] > tol else "voltage_low"
+            out.append(Violation(kind, case.buses[n].id, PHASES[p], int(t), excess[kind][n, p, t]))
+    if "current" in excess:
+        for l, p, t in zip(*np.nonzero(excess["current"] > tol)):
+            out.append(Violation("current", case.branches[l].id, PHASES[p], int(t), excess["current"][l, p, t]))
+    if "vuf" in excess:
+        for n, t in zip(*np.nonzero(excess["vuf"] > tol)):
+            out.append(Violation("vuf", case.buses[n].id, None, int(t), excess["vuf"][n, t]))
     out.sort(key=lambda v: -v.magnitude)
     return out
 

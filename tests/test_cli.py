@@ -308,6 +308,20 @@ class TestOracleCommand:
         )
         assert rc == 1
 
+    def test_infeasible_at_zero_export_exits_2(self, tmp_path, capsys):
+        # A voltage floor above the slack's nominal voltage fails with every unit off.
+        doc = json.loads(open(SYNTH2).read())
+        for b in doc["buses"]:
+            b["vmin"] = 1.02
+            b["vmax"] = 1.2
+        net = tmp_path / "floor.json"
+        net.write_text(json.dumps(doc))
+        rc = main(["oracle", "--network", str(net), "--generator", "g1", "--period", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: limits violated with generator g1 at zero export\n"
+
 
 class TestPlotCommand:
     def test_two_results_two_polylines(self, solved_dir, tmp_path):

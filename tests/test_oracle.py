@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lvdoe import nlp, oracle, phasecalc as pc, solver
 from lvdoe.netmodel import PHASE_INDEX, TreeIndex, slack_reference
 from lvdoe.nlp import Objective, ScenarioSpec, build_custom, build_problem
 from lvdoe.oracle import (
+    BISECTION_TOL,
     InfeasibleAtZeroExportError,
     InjectionSet,
     PowerFlowDivergedError,
@@ -41,6 +43,40 @@ def one_generator(case, gen_id: str, p: float, q: float, period: int) -> Injecti
 
 def optimizer_voltages(prob, x) -> np.ndarray:
     return nlp.decode_state(prob, x).u[:, :, 0]
+
+
+def feasible_at(case, gen_id: str, limits, p: float, period: int = 0) -> bool:
+    """The search's question at one export, answered by check_limits."""
+    try:
+        state = solve_pf(case, one_generator(case, gen_id, p, 0.0, period), period)
+    except PowerFlowDivergedError:
+        return False
+    return not pc.check_limits(state, limits)
+
+
+def pure_bisection(case, gen_id: str, limits, period: int) -> float:
+    """Reference search: halve [0, 10 x p_cap] until it is BISECTION_TOL wide."""
+    lo, hi = 0.0, oracle.BRACKET_CAP_MULTIPLE * case.generators[case.gen_index(gen_id)].p_cap
+    if feasible_at(case, gen_id, limits, hi, period):
+        return hi
+    if not feasible_at(case, gen_id, limits, lo, period):
+        raise InfeasibleAtZeroExportError(gen_id)
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible_at(case, gen_id, limits, mid, period) else (lo, mid)
+    return lo
+
+
+def count_power_flows(monkeypatch) -> list[float]:
+    """Record the target export of every oracle.solve_pf call from now on."""
+    probes = []
+
+    def counted(case, injections, period):
+        probes.append(float(injections.p_gen[:, :, period].max()))
+        return solve_pf(case, injections, period)
+
+    monkeypatch.setattr(oracle, "solve_pf", counted)
+    return probes
 
 
 class TestSolvePf:
@@ -157,6 +193,57 @@ class TestBisection:
         case = two_bus_case(load_kw=3.0, vmin=1.02, vmax=1.2)
         with pytest.raises(InfeasibleAtZeroExportError):
             doe_bisection(case, "g1", {LimitKind.VOLTAGE}, 0)
+
+    @settings(deadline=None)
+    @given(
+        r=st.floats(0.05, 0.5),
+        x=st.floats(0.0, 0.1),
+        i_max=st.floats(10.0, 200.0),
+        load_kw=st.floats(0.0, 3.0),
+        vmin=st.floats(0.85, 1.0),
+        vmax=st.floats(1.01, 1.1),
+        vuf_max=st.floats(0.0, 0.03),
+        limits=st.sets(st.sampled_from(list(LimitKind))),
+    )
+    def test_limit_is_feasible_and_the_tolerance_above_it_is_not(self, r, x, i_max, load_kw, vmin, vmax,
+                                                                   vuf_max, limits):
+        case = two_bus_case(r_diag=r, x_diag=x, i_max=i_max, load_kw=load_kw, horizon=1,
+                            vmin=vmin, vmax=vmax, vuf_max=vuf_max)
+        try:
+            limit = doe_bisection(case, "g1", limits, 0)
+        except InfeasibleAtZeroExportError:
+            assert not feasible_at(case, "g1", limits, 0.0)
+            return
+        top = oracle.BRACKET_CAP_MULTIPLE * case.generators[0].p_cap
+        assert feasible_at(case, "g1", limits, limit)
+        if limit < top:
+            assert not feasible_at(case, "g1", limits, min(limit + BISECTION_TOL, top))
+
+    def test_diverged_top_falls_back_to_the_midpoint(self, monkeypatch):
+        base = two_bus_case(load=False)
+        case = dataclasses.replace(base, generators=(dataclasses.replace(base.generators[0], p_cap=100.0),))
+        top = oracle.BRACKET_CAP_MULTIPLE * 100.0
+        probes = count_power_flows(monkeypatch)
+        limit = doe_bisection(case, "g1", pc.ALL_LIMITS, 0)
+        assert probes[:3] == [top, 0.0, 0.5 * top]
+        with pytest.raises(PowerFlowDivergedError):
+            solve_pf(case, one_generator(case, "g1", top, 0.0, 0), 0)
+        assert feasible_at(case, "g1", pc.ALL_LIMITS, limit)
+        assert not feasible_at(case, "g1", pc.ALL_LIMITS, limit + BISECTION_TOL)
+
+    def test_au_oracle_unit_needs_few_power_flows(self, feeder_au, monkeypatch):
+        # The benchmark's unit: pure bisection spends 21 power flows on each
+        # period; the search needs 7 here, and 9 without its Illinois step.
+        total = 0
+        for t in range(feeder_au.horizon):
+            reference = pure_bisection(feeder_au, "g20", pc.ALL_LIMITS, t)
+            probes = count_power_flows(monkeypatch)
+            limit = doe_bisection(feeder_au, "g20", pc.ALL_LIMITS, t)
+            monkeypatch.undo()
+            assert len(probes) <= 12
+            assert abs(limit - reference) <= BISECTION_TOL
+            total += len(probes)
+        assert total <= 8 * feeder_au.horizon
 
 
 class TestValidateSolution:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lvdoe import netmodel as nm
 from lvdoe import phasecalc as pc
@@ -332,6 +332,55 @@ class TestCheckLimits:
         assert {v.kind for v in pc.check_limits(state, {pc.LimitKind.VOLTAGE})} == {"voltage_low"}
         with pytest.raises(pc.DegenerateStateError):
             pc.check_limits(state, {pc.LimitKind.VUF})
+
+
+def max_excess(state, constraint_set) -> float:
+    return max((float(e.max()) for e in pc.limit_excess(state, constraint_set).values()), default=-math.inf)
+
+
+class TestLimitExcess:
+    """check_limits reports a violation exactly when some limit_excess row exceeds tol."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.floats(0.0, 0.12),
+        kinds=st.sets(st.sampled_from(list(pc.LimitKind))),
+    )
+    def test_agrees_with_check_limits_on_random_states(self, synth4_unbal, seed, spread, kinds):
+        case = synth4_unbal
+        rng = np.random.default_rng(seed)
+        base = flat_state(case, n_periods=2)
+        u = base.u * (1.0 + spread * rng.standard_normal(base.u.shape)) + 0.3j * spread * rng.standard_normal(base.u.shape)
+        i_max = np.array([br.i_max for br in case.branches])[:, None, None]
+        ib = i_max * (1.0 + spread * rng.standard_normal(base.i_branch.shape)) * np.exp(1j * rng.uniform(0, 6, base.i_branch.shape))
+        state = make_state(case, u=u, i_branch=ib, i_load=np.zeros((len(case.loads), 3, 2)),
+                           i_gen=np.zeros((len(case.generators), 3, 2)))
+        for tol in (0.0, 1e-6):
+            assert (max_excess(state, kinds) > tol) == bool(pc.check_limits(state, kinds, tol))
+
+    def test_balanced_unbalance_under_the_floor_is_zero(self):
+        # The negative sequence of an exactly rotated triple is roundoff, not 0.
+        case = two_bus_case(vuf_max=0.0)
+        triple = np.array(balanced_triple(1.03, 0.7))
+        u2_sq, _, scale = pc._sequence_squares(*triple)
+        assert 0.0 < u2_sq <= (pc._SEQ_ROUNDOFF * scale) ** 2
+        state = make_state(case, u=np.tile(triple[None, :, None], (2, 1, 1)))
+        assert pc.limit_excess(state, {pc.LimitKind.VUF})["vuf"].tolist() == [[0.0], [0.0]]
+        for tol in (0.0, 1e-6):
+            assert max_excess(state, pc.ALL_LIMITS) <= tol
+            assert pc.check_limits(state, pc.ALL_LIMITS, tol) == []
+
+    def test_feeder_hr_overload_report_is_unchanged(self, feeder_hr):
+        # test_oracle's period-17 overload: every unit at three times its cap.
+        inj = oracle.InjectionSet.from_case(feeder_hr)
+        for g, ph in feeder_hr.gen_entries():
+            inj.p_gen[g, ph, 17] = 3.0 * feeder_hr.generators[g].p_cap
+        state = oracle.solve_pf(feeder_hr, inj, 17)
+        got = pc.check_limits(state, pc.ALL_LIMITS, tol=1e-6)
+        assert len(got) == 18
+        assert got == TestCheckLimits.loop_check_limits(state, pc.ALL_LIMITS, 1e-6)
+        assert max_excess(state, pc.ALL_LIMITS) == max(v.magnitude for v in got)
 
 
 class TestOracleStatesSatisfyPhysics:
