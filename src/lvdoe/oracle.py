@@ -171,9 +171,9 @@ def doe_bisection(
     so the last probes close it, and the midpoint is probed instead when
     the power flow diverged at hi or the last three probes did not together
     halve the bracket (two would cut off the Illinois step that follows a
-    pair of probes on one side).  The name stays from the pure bisection this search
-    replaced, which returned a limit within the same tolerance: the CLI,
-    the tests and the benchmark call it by that name.
+    pair of probes on one side).  Its limits lie within BISECTION_TOL of a
+    pure bisection's, and it keeps that name because the CLI, the tests
+    and the benchmark call it by it.
     """
     g = case.gen_index(target_generator)
     gen = case.generators[g]

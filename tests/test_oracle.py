@@ -231,6 +231,25 @@ class TestBisection:
         assert feasible_at(case, "g1", pc.ALL_LIMITS, limit)
         assert not feasible_at(case, "g1", pc.ALL_LIMITS, limit + BISECTION_TOL)
 
+    @pytest.mark.parametrize("root", [0.0123, 0.1234567, 0.3])
+    def test_midpoint_guard_bounds_a_step_shaped_excess(self, monkeypatch, root):
+        # An excess that jumps from -1 to 1e-12 at the root leaves the secant
+        # creeping 0.5e-6 at a time (over 200 probes); three probes that do
+        # not halve the bracket force a midpoint, so every four probes halve it.
+        case = two_bus_case(load=False)
+        probes = []
+
+        def export_as_state(case, injections, period):
+            probes.append(injections.p_gen[0, 0, period])
+            return probes[-1]
+
+        monkeypatch.setattr(oracle, "solve_pf", export_as_state)
+        monkeypatch.setattr(oracle, "limit_excess", lambda p, cs: {"step": np.array([1e-12 if p >= root else -1.0])})
+        limit = doe_bisection(case, "g1", pc.ALL_LIMITS, 0)
+        assert root - BISECTION_TOL <= limit < root
+        top = oracle.BRACKET_CAP_MULTIPLE * case.generators[0].p_cap
+        assert len(probes) <= 2 + 4 * math.ceil(math.log2(top / BISECTION_TOL))
+
     def test_au_oracle_unit_needs_few_power_flows(self, feeder_au, monkeypatch):
         # The benchmark's unit: pure bisection spends 21 power flows on each
         # period; the search needs 7 here, and 9 without its Illinois step.

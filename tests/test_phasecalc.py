@@ -351,9 +351,10 @@ class TestLimitExcess:
         case = synth4_unbal
         rng = np.random.default_rng(seed)
         base = flat_state(case, n_periods=2)
-        u = base.u * (1.0 + spread * rng.standard_normal(base.u.shape)) + 0.3j * spread * rng.standard_normal(base.u.shape)
+        shape_u, shape_i = base.u.shape, base.i_branch.shape
+        u = base.u * (1.0 + spread * rng.standard_normal(shape_u)) + 0.3j * spread * rng.standard_normal(shape_u)
         i_max = np.array([br.i_max for br in case.branches])[:, None, None]
-        ib = i_max * (1.0 + spread * rng.standard_normal(base.i_branch.shape)) * np.exp(1j * rng.uniform(0, 6, base.i_branch.shape))
+        ib = i_max * (1.0 + spread * rng.standard_normal(shape_i)) * np.exp(1j * rng.uniform(0, 6, shape_i))
         state = make_state(case, u=u, i_branch=ib, i_load=np.zeros((len(case.loads), 3, 2)),
                            i_gen=np.zeros((len(case.generators), 3, 2)))
         for tol in (0.0, 1e-6):
