@@ -122,6 +122,12 @@ class NetworkCase:
     slack: int = field(init=False, repr=False, compare=False)
     tree: TreeIndex = field(init=False, repr=False, compare=False)
     z: np.ndarray = field(init=False, repr=False, compare=False)  # (n_branch, 3, 3) complex series impedances
+    # Read by the Newton power flow of oracle.solve_pf.  The matrices have
+    # rows [branch, phase] and columns [non-slack bus, phase]; the slack's
+    # columns of ZP are zero, as P feeds no branch from it.
+    zp_u: np.ndarray = field(init=False, repr=False, compare=False)  # blockdiag(Z) (P x I3), complex
+    a3: np.ndarray = field(init=False, repr=False, compare=False)  # A x I3
+    u_flat: np.ndarray = field(init=False, repr=False, compare=False)  # (n_bus, 3) slack voltage everywhere
 
     def __post_init__(self) -> None:
         _require(self.s_base > 0.0 and self.v_base > 0.0, "bases must be positive")
@@ -155,8 +161,21 @@ class NetworkCase:
         object.__setattr__(self, "branch_pos", branch_pos)
         object.__setattr__(self, "slack", slacks[0])
         # raises InputError unless the branches span the buses as a tree
-        object.__setattr__(self, "tree", TreeIndex(self))
-        object.__setattr__(self, "z", np.array([br.z for br in self.branches]).reshape(-1, 3, 3))
+        tree = TreeIndex(self)
+        z = np.array([br.z for br in self.branches]).reshape(-1, 3, 3)
+        n_br, n = tree.P.shape
+        unknown = np.arange(n) != self.slack
+        derived = {
+            "tree": tree,
+            "z": z,
+            "zp_u": np.einsum("lm,lpq->lpmq", tree.P[:, unknown], z).reshape(3 * n_br, 3 * (n - 1)),
+            "a3": np.kron(tree.A[:, unknown], np.eye(3)),
+            "u_flat": np.tile(slack_reference(self), (n, 1)),
+        }
+        for name, value in derived.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     # Base quantities used by the per-unit transform.
     @property

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # TreeIndex is unused here but stays importable: the benchmark's tracer counts its calls by this name.
-from .netmodel import NetworkCase, PHASE_INDEX, TreeIndex, slack_reference  # noqa: F401
+from .netmodel import NetworkCase, PHASE_INDEX, TreeIndex  # noqa: F401
 from .phasecalc import LimitKind, PhasorState, Violation, check_limits, limit_excess
 
 
@@ -56,12 +56,21 @@ PF_MAX_ITER = 50  # Newton iterations before the power flow counts as diverged
 def solve_pf(case: NetworkCase, injections: InjectionSet, period: int) -> PhasorState:
     """Newton power flow at fixed injections; returns a single-period state.
 
-    Unknowns are the rectangular non-slack voltages.  Branch currents are
-    the path matrix applied to the injection currents, so nodal balance
-    holds exactly by construction and the residual being driven to zero is
-    the branch voltage-drop law, A u + Z i_branch.  The iteration stops once
-    that residual is at most PF_TOL and raises PowerFlowDivergedError after
-    PF_MAX_ITER iterations without it.
+    Unknowns are the non-slack voltages u.  Branch currents are the path
+    matrix applied to the net demand currents i = conj(S/u), so nodal
+    balance holds exactly by construction and the residual being driven to
+    zero is the branch voltage-drop law, r = A u + blockdiag(Z) (P x I3) i.
+    The iteration stops once every real and imaginary part of r is at most
+    PF_TOL and raises PowerFlowDivergedError after PF_MAX_ITER iterations
+    without it.
+
+    The step is taken in complex form.  i is anti-linear in the voltage:
+    di = c conj(du) with c = -conj(S/u^2), so with M = ZP_u diag(c) the
+    real Jacobian of (Re r, Im r) in (Re du, Im du) is
+    [[A3 + Re M, Im M], [Im M, A3 - Re M]].  Its rows and columns are
+    interleaved per (bus, phase), so r and the step are complex arrays
+    viewed as reals.  ZP_u, A3 and the flat start are case.zp_u, case.a3
+    and case.u_flat, built once per case.
     """
     tree = case.tree
     n = len(case.buses)
@@ -71,70 +80,42 @@ def solve_pf(case: NetworkCase, injections: InjectionSet, period: int) -> Phasor
     np.add.at(s_net, tree.load_bus, s_load)
     np.subtract.at(s_net, tree.gen_bus, s_gen)
 
-    z = case.z
-    # Real form of each impedance, acting on (re a..c, im a..c) currents,
-    # indexed [branch, re/im, phase, re/im, phase].
-    z_real = np.block([[z.real, -z.imag], [z.imag, z.real]]).reshape(-1, 2, 3, 2, 3)
-    # blockdiag(Z) (P x I): each branch's drop per unit of bus injection
-    # current, as a stack over [bus, phase] of (branch re/im phase, re/im).
-    zp = np.einsum("lm,lapcq->mqlapc", tree.P, z_real).reshape(n, 3, 6 * len(z), 2)
-    unknown = np.delete(np.arange(n), case.slack)
-    cols = (6 * unknown[:, None] + np.arange(6)).ravel()
-    jac_volt = np.kron(tree.A, np.eye(6))[:, cols]
-
-    u = np.tile(slack_reference(case)[None, :], (n, 1)).astype(complex)
-
-    def injection_currents(volt: np.ndarray) -> np.ndarray:
-        if np.any(np.abs(volt) < 1e-3):
-            raise PowerFlowDivergedError("voltage collapsed during Newton iteration")
-        return np.conj(s_net / volt)
-
+    unknown = np.arange(n) != case.slack
+    s = s_net[unknown].ravel()
+    # The slack is the flat start, and A maps a flat voltage to no drop, so
+    # A u = A3 (u - u_start) over the non-slack buses.
+    u_start = case.u_flat[unknown].ravel()
+    u = u_start.copy()
+    k = u.size
+    jac = np.empty((k, 2, k, 2))
     for _ in range(PF_MAX_ITER):
-        i_br = tree.P @ injection_currents(u)
-        r = tree.A @ u + np.einsum("lpq,lq->lp", z, i_br)
-        res = np.concatenate([r.real, r.imag], axis=1).ravel()
-        if np.abs(res).max() <= PF_TOL:
+        if np.abs(u).min() < 1e-3:
+            raise PowerFlowDivergedError("voltage collapsed during Newton iteration")
+        i = np.conj(s / u)
+        r = case.a3 @ (u - u_start) + case.zp_u @ i
+        if np.abs(r.view(float)).max() <= PF_TOL:
             break
-
-        # Impedance drops move with the voltages through the injection
-        # currents: blockdiag(Z) (P x I) blockdiag(d i_net / d u).
-        dnet = _injection_current_jacobian(s_net, u)
-        jac_drop = (zp @ dnet).transpose(2, 0, 3, 1).reshape(6 * len(z), 6 * n)
+        m = case.zp_u * (-i / np.conj(u))
+        np.add(case.a3, m.real, out=jac[:, 0, :, 0])
+        jac[:, 0, :, 1] = m.imag
+        jac[:, 1, :, 0] = m.imag
+        np.subtract(case.a3, m.real, out=jac[:, 1, :, 1])
         try:
-            dv = np.linalg.solve(jac_volt + jac_drop[:, cols], -res).reshape(-1, 2, 3)
+            u -= np.linalg.solve(jac.reshape(2 * k, 2 * k), r.view(float)).view(complex)
         except np.linalg.LinAlgError as exc:
             raise PowerFlowDivergedError(f"singular Jacobian: {exc}") from None
-        u[unknown] += dv[:, 0] + 1j * dv[:, 1]
     else:
         raise PowerFlowDivergedError(f"no convergence in {PF_MAX_ITER} iterations")
 
+    u_bus = case.u_flat.copy()
+    u_bus[unknown] = u.reshape(-1, 3)
     return PhasorState(
         case=case,
-        u=u[:, :, None],
-        i_branch=(tree.P @ injection_currents(u))[:, :, None],
-        i_load=np.conj(s_load / u[tree.load_bus])[:, :, None],
-        i_gen=np.conj(s_gen / u[tree.gen_bus])[:, :, None],
+        u=u_bus[:, :, None],
+        i_branch=(tree.P @ np.conj(s_net / u_bus))[:, :, None],
+        i_load=np.conj(s_load / u_bus[tree.load_bus])[:, :, None],
+        i_gen=np.conj(s_gen / u_bus[tree.gen_bus])[:, :, None],
     )
-
-
-def _injection_current_jacobian(s_net: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """d(net injection current)/d(voltage) as (n_bus, 3) blocks of 2x2 reals.
-
-    The current of a constant-power element is conj(S/U); for U = a + jb,
-    i_re = (P a + Q b)/(a^2+b^2) and i_im = (P b - Q a)/(a^2+b^2).
-    """
-    n = s_net.shape[0]
-    out = np.zeros((n, 3, 2, 2))
-    a, b = u.real, u.imag
-    m2 = a * a + b * b
-    p_, q_ = s_net.real, s_net.imag
-    ire = (p_ * a + q_ * b) / m2
-    iim = (p_ * b - q_ * a) / m2
-    out[:, :, 0, 0] = p_ / m2 - 2.0 * a * ire / m2
-    out[:, :, 0, 1] = q_ / m2 - 2.0 * b * ire / m2
-    out[:, :, 1, 0] = -q_ / m2 - 2.0 * a * iim / m2
-    out[:, :, 1, 1] = p_ / m2 - 2.0 * b * iim / m2
-    return out
 
 
 # ---------------------------------------------------------------------------

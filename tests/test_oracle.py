@@ -67,6 +67,18 @@ def pure_bisection(case, gen_id: str, limits, period: int) -> float:
     return lo
 
 
+def dense_zp(case) -> np.ndarray:
+    """blockdiag(Z) (P x I3) over every bus, built entry by entry."""
+    n_br, n = len(case.branches), len(case.buses)
+    zp = np.zeros((3 * n_br, 3 * n), dtype=complex)
+    for l, br in enumerate(case.branches):
+        for m in range(n):
+            for p in range(3):
+                for q in range(3):
+                    zp[3 * l + p, 3 * m + q] = br.z[p, q] * case.tree.P[l, m]
+    return zp
+
+
 def count_power_flows(monkeypatch) -> list[float]:
     """Record the target export of every oracle.solve_pf call from now on."""
     probes = []
@@ -131,6 +143,11 @@ class TestSolvePf:
             for k, br in enumerate(synth4.branches)
         ))
         assert TreeIndex(flipped).down_sign[l] == -1.0
+        for case in (synth4, flipped):
+            dense = dense_zp(case)
+            assert not dense[:, 3 * case.slack : 3 * case.slack + 3].any()
+            np.testing.assert_array_equal(case.zp_u, np.delete(dense, np.s_[3 * case.slack : 3 * case.slack + 3], axis=1))
+        assert flipped.zp_u is not synth4.zp_u
         inj = one_generator(synth4, "g1", 0.02, 0.0, 12)
         stored = solve_pf(synth4, inj, 12)
         state = solve_pf(flipped, inj, 12)
@@ -263,6 +280,18 @@ class TestBisection:
             assert abs(limit - reference) <= BISECTION_TOL
             total += len(probes)
         assert total <= 8 * feeder_au.horizon
+
+    def test_au_oracle_unit_newton_steps(self, feeder_au, monkeypatch):
+        # Every Newton step is one linear solve.  A wrong Jacobian term that
+        # still converges within PF_MAX_ITER takes more steps than the 20 per
+        # period that the exact Newton method takes here.
+        solves = []
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or real_solve(a, b))
+        for t in range(feeder_au.horizon):
+            del solves[:]
+            doe_bisection(feeder_au, "g20", pc.ALL_LIMITS, t)
+            assert len(solves) == 20, t
 
 
 class TestValidateSolution:
