@@ -88,6 +88,7 @@ import functools
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -758,21 +759,32 @@ def _block_solver(
 
 
 @functools.cache
-def _lapack() -> tuple[Callable, Callable, Callable]:
-    """LAPACK's sytrf, sytrs and sytrf_lwork for float64, looked up once.
+def _lapack():
+    """scipy's compiled LAPACK extension, scipy/linalg/_flapack, loaded alone.
 
-    scipy.linalg is imported here, on the first factorization, so that
-    importing the package, or running only the power-flow oracle, does not
-    pay for it.
+    The solver calls only its dsytrf, dsytrs and dgelsy; importing the
+    scipy.linalg package for them would load about 330 more modules, which
+    cost about 160 ms and 21 MB.  It is loaded on the first factorization,
+    so importing the package or running only the power-flow oracle loads no
+    LAPACK.  A later import of scipy.linalg reuses this extension.
     """
-    import scipy.linalg
+    from importlib import machinery, util
 
-    return scipy.linalg.get_lapack_funcs(("sytrf", "sytrs", "sytrf_lwork"), dtype=np.float64)
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in machinery.EXTENSION_SUFFIXES:
+        if (path := folder / f"_flapack{suffix}").is_file():
+            spec = util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension _flapack in {folder}")
 
 
 @functools.cache
 def _sytrf_lwork(n: int) -> int:
-    return int(_lapack()[2](n, lower=1)[0])
+    return int(_lapack().dsytrf_lwork(n, lower=1)[0])
 
 
 def _ldlt(mats: Sequence[np.ndarray]) -> tuple[list, np.ndarray]:
@@ -788,7 +800,7 @@ def _ldlt(mats: Sequence[np.ndarray]) -> tuple[list, np.ndarray]:
     beyond, so a relative threshold would misclassify small but healthy
     curvature pivots.
     """
-    sytrf = _lapack()[0]
+    sytrf = _lapack().dsytrf
     factors, diag, sub = [], [], []
     for a in mats:
         ldu, ipiv, info = sytrf(a, lower=1, lwork=_sytrf_lwork(a.shape[0]))
@@ -832,7 +844,7 @@ def _ldlt_solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.nd
     ldu, ipiv = factor
     if not ipiv.size:  # sytrs rejects an empty system
         return rhs.copy()
-    out, info = _lapack()[1](ldu, ipiv, rhs, lower=1)
+    out, info = _lapack().dsytrs(ldu, ipiv, rhs, lower=1)
     if info != 0:
         raise ValueError(f"sytrs failed with info {info}")
     return out
@@ -983,15 +995,18 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
     # costs many early iterations on feasibility-dominated steps.
     y = np.zeros((n_b, me))
     if me:
-        from scipy.linalg import lstsq
-
         rhs0 = -(form.c + _jh_t(form, pt.jh, z))[:, form.free]
         jg = np.zeros((me, form.n_vars))
+        # Jg[:, free] has full row rank on every bundled feeder, so the
+        # QR-based gelsy gives the same unique solution as an SVD, faster.
+        # It is called as scipy.linalg.lstsq(..., lapack_driver="gelsy")
+        # calls it, with one workspace query for the batch's common shape.
+        eps = np.finfo(float).eps
+        gelsy, lwork = _lapack().dgelsy, int(_lapack().dgelsy_lwork(form.free.size, me, 1, eps)[0])
         for k in range(n_b):
             jg[form.eq.jac_row, form.eq.jac_col] = pt.jg[k]
-            # Jg[:, free] has full row rank on every bundled feeder, so the
-            # QR-based gelsy gives the same unique solution as an SVD, faster.
-            y_ls, *_ = lstsq(jg[:, form.free].T, rhs0[k], lapack_driver="gelsy")
+            a, b = np.asarray_chkfinite(jg[:, form.free].T), np.asarray_chkfinite(rhs0[k])
+            y_ls = gelsy(a, b, np.zeros(me, dtype=np.int32), eps, lwork, False, False)[1][:me]
             if np.abs(y_ls).max() <= 1e3:
                 y[k] = y_ls
         del jg

@@ -1,13 +1,14 @@
 """Importing the package loads only the scipy modules it uses.
 
 The benchmark's setup time counts interpreter start through `import
-lvdoe`.  The optimizer loads scipy.linalg on its first factorization; the
-package, and the power-flow oracle with the commands that run only the
-oracle, load no scipy package at all.  Importing scipy.linalg took about
-280 ms and 27 MB of peak memory, and scipy.sparse, scipy.special,
-scipy.optimize or scipy.stats on top of it about 10, 40, 220 and 850 ms
-more, on a 2-core machine.  Each test runs in a fresh interpreter, so that no other test's
-imports count.
+lvdoe`.  The optimizer loads scipy's compiled LAPACK extension alone on its
+first factorization, never the scipy.linalg package; the package, and the
+power-flow oracle with the commands that run only the oracle, load no
+LAPACK and no scipy package at all.  The extension took about 15 ms and
+2.6 MB; importing scipy.linalg on top of it, about 160 ms and 21.5 MB more,
+and scipy.sparse, scipy.special, scipy.optimize or scipy.stats about 10,
+40, 220 and 850 ms more, on a 2-core machine.  Each test runs in a fresh
+interpreter, so that no other test's imports count.
 """
 
 import json
@@ -18,9 +19,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("scipy.sparse", "scipy.optimize", "scipy.special", "scipy.stats")
+# What importing scipy.linalg would load beyond the LAPACK extension.
+LINALG = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py")
 
-# The oracle's paths, then one optimizer solve; prints which scipy.linalg
-# and heavy packages were loaded before and after that solve.
+# The oracle's paths, then one optimizer solve and one `lvdoe solve`;
+# prints which LINALG and HEAVY packages were loaded before and after them.
 ORACLE_SCRIPT = f"""
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
@@ -46,10 +49,15 @@ with contextlib.redirect_stdout(io.StringIO()):
         lvdoe.cli.main(["plot", "--result", str(out), "--out", str(out / "plot.svg")]),
     ]
 assert codes == [0, 0, 0], codes
-loaded = lambda: sorted(m for m in sys.modules if m == "scipy.linalg" or m.startswith({HEAVY!r}))
-before = loaded()
+loaded = lambda: sorted(m for m in sys.modules if m in {LINALG!r} or m.startswith({HEAVY!r}))
+lapack = lambda: "scipy.linalg._flapack" in sys.modules
+before, lapack_before = loaded(), lapack()
 sol = solver.solve(nlp.build_problem(case, nlp.ScenarioSpec(5), 0))
-print(json.dumps({{"before": before, "after": loaded(), "status": sol.status}}))
+after_solve = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = lvdoe.cli.main(["solve", "--network", net, "--scenario", "5", "--out", str(out / "solve")])
+print(json.dumps({{"before": before, "after_solve": after_solve, "after_cli": loaded(),
+                  "lapack": [lapack_before, lapack()], "status": sol.status, "code": code}}))
 """
 
 
@@ -67,7 +75,61 @@ def test_import_loads_no_heavy_scipy_package():
 
 def test_oracle_paths_never_load_scipy_linalg():
     out = json.loads(run_fresh(ORACLE_SCRIPT, str(ROOT / "src" / "lvdoe" / "fixtures" / "synth2.json")))
-    assert out["before"] == []
-    # The optimizer still works, and loads scipy.linalg alone.
-    assert out["status"] == "optimal"
-    assert out["after"] == ["scipy.linalg"]
+    assert out["before"] == [] and out["lapack"] == [False, True]
+    # The optimizer works on the LAPACK extension alone, and still loads
+    # none of scipy.linalg's package.
+    assert out["status"] == "optimal" and out["code"] == 0
+    assert out["after_solve"] == []
+    assert out["after_cli"] == []
+
+
+# One stage of feeder_hr solved on the LAPACK extension alone, then
+# scipy.linalg imported and its routines checked against that solve's.
+DRIFT_SCRIPT = """
+import json, sys
+import numpy as np
+from lvdoe import load_network, nlp, solver
+case = load_network(sys.argv[1])
+problems = [nlp.build_problem(case, nlp.ScenarioSpec(5), 0)]
+problems += [nlp.pin_period(problems[0], t, None) for t in range(1, case.horizon)]
+form = solver.internalize(problems[0])
+x0 = np.array([nlp.initial_point(problem) for problem in problems])
+first = []
+assemble = solver.kkt_assemble
+def spy(form, pt, mu):
+    out = assemble(form, pt, mu)
+    if not first:  # every instance at its multiplier start
+        first.append((pt, out[0][: out[1][0], : out[1][0], 0].copy()))
+    return out
+solver.kkt_assemble = spy
+stage = lambda: [(s.status, s.iterations, s.factorizations, s.objective, s.max_kkt_residual, s.x.tobytes())
+                 for s in solver.solve_batch(form, x0)]
+sols = stage()
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+pt, kkt = first[0]
+sytrf, sytrs = scipy.linalg.get_lapack_funcs(("sytrf", "sytrs"), dtype=np.float64)
+ldu, ipiv, info = sytrf(kkt, lower=1, lwork=solver._sytrf_lwork(kkt.shape[0]))
+(ours,), _ = solver._ldlt([kkt])
+rhs = np.linspace(-1.0, 1.0, kkt.shape[0])
+same_kkt = (info == 0 and np.array_equal(ldu, ours[0]) and np.array_equal(ipiv, ours[1])
+            and np.array_equal(sytrs(ldu, ipiv, rhs, lower=1)[0], solver._ldlt_solve(ours, rhs)))
+rhs0 = -(form.c + solver._jh_t(form, pt.jh, pt.z))[:, form.free]
+jg = np.zeros((form.eq.n_rows, form.n_vars))
+same_start = []
+for k in range(len(problems)):
+    jg[form.eq.jac_row, form.eq.jac_col] = pt.jg[k]
+    y_ls = scipy.linalg.lstsq(jg[:, form.free].T, rhs0[k], lapack_driver="gelsy")[0]
+    same_start.append(np.abs(y_ls).max() <= 1e3 and np.array_equal(pt.y[k], y_ls))
+first.clear()
+print(json.dumps({"statuses": sorted({s[0] for s in sols}), "same_kkt": bool(same_kkt),
+                  "same_start": same_start, "same_solve": stage() == sols}))
+"""
+
+
+def test_lapack_extension_matches_scipy_linalg_bit_for_bit():
+    out = json.loads(run_fresh(DRIFT_SCRIPT, str(ROOT / "src" / "lvdoe" / "fixtures" / "feeder_hr.json")))
+    assert out["statuses"] == ["optimal"]
+    assert out["same_kkt"]
+    assert out["same_start"] == [True] * 24
+    assert out["same_solve"]

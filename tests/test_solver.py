@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -315,6 +317,18 @@ class TestLdlt:
         k[0, 0] = 1.0
         _, inertia = solver._ldlt([k])
         assert inertia[0, 2] == 1
+
+    def test_missing_extension_names_folder_and_version(self, monkeypatch, synth2):
+        import importlib.machinery
+
+        import scipy
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix.so"])
+        solver._lapack.cache_clear()
+        folder = str(Path(scipy.__file__).parent / "linalg")
+        with pytest.raises(ImportError, match=re.escape(folder)) as err:
+            solve(build_problem(synth2, ScenarioSpec(5), 0))
+        assert f"scipy {scipy.__version__}" in str(err.value)
 
 
 class TestSolve:
