@@ -89,6 +89,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
@@ -759,7 +760,7 @@ def _block_solver(
 
 
 @functools.cache
-def _lapack():
+def _lapack() -> ModuleType:
     """scipy's compiled LAPACK extension, scipy/linalg/_flapack, loaded alone.
 
     The solver calls only its dsytrf, dsytrs and dgelsy; importing the
@@ -997,10 +998,9 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
     if me:
         rhs0 = -(form.c + _jh_t(form, pt.jh, z))[:, form.free]
         jg = np.zeros((me, form.n_vars))
-        # Jg[:, free] has full row rank on every bundled feeder, so the
-        # QR-based gelsy gives the same unique solution as an SVD, faster.
-        # It is called as scipy.linalg.lstsq(..., lapack_driver="gelsy")
-        # calls it, with one workspace query for the batch's common shape.
+        # Jg[:, free] has full row rank on every bundled feeder, so the QR-based
+        # gelsy gives the same unique solution as an SVD, faster.  It is called
+        # as lstsq(..., lapack_driver="gelsy") calls it, one workspace query a batch.
         eps = np.finfo(float).eps
         gelsy, lwork = _lapack().dgelsy, int(_lapack().dgelsy_lwork(form.free.size, me, 1, eps)[0])
         for k in range(n_b):
@@ -1009,7 +1009,7 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
             y_ls = gelsy(a, b, np.zeros(me, dtype=np.int32), eps, lwork, False, False)[1][:me]
             if np.abs(y_ls).max() <= 1e3:
                 y[k] = y_ls
-        del jg
+        del jg, a, b
     pt = replace(pt, y=y, z=z, s=s)
 
     # Per instance of the batch; pt holds the rows of the instances `ids`

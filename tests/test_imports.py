@@ -4,8 +4,8 @@ The benchmark's setup time counts interpreter start through `import
 lvdoe`.  The optimizer loads scipy's compiled LAPACK extension alone on its
 first factorization, never the scipy.linalg package; the package, and the
 power-flow oracle with the commands that run only the oracle, load no
-LAPACK and no scipy package at all.  The extension took about 15 ms and
-2.6 MB; importing scipy.linalg on top of it, about 160 ms and 21.5 MB more,
+LAPACK and no scipy package at all.  The extension took about 15-20 ms and
+2.5 MB; importing scipy.linalg on top of it, about 160 ms and 21.5 MB more,
 and scipy.sparse, scipy.special, scipy.optimize or scipy.stats about 10,
 40, 220 and 850 ms more, on a 2-core machine.  Each test runs in a fresh
 interpreter, so that no other test's imports count.
@@ -121,7 +121,6 @@ for k in range(len(problems)):
     jg[form.eq.jac_row, form.eq.jac_col] = pt.jg[k]
     y_ls = scipy.linalg.lstsq(jg[:, form.free].T, rhs0[k], lapack_driver="gelsy")[0]
     same_start.append(np.abs(y_ls).max() <= 1e3 and np.array_equal(pt.y[k], y_ls))
-first.clear()
 print(json.dumps({"statuses": sorted({s[0] for s in sols}), "same_kkt": bool(same_kkt),
                   "same_start": same_start, "same_solve": stage() == sols}))
 """
