@@ -9,11 +9,13 @@ export plot) next to timings.json, the one file that holds wall times.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
 from dataclasses import dataclass, replace
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, nlp, oracle, solver
-from .netmodel import InputError, NetworkCase, PHASE_INDEX, PHASES, load_network
+from .netmodel import InputError, NetworkCase, PHASE_INDEX, PHASES, _get, load_network
 from .phasecalc import LimitKind
 from .nlp import Objective, ScenarioSpec
 from .solver import SolverOptions
@@ -59,13 +61,21 @@ class EnvelopeResult:
     reactive_p: str = "two_stage"
     options: SolverOptions = SolverOptions()
 
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[str, str, int, str, str], ...]:
+        """envelopes.csv's rows in file order: generator id, phase, period, and P and Q at the file's six decimals."""
+        p, q, gens = self.p_kw.tolist(), self.q_kvar.tolist(), self.case.generators
+        rows = [(gens[g].id, PHASES[ph], t, f"{p[g][ph][t]:.6f}", f"{q[g][ph][t]:.6f}")
+                for g, ph in self.case.gen_entries() for t in range(self.case.horizon)]
+        return tuple(sorted(rows, key=lambda r: r[:3]))
+
     @property
     def total_kwh(self) -> float:
-        return float(self.p_kw.sum() * self.case.period_hours)
+        return _envelope_totals(self.rows, self.case.horizon, self.case.period_hours)[0]
 
     @property
     def total_kvarh(self) -> float:
-        return float(self.q_kvar.sum() * self.case.period_hours)
+        return _envelope_totals(self.rows, self.case.horizon, self.case.period_hours)[1]
 
     @property
     def start_spread_pu(self) -> float:
@@ -76,6 +86,19 @@ class EnvelopeResult:
             if objs:
                 spreads.append(max(objs) - min(objs))
         return max(spreads)
+
+
+def _envelope_totals(rows: Iterable, horizon: int, period_hours: float) -> tuple[float, float, tuple[float, ...]]:
+    """Daily kWh and kVArh and per-period kW of envelopes.csv's rows, as written or read back.
+
+    Every total lvdoe reports is this sum of the file's decimals in its row
+    order, rounded to six decimals, so that a run's files and messages agree."""
+    kw = kvar = 0.0
+    per_period = [0.0] * horizon
+    for _, _, t, p, q in rows:
+        kw, kvar = kw + float(p), kvar + float(q)
+        per_period[t] += float(p)
+    return round(kw * period_hours, 6), round(kvar * period_hours, 6), tuple(round(v, 6) for v in per_period)
 
 
 def run_scenario(
@@ -171,7 +194,13 @@ def _run_periods(
     t0 = clock()
     form = solver.internalize(problems[0])
     x0 = np.array([nlp.initial_point(problem, scale) for problem in problems for scale in scales])
-    solutions = solver.solve_batch(form, x0, opts)
+    try:
+        solutions = solver.solve_batch(form, x0, opts)
+    except solver.KktSingularError as exc:
+        if exc.row is not None:
+            stage = 1 if fixed_p is None else 2
+            exc.args = (f"stage {stage}, period {exc.row // starts}, start {exc.row % starts}: {exc}",)
+        raise
     solve_s = clock() - t0
 
     # Generation per period in pu, filled in as the periods are checked; the
@@ -233,14 +262,9 @@ def _run_periods(
 # Output files
 # ---------------------------------------------------------------------------
 
-def _envelope_rows(result: EnvelopeResult) -> list[tuple[str, str, int, float, float]]:
-    rows = []
-    for g, ph in result.case.gen_entries():
-        gen = result.case.generators[g]
-        for t in range(result.case.horizon):
-            rows.append((gen.id, PHASES[ph], t, result.p_kw[g, ph, t], result.q_kvar[g, ph, t]))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+def _write_json(path: Path, doc: dict) -> Path:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def emit_results(
@@ -250,8 +274,9 @@ def emit_results(
 ) -> list[Path]:
     """Write envelopes.csv, summary.json, diagnostics.json, envelopes.svg, timings.json and manifest.json.
 
-    Daily totals in the summary are recomputed from the rounded values that
-    go into the CSV, so the two files always agree exactly.  The per-period
+    Each row is formatted once, at the CSV's six decimals, and every total
+    in the summary and the plot is _envelope_totals of those decimals, so
+    the CSV, the summary and the SVG agree exactly.  The per-period
     diagnostics (stage 1 included) hold no timings, so they are deterministic;
     the wall times go to timings.json alone: each solved period's build_s
     and validate_s, each stage's solve_s for its one batch solve, and
@@ -260,63 +285,41 @@ def emit_results(
     t0 = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
 
-    rows = _envelope_rows(result)
     csv_path = out / "envelopes.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write("generator_id,phase,period,p_kw,q_kvar\n")
-        for gid, ph, t, p, q in rows:
-            fh.write(f"{gid},{ph},{t},{p:.6f},{q:.6f}\n")
-    written.append(csv_path)
+        fh.writelines(f"{gid},{ph},{t},{p},{q}\n" for gid, ph, t, p, q in result.rows)
 
-    h = result.case.period_hours
-    total_kwh = sum(round(p, 6) for _, _, _, p, _ in rows) * h
-    total_kvarh = sum(round(q, 6) for _, _, _, _, q in rows) * h
-    per_period = [0.0] * result.case.horizon
-    for _, _, t, p, _ in rows:
-        per_period[t] += round(p, 6)
-
+    total_kwh, total_kvarh, per_period = _envelope_totals(result.rows, result.case.horizon, result.case.period_hours)
     summary = {
         "scenario": result.spec.scenario,
         "objective": result.spec.objective.value,
-        "total_production_kwh": round(total_kwh, 6),
-        "total_production_kvarh": round(total_kvarh, 6),
+        "total_production_kwh": total_kwh,
+        "total_production_kvarh": total_kvarh,
         "periods": result.case.horizon,
-        "period_hours": h,
-        "per_period_total_kw": [round(v, 6) for v in per_period],
+        "period_hours": result.case.period_hours,
+        "per_period_total_kw": per_period,
         "start_spread_pu": result.start_spread_pu,
         "solver": {
             "statuses": sorted({d["status"] for d in result.diagnostics}),
             "total_iterations": int(sum(d["iterations"] for d in result.diagnostics)),
         },
     }
-    if result.stage1 is not None:
-        summary["stage1_total_kwh"] = round(
-            float(np.round(result.stage1.p_kw, 6).sum() * h), 6
-        )
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    written.append(summary_path)
-
     diagnostics = {"periods": list(result.diagnostics)}
     if result.stage1 is not None:
+        summary["stage1_total_kwh"] = result.stage1.total_kwh
         diagnostics["stage1"] = list(result.stage1.diagnostics)
-    diagnostics_path = out / "diagnostics.json"
-    diagnostics_path.write_text(json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
-    written.append(diagnostics_path)
+    written = [csv_path, _write_json(out / "summary.json", summary), _write_json(out / "diagnostics.json", diagnostics)]
 
     svg_path = out / "envelopes.svg"
     label = f"scenario {result.spec.scenario} ({result.spec.objective.value})"
-    svg_path.write_text(render_svg([(label, per_period)], h))
+    svg_path.write_text(render_svg([(label, per_period)], result.case.period_hours))
     written.append(svg_path)
 
     timings = {"periods": list(result.timings), "solve_s": result.solve_s, "emit_s": time.perf_counter() - t0}
     if result.stage1 is not None:
         timings["stage1"] = {"periods": list(result.stage1.timings), "solve_s": result.stage1.solve_s}
-    timings_path = out / "timings.json"
-    timings_path.write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
-    written.append(timings_path)
 
     manifest = {
         "tool": "lvdoe",
@@ -336,11 +339,7 @@ def emit_results(
             "max_iter": result.options.max_iter,
         },
     }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    written.append(manifest_path)
-
-    return written
+    return [*written, _write_json(out / "timings.json", timings), _write_json(out / "manifest.json", manifest)]
 
 
 def render_svg(series: list[tuple[str, list[float]]], period_hours: float) -> str:
@@ -389,8 +388,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_envelopes_csv(path: Path) -> dict[tuple[str, str, int], tuple[float, float]]:
-    out = {}
+def _read_result(raw: str) -> tuple[Path, dict[tuple[str, str, int], tuple], tuple[str, float] | None]:
+    """A result directory or its envelopes.csv: the CSV's path, its rows in
+    file order keyed by (generator_id, phase, period), and the plot label
+    and period_hours of the directory's summary.json, or None without one."""
+    path = Path(raw)
+    if path.is_dir():
+        path = path / "envelopes.csv"
+    rows = {}
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "generator_id,phase,period,p_kw,q_kvar":
@@ -398,21 +403,30 @@ def _read_envelopes_csv(path: Path) -> dict[tuple[str, str, int], tuple[float, f
         for n, line in enumerate(fh, start=2):
             try:
                 gid, ph, t, p, q = line.strip().split(",")
-                key, value = (gid, ph, int(t)), (float(p), float(q))
+                row = (gid, ph, int(t), float(p), float(q))
             except ValueError:
                 raise InputError(
                     f"{path}, line {n}: expected generator_id,phase,period,p_kw,q_kvar, got {line.strip()!r}"
                 ) from None
-            if not np.isfinite(value).all():
+            if not np.isfinite(row[3:]).all():
                 raise InputError(f"{path}, line {n}: p_kw and q_kvar must be finite, got {line.strip()!r}")
-            if key[2] < 0:
-                raise InputError(f"{path}, line {n}: period {key[2]} is negative")
-            if key in out:
+            if row[2] < 0:
+                raise InputError(f"{path}, line {n}: period {row[2]} is negative")
+            if row[:3] in rows:
                 raise InputError(
-                    f"{path}, line {n}: duplicate row for generator {gid!r}, phase {ph!r}, period {key[2]}"
+                    f"{path}, line {n}: duplicate row for generator {gid!r}, phase {ph!r}, period {row[2]}"
                 )
-            out[key] = value
-    return out
+            rows[row[:3]] = row
+    summary_path = path.parent / "summary.json"
+    if not summary_path.exists():
+        return path, rows, None
+    try:
+        summary = json.loads(summary_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{summary_path}: invalid JSON: {exc}") from None
+    ctx = str(summary_path)
+    label = f"scenario {_get(summary, 'scenario', int, ctx)} ({_get(summary, 'objective', str, ctx)})"
+    return path, rows, (label, _get(summary, "period_hours", float, ctx))
 
 
 def _build_parser() -> _Parser:
@@ -498,15 +512,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_validate(args) -> int:
     case = load_network(args.network, args.loads)
-    path = Path(args.result)
-    if path.is_dir():
-        path = path / "envelopes.csv"
-    envelope = _read_envelopes_csv(path)
+    path, rows, _ = _read_result(args.result)
     cs = nlp.constraint_set_for(ScenarioSpec(args.scenario))
 
     injections = oracle.InjectionSet.from_case(case)
     gen_idx = {g.id: i for i, g in enumerate(case.generators)}
-    for (gid, ph, t), (p, q) in envelope.items():
+    for gid, ph, t, p, q in rows.values():
         if gid not in gen_idx:
             raise InputError(f"{path}: unknown generator {gid!r}")
         if ph not in PHASE_INDEX:
@@ -518,7 +529,7 @@ def _cmd_validate(args) -> int:
         injections.p_gen[gen_idx[gid], PHASE_INDEX[ph], t] = p / case.s_base
         injections.q_gen[gen_idx[gid], PHASE_INDEX[ph], t] = q / case.s_base
     expected = {(g.id, ph, t) for g in case.generators for ph in g.phases for t in range(case.horizon)}
-    missing = sorted(expected - envelope.keys())
+    missing = sorted(expected - rows.keys())
     if missing:
         gid, ph, t = missing[0]
         raise InputError(
@@ -545,21 +556,11 @@ def _cmd_validate(args) -> int:
 def _cmd_plot(args) -> int:
     series = []
     ph = 1.0
-    for rd in args.result:
-        path = Path(rd)
-        csv_path = path / "envelopes.csv" if path.is_dir() else path
-        envelope = _read_envelopes_csv(csv_path)
-        summary_path = (csv_path.parent / "summary.json")
-        label = csv_path.parent.name
-        if summary_path.exists():
-            meta = json.loads(summary_path.read_text())
-            label = f"scenario {meta['scenario']} ({meta['objective']})"
-            ph = float(meta.get("period_hours", 1.0))
-        T = 1 + max((t for (_, _, t) in envelope), default=0)
-        totals = [0.0] * T
-        for (_, _, t), (p, _) in envelope.items():
-            totals[t] += p
-        series.append((label, totals))
+    for raw in args.result:
+        path, rows, meta = _read_result(raw)
+        label, ph = meta or (path.parent.name, ph)
+        horizon = 1 + max((t for _, _, t in rows), default=0)
+        series.append((label, _envelope_totals(rows.values(), horizon, ph)[2]))
     Path(args.out).write_text(render_svg(series, ph))
     print(args.out)
     return 0
@@ -571,10 +572,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"solve": _cmd_solve, "oracle": _cmd_oracle, "validate": _cmd_validate, "plot": _cmd_plot}
     try:
         return handlers[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (oracle.InfeasibleAtZeroExportError, solver.KktSingularError, ScenarioSolveError) as exc:

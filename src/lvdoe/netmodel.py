@@ -264,7 +264,8 @@ def _parse_phases(raw, ctx: str) -> tuple[str, ...]:
 
 
 def _get(obj: dict, key: str, typ, ctx: str, default=None):
-    """obj[key] checked against typ; default, when given, stands in for an absent field."""
+    """obj[key] of the JSON object obj, checked against typ; default, when given, stands in for an absent field."""
+    _require(isinstance(obj, dict), f"{ctx}: expected an object, got {type(obj).__name__}")
     if key not in obj and default is not None:
         return default
     _require(key in obj, f"{ctx}: missing field {key!r}")
@@ -320,8 +321,7 @@ def _parse_profile(obj: dict, key: str, horizon: int, n_ph: int, ctx: str) -> np
     """The profile under key, one row per phase; None when the field is absent or null."""
     if obj.get(key) is None:
         return None
-    raw = obj[key]
-    _require(isinstance(raw, list), f"{ctx}: {key} must be a list")
+    raw = _get(obj, key, list, ctx)
     if len(raw) != horizon:
         raise InputError(f"{ctx}: profile length {len(raw)} does not match horizon {horizon}")
     return np.tile(_finite_array(raw, f"{ctx}: {key}"), (n_ph, 1))
@@ -380,7 +380,6 @@ def load_network(path: str | Path, loads_csv: str | Path | None = None) -> Netwo
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path.name}: invalid JSON: {exc}") from None
-    _require(isinstance(doc, dict), f"{path.name}: top level must be an object")
 
     base = _get(doc, "base", dict, path.name)
     s_base = _get(base, "s_kva", float, "base")
@@ -404,7 +403,7 @@ def load_network(path: str | Path, loads_csv: str | Path | None = None) -> Netwo
     csv_profiles = load_profiles_csv(loads_csv, horizon) if loads_csv is not None else {}
 
     loads = []
-    for obj in doc.get("loads", []):
+    for obj in _get(doc, "loads", list, path.name, []):
         lid = _get(obj, "id", str, "load")
         ctx = f"load {lid}"
         phases = _parse_phases(_get(obj, "phase", str, ctx), ctx)
@@ -432,7 +431,7 @@ def load_network(path: str | Path, loads_csv: str | Path | None = None) -> Netwo
             p_cap=_get(g, "p_cap_kw", float, f"generator {g.get('id')}"),
             q_abs_max=_get(g, "q_abs_max_kvar", float, f"generator {g.get('id')}", 0.0),
         )
-        for g in doc.get("generators", [])
+        for g in _get(doc, "generators", list, path.name, [])
     )
 
     case = NetworkCase(

@@ -107,7 +107,12 @@ SIGMA_CONDENSED_MAX = 1e6
 
 
 class KktSingularError(RuntimeError):
-    """KKT system stayed singular after exhausting the regularization budget."""
+    """KKT system stayed singular after exhausting the regularization budget;
+    row, when known, is the failing instance's row of the batch's x0."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -802,41 +807,33 @@ def _ldlt(mats: Sequence[np.ndarray]) -> tuple[list, np.ndarray]:
     curvature pivots.
     """
     sytrf = _lapack().dsytrf
-    factors, diag, sub = [], [], []
-    for a in mats:
+    tiny = 1e-12
+    sizes = np.array([a.shape[0] for a in mats], dtype=np.intp)
+    # Row k holds matrix k's pivots, padded with 1x1 pivots of zero, which
+    # count as neither sign; a 2x2 pivot on rows i and i + 1 of matrix k is
+    # [[d[k, i], sub[k, i + 1]], [sub[k, i + 1], d[k, i + 1]]].
+    d, sub = np.zeros((2, sizes.size, sizes.max(initial=0) + 1))
+    two = np.zeros((sizes.size, d.shape[1] - 1), dtype=bool)
+    factors = []
+    for k, a in enumerate(mats):
         ldu, ipiv, info = sytrf(a, lower=1, lwork=_sytrf_lwork(a.shape[0]))
         if info < 0:
             raise ValueError(f"sytrf illegal argument {-info}")
         factors.append((ldu, ipiv))
-        diag.append(np.diagonal(ldu))
-        sub.append(np.diagonal(ldu, -1))
-    tiny = 1e-12
-    sizes = np.array([ipiv.size for _, ipiv in factors], dtype=np.intp)
-    first = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    d = np.concatenate([np.zeros(0), *diag])
-    two = np.concatenate([np.zeros(0, dtype=bool), *(ipiv < 0 for _, ipiv in factors)])
+        d[k, : ipiv.size], sub[k, 1 : ipiv.size] = np.diagonal(ldu), np.diagonal(ldu, -1)
+        two[k, : ipiv.size] = ipiv < 0
     # A 2x2 pivot marks both of its rows with a negative ipiv and every
-    # matrix holds an even number of them, so the blocks start at every
-    # other negative entry of all the matrices' rows in a row.
-    start = np.flatnonzero(two & (np.cumsum(two) % 2 == 1))
-    one = ~two
-
-    def count(rows: np.ndarray) -> np.ndarray:
-        return np.bincount(owner[rows], minlength=sizes.size)
-
-    # sub holds n - 1 entries of an n-row matrix: ldu[k + 1, k] is entry k of its own.
-    a, c = d[start], d[start + 1]
-    sub_first = np.cumsum(np.maximum(sizes - 1, 0)) - np.maximum(sizes - 1, 0)
-    b = np.concatenate([np.zeros(0), *sub])[sub_first[owner[start]] + start - first[owner[start]]]
-    det = a * c - b * b
-    singular = np.abs(det) <= tiny * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(c))
+    # matrix holds an even number of them, so a matrix's blocks start at
+    # every other negative entry of its rows.
+    start = two & (np.cumsum(two, axis=1) % 2 == 1)
+    a, b, c = d[:, :-1], sub[:, 1:], d[:, 1:]
+    singular = np.abs(a * c - b * b) <= tiny * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(c))
     # A regular 2x2 pivot has one eigenvalue of each sign; a singular one
     # counts one zero, and its trace signs the other eigenvalue.
     tr = a + c
-    regular = count(start[~singular])
-    pos = count(np.flatnonzero(one & (d > tiny))) + regular + count(start[singular & (tr > tiny)])
-    neg = count(np.flatnonzero(one & (d < -tiny))) + regular + count(start[singular & (tr < -tiny)])
+    regular = (start & ~singular).sum(axis=1)
+    pos = (~two & (a > tiny)).sum(axis=1) + regular + (start & singular & (tr > tiny)).sum(axis=1)
+    neg = (~two & (a < -tiny)).sum(axis=1) + regular + (start & singular & (tr < -tiny)).sum(axis=1)
     return factors, np.column_stack([pos, neg, sizes - pos - neg])
 
 
@@ -859,14 +856,15 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, ratio.min(axis=1, initial=np.inf))
 
 
-def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np.ndarray) -> tuple:
+def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np.ndarray, ids: np.ndarray) -> tuple:
     """The regularized Newton step of every instance of pt at its barrier
     parameter mu: (dx, dy, dz, ds, dw, dc, factorizations, factorize_s),
     one row or entry per instance.
 
     Each instance first tries dw = dc = 0 and climbs its own regularization
     ladder, from delta_last (its last iteration's dw), while its inertia is
-    wrong; the matrices are freed on return.
+    wrong; the matrices are freed on return.  ids holds each instance's row
+    of the batch's x0, which a KktSingularError names.
     """
     n_a = pt.x.shape[0]
     n_reduced = form.keep.size - form.lin_rows.size
@@ -899,7 +897,8 @@ def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np
         if delta_w[pending[worst]] > 1e12:
             raise KktSingularError(
                 f"KKT inertia {tuple(int(v) for v in inertia[worst])} not correctable at regularization "
-                f"{delta_w[pending[worst]]:g}"
+                f"{delta_w[pending[worst]]:g}",
+                int(ids[pending[worst]]),
             )
         step = regularize(delta_w, delta_c, pending)
 
@@ -1065,7 +1064,7 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
             mu[ids] = m_u
 
         dx, dy, dz, ds, delta_w, delta_c, iter_factorizations, factorize_s = _newton_step(
-            form, pt, m_u, delta_last[ids]
+            form, pt, m_u, delta_last[ids], ids
         )
         delta_last[ids] = delta_w
         factorizations[ids] += iter_factorizations

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -38,15 +39,31 @@ class TestSolveCommand:
             assert (solved_dir / name).exists()
 
     def test_aggregation_identity(self, solved_dir):
-        total = 0.0
+        # Every summary total is the sum of the CSV's decimals in its row
+        # order, rounded to six decimals: equal, not merely close.
+        kw = kvar = 0.0
+        per_period = [0.0] * 24
         with open(solved_dir / "envelopes.csv") as fh:
             assert fh.readline().strip() == "generator_id,phase,period,p_kw,q_kvar"
             for line in fh:
-                total += float(line.split(",")[3])
+                _, _, t, p, q = line.split(",")
+                kw, kvar = kw + float(p), kvar + float(q)
+                per_period[int(t)] += float(p)
         summary = json.loads((solved_dir / "summary.json").read_text())
-        # summary totals are recomputed from the rounded CSV values
-        assert total * summary["period_hours"] == pytest.approx(
-            summary["total_production_kwh"], abs=1e-9
+        h = summary["period_hours"]
+        assert summary["total_production_kwh"] == round(kw * h, 6)
+        assert summary["total_production_kvarh"] == round(kvar * h, 6)
+        assert summary["per_period_total_kw"] == [round(v, 6) for v in per_period]
+
+    def test_printed_total_equals_summary(self, tmp_path, capsys):
+        # The printed total used to sum the unrounded envelopes: 425.310147
+        # against the summary's 425.310148 here.
+        out = tmp_path / "o"
+        assert main(["solve", "--network", SYNTH2, "--scenario", "5", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"total production: {summary['total_production_kwh']:.6f} kWh, "
+            f"{summary['total_production_kvarh']:.6f} kVArh"
         )
 
     def test_manifest_hashes_inputs(self, solved_dir):
@@ -134,6 +151,52 @@ class TestErrorPaths:
         rows = [line.split(",") for line in (out / "envelopes.csv").read_text().splitlines()[1:]]
         assert {float(r[4]) for r in rows if r[0] in ("z1", "z2")} == {0.0}
         assert main(["validate", "--network", str(net), "--result", str(out), "--scenario", "5"]) == 0
+
+    @pytest.mark.parametrize(
+        "flag, target",
+        [("--out", "file"), ("--out", "file/o"), ("--network", "."), ("--loads", ".")],
+        ids=["out_is_a_file", "out_under_a_file", "network_is_a_directory", "loads_is_a_directory"],
+    )
+    def test_unusable_path_exits_1(self, tmp_path, capsys, flag, target):
+        (tmp_path / "file").write_text("")
+        args = {"--network": SYNTH4, "--out": str(tmp_path / "o"), flag: str(tmp_path / target)}
+        rc = main(["solve", "--scenario", "1", *(x for pair in args.items() for x in pair)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_malformed_network_exits_1(self, tmp_path, capsys):
+        doc = json.loads(open(SYNTH2).read())
+        doc["generators"][0] = 5
+        net = tmp_path / "bad.json"
+        net.write_text(json.dumps(doc))
+        assert main(["solve", "--network", str(net), "--scenario", "5", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: generator: expected an object, got int\n"
+
+    @pytest.mark.parametrize("objective, stage", [("active", 1), ("reactive-margin", 2)])
+    def test_singular_kkt_names_stage_period_and_start(self, tmp_path, monkeypatch, capsys, objective, stage):
+        # The last matrix of every factorization reports a zero pivot, so the
+        # batch's last instance fails in its first iteration: synth2's 24
+        # periods x 2 starts make it period 23, start 1, of the given stage.
+        batch, ldlt, stages = solver.solve_batch, solver._ldlt, []
+
+        def counting(*args):
+            stages.append(len(stages) + 1)
+            return batch(*args)
+
+        def wrong_last(mats):
+            factors, inertia = ldlt(mats)
+            if stages[-1] == stage:
+                inertia[-1] = [0, 0, mats[-1].shape[0]]
+            return factors, inertia
+
+        monkeypatch.setattr(solver, "solve_batch", counting)
+        monkeypatch.setattr(solver, "_ldlt", wrong_last)
+        rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--objective", objective,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: stage {stage}, period 23, start 1: KKT inertia (0, 0, ")
+        assert stages == list(range(1, stage + 1))
 
     def test_singular_kkt_exits_2(self, tmp_path, monkeypatch, capsys):
         def singular(*args, **kwargs):
@@ -332,6 +395,29 @@ class TestPlotCommand:
         rc = main(["plot", "--result", str(solved_dir), str(out2), "--out", str(svg_out)])
         assert rc == 0
         assert svg_out.read_text().count("<polyline") == 2
+
+    def test_one_result_reproduces_its_svg(self, solved_dir, tmp_path):
+        assert main(["plot", "--result", str(solved_dir), "--out", str(tmp_path / "x.svg")]) == 0
+        assert (tmp_path / "x.svg").read_bytes() == (solved_dir / "envelopes.svg").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "summary.json: invalid JSON"),
+            ("[]", "summary.json: expected an object, got list"),
+            ("{}", "summary.json: missing field 'scenario'"),
+            ('{"scenario": 5, "objective": "active_export", "period_hours": "x"}',
+             "summary.json: field 'period_hours' must be a finite number"),
+        ],
+        ids=["not_json", "list", "empty", "period_hours"],
+    )
+    def test_bad_summary_exits_1(self, solved_dir, tmp_path, capsys, text, message):
+        shutil.copy(solved_dir / "envelopes.csv", tmp_path)
+        (tmp_path / "summary.json").write_text(text)
+        rc = main(["plot", "--result", str(tmp_path), "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_bad_row_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "envelopes.csv"
@@ -559,6 +645,19 @@ class TestEmitResults:
         assert summary["total_production_kwh"] == 0.0
         svg = (tmp_path / "empty" / "envelopes.svg").read_text()
         assert svg.count("<polyline") == 1  # flat zero series still drawn
+
+    def test_summary_total_equals_the_csv_decimals(self, tmp_path):
+        # round() on a numpy float rounds this P to 0.912756, but the CSV
+        # writes 0.912755; the summary adds up what the CSV holds.
+        case = two_bus_case()
+        p_kw = np.zeros((1, 3, case.horizon))
+        p_kw[0, 0, 0] = 0.9127554999999999
+        result = EnvelopeResult(case, ScenarioSpec(5), p_kw, np.zeros_like(p_kw), np.zeros(case.horizon), ())
+        emit_results(result, tmp_path)
+        assert (tmp_path / "envelopes.csv").read_text().splitlines()[1] == "g1,a,0,0.912755,0.000000"
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["total_production_kwh"] == result.total_kwh == 0.912755
+        assert summary["per_period_total_kw"] == [0.912755, 0.0, 0.0, 0.0]
 
     def test_csv_number_format(self, solved_dir):
         lines = (solved_dir / "envelopes.csv").read_text().splitlines()[1:]

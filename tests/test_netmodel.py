@@ -205,6 +205,27 @@ class TestLoadNetwork:
         with pytest.raises(InputError, match="i_max_a"):
             load_network(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (set_in("buses", 1, 5), "bus: expected an object, got int"),
+            (set_in("branches", 0, 5), "branch: expected an object, got int"),
+            (set_in("generators", 0, 5), "generator: expected an object, got int"),
+            (set_in("loads", 5), "net.json: field 'loads' has wrong type"),
+        ],
+        ids=["bus", "branch", "generator", "loads"],
+    )
+    def test_malformed_structure_rejected(self, tmp_path, edit, message):
+        # Each of these used to raise a TypeError.
+        doc = self._doc()
+        edit(doc)
+        with pytest.raises(InputError, match=message):
+            load_network(self._write(tmp_path, doc))
+
+    def test_top_level_list_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="net.json: expected an object, got list"):
+            load_network(self._write(tmp_path, []))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
             load_network(tmp_path / "nope.json")
