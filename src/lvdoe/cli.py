@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import sys
 import time
@@ -23,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__, nlp, oracle, solver
-from .netmodel import InputError, NetworkCase, PHASE_INDEX, PHASES, _get, load_network
+from .netmodel import InputError, NetworkCase, PHASE_INDEX, PHASES, _get, load_network, read_text
 from .phasecalc import LimitKind
 from .nlp import Objective, ScenarioSpec
 from .solver import SolverOptions
@@ -388,15 +389,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_result(raw: str) -> tuple[Path, dict[tuple[str, str, int], tuple], tuple[str, float] | None]:
+def _read_result(raw: str) -> tuple[Path, dict[tuple[str, str, int], tuple], tuple[str, float, int] | None]:
     """A result directory or its envelopes.csv: the CSV's path, its rows in
-    file order keyed by (generator_id, phase, period), and the plot label
-    and period_hours of the directory's summary.json, or None without one."""
+    file order keyed by (generator_id, phase, period), and the plot label,
+    period_hours and periods of the directory's summary.json, or None
+    without one."""
     path = Path(raw)
     if path.is_dir():
         path = path / "envelopes.csv"
     rows = {}
-    with open(path) as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:
         header = fh.readline().strip()
         if header != "generator_id,phase,period,p_kw,q_kvar":
             raise InputError(f"{path}: unexpected envelopes header {header!r}")
@@ -421,12 +423,18 @@ def _read_result(raw: str) -> tuple[Path, dict[tuple[str, str, int], tuple], tup
     if not summary_path.exists():
         return path, rows, None
     try:
-        summary = json.loads(summary_path.read_text())
+        summary = json.loads(read_text(summary_path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{summary_path}: invalid JSON: {exc}") from None
     ctx = str(summary_path)
     label = f"scenario {_get(summary, 'scenario', int, ctx)} ({_get(summary, 'objective', str, ctx)})"
-    return path, rows, (label, _get(summary, "period_hours", float, ctx))
+    period_hours, periods = _get(summary, "period_hours", float, ctx), _get(summary, "periods", int, ctx)
+    if periods < 1:
+        raise InputError(f"{summary_path}: field 'periods' must be positive, got {periods}")
+    beyond = [t for _, _, t in rows if t >= periods]
+    if beyond:
+        raise InputError(f"{path}: period {max(beyond)} outside the {periods} periods of {summary_path}")
+    return path, rows, (label, period_hours, periods)
 
 
 def _build_parser() -> _Parser:
@@ -558,8 +566,7 @@ def _cmd_plot(args) -> int:
     ph = 1.0
     for raw in args.result:
         path, rows, meta = _read_result(raw)
-        label, ph = meta or (path.parent.name, ph)
-        horizon = 1 + max((t for _, _, t in rows), default=0)
+        label, ph, horizon = meta or (path.parent.name, ph, 1 + max((t for _, _, t in rows), default=0))
         series.append((label, _envelope_totals(rows.values(), horizon, ph)[2]))
     Path(args.out).write_text(render_svg(series, ph))
     print(args.out)

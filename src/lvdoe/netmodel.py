@@ -10,6 +10,7 @@ immediately after parsing; the conversion is exactly invertible.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -29,6 +30,14 @@ class InputError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InputError(msg)
+
+
+def read_text(path: Path) -> str:
+    """The text of an input file, which must be UTF-8; its line ends as written."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: byte {exc.start} is {exc.object[exc.start:exc.end]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -337,7 +346,7 @@ def load_profiles_csv(path: str | Path, horizon: int) -> dict[tuple[str, str], t
     _require(path.exists(), f"loads file not found: {path}")
     table: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
     filled: dict[tuple[str, str], np.ndarray] = {}
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         expect = ["element_id", "phase", "period", "p_kw", "q_kvar"]
         _require(reader.fieldnames == expect, f"loads CSV header must be {','.join(expect)}")
@@ -377,7 +386,7 @@ def load_network(path: str | Path, loads_csv: str | Path | None = None) -> Netwo
     path = Path(path)
     _require(path.exists(), f"network file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path.name}: invalid JSON: {exc}") from None
 

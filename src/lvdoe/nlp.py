@@ -508,7 +508,8 @@ def _bounds(
         ub[layout.qg] = q_max
     if layout.with_reactive_split:
         # An injection with no reactive rating has no split: its Q is pinned at 0.
-        unrated = np.setdiff1d(np.arange(len(layout.injections)), layout.split_injections)
+        unrated = np.ones(len(layout.injections), dtype=bool)
+        unrated[layout.split_injections] = False
         lb[layout.qg[unrated]] = ub[layout.qg[unrated]] = 0.0
         lb[layout.qplus] = lb[layout.qminus] = lb[layout.qaux] = 0.0
         ub[layout.qplus] = ub[layout.qminus] = q_max[layout.split_injections]

@@ -77,9 +77,13 @@ it would treat it alone: one BLAS call of the same shape per instance, and
 sums in a fixed order, so an instance's iterates do not depend on the batch
 it is solved in, and solve() is the batch of one.  The Jacobians are held
 as values on their rows' fixed patterns and the Hessian as values on its
-fixed pattern (H_DD is block diagonal), never as dense stacks; kkt_assemble
-builds the reduced matrices of the whole batch at once, and _ldlt factors
-them one by one and reads the inertia of all of them in one pass.
+fixed pattern, never as dense stacks.  H_DD is block diagonal: the limit
+rows on D are |u|^2 of a bus and phase, |i|^2 of a branch and phase and a
+bus's VUF, so internalize takes its blocks from the components of its
+pattern (30 blocks of 2 and 10 of 6 on feeder_hr in scenario 5).
+kkt_assemble builds the reduced matrices of the whole batch at once, with
+one gemm per instance and block for H_DD T, and _ldlt factors them one by
+one and reads the inertia of all of them in one pass.
 """
 
 from __future__ import annotations
@@ -202,8 +206,9 @@ class InternalForm:
     hess_row: np.ndarray   # block's pattern (hess_row, hess_col, positions in keep), then each
     hess_col: np.ndarray   # block's dense H, then a sink for terms across groups, then a zero
     n_hess: int            # slot that no term reaches; n_hess slots in all
-    dd_slot: np.ndarray    # (nd, width) slots of each row of H_DD, padded with the zero slot,
-    dd_col: np.ndarray     # and their columns (0 in the padding)
+    dd_blocks: tuple       # H_DD's diagonal blocks, one (rows, slots, half_t) per size s: rows
+                           # (nb, s), their Hessian slots (nb, s, s), the zero slot off the
+                           # pattern, and T/2 on the rows (nb, s, nc)
     block_row: np.ndarray  # the blocks' rows r, one shape after the other
     pair_a: np.ndarray     # entries of ineq's Jacobian pattern in pairs that share a row;
     pair_b: np.ndarray     # their products condense Jh' diag(z/s) Jh
@@ -257,27 +262,17 @@ def private_blocks(problem: NlpProblem) -> tuple[Blocks, ...]:
     touch[ik[cand[iv]]] = True
 
     # Components of the graph of variables (0..n-1), equality rows (n..) and
-    # inequality rows (n+me..) joined by these entries, each labelled by its
-    # lowest node: propagate the minimum along the edges, halving the paths.
+    # inequality rows (n+me..) joined by these entries.
     a = np.concatenate([v_in[in_s], iv[touch[ik]]])
     b = np.concatenate([n + k_in[in_s], n + me + ik[touch[ik]]])
     size = n + me + ineq.n_rows
-    label = np.arange(size)
-    while True:
-        low = np.minimum(label[a], label[b])
-        new = label.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
+    label = _components(size, a, b)
     ok = np.zeros(size, dtype=bool)
     ok[label[:n][cand]] = True
     ok[label[:n][~cand]] = False
     # Each qualifying component has one boundary row r, which touches no
     # other one; a component that meets none takes its last S row as r.
-    t_row, t_comp = np.divmod(np.unique(k_in[~in_s] * size + label[v_in[~in_s]]), size)
+    t_row, t_comp = np.divmod(_unique(k_in[~in_s] * size + label[v_in[~in_s]]), size)
     n_touch = np.bincount(t_comp, minlength=size)
     r_of = np.full(size, -1)
     r_of[t_comp] = t_row
@@ -293,7 +288,7 @@ def private_blocks(problem: NlpProblem) -> tuple[Blocks, ...]:
     srow = np.flatnonzero(s_row & ok[label[n : n + me]])
     var = var[np.lexsort((var, r_of[label[var]]))]
     srow = srow[np.lexsort((srow, r_of[label[n + srow]]))]
-    comp = np.unique(label[var])
+    comp = _unique(label[var])
     nv = np.bincount(label[var], minlength=size)[comp]
     ns = np.bincount(label[n + srow], minlength=size)[comp]
 
@@ -325,6 +320,29 @@ def private_blocks(problem: NlpProblem) -> tuple[Blocks, ...]:
         if good.any():
             groups.append(Blocks(var=g_var[good], srow=g_srow[good], row=g_row[good], coef=coef[good]))
     return tuple(groups)
+
+
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node's component in the graph of the nodes 0..size-1 and the
+    edges (a, b), labelled by its lowest node: the minimum is propagated
+    along the edges, halving the paths."""
+    label = np.arange(size)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a: np.unique without its flags, which
+    would load numpy.ma (numpy 2.4's _unique1d asks np.ma.is_masked)."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])] if a.size else a
 
 
 def _independent(gram: np.ndarray) -> np.ndarray:
@@ -420,19 +438,25 @@ def internalize(problem: NlpProblem) -> InternalForm:
     ])
     # Only the kept block's pattern is stored; the blocks' H, the sink and
     # the zero slot follow it as laid out above.
-    pattern = np.unique(terms[terms < nk * nk])
+    pattern = _unique(terms[terms < nk * nk])
     in_kept = terms < nk * nk
     w_slot = np.where(in_kept, np.searchsorted(pattern, terms), pattern.size + terms - nk * nk)
     n_hess = pattern.size + end - nk * nk + 2
     hess_row, hess_col = np.divmod(pattern, nk)
-    # H_DD row by row: each row of the pattern on D, padded to the longest.
+    # H_DD's diagonal blocks: the components of its pattern, grouped by size,
+    # each a dense block whose entries off the pattern take the zero slot.
     nd = d.size
     dd = np.flatnonzero((hess_row < nd) & (hess_col < nd))
-    per_row = np.bincount(hess_row[dd], minlength=nd)
-    rank = np.arange(dd.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    dd_slot = np.full((nd, per_row.max(initial=0)), n_hess - 1)
-    dd_col = np.zeros_like(dd_slot)
-    dd_slot[hess_row[dd], rank], dd_col[hess_row[dd], rank] = dd, hess_col[dd]
+    label = _components(nd, hess_row[dd], hess_col[dd])
+    node = _unique(hess_row[dd])
+    size = np.bincount(label[node], minlength=nd)[label[node]]
+    dd_slot = np.full((nd, nd), n_hess - 1)
+    dd_slot[hess_row[dd], hess_col[dd]] = dd
+    dd_blocks = []
+    for s in _unique(size).tolist():
+        rows = node[size == s]
+        rows = rows[np.argsort(label[rows], kind="stable")].reshape(-1, s)
+        dd_blocks.append((rows, dd_slot[rows[:, :, None], rows[:, None, :]], 0.5 * basis[rows]))
 
     # eq's Jacobian entries on the rows eq_keep, then the blocks' rows r, and on keep.
     row_pos = np.full(me, -1)
@@ -462,8 +486,7 @@ def internalize(problem: NlpProblem) -> InternalForm:
         hess_row=hess_row,
         hess_col=hess_col,
         n_hess=n_hess,
-        dd_slot=dd_slot,
-        dd_col=dd_col,
+        dd_blocks=tuple(dd_blocks),
         block_row=block_row,
         pair_a=pair_a,
         pair_b=pair_b,
@@ -539,9 +562,10 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
     s/z)]] acts on (dr, dy_q), where Jq holds the remaining equality rows
     and then the split rows, whose dz come last in dy_q.  T is nonzero only
     on C, so Z'HZ = H_RR + X + X' with X = T'(H_DR + H_DD T / 2) on the rows
-    of C, formed once per iteration (H_DD T row by row, through H_DD's few
-    entries per row); a retry adds dw*(I + T'T), T'T being constant, and
-    the block terms w v' v with v = j_r Z.
+    of C, formed once per iteration (H_DD T / 2 one diagonal block of H_DD
+    at a time, a gemm per instance and block, batched per block size); a
+    retry adds dw*(I + T'T), T'T being constant, and the block terms w v' v
+    with v = j_r Z.
 
     step(solve_fn), given a function that solves every instance's matrix
     for a (B, dim) right-hand side, returns (dx, dy, dz, ds), one row per
@@ -624,10 +648,9 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
     x = np.zeros((n_b, nd * nr))
     x[:, h_row[dr] * nr + h_col[dr] - nd] = hess[:, dr]
     x = x.reshape(n_b, nd, nr)
-    # H_DD T / 2 added to X's columns of C, one entry of each H_DD row at a time.
-    half_t = 0.5 * t
-    for slot_k, col_k in zip(form.dd_slot.T, form.dd_col.T):
-        x[:, :, :nc] += hess[:, slot_k, None] * half_t[col_k]
+    # H_DD T / 2 added to X's columns of C: one gemm per instance and block.
+    for rows, slots, half_t in form.dd_blocks:
+        x[:, rows, :nc] += hess[:, slots] @ half_t
     x = t.T @ x
     base = np.zeros((n_b, nr * nr))
     base[:, (h_row[rr] - nd) * nr + h_col[rr] - nd] = hess[:, rr]
@@ -662,19 +685,21 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
     reg_c = np.zeros(n_b)
 
     def regularize(delta_w, delta_c, which=None) -> Callable:
-        which = np.arange(n_b) if which is None else np.asarray(which)
+        # All instances as a basic slice: their arrays are then views, not copies.
+        which = slice(None) if which is None else np.asarray(which)
         reg_w[which] = np.broadcast_to(delta_w, (n_b,))[which]
         reg_c[which] = np.broadcast_to(delta_c, (n_b,))[which]
         dw, dc = reg_w[which], reg_c[which]
         w_b = [_block_solver(blk, hb[which], dw, dc)[0] for blk, hb, *_ in shapes]
-        w = np.concatenate([np.zeros((which.size, 0)), *w_b], axis=1)
+        w = np.concatenate([np.zeros((dw.size, 0)), *w_b], axis=1)
         v_w = v[which]
         block = (v_w.transpose(0, 2, 1) * w[:, None, :]) @ v_w
         block += base[which]
-        block[:, :nc, :nc] += dw[:, None, None] * form.basis_gram
-        block[:, diag_r, diag_r] += dw[:, None]
+        if dw.any():  # adding zero would change no entry
+            block[:, :nc, :nc] += dw[:, None, None] * form.basis_gram
+            block[:, diag_r, diag_r] += dw[:, None]
         kv[which, :nr, :nr] = block
-        kv[which[:, None], diag_q, diag_q] = -dc[:, None]
+        kv[np.arange(n_b)[which, None], diag_q, diag_q] = -dc[:, None]
         return step
 
     def step(solve_fn: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -820,7 +845,7 @@ def _ldlt(mats: Sequence[np.ndarray]) -> tuple[list, np.ndarray]:
         if info < 0:
             raise ValueError(f"sytrf illegal argument {-info}")
         factors.append((ldu, ipiv))
-        d[k, : ipiv.size], sub[k, 1 : ipiv.size] = np.diagonal(ldu), np.diagonal(ldu, -1)
+        d[k, : ipiv.size], sub[k, 1 : ipiv.size] = ldu.diagonal(), ldu.diagonal(-1)
         two[k, : ipiv.size] = ipiv < 0
     # A 2x2 pivot marks both of its rows with a negative ipiv and every
     # matrix holds an even number of them, so a matrix's blocks start at
@@ -874,7 +899,7 @@ def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np
     # that depend on the regularization rather than the whole matrix, and
     # only of the instances whose inertia is still wrong.
     kkt, dims, step, regularize = kkt_assemble(form, pt, mu)
-    factors: list = [None] * n_a
+    factors: dict = {}
     iter_factorizations = np.zeros(n_a, dtype=int)
     factorize_s = np.zeros(n_a)
     pending = np.arange(n_a)
@@ -883,13 +908,15 @@ def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np
         got, inertia = _ldlt([kkt[: dims[k], : dims[k], k] for k in pending])
         # Each instance's trace gets its share of the lockstep factorization time.
         factorize_s[pending] += (time.perf_counter() - t0) / pending.size
-        for k, factor in zip(pending, got):
-            factors[k] = factor
+        factors.update(zip(pending.tolist(), got))
+        del got
         iter_factorizations[pending] += 1
         wrong = (inertia[:, 0] != n_reduced) | (inertia[:, 2] != 0)
         if not wrong.any():
             break
         pending, inertia = pending[wrong], inertia[wrong]
+        # The retried instances' factors are dropped before they are factored again.
+        factors.update(dict.fromkeys(pending.tolist()))
         dc, dw = delta_c[pending], delta_w[pending]
         delta_c[pending] = np.where(inertia[:, 2] > 0, np.where(dc > 0.0, 10.0 * dc, delta_c_first[pending]), dc)
         delta_w[pending] = np.where(dw == 0.0, np.maximum(REGULARIZATION_MIN, delta_last[pending] / 3.0), 10.0 * dw)
@@ -906,8 +933,8 @@ def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np
 
     def solve_fn(rhs: np.ndarray) -> np.ndarray:
         sol = np.zeros_like(rhs)
-        for k, (factor, d) in enumerate(zip(factors, dims)):
-            sol[k, :d] = _ldlt_solve(factor, rhs[k, :d])
+        for k, d in enumerate(dims):
+            sol[k, :d] = _ldlt_solve(factors[k], rhs[k, :d])
         return sol
 
     return (*step(solve_fn), delta_w, delta_c, iter_factorizations, factorize_s)

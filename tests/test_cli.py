@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 
 import numpy as np
@@ -164,6 +165,18 @@ class TestErrorPaths:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--network", "--loads"])
+    def test_input_not_utf8_exits_1(self, tmp_path, capsys, flag):
+        # A UTF-16 byte-order mark before the network JSON; a Latin-1 element id in the loads CSV.
+        net, loads = tmp_path / "net.json", tmp_path / "loads.csv"
+        net.write_bytes(b"\xff\xfe" + fixture_path("synth4.json").read_bytes())
+        loads.write_bytes(fixture_path("synth4_loads.csv").read_bytes().replace(b"\nd1,", b"\n\xff,", 1))
+        bad = {"--network": net, "--loads": loads}[flag]
+        args = {"--network": SYNTH4, "--loads": SYNTH4_LOADS, flag: str(bad)}
+        rc = main(["solve", "--scenario", "1", "--out", str(tmp_path / "o"), *(x for pair in args.items() for x in pair)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text: byte ")
 
     def test_malformed_network_exits_1(self, tmp_path, capsys):
         doc = json.loads(open(SYNTH2).read())
@@ -418,6 +431,33 @@ class TestPlotCommand:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("name", ["envelopes.csv", "summary.json"])
+    def test_result_not_utf8_exits_1(self, solved_dir, tmp_path, capsys, name):
+        for f in ("envelopes.csv", "summary.json"):
+            shutil.copy(solved_dir / f, tmp_path)
+        (tmp_path / name).write_bytes(b"\xff" + (tmp_path / name).read_bytes())
+        rc = main(["plot", "--result", str(tmp_path), "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / name}: not UTF-8 text: byte 0 is b'\\xff'\n"
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_horizon_from_summary(self, tmp_path):
+        # With no generators the CSV has no rows; the plot still spans the 4 periods.
+        no_gen = dataclasses.replace(two_bus_case(), generators=())
+        emit_results(run_scenario(no_gen, ScenarioSpec(1)), tmp_path)
+        assert main(["plot", "--result", str(tmp_path), "--out", str(tmp_path / "x.svg")]) == 0
+        svg = (tmp_path / "x.svg").read_text()
+        assert svg == (tmp_path / "envelopes.svg").read_text()
+        assert len(re.search(r'points="([^"]*)"', svg).group(1).split()) == 4
+
+    def test_row_beyond_summary_periods_exits_1(self, solved_dir, tmp_path, capsys):
+        shutil.copy(solved_dir / "summary.json", tmp_path)
+        lines = (solved_dir / "envelopes.csv").read_text().splitlines()
+        (tmp_path / "envelopes.csv").write_text("\n".join(lines + ["g1,a,24,1.0,0.0"]) + "\n")
+        rc = main(["plot", "--result", str(tmp_path), "--out", str(tmp_path / "x.svg")])
+        assert rc == 1
+        assert "envelopes.csv: period 24 outside the 24 periods of " in capsys.readouterr().err
 
     def test_bad_row_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "envelopes.csv"

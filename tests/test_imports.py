@@ -4,11 +4,12 @@ The benchmark's setup time counts interpreter start through `import
 lvdoe`.  The optimizer loads scipy's compiled LAPACK extension alone on its
 first factorization, never the scipy.linalg package; the package, and the
 power-flow oracle with the commands that run only the oracle, load no
-LAPACK and no scipy package at all.  The extension took about 15-20 ms and
-2.5 MB; importing scipy.linalg on top of it, about 160 ms and 21.5 MB more,
-and scipy.sparse, scipy.special, scipy.optimize or scipy.stats about 10,
-40, 220 and 850 ms more, on a 2-core machine.  Each test runs in a fresh
-interpreter, so that no other test's imports count.
+LAPACK and no scipy package at all, and no path loads numpy.ma.  The
+extension took about 15-20 ms and 2.5 MB; importing scipy.linalg on top of
+it, about 160 ms and 21.5 MB more, and scipy.sparse, scipy.special,
+scipy.optimize or scipy.stats about 10, 40, 220 and 850 ms more, on a
+2-core machine.  Each test runs in a fresh interpreter, so that no other
+test's imports count.
 """
 
 import json
@@ -53,11 +54,14 @@ loaded = lambda: sorted(m for m in sys.modules if m in {LINALG!r} or m.startswit
 lapack = lambda: "scipy.linalg._flapack" in sys.modules
 before, lapack_before = loaded(), lapack()
 sol = solver.solve(nlp.build_problem(case, nlp.ScenarioSpec(5), 0))
-after_solve = loaded()
+after_solve, ma_after_solve = loaded(), "numpy.ma" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     code = lvdoe.cli.main(["solve", "--network", net, "--scenario", "5", "--out", str(out / "solve")])
+    code += lvdoe.cli.main(["solve", "--network", net, "--scenario", "5", "--objective", "reactive-margin",
+                            "--out", str(out / "margin")])
 print(json.dumps({{"before": before, "after_solve": after_solve, "after_cli": loaded(),
-                  "lapack": [lapack_before, lapack()], "status": sol.status, "code": code}}))
+                  "lapack": [lapack_before, lapack()], "status": sol.status, "code": code,
+                  "numpy_ma": [ma_after_solve, "numpy.ma" in sys.modules]}}))
 """
 
 
@@ -81,6 +85,8 @@ def test_oracle_paths_never_load_scipy_linalg():
     assert out["status"] == "optimal" and out["code"] == 0
     assert out["after_solve"] == []
     assert out["after_cli"] == []
+    # np.unique without a return_* flag, and so np.setdiff1d, would load numpy.ma (numpy 2.4).
+    assert out["numpy_ma"] == [False, False]
 
 
 # One stage of feeder_hr solved on the LAPACK extension alone, then

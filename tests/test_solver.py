@@ -712,6 +712,70 @@ class TestLinearBasis:
             internalize(SimpleNamespace(**{**vars(toy), "lin_rows": np.array([0])}))
 
 
+class TestHddBlocks:
+    """kkt_assemble forms H_DD T / 2 from H_DD's diagonal blocks, one gemm
+    per instance and block, so an instance's matrix does not depend on its batch."""
+
+    @pytest.mark.parametrize("scenario, stage", [(2, "active"), (3, "active"), (4, "active"), (5, "active"), (5, "margin")])
+    @pytest.mark.parametrize("fixture", ["feeder_hr", "synth4_unbal", "feeder_au"])
+    def test_blocks_rebuild_h_dd(self, request, fixture, scenario, stage):
+        case = request.getfixturevalue(fixture)
+        if stage == "margin":
+            problem = stage2_program(case)[0]
+        else:
+            problem = build_problem(case, ScenarioSpec(scenario), 0)
+        form = internalize(problem)
+        nd, nc = form.basis.shape
+        on_d = (form.hess_row < nd) & (form.hess_col < nd)
+        # Distinct values on the pattern, zero in every other slot.
+        hess = np.zeros(form.n_hess)
+        hess[np.flatnonzero(on_d)] = np.arange(1.0, 1.0 + np.count_nonzero(on_d))
+        want = np.zeros((nd, nd))
+        want[form.hess_row[on_d], form.hess_col[on_d]] = hess[np.flatnonzero(on_d)]
+        got = np.zeros((nd, nd))
+        covered = np.zeros(nd, dtype=int)
+        for rows, slots, half_t in form.dd_blocks:
+            nb, width = rows.shape
+            assert slots.shape == (nb, width, width) and half_t.shape == (nb, width, nc)
+            got[rows[:, :, None], rows[:, None, :]] = hess[slots]
+            np.add.at(covered, rows, 1)
+            np.testing.assert_array_equal(half_t, 0.5 * form.basis[rows])
+        np.testing.assert_array_equal(got, want)
+        # Each row of H_DD with an entry lies in exactly one block.
+        np.testing.assert_array_equal(covered, want.any(axis=1))
+        # |u|^2 of a bus and phase and |i|^2 of a branch and phase on (re, im)
+        # are blocks of 2; a bus's VUF joins its three phases' six, and their |u|^2.
+        sizes = {2: [6], 3: [2], 4: [2, 6], 5: [2, 6]}[scenario]
+        assert [rows.shape[1] for rows, _, _ in form.dd_blocks] == sizes
+
+    @pytest.mark.parametrize("fixture, scenario", [("feeder_hr", 5), ("synth4_unbal", 4)])
+    def test_matrix_of_an_instance_does_not_depend_on_its_batch(self, request, fixture, scenario):
+        case = request.getfixturevalue(fixture)
+        problem = build_problem(case, ScenarioSpec(scenario), 0)
+        form = internalize(problem)
+        _, x0 = stage_starts(problem, scales=(1.0,))
+        rng = np.random.default_rng(5)
+        n_b, mi = x0.shape[0], form.ineq.n_rows + form.bnd_var.size
+        x0[:, form.free] += 0.05 * rng.standard_normal((n_b, form.free.size))
+        z = rng.uniform(0.2, 1.0, (n_b, mi))
+        s = rng.uniform(0.2, 1.0, (n_b, mi))
+        # Every other instance has two limit rows on D beyond SIGMA_CONDENSED_MAX: split rows.
+        on_d = np.flatnonzero(form.ineq_on_d)
+        s[::2, on_d[[0, -1]]] = z[::2, on_d[[0, -1]]] / 1e9
+        pt = solver._evaluate(form, x0, rng.standard_normal((n_b, form.eq.n_rows)), z, s)
+        mu = rng.uniform(1e-3, 1e-1, n_b)
+        kkt, dims, _, regularize = kkt_assemble(form, pt, mu)
+        assert np.any(dims > dims.min())
+        retried = np.arange(1, n_b, 3)
+        regularize(np.full(n_b, 1e-4), np.full(n_b, 1e-8), retried)
+        for k in range(n_b):
+            alone, dim, _, reg_alone = kkt_assemble(form, pt.take([k]), mu[k])
+            if k in retried:
+                reg_alone(1e-4, 1e-8)
+            assert dim[0] == dims[k]
+            assert np.array_equal(kkt[: dims[k], : dims[k], k], alone[: dim[0], : dim[0], 0])
+
+
 class TestOneEvaluationPerIterate:
     """Each point is evaluated once, rows and Jacobians together, and an
     accepted guard probe is not evaluated again as the next iterate."""
