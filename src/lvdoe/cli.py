@@ -452,8 +452,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("--reactive-p", choices=["two_stage", "free"], default="two_stage",
                     help="pin P from an active-export stage, or leave it free: the P written is then no envelope")
     ps.add_argument("--out", required=True, help="output directory")
-    ps.add_argument("--tol", type=float, default=1e-8)
-    ps.add_argument("--max-iter", type=int, default=300)
+    ps.add_argument("--tol", type=float, default=SolverOptions.tol_kkt)
+    ps.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
     ps.add_argument("--starts", type=int, default=2, choices=range(1, len(START_SCALES) + 1),
                     help="deterministic multi-start attempts per period")
     ps.add_argument("--trace", action="store_true", help="stream per-iteration solver diagnostics")

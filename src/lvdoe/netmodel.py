@@ -179,7 +179,7 @@ class NetworkCase:
             "z": z,
             "zp_u": np.einsum("lm,lpq->lpmq", tree.P[:, unknown], z).reshape(3 * n_br, 3 * (n - 1)),
             "a3": np.kron(tree.A[:, unknown], np.eye(3)),
-            "u_flat": np.tile(slack_reference(self), (n, 1)),
+            "u_flat": np.tile(slack_reference(), (n, 1)),
         }
         for name, value in derived.items():
             if isinstance(value, np.ndarray):
@@ -457,7 +457,7 @@ def load_network(path: str | Path, loads_csv: str | Path | None = None) -> Netwo
     return to_per_unit(case)
 
 
-def slack_reference(case: NetworkCase, vm: float = 1.0) -> np.ndarray:
+def slack_reference(vm: float = 1.0) -> np.ndarray:
     """Balanced slack voltage phasors (3,) at magnitude vm, phase a at 0 deg."""
     ang = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
     return vm * np.exp(1j * ang)

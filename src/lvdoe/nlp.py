@@ -128,6 +128,20 @@ class QuadBlock:
         self.jac_row, self.jac_col = np.divmod(pattern, self.n_vars)
         self._sealed = True
 
+    def with_linear_rows(self, var: np.ndarray, coef: np.ndarray, const: np.ndarray) -> QuadBlock:
+        """A sealed copy of these rows followed by one row coef[k] * x[var[k]] +
+        const[k] per k, labelled ub[x<var>] where coef > 0 and lb[x<var>] elsewhere."""
+        out = QuadBlock(self.n_vars)
+        for name in ("_qk", "_qi", "_qj", "_qv", "_lk", "_li", "_lv", "_c0"):
+            setattr(out, name, list(getattr(self, name)))
+        out.labels = self.labels + [f"{'ub' if c > 0 else 'lb'}[x{i}]" for i, c in zip(var.tolist(), coef.tolist())]
+        out._lk += range(self.n_rows, self.n_rows + len(var))
+        out._li += var.tolist()
+        out._lv += coef.tolist()
+        out._c0 += const.tolist()
+        out.seal()
+        return out
+
     @property
     def n_rows(self) -> int:
         return len(self.c0) if self._sealed else len(self._c0)
@@ -494,7 +508,7 @@ def _bounds(
     lb = np.full(layout.n_vars, -np.inf)
     ub = np.full(layout.n_vars, np.inf)
 
-    ref = slack_reference(case)
+    ref = slack_reference()
     lb[layout.u_re[case.slack]] = ub[layout.u_re[case.slack]] = ref.real
     lb[layout.u_im[case.slack]] = ub[layout.u_im[case.slack]] = ref.imag
 
@@ -626,7 +640,7 @@ def initial_point(problem: NlpProblem, voltage_scale: float = 1.0) -> np.ndarray
     case = problem.case
     tree = case.tree
     x = np.zeros(lay.n_vars)
-    ref = slack_reference(case, vm=voltage_scale)
+    ref = slack_reference(vm=voltage_scale)
     x[lay.u_re] = ref.real
     x[lay.u_im] = ref.imag
     fixed = problem.lb == problem.ub

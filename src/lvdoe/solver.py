@@ -9,12 +9,12 @@ fraction-to-boundary rule plus a divergence guard; on this problem class
 faster and more reliably than a merit line search.
 
 Fixed variables (equal bounds) stay out of the step.  Each finite bound of
-a free variable is a row sign * x[var] + const <= 0 after the user
-inequality rows; its one +-1 entry stays out of the dense Jacobian and its
-z/s lands on its variable's diagonal (Ipopt's bound terms, Waechter &
-Biegler 2006, Sec. 3).  The inequality rows are condensed into the Hessian,
-so the dense KKT matrix has a row per free variable and equality row:
-[W + Jh' diag(z/s) Jh + dw*I, Jg'; Jg, -dc*I], as in MATPOWER's MIPS.
+a free variable is a linear inequality row sign * x[var] + const <= 0, with
+one +-1 entry, after the user inequality rows, as MATPOWER's MIPS treats
+variable bounds; so its z/s lands on its variable's diagonal.  The
+inequality rows are condensed into the Hessian, so the dense KKT matrix has
+a row per free variable and equality row: [W + Jh' diag(z/s) Jh + dw*I,
+Jg'; Jg, -dc*I], as in MIPS.
 
 Private blocks leave that matrix too.  A block is a connected set V of
 free variables outside lin_vars that enter every row only linearly, the
@@ -50,7 +50,7 @@ positive eigenvalue per reduced variable and no zero pivot.  On feeder_hr
 this leaves 78 of the 318 rows, and 87 of the 327 of a stage-2 margin
 program.
 
-A user inequality row on D is condensed while its z/s is at most
+An inequality row on D is condensed while its z/s is at most
 SIGMA_CONDENSED_MAX.  Above that it stays a row of the factored matrix,
 with its projected Jacobian and the diagonal -s/z, and adds one negative
 eigenvalue: condensed, the projection would spread its weight (1e15 on an
@@ -105,7 +105,7 @@ MU_INIT = 0.1
 MU_SHRINK = 0.2
 STEP_FRACTION = 0.995
 REGULARIZATION_MIN = 1e-10
-# A user inequality row on the linear rows' columns D whose z/s exceeds this
+# An inequality row on the linear rows' columns D whose z/s exceeds this
 # stays in the factored matrix instead of being condensed (see kkt_assemble).
 SIGMA_CONDENSED_MAX = 1e6
 
@@ -138,12 +138,12 @@ class Iterate:
 
     x: np.ndarray
     y: np.ndarray   # equality multipliers
-    z: np.ndarray   # inequality multipliers (user rows, then bound rows), > 0
+    z: np.ndarray   # inequality multipliers, one per row of form.ineq, > 0
     s: np.ndarray   # inequality slacks, > 0
     g: np.ndarray   # equality rows at x
-    h: np.ndarray   # inequality rows at x, user rows then bound rows
+    h: np.ndarray   # inequality rows at x
     jg: np.ndarray  # equality Jacobian at x, its values on form.eq's pattern
-    jh: np.ndarray  # user inequality Jacobian at x, its values on form.ineq's pattern
+    jh: np.ndarray  # inequality Jacobian at x, its values on form.ineq's pattern
 
     def take(self, rows: np.ndarray) -> Iterate:
         """The instances `rows` (indices or a mask) of the batch."""
@@ -157,7 +157,6 @@ class Solution:
     status: str       # optimal | infeasible_local | iteration_limit
     iterations: int
     max_kkt_residual: float
-    ineq_active: np.ndarray   # user inequality rows with slack below tolerance
     factorizations: int       # KKT factorizations over all iterations
     trace: tuple = ()
 
@@ -174,7 +173,8 @@ class Blocks:
 
 @dataclass(frozen=True)
 class InternalForm:
-    """Minimization form over the free variables, with their finite bounds.
+    """Minimization form over the free variables, each finite bound of one
+    an inequality row.
 
     The pattern of the Hessian terms in the kept block depends only on the
     row structure and the free set, so it is built once here, as are the
@@ -187,10 +187,8 @@ class InternalForm:
     n_vars: int
     c: np.ndarray          # minimize c . x
     eq: QuadBlock          # user equality rows
-    ineq: QuadBlock        # user inequality rows
-    bnd_var: np.ndarray    # bound rows bnd_sign * x[bnd_var] + bnd_const <= 0, which follow
-    bnd_sign: np.ndarray   # the user rows in h, z and s: each free variable's finite upper
-    bnd_const: np.ndarray  # bound (+1, -ub), then its finite lower bound (-1, lb)
+    ineq: QuadBlock        # user inequality rows, then the bound rows: each free variable's
+                           # finite upper bound x - ub <= 0, then its finite lower bound lb - x <= 0
     free: np.ndarray       # variables with lb != ub; the step moves only these
     keep: np.ndarray       # free variables that are not in a block: D, then C, then the rest
     keep_pos: np.ndarray   # each variable's position in keep, or -1
@@ -199,10 +197,10 @@ class InternalForm:
     basis: np.ndarray      # T = -A_d^-1 Jg[L, C]; the steps that keep L are (T dr_C, dr)
     basis_gram: np.ndarray  # T' T
     eq_keep: np.ndarray    # equality rows left in the reduced system: neither in L nor in a block
-    ineq_on_d: np.ndarray  # user inequality rows with an entry on D
+    ineq_on_d: np.ndarray  # inequality rows with an entry on D
     row_src: np.ndarray    # entries of eq's Jacobian pattern on the rows eq_keep, then the blocks'
     row_dst: np.ndarray    # rows r, and on keep; their flat positions in those rows on keep
-    w_slot: np.ndarray     # Hessian slot of each eq, ineq, condensed and bound term: the kept
+    w_slot: np.ndarray     # Hessian slot of each eq, ineq and condensed term: the kept
     hess_row: np.ndarray   # block's pattern (hess_row, hess_col, positions in keep), then each
     hess_col: np.ndarray   # block's dense H, then a sink for terms across groups, then a zero
     n_hess: int            # slot that no term reaches; n_hess slots in all
@@ -360,10 +358,11 @@ def internalize(problem: NlpProblem) -> InternalForm:
     lb, ub, eq = problem.lb, problem.ub, problem.eq
 
     free = np.flatnonzero(lb != ub)
-    # Each free variable's upper bound x - ub <= 0, then its lower bound lb - x <= 0.
-    bnd_const = np.column_stack([-ub[free], lb[free]]).ravel()
-    finite = np.isfinite(bnd_const)
-    bnd_var = np.repeat(free, 2)[finite]
+    # Each free variable's finite upper bound x - ub <= 0, then its finite lower bound lb - x <= 0.
+    const = np.column_stack([-ub[free], lb[free]]).ravel()
+    finite = np.isfinite(const)
+    sign = np.tile([1.0, -1.0], free.size)
+    ineq = problem.ineq.with_linear_rows(np.repeat(free, 2)[finite], sign[finite], const[finite])
 
     blocks = private_blocks(problem)
     in_kkt = np.zeros(n, dtype=bool)
@@ -422,7 +421,6 @@ def internalize(problem: NlpProblem) -> InternalForm:
         """Flat position of H[i, j]; a sink at `end` unless i and j share a group."""
         return np.where((group[i] >= 0) & (group[i] == group[j]), start[i] + width[i] * slot[i] + slot[j], end)
 
-    ineq = problem.ineq
     on_d = (group == 0) & (slot < d.size)
     ineq_on_d = np.zeros(ineq.n_rows, dtype=bool)
     ineq_on_d[ineq.qk[on_d[ineq.qi] | on_d[ineq.qj]]] = True
@@ -434,7 +432,6 @@ def internalize(problem: NlpProblem) -> InternalForm:
         w_pos(eq.qi, eq.qj),
         w_pos(ineq.qi, ineq.qj),
         w_pos(ineq.jac_col[pair_a], ineq.jac_col[pair_b]),
-        w_pos(bnd_var, bnd_var),
     ])
     # Only the kept block's pattern is stored; the blocks' H, the sink and
     # the zero slot follow it as laid out above.
@@ -468,9 +465,6 @@ def internalize(problem: NlpProblem) -> InternalForm:
         c=-problem.obj_coef,  # maximize -> minimize
         eq=eq,
         ineq=ineq,
-        bnd_var=bnd_var,
-        bnd_sign=np.tile([1.0, -1.0], free.size)[finite],
-        bnd_const=bnd_const[finite],
         free=free,
         keep=keep,
         keep_pos=keep_pos,
@@ -502,7 +496,7 @@ def _evaluate(form: InternalForm, x: np.ndarray, y: np.ndarray, z: np.ndarray, s
     return Iterate(
         x=x, y=y, z=z, s=s,
         g=form.eq.value(x),
-        h=np.concatenate([form.ineq.value(x), form.bnd_sign * x[:, form.bnd_var] + form.bnd_const], axis=1),
+        h=form.ineq.value(x),
         jg=form.eq.jacobian_values(x), jh=form.ineq.jacobian_values(x),
     )
 
@@ -517,16 +511,6 @@ def _jt(block: QuadBlock, jac: np.ndarray, v: np.ndarray) -> np.ndarray:
     return batched_bincount(block.jac_col, jac * v[:, block.jac_row], block.n_vars)
 
 
-def _jh_t(form: InternalForm, jh: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Jh' v per instance over every inequality row: the user rows, then the bound rows."""
-    m = form.ineq.n_rows
-    return batched_bincount(
-        np.concatenate([form.ineq.jac_col, form.bnd_var]),
-        np.concatenate([jh * v[:, form.ineq.jac_row], form.bnd_sign * v[:, m:]], axis=1),
-        form.n_vars,
-    )
-
-
 def _theta(pt: Iterate) -> np.ndarray:
     """Largest primal residual per instance: equality rows and slacked inequality rows."""
     return np.maximum(np.abs(pt.g).max(axis=1, initial=0.0), np.abs(pt.h + pt.s).max(axis=1, initial=0.0))
@@ -536,7 +520,7 @@ def _kkt_errors(form: InternalForm, pt: Iterate, *mus) -> list[np.ndarray]:
     """KKT error per instance at pt for each barrier parameter in mus (a
     number or one per instance): the largest dual, primal and
     complementarity residual."""
-    r_d = (form.c + _jt(form.eq, pt.jg, pt.y) + _jh_t(form, pt.jh, pt.z))[:, form.free]
+    r_d = (form.c + _jt(form.eq, pt.jg, pt.y) + _jt(form.ineq, pt.jh, pt.z))[:, form.free]
     feas = np.maximum(np.abs(r_d).max(axis=1, initial=0.0), _theta(pt))
     return [np.maximum(feas, np.abs(pt.s * pt.z - np.reshape(mu, (-1, 1))).max(axis=1, initial=0.0)) for mu in mus]
 
@@ -553,8 +537,8 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
     kkt is (dim, dim, B) in Fortran order: instance b's matrix is
     kkt[:d, :d, b] with d = dims[b], dim the largest; its split rows make
     the difference.  The kept block H is W + Jh' diag(z/s) Jh on the kept
-    variables, a bound row condensing to its z/s on its variable's diagonal
-    and a split row not at all; constraint Hessians are constant, so H is a
+    variables without the split rows, so a bound row adds its z/s to its
+    variable's diagonal; constraint Hessians are constant, so H is a
     weighted sum over fixed positions, and so is each private block's H.
     Each block adds w j_r' j_r to H, w = -(B^-1)_rr (_block_solver), and
     shifts the right-hand side.  With the linear rows L solved by x_p =
@@ -572,7 +556,7 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
     instance.  regularize(dw, dc, which) rewrites the matrices of the
     instances `which` (all by default) in place from the same
     unregularized projection, so each matrix depends on its iterate and
-    (dw, dc) alone, and returns the step at the new regularization; dw and
+    (dw, dc) alone, and step then solves at the new regularization; dw and
     dc are numbers or one per instance.
     """
     n_b = pt.x.shape[0]
@@ -586,10 +570,10 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
     nq = form.eq_keep.size
     y, z, s, h, jg, jh = pt.y, pt.z, pt.s, pt.h, pt.jg, pt.jh
     sigma = z / s
-    # The user rows on D whose z/s is large stay rows (split rows); the
+    # The inequality rows on D whose z/s is large stay rows (split rows); the
     # others are condensed.  Each split row's place in its matrix follows
     # its instance's remaining equality rows.
-    sb, sr = np.nonzero(form.ineq_on_d & (sigma[:, :mi] > SIGMA_CONDENSED_MAX))
+    sb, sr = np.nonzero(form.ineq_on_d & (sigma > SIGMA_CONDENSED_MAX))
     n_split = np.bincount(sb, minlength=n_b)
     place = nr + nq + np.arange(sb.size) - np.repeat(np.cumsum(n_split) - n_split, n_split)
     sigma_c = sigma.copy()
@@ -601,7 +585,6 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
         y[:, form.eq.qk] * form.eq.qv,
         z[:, ineq.qk] * ineq.qv,
         sigma_c[:, ineq.jac_row[form.pair_a]] * jh[:, form.pair_a] * jh[:, form.pair_b],
-        sigma[:, mi:],
     ], axis=1)
     hess = batched_bincount(form.w_slot, weights, form.n_hess)
     del weights
@@ -667,7 +650,7 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
     kv[sb, place, place] = -s[sb, sr] / z[sb, sr]
     diag_r, diag_q = np.arange(nr), np.arange(nr, nr + nq)
 
-    grad = form.c + _jt(form.eq, jg, y) + _jh_t(form, jh, z + sigma_c * (h + mu[:, None] / z))
+    grad = form.c + _jt(form.eq, jg, y) + _jt(ineq, jh, z + sigma_c * (h + mu[:, None] / z))
     r_x, r_y = -grad, -pt.g
     r_k, b_l = r_x[:, keep], r_y[:, form.lin_rows]
     b_q = r_y[:, form.eq_keep]
@@ -684,7 +667,7 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
     reg_w = np.zeros(n_b)
     reg_c = np.zeros(n_b)
 
-    def regularize(delta_w, delta_c, which=None) -> Callable:
+    def regularize(delta_w, delta_c, which=None) -> None:
         # All instances as a basic slice: their arrays are then views, not copies.
         which = slice(None) if which is None else np.asarray(which)
         reg_w[which] = np.broadcast_to(delta_w, (n_b,))[which]
@@ -700,7 +683,6 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
             block[:, diag_r, diag_r] += dw[:, None]
         kv[which, :nr, :nr] = block
         kv[np.arange(n_b)[which, None], diag_q, diag_q] = -dc[:, None]
-        return step
 
     def step(solve_fn: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """dx_k = x_p + Z dr on the kept variables, x_p = A_d^-1 r_L on D,
@@ -742,11 +724,12 @@ def kkt_assemble(form: InternalForm, pt: Iterate, mu) -> tuple[np.ndarray, np.nd
         for (blk, _, rows, r_v, r_s), (_, solve_b) in zip(shapes, solvers):
             dx[:, blk.var], dy[:, blk.srow], dy[:, blk.row] = solve_b(r_v, r_s, t_r[:, rows])
         jh_dx = batched_bincount(ineq.jac_row, jh * dx[:, ineq.jac_col], mi)
-        dz = sigma * (np.concatenate([jh_dx, form.bnd_sign * dx[:, form.bnd_var]], axis=1) + h + mu[:, None] / z)
+        dz = sigma * (jh_dx + h + mu[:, None] / z)
         dz[sb, sr] = dz_split
         return dx, dy, dz, mu[:, None] / z - s - (s / z) * dz
 
-    return kkt, dims, regularize(0.0, 0.0), regularize
+    regularize(0.0, 0.0)
+    return kkt, dims, step, regularize
 
 
 def _block_solver(
@@ -927,7 +910,7 @@ def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np
                 f"{delta_w[pending[worst]]:g}",
                 int(ids[pending[worst]]),
             )
-        step = regularize(delta_w, delta_c, pending)
+        regularize(delta_w, delta_c, pending)
 
     del kkt, regularize  # the factors are all the step needs
 
@@ -1012,7 +995,7 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
     opts = options or SolverOptions()
     x = np.array(x0, dtype=float, ndmin=2)
     n_b = x.shape[0]
-    me, mi = form.eq.n_rows, form.ineq.n_rows + form.bnd_var.size
+    me, mi = form.eq.n_rows, form.ineq.n_rows
 
     # The duals start from this first evaluation; zeros hold their places.
     pt = _evaluate(form, x, np.zeros((n_b, me)), np.zeros((n_b, mi)), np.zeros((n_b, mi)))
@@ -1022,7 +1005,7 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
     # costs many early iterations on feasibility-dominated steps.
     y = np.zeros((n_b, me))
     if me:
-        rhs0 = -(form.c + _jh_t(form, pt.jh, z))[:, form.free]
+        rhs0 = -(form.c + _jt(form.ineq, pt.jh, z))[:, form.free]
         jg = np.zeros((me, form.n_vars))
         # Jg[:, free] has full row rank on every bundled feeder, so the QR-based
         # gelsy gives the same unique solution as an SVD, faster.  It is called
@@ -1063,7 +1046,6 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
                 status=st,
                 iterations=it,
                 max_kkt_residual=float(errors[k]),
-                ineq_active=ended.h[k, : form.ineq.n_rows] > -1e-6,
                 factorizations=int(factorizations[i]),
                 trace=tuple(traces[i]),
             )

@@ -49,7 +49,7 @@ def dense_jacobian(block, x: np.ndarray) -> np.ndarray:
 
 def flat_state(case: nm.NetworkCase, n_periods: int = 1, vm: float = 1.0) -> PhasorState:
     """Balanced nominal voltages everywhere, all currents zero."""
-    ref = nm.slack_reference(case, vm)
+    ref = nm.slack_reference(vm)
     return PhasorState(
         case=case,
         u=np.tile(ref[None, :, None], (len(case.buses), 1, n_periods)),

@@ -105,3 +105,17 @@ def test_source_lines_counts_package_python_files(bench_pairs, tmp_path):
     (pkg / "b.py").write_text("z = 3")
     (pkg / "notes.txt").write_text("not\ncounted\n")
     assert bench_pairs.source_lines(tmp_path) == 3
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_pairs_below_one_rejected_before_any_run(bench_pairs, tmp_path, monkeypatch, capsys, pairs):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", no_run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--pairs", pairs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--pairs: must be at least 1, got {int(pairs)}" in capsys.readouterr().err
+    assert not out.exists()

@@ -81,6 +81,10 @@ class TestSolveCommand:
         assert manifest["solver_options"] == {"tol_kkt": 1e-8, "max_iter": 300}
         assert manifest["libraries"] == {"numpy": np.__version__, "scipy": scipy.__version__}
 
+    def test_solver_option_defaults_come_from_solver_options(self):
+        args = cli._build_parser().parse_args(["solve", "--network", SYNTH2, "--scenario", "5", "--out", "o"])
+        assert (args.tol, args.max_iter) == (SolverOptions().tol_kkt, SolverOptions().max_iter)
+
     def test_manifest_records_the_options_the_run_used(self, tmp_path):
         opts = SolverOptions(tol_kkt=1e-7, max_iter=200)
         result = run_scenario(two_bus_case(), ScenarioSpec(5), opts, starts=1)
@@ -138,6 +142,20 @@ class TestErrorPaths:
         net.write_text(json.dumps(doc))
         rc = main(["solve", "--network", str(net), "--scenario", "5", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_local_infeasibility_exits_2(self, tmp_path, capsys):
+        # Period 7's load at 100 times its profile: both its starts end infeasible.
+        doc = json.loads(open(SYNTH2).read())
+        for ld in doc["loads"]:
+            ld["p_profile"][7] *= 100.0
+            ld["q_profile"][7] *= 100.0
+        net = tmp_path / "heavy.json"
+        net.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        rc = main(["solve", "--network", str(net), "--scenario", "5", "--out", str(out)])
+        assert rc == 2
+        assert "period 7 failed with status 'infeasible_local'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_margin_run_with_unrated_units_exits_0(self, tmp_path):
         # Two units at n2/b that give no reactive rating (q_abs_max_kvar defaults to 0).

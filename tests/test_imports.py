@@ -120,7 +120,7 @@ ldu, ipiv, info = sytrf(kkt, lower=1, lwork=solver._sytrf_lwork(kkt.shape[0]))
 rhs = np.linspace(-1.0, 1.0, kkt.shape[0])
 same_kkt = (info == 0 and np.array_equal(ldu, ours[0]) and np.array_equal(ipiv, ours[1])
             and np.array_equal(sytrs(ldu, ipiv, rhs, lower=1)[0], solver._ldlt_solve(ours, rhs)))
-rhs0 = -(form.c + solver._jh_t(form, pt.jh, pt.z))[:, form.free]
+rhs0 = -(form.c + solver._jt(form.ineq, pt.jh, pt.z))[:, form.free]
 jg = np.zeros((form.eq.n_rows, form.n_vars))
 same_start = []
 for k in range(len(problems)):

@@ -27,7 +27,7 @@ def loop_start(problem, voltage_scale):
     counts 0) at the flat voltage, unless that power is zero."""
     lay, case = problem.layout, problem.case
     x = np.zeros(lay.n_vars)
-    ref = nm.slack_reference(case, vm=voltage_scale)
+    ref = nm.slack_reference(vm=voltage_scale)
     x[lay.u_re], x[lay.u_im] = ref.real, ref.imag
     lb, ub = problem.lb, problem.ub
     i_net = np.zeros((len(case.buses), 3), dtype=complex)

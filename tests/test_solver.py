@@ -36,21 +36,21 @@ def assemble_one(form, pt, mu, delta_w=0.0, delta_c=0.0):
     """kkt_assemble of a batch of one iterate, regularized by (delta_w,
     delta_c), as (matrix, step, regularize) of that instance: its step takes
     the solve of one right-hand side and returns the instance's (dx, dy, dz, ds)."""
-    kkt, dims, _, regularize = kkt_assemble(form, pt, mu)
-    step = regularize(delta_w, delta_c)
+    kkt, dims, step, regularize = kkt_assemble(form, pt, mu)
+    regularize(delta_w, delta_c)
     assert kkt.shape[2] == 1
 
-    def one(batch_step):
-        return lambda solve_fn: tuple(a[0] for a in batch_step(lambda r: solve_fn(r[0])[None]))
+    def one_step(solve_fn):
+        return tuple(a[0] for a in step(lambda r: solve_fn(r[0])[None]))
 
-    return kkt[: dims[0], : dims[0], 0], one(step), lambda dw, dc: one(regularize(dw, dc))
+    return kkt[: dims[0], : dims[0], 0], one_step, regularize
 
 
 def perturbed_point(prob, form, seed):
     rng = np.random.default_rng(seed)
     x = nlp.initial_point(prob)
     x[form.free] += 0.05 * rng.standard_normal(form.free.size)
-    mi = form.ineq.n_rows + form.bnd_var.size
+    mi = form.ineq.n_rows
     return solver._evaluate(
         form,
         x,
@@ -142,17 +142,17 @@ def reference_problem(request, network):
 def block_inertia_deficit(prob, form, k_full):
     """Sum over the private blocks of |V| minus the positive eigenvalues of
     the block's part of k_full (full_augmented_system): V, S, r, and V's
-    user inequality and bound rows.  Inertia adds over a Schur complement
-    (Haynsworth), so the full matrix has the reduced one's positive
-    eigenvalues plus those of every block."""
+    inequality rows, user and bound rows alike, which form.ineq holds in
+    k_full's order.  Inertia adds over a Schur complement (Haynsworth), so
+    the full matrix has the reduced one's positive eigenvalues plus those of
+    every block."""
     n, me, nf = prob.n_vars, prob.eq.n_rows, np.count_nonzero(prob.lb == prob.ub)
-    first_ineq, first_bound = n + me + nf, n + me + nf + prob.ineq.n_rows
+    first_ineq = n + me + nf
     deficit = 0
     for blk in form.blocks:
         for var, srow, row in zip(blk.var, blk.srow, blk.row):
-            local = np.unique(prob.ineq.lk[np.isin(prob.ineq.li, var)])
-            bounds = np.flatnonzero(np.isin(form.bnd_var, var))
-            idx = np.concatenate([var, n + srow, [n + row], first_ineq + local, first_bound + bounds])
+            local = np.unique(form.ineq.lk[np.isin(form.ineq.li, var)])
+            idx = np.concatenate([var, n + srow, [n + row], first_ineq + local])
             deficit += var.size - np.count_nonzero(np.linalg.eigvalsh(k_full[np.ix_(idx, idx)]) > 0.0)
     return deficit
 
@@ -207,7 +207,7 @@ class TestKktAssemble:
             step(lambda r: seen.append(r) or np.linalg.solve(kkt, r))
             np.testing.assert_allclose(seen[0], [rhs], rtol=1e-15)
             # with the regularization dw = 0.01 that solve adds on a retry
-            step = regularize(0.01, 0.0)
+            regularize(0.01, 0.0)
             np.testing.assert_allclose(kkt, [[0.01 + sigma.sum()]], rtol=1e-15)
             dx, dy, dz, ds = step(lambda r: np.linalg.solve(kkt, r))
             np.testing.assert_allclose(dx, [rhs / (0.01 + sigma.sum())], rtol=1e-15)
@@ -216,12 +216,25 @@ class TestKktAssemble:
             assert dy.size == 0
 
     def test_user_rows_kept_as_given(self, synth4_unbal):
-        prob = build_problem(synth4_unbal, ScenarioSpec(5), 12)
-        form = internalize(prob)
-        assert form.ineq is prob.ineq
-        jb, cb = bound_rows(prob)
-        np.testing.assert_array_equal(form.bnd_sign, jb[np.arange(cb.size), form.bnd_var])
-        np.testing.assert_array_equal(form.bnd_const, cb)
+        # One inequality format: the problem's rows bit for bit, then one
+        # linear row per finite bound of a free variable, upper before lower.
+        for objective in Objective:
+            prob = build_problem(synth4_unbal, ScenarioSpec(5, objective), 12)
+            form = internalize(prob)
+            user, rows, (jb, cb) = prob.ineq, form.ineq, bound_rows(prob)
+            m, nl = user.n_rows, user.lk.size
+            assert rows.n_rows == m + cb.size and cb.size > 0
+            for name in ("qk", "qi", "qj", "qv"):
+                np.testing.assert_array_equal(getattr(rows, name), getattr(user, name))
+            for name in ("lk", "li", "lv"):
+                np.testing.assert_array_equal(getattr(rows, name)[:nl], getattr(user, name))
+            np.testing.assert_array_equal(rows.c0, np.concatenate([user.c0, cb]))
+            assert rows.labels[:m] == user.labels
+            x = perturbed_point(prob, form, 4).x[0]
+            np.testing.assert_array_equal(dense_jacobian(rows, x), np.vstack([dense_jacobian(user, x), jb]))
+            pt = solver._evaluate(form, x, np.zeros(prob.eq.n_rows), np.ones(rows.n_rows), np.ones(rows.n_rows))
+            np.testing.assert_array_equal(pt.h[0], rows.value(x))
+            np.testing.assert_array_equal(pt.h[0, :m], user.value(x))
 
     def test_symmetry_on_real_problem(self):
         case = two_bus_case()
@@ -380,7 +393,7 @@ class TestSolve:
         case = two_bus_case(load=False)
         prob = build_problem(case, ScenarioSpec(5), 0)
         sol = solve(prob)
-        active = [prob.ineq.labels[i] for i in np.flatnonzero(sol.ineq_active)]
+        active = [prob.ineq.labels[i] for i in np.flatnonzero(prob.ineq.value(sol.x) > -1e-6)]
         assert active  # something binds, otherwise export would be unbounded
 
     def test_trace_records_iterations(self):
@@ -755,7 +768,7 @@ class TestHddBlocks:
         form = internalize(problem)
         _, x0 = stage_starts(problem, scales=(1.0,))
         rng = np.random.default_rng(5)
-        n_b, mi = x0.shape[0], form.ineq.n_rows + form.bnd_var.size
+        n_b, mi = x0.shape[0], form.ineq.n_rows
         x0[:, form.free] += 0.05 * rng.standard_normal((n_b, form.free.size))
         z = rng.uniform(0.2, 1.0, (n_b, mi))
         s = rng.uniform(0.2, 1.0, (n_b, mi))
