@@ -81,10 +81,6 @@ class TestSolveCommand:
         assert manifest["solver_options"] == {"tol_kkt": 1e-8, "max_iter": 300}
         assert manifest["libraries"] == {"numpy": np.__version__, "scipy": scipy.__version__}
 
-    def test_solver_option_defaults_come_from_solver_options(self):
-        args = cli._build_parser().parse_args(["solve", "--network", SYNTH2, "--scenario", "5", "--out", "o"])
-        assert (args.tol, args.max_iter) == (SolverOptions().tol_kkt, SolverOptions().max_iter)
-
     def test_manifest_records_the_options_the_run_used(self, tmp_path):
         opts = SolverOptions(tol_kkt=1e-7, max_iter=200)
         result = run_scenario(two_bus_case(), ScenarioSpec(5), opts, starts=1)
