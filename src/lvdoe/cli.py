@@ -31,10 +31,11 @@ from .solver import SolverOptions
 
 
 class ScenarioSolveError(RuntimeError):
-    """A period ended without an optimum, or the oracle rejected its optimum."""
+    """A period of a stage ended without an optimum, or the oracle rejected its optimum."""
 
-    def __init__(self, period: int, status: str):
-        super().__init__(f"period {period} failed with status {status!r}")
+    def __init__(self, stage: int, period: int, status: str):
+        super().__init__(f"stage {stage}, period {period} failed with status {status!r}")
+        self.stage = stage
         self.period = period
         self.status = status
 
@@ -177,10 +178,12 @@ def _run_periods(
     The periods of a stage differ only in their pins, so the stage builds
     its rows and its solver form once and solves all its periods and starts
     as one lockstep batch.  Then, period by period in time order, it picks
-    each period's best start, decodes it and has the oracle check it; the
-    first period that fails stops the run.
+    each period's best start, decodes it and has the oracle check it.  A
+    period fails when none of its starts ends optimal or the oracle rejects
+    the best one, and the first period that fails stops the run.
     """
     T = case.horizon
+    stage = 1 if fixed_p is None else 2
     scales = START_SCALES[:starts]
     clock = time.perf_counter
     problems, timings = [], []
@@ -195,13 +198,7 @@ def _run_periods(
     t0 = clock()
     form = solver.internalize(problems[0])
     x0 = np.array([nlp.initial_point(problem, scale) for problem in problems for scale in scales])
-    try:
-        solutions = solver.solve_batch(form, x0, opts)
-    except solver.KktSingularError as exc:
-        if exc.row is not None:
-            stage = 1 if fixed_p is None else 2
-            exc.args = (f"stage {stage}, period {exc.row // starts}, start {exc.row % starts}: {exc}",)
-        raise
+    solutions = solver.solve_batch(form, x0, opts)
     solve_s = clock() - t0
 
     # Generation per period in pu, filled in as the periods are checked; the
@@ -218,14 +215,14 @@ def _run_periods(
             ):
                 sol, won = cand, k
         if sol.status != "optimal":
-            raise ScenarioSolveError(t, sol.status)
+            raise ScenarioSolveError(stage, t, sol.status)
         t0 = clock()
         injections.p_gen[:, :, t], injections.q_gen[:, :, t] = nlp.decode_generation(problem, sol.x)
         u = nlp.decode_state(problem, sol.x).u[:, :, 0]
         report = oracle.validate(case, injections, t, problem.constraint_set, u)
         timings[t]["validate_s"] = clock() - t0
         if not report.ok:
-            raise ScenarioSolveError(t, "oracle_rejected")
+            raise ScenarioSolveError(stage, t, "oracle_rejected")
         objective[t] = sol.objective
         diags.append({
             "period": t,
@@ -482,11 +479,7 @@ def _cmd_solve(args) -> int:
         opts = SolverOptions(tol_kkt=args.tol, max_iter=args.max_iter, trace=args.trace)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    try:
-        result = run_scenario(case, spec, opts, reactive_p=args.reactive_p, starts=args.starts)
-    except ScenarioSolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_scenario(case, spec, opts, reactive_p=args.reactive_p, starts=args.starts)
     inputs = [Path(args.network)] + ([Path(args.loads)] if args.loads else [])
     for path in emit_results(result, args.out, inputs=inputs):
         print(path)
@@ -582,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (oracle.InfeasibleAtZeroExportError, solver.KktSingularError, ScenarioSolveError) as exc:
+    except (oracle.InfeasibleAtZeroExportError, ScenarioSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,12 +111,10 @@ SIGMA_CONDENSED_MAX = 1e6
 
 
 class KktSingularError(RuntimeError):
-    """KKT system stayed singular after exhausting the regularization budget;
-    row, when known, is the failing instance's row of the batch's x0."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+    """Never raised: an instance whose KKT system stays singular ends with
+    the status singular.  It stays importable, as the TreeIndex imports of
+    nlp and oracle stay for the tracer, because the benchmark's
+    perfbench/workloads.py:116 names it in an except clause."""
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ class Iterate:
 class Solution:
     x: np.ndarray
     objective: float  # maximization sense, matching the problem statement
-    status: str       # optimal | infeasible_local | iteration_limit
+    status: str       # optimal | infeasible_local | iteration_limit | singular
     iterations: int
     max_kkt_residual: float
     factorizations: int       # KKT factorizations over all iterations
@@ -864,15 +862,15 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, ratio.min(axis=1, initial=np.inf))
 
 
-def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np.ndarray, ids: np.ndarray) -> tuple:
+def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np.ndarray) -> tuple:
     """The regularized Newton step of every instance of pt at its barrier
-    parameter mu: (dx, dy, dz, ds, dw, dc, factorizations, factorize_s),
-    one row or entry per instance.
+    parameter mu: (dx, dy, dz, ds, dw, dc, factorizations, factorize_s,
+    singular), one row or entry per instance.
 
     Each instance first tries dw = dc = 0 and climbs its own regularization
     ladder, from delta_last (its last iteration's dw), while its inertia is
-    wrong; the matrices are freed on return.  ids holds each instance's row
-    of the batch's x0, which a KktSingularError names.
+    wrong; the matrices are freed on return.  An instance whose dw passes
+    1e12 stops climbing and is marked singular, and its step is not solved.
     """
     n_a = pt.x.shape[0]
     n_reduced = form.keep.size - form.lin_rows.size
@@ -885,6 +883,7 @@ def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np
     factors: dict = {}
     iter_factorizations = np.zeros(n_a, dtype=int)
     factorize_s = np.zeros(n_a)
+    singular = np.zeros(n_a, dtype=bool)
     pending = np.arange(n_a)
     for _ in range(60):
         t0 = time.perf_counter()
@@ -903,24 +902,21 @@ def _newton_step(form: InternalForm, pt: Iterate, mu: np.ndarray, delta_last: np
         dc, dw = delta_c[pending], delta_w[pending]
         delta_c[pending] = np.where(inertia[:, 2] > 0, np.where(dc > 0.0, 10.0 * dc, delta_c_first[pending]), dc)
         delta_w[pending] = np.where(dw == 0.0, np.maximum(REGULARIZATION_MIN, delta_last[pending] / 3.0), 10.0 * dw)
-        worst = np.argmax(delta_w[pending])
-        if delta_w[pending[worst]] > 1e12:
-            raise KktSingularError(
-                f"KKT inertia {tuple(int(v) for v in inertia[worst])} not correctable at regularization "
-                f"{delta_w[pending[worst]]:g}",
-                int(ids[pending[worst]]),
-            )
+        singular[pending] = delta_w[pending] > 1e12
+        pending = pending[~singular[pending]]
+        if not pending.size:
+            break
         regularize(delta_w, delta_c, pending)
 
     del kkt, regularize  # the factors are all the step needs
 
     def solve_fn(rhs: np.ndarray) -> np.ndarray:
         sol = np.zeros_like(rhs)
-        for k, d in enumerate(dims):
-            sol[k, :d] = _ldlt_solve(factors[k], rhs[k, :d])
+        for k in np.flatnonzero(~singular):
+            sol[k, : dims[k]] = _ldlt_solve(factors[k], rhs[k, : dims[k]])
         return sol
 
-    return (*step(solve_fn), delta_w, delta_c, iter_factorizations, factorize_s)
+    return (*step(solve_fn), delta_w, delta_c, iter_factorizations, factorize_s, singular)
 
 
 def _take_step(
@@ -989,8 +985,12 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
     pins: the instances are the programs of one stage, which differ only in
     their pins, at their starts.  Each instance iterates exactly as it
     would alone, and leaves the batch when it stops; the Solutions come in
-    the order of x0.  Raises KktSingularError as soon as any instance's KKT
-    matrix stays singular.
+    the order of x0.  An instance stops as optimal; as iteration_limit at
+    max_iter, or when stuck (three steps in a row not taken) at a feasible
+    point; as infeasible_local when stuck at an infeasible one or on the
+    certificate of local infeasibility; or as singular when its KKT
+    inertia is still wrong as its dw passes 1e12.  Each Solution holds the
+    instance's last iterate, and no instance's failure ends another.
     """
     opts = options or SolverOptions()
     x = np.array(x0, dtype=float, ndmin=2)
@@ -1028,73 +1028,74 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
     delta_last = np.zeros(n_b)
     small_steps = np.zeros(n_b, dtype=int)
     factorizations = np.zeros(n_b, dtype=int)
+    # Per instance, what its trace reads of its last step.
+    alpha, delta_w, delta_c, factorize_s, theta = np.zeros((5, n_b))
+    step_factorizations = np.zeros(n_b, dtype=int)
     traces: list[list[dict]] = [[] for _ in range(n_b)]
     out: list[Solution | None] = [None] * n_b
     it = 0
 
-    def finish(rows: np.ndarray, status) -> None:
-        """Record the Solutions of the active instances `rows` (a mask), stopped with `status` (one or one each)."""
+    def leave(rows: np.ndarray, status) -> None:
+        """End the active instances `rows` (a mask) at their current iterate
+        with `status` (one, or one per active instance): record their
+        Solutions and drop them from the batch."""
+        nonlocal pt, ids
+        if not rows.any():
+            return
         ended = pt.take(rows)
         errors = _kkt_errors(form, ended, 0.0)[0]
-        for k, i in enumerate(ids[rows]):
-            st = str(np.broadcast_to(status, errors.shape)[k])
-            if st == "optimal" and np.any(ended.h[k] > opts.tol_kkt):
-                st = "iteration_limit"
+        for k, (i, st) in enumerate(zip(ids[rows], np.broadcast_to(status, rows.shape)[rows])):
             out[i] = Solution(
                 x=ended.x[k],
                 objective=float(-form.c @ ended.x[k]),
-                status=st,
+                status=str(st),
                 iterations=it,
                 max_kkt_residual=float(errors[k]),
                 factorizations=int(factorizations[i]),
                 trace=tuple(traces[i]),
             )
+        pt, ids = pt.take(~rows), ids[~rows]
 
     while ids.size:
         if it >= opts.max_iter:
-            finish(np.ones(ids.size, dtype=bool), "iteration_limit")
+            leave(np.ones(ids.size, dtype=bool), "iteration_limit")
             break
         err, err_mu = _kkt_errors(form, pt, 0.0, mu[ids])
-        done = err <= opts.tol_kkt
-        if done.any():
-            finish(done, "optimal")
-            pt, ids, err_mu = pt.take(~done), ids[~done], err_mu[~done]
-            if not ids.size:
-                break
         # Monotone Fiacco-McCormick barrier reduction, gated on the inner
         # problem being solved to within a multiple of the current mu; the
         # target blends the fixed shrink with the measured complementarity.
-        m_u = mu[ids]
         if mi:
+            m_u = mu[ids]
             compl = np.matmul(pt.s[:, None, :], pt.z[:, :, None])[:, 0, 0] / mi
             shrink = (m_u > opts.tol_kkt / 100.0) & (err_mu <= 10.0 * m_u)
             target = np.maximum(opts.tol_kkt / 100.0, np.minimum(MU_SHRINK * m_u, np.maximum(0.1 * compl, m_u**1.5)))
-            m_u = np.where(shrink, target, m_u)
-            mu[ids] = m_u
+            mu[ids] = np.where(shrink, target, m_u)
+        leave(err <= opts.tol_kkt, "optimal")
+        if not ids.size:
+            break
 
-        dx, dy, dz, ds, delta_w, delta_c, iter_factorizations, factorize_s = _newton_step(
-            form, pt, m_u, delta_last[ids], ids
-        )
-        delta_last[ids] = delta_w
-        factorizations[ids] += iter_factorizations
+        dx, dy, dz, ds, *last, singular = _newton_step(form, pt, mu[ids], delta_last[ids])
+        delta_w[ids], delta_c[ids], step_factorizations[ids], factorize_s[ids] = last
+        delta_last[ids] = delta_w[ids]
+        factorizations[ids] += step_factorizations[ids]
+        if singular.any():
+            leave(singular, "singular")
+            if not ids.size:
+                break
+            dx, dy, dz, ds = (v[~singular] for v in (dx, dy, dz, ds))
 
-        pt, took, alpha = _take_step(form, pt, m_u, dx, dy, dz, ds)
+        pt, took, alpha[ids] = _take_step(form, pt, mu[ids], dx, dy, dz, ds)
         small_steps[ids] = np.where(took, 0, small_steps[ids] + 1)
         delta_last[ids] = np.where(took, delta_last[ids], np.maximum(delta_last[ids], 1e-4))
         it += 1
 
-        theta = _theta(pt)
+        theta[ids] = _theta(pt)
         stuck = small_steps[ids] >= 3
         # Diverging multipliers with persistent constraint violation is the
         # interior-point certificate of local infeasibility.
         dual_norm = np.maximum(np.abs(pt.y).max(axis=1, initial=0.0), np.abs(pt.z).max(axis=1, initial=0.0))
-        stop = stuck | ((dual_norm > 1e8) & (theta > 1e-6))
-        if stop.any():
-            status = np.where(stuck & (theta <= 1e-6), "iteration_limit", "infeasible_local")
-            finish(stop, status[stop])
-            pt, ids, theta = pt.take(~stop), ids[~stop], theta[~stop]
-            alpha, delta_w, delta_c = alpha[~stop], delta_w[~stop], delta_c[~stop]
-            iter_factorizations, factorize_s = iter_factorizations[~stop], factorize_s[~stop]
+        infeasible = (dual_norm > 1e8) & (theta[ids] > 1e-6)
+        leave(stuck | infeasible, np.where(stuck & (theta[ids] <= 1e-6), "iteration_limit", "infeasible_local"))
 
         if opts.trace and ids.size:
             objective = np.matmul(pt.x[:, None, :], -form.c)[:, 0]
@@ -1102,9 +1103,9 @@ def solve_batch(form: InternalForm, x0: np.ndarray, options: SolverOptions | Non
             for k, i in enumerate(ids):
                 traces[i].append({
                     "iter": it, "mu": float(mu[i]), "objective": float(objective[k]),
-                    "kkt_error": float(kkt_error[k]), "theta": float(theta[k]), "alpha": float(alpha[k]),
-                    "delta_w": float(delta_w[k]), "delta_c": float(delta_c[k]),
-                    "factorizations": int(iter_factorizations[k]), "factorize_s": float(factorize_s[k]),
+                    "kkt_error": float(kkt_error[k]), "theta": float(theta[i]), "alpha": float(alpha[i]),
+                    "delta_w": float(delta_w[i]), "delta_c": float(delta_c[i]),
+                    "factorizations": int(step_factorizations[i]), "factorize_s": float(factorize_s[i]),
                 })
 
     return tuple(out)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lvdoe import netmodel as nm
+from lvdoe import solver
 from lvdoe.netmodel import load_network
 from lvdoe.phasecalc import PhasorState
 
@@ -37,6 +38,36 @@ def feeder_hr():
 @pytest.fixture(scope="session")
 def feeder_au():
     return load_network(fixture_path("feeder_au.json"))
+
+
+def force_singular(monkeypatch, rows, stage: int = 1) -> None:
+    """Make the instances `rows` of the stage-th solve_batch call from now on
+    singular: their KKT matrices read zero, before and after every
+    regularization, in that batch's first iteration only.  Every instance is
+    still in the batch then, so rows are rows of its x0, and each one's
+    ladder passes 1e12 within that one Newton step."""
+    batch, assemble = solver.solve_batch, solver.kkt_assemble
+    assembled = []  # kkt_assemble calls per solve_batch call
+
+    def counting(*args):
+        assembled.append(0)
+        return batch(*args)
+
+    def zeroed(form, pt, mu):
+        kkt, dims, step, regularize = assemble(form, pt, mu)
+        assembled[-1] += 1
+        if (len(assembled), assembled[-1]) != (stage, 1):
+            return kkt, dims, step, regularize
+
+        def rezero(*args):
+            regularize(*args)
+            kkt[:, :, rows] = 0.0
+
+        kkt[:, :, rows] = 0.0
+        return kkt, dims, step, rezero
+
+    monkeypatch.setattr(solver, "solve_batch", counting)
+    monkeypatch.setattr(solver, "kkt_assemble", zeroed)
 
 
 def dense_jacobian(block, x: np.ndarray) -> np.ndarray:

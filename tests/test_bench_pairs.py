@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,39 @@ def test_pairs_below_one_rejected_before_any_run(bench_pairs, tmp_path, monkeypa
     assert exc.value.code == 2
     assert f"--pairs: must be at least 1, got {int(pairs)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_both_sides_run_from_fresh_trees(bench_pairs, tmp_path, monkeypatch):
+    # A repository whose parent and HEAD commit marker.txt as "parent" and
+    # "head", and whose working tree edits it to "edited".
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    for name in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{name}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{name}_EMAIL", "bench@example.com")
+    bench = {"run_seconds": 1, "workloads": [{"name": "hr_day"}],
+             "end_to_end": [{"name": "run_s", "better": "lower"}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(bench))
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    for text in ("parent", "head"):
+        (repo / "marker.txt").write_text(text)
+        subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+        subprocess.run(["git", "commit", "-q", "-m", text], cwd=repo, check=True)
+    (repo / "marker.txt").write_text("edited")
+
+    seen = []
+
+    def recording(checkout, workload, seed, seconds, trace):
+        seen.append((checkout, (checkout / "marker.txt").read_text()))
+        return {"exit_code": 0, "correct": True, "attempted": 1, "failed": 0, "rounds": 1,
+                "metrics": {"run_s": {"value": 1.0, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_benchmark", recording)
+    monkeypatch.setattr(bench_pairs, "machine_info", lambda python: {})
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "HEAD~1", "--pairs", "1", "--out", str(out)]) == 0
+    # Seed 1 runs the parent first, then the change; then one traced run each.
+    assert [text for _, text in seen] == ["parent", "edited", "parent", "edited"]
+    assert all(checkout != repo and repo not in checkout.parents for checkout, _ in seen)
+    assert json.loads(out.read_text())["commits"]["change"].endswith("-dirty")

@@ -14,7 +14,7 @@ from lvdoe.nlp import Objective, ScenarioSpec
 from lvdoe.phasecalc import Violation
 from lvdoe.solver import SolverOptions
 
-from conftest import fixture_path, shared_units_case, two_bus_case
+from conftest import fixture_path, force_singular, shared_units_case, two_bus_case
 
 SYNTH4 = str(fixture_path("synth4.json"))
 SYNTH4_LOADS = str(fixture_path("synth4_loads.csv"))
@@ -200,39 +200,29 @@ class TestErrorPaths:
         assert main(["solve", "--network", str(net), "--scenario", "5", "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: generator: expected an object, got int\n"
 
+    @pytest.mark.parametrize("objective, stage", [("active", 1), ("reactive-margin", 1), ("reactive-margin", 2)])
+    def test_one_singular_start_leaves_its_period_to_the_other(self, tmp_path, monkeypatch, objective, stage):
+        # Start 1 of period 23, the batch's last instance, is singular in the
+        # given stage; start 0 still solves the period.
+        args = ["solve", "--network", SYNTH2, "--scenario", "5", "--objective", objective, "--out"]
+        assert main([*args, str(tmp_path / "unforced")]) == 0
+        force_singular(monkeypatch, [47], stage)
+        assert main([*args, str(tmp_path / "forced")]) == 0
+        diags = json.loads((tmp_path / "forced" / "diagnostics.json").read_text())
+        period = diags["stage1" if (objective, stage) == ("reactive-margin", 1) else "periods"][23]
+        assert [st["status"] for st in period["starts"]] == ["optimal", "singular"]
+        assert period["winning_start"] == 0
+        csv = [(tmp_path / run / "envelopes.csv").read_bytes() for run in ("unforced", "forced")]
+        assert csv[0] == csv[1]
+
     @pytest.mark.parametrize("objective, stage", [("active", 1), ("reactive-margin", 2)])
-    def test_singular_kkt_names_stage_period_and_start(self, tmp_path, monkeypatch, capsys, objective, stage):
-        # The last matrix of every factorization reports a zero pivot, so the
-        # batch's last instance fails in its first iteration: synth2's 24
-        # periods x 2 starts make it period 23, start 1, of the given stage.
-        batch, ldlt, stages = solver.solve_batch, solver._ldlt, []
-
-        def counting(*args):
-            stages.append(len(stages) + 1)
-            return batch(*args)
-
-        def wrong_last(mats):
-            factors, inertia = ldlt(mats)
-            if stages[-1] == stage:
-                inertia[-1] = [0, 0, mats[-1].shape[0]]
-            return factors, inertia
-
-        monkeypatch.setattr(solver, "solve_batch", counting)
-        monkeypatch.setattr(solver, "_ldlt", wrong_last)
-        rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--objective", objective,
-                   "--out", str(tmp_path / "o")])
+    def test_every_start_singular_exits_2(self, tmp_path, monkeypatch, capsys, objective, stage):
+        force_singular(monkeypatch, [46, 47], stage)
+        out = tmp_path / "o"
+        rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--objective", objective, "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: stage {stage}, period 23, start 1: KKT inertia (0, 0, ")
-        assert stages == list(range(1, stage + 1))
-
-    def test_singular_kkt_exits_2(self, tmp_path, monkeypatch, capsys):
-        def singular(*args, **kwargs):
-            raise solver.KktSingularError("KKT matrix singular")
-
-        monkeypatch.setattr(solver, "solve_batch", singular)
-        rc = main(["solve", "--network", SYNTH2, "--scenario", "5", "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "KKT matrix singular" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: stage {stage}, period 23 failed with status 'singular'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_unusable_tolerance_exits_1(self, tmp_path, capsys, tol):
@@ -637,6 +627,7 @@ class TestRunScenario:
         with pytest.raises(cli.ScenarioSolveError) as exc:
             run_scenario(dataclasses.replace(synth2, loads=tuple(loads)), ScenarioSpec(5))
         assert exc.value.period == first and exc.value.status == "infeasible_local"
+        assert exc.value.stage == 1
 
     def test_two_stage_reports_both(self):
         case = two_bus_case()

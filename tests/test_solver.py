@@ -11,7 +11,7 @@ from lvdoe.nlp import Objective, QuadBlock, ScenarioSpec, build_custom, build_pr
 from lvdoe.phasecalc import LimitKind
 from lvdoe.solver import SolverOptions, internalize, kkt_assemble, solve
 
-from conftest import dense_jacobian, two_bus_case
+from conftest import dense_jacobian, force_singular, two_bus_case
 
 
 def toy_form(lb: float = -np.inf, ub: float = 2.0, eq_row: str | None = None) -> solver.InternalForm:
@@ -908,3 +908,21 @@ class TestLockstepBatch:
             assert (got.status, got.iterations, got.factorizations) == (
                 alone.status, alone.iterations, alone.factorizations)
             np.testing.assert_allclose(got.x, alone.x, rtol=0.0, atol=1e-12)
+
+    def test_a_singular_instance_leaves_the_others_alone(self, monkeypatch, synth2):
+        # Period 7's start 1 is singular from its first iteration: it ends
+        # there, at its start, and every other instance is bit for bit the
+        # one of the unforced batch.
+        problem = build_problem(synth2, ScenarioSpec(5), 0)
+        probs, x0 = stage_starts(problem)
+        form = internalize(problem)
+        unforced = solver.solve_batch(form, x0)
+        force_singular(monkeypatch, [15])
+        forced = solver.solve_batch(form, x0)
+        assert forced[15].status == "singular" and forced[15].iterations == 0
+        assert np.array_equal(forced[15].x, x0[15]) and forced[15].factorizations > 20
+        for k, (got, want) in enumerate(zip(forced, unforced)):
+            if k != 15:
+                assert got.status == want.status == "optimal"
+                assert np.array_equal(got.x, want.x)
+                assert (got.iterations, got.factorizations) == (want.iterations, want.factorizations)

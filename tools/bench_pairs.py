@@ -2,12 +2,15 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_12.json
 
-Each side runs ``perfbench/run.py`` from its own checkout: the change from
-this repository's working tree, the parent from the committed tree of
-``--parent``, extracted with ``git archive`` into a temporary directory that
-is removed afterwards.  Pair k (seed k) runs the parent first when k is odd
-and the change first when k is even.  After the untraced pairs, each side
-makes one traced run (seed 1) of every workload for the per-layer metrics.
+Each side runs ``perfbench/run.py`` from a fresh tree of its own, extracted
+with ``git archive`` into a temporary directory that is removed afterwards:
+the parent from the committed tree of ``--parent``, the change from the
+working tree's tracked files (``git stash create``, or HEAD when they are
+unchanged).  So neither side runs from the repository itself, whose
+location alone would move its measurements.  Pair k (seed k) runs the
+parent first when k is odd and the change first when k is even.  After the
+untraced pairs, each side makes one traced run (seed 1) of every workload
+for the per-layer metrics.
 
 The output records the machine (nproc, Python, numpy and scipy versions),
 the commit and the ``src/lvdoe/*.py`` line count of each side, every run's
@@ -180,6 +183,16 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
+def fresh_tree(rev: str, dest: Path) -> Path:
+    """The committed tree of rev, extracted with git archive into dest."""
+    archive = dest.with_suffix(".tar")
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "archive", rev], cwd=ROOT, stdout=fh, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
 def pair_count(text: str) -> int:
     """--pairs: a whole number of at least 1, since a report with no pair compares nothing."""
     value = int(text)
@@ -203,14 +216,10 @@ def main(argv=None) -> int:
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD") + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else ""),
     }
-    tmp = Path(tempfile.mkdtemp(prefix="bench_parent_"))
+    revs = {"parent": commits["parent"], "change": git("stash", "create") or "HEAD"}
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        archive = tmp / "parent.tar"
-        with open(archive, "wb") as fh:
-            subprocess.run(["git", "archive", commits["parent"]], cwd=ROOT, stdout=fh, check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp / "tree", filter="data")
-        checkouts = {"parent": tmp / "tree", "change": ROOT}
+        checkouts = {side: fresh_tree(rev, tmp / side) for side, rev in revs.items()}
 
         def runner(side: str, workload: str, seed: int, trace: bool) -> dict:
             result = run_benchmark(checkouts[side], workload, seed, seconds, trace)
