@@ -8,9 +8,7 @@ export plot) next to timings.json, the one file that holds wall times.
 
 from __future__ import annotations
 
-import argparse
 import functools
-import hashlib
 import io
 import json
 import sys
@@ -21,7 +19,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, nlp, oracle, solver
 from .netmodel import InputError, NetworkCase, PHASE_INDEX, PHASES, _get, load_network, read_text
@@ -327,17 +324,20 @@ def emit_results(
         "objective": result.spec.objective.value,
         "starts": result.starts,
         "reactive_p": result.reactive_p,
-        "libraries": {"numpy": np.__version__, "scipy": scipy.__version__},
-        "inputs": [
-            {"path": str(p), "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
-            for p in (inputs or [])
-        ],
+        "libraries": {"numpy": np.__version__, "scipy": solver.scipy_version()},
+        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in (inputs or [])],
         "solver_options": {
             "tol_kkt": result.options.tol_kkt,
             "max_iter": result.options.max_iter,
         },
     }
     return [*written, _write_json(out / "timings.json", timings), _write_json(out / "manifest.json", manifest)]
+
+
+def _sha256(path: str | Path) -> str:
+    import hashlib  # loads OpenSSL, about 3.6 MB: only input hashing needs it
+
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def render_svg(series: list[tuple[str, list[float]]], period_hours: float) -> str:
@@ -376,15 +376,6 @@ def render_svg(series: list[tuple[str, list[float]]], period_hours: float) -> st
 # ---------------------------------------------------------------------------
 # Command line
 # ---------------------------------------------------------------------------
-
-class _Parser(argparse.ArgumentParser):
-    """Parser whose usage errors exit with code 1 instead of argparse's 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
 
 def _read_result(raw: str) -> tuple[Path, dict[tuple[str, str, int], tuple], tuple[str, float, int] | None]:
     """A result directory or its envelopes.csv: the CSV's path, its rows in
@@ -434,7 +425,17 @@ def _read_result(raw: str) -> tuple[Path, dict[tuple[str, str, int], tuple], tup
     return path, rows, (label, period_hours, periods)
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    import argparse  # only the command line parses arguments
+
+    class _Parser(argparse.ArgumentParser):
+        """Parser whose usage errors exit with code 1 instead of argparse's 2."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     parser = _Parser(prog="lvdoe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -770,28 +770,52 @@ def _block_solver(
     return -inv[:, :, -1, -1], solve
 
 
+def _scipy_folder() -> Path:
+    """scipy's package folder, found without running scipy/__init__.py,
+    which would load 23 more modules (subprocess among them): about 1.3 MB
+    and 8 ms."""
+    from importlib import util
+
+    spec = util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed: the solver needs its LAPACK extension")
+    return Path(spec.origin).parent
+
+
+def _load_scipy_file(name: str, path: Path) -> ModuleType:
+    """scipy's module `name` run from its file alone, outside its package."""
+    from importlib import util
+
+    spec = util.spec_from_file_location(f"scipy.{name}", path)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def scipy_version() -> str:
+    """The installed scipy's version string, read from scipy/version.py."""
+    return _load_scipy_file("version", _scipy_folder() / "version.py").version
+
+
 @functools.cache
 def _lapack() -> ModuleType:
     """scipy's compiled LAPACK extension, scipy/linalg/_flapack, loaded alone.
 
     The solver calls only its dsytrf, dsytrs and dgelsy; importing the
     scipy.linalg package for them would load about 330 more modules, which
-    cost about 160 ms and 21 MB.  It is loaded on the first factorization,
+    cost about 160 ms and 21 MB.  The extension is loaded by path, so not
+    even scipy/__init__.py runs.  It is loaded on the first factorization,
     so importing the package or running only the power-flow oracle loads no
     LAPACK.  A later import of scipy.linalg reuses this extension.
     """
-    from importlib import machinery, util
+    from importlib import machinery
 
-    import scipy
-
-    folder = Path(scipy.__file__).parent / "linalg"
+    folder = _scipy_folder() / "linalg"
     for suffix in machinery.EXTENSION_SUFFIXES:
         if (path := folder / f"_flapack{suffix}").is_file():
-            spec = util.spec_from_file_location("scipy.linalg._flapack", path)
-            module = util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension _flapack in {folder}")
+            return _load_scipy_file("linalg._flapack", path)
+    raise ImportError(f"scipy {scipy_version()} has no LAPACK extension _flapack in {folder}")
 
 
 @functools.cache

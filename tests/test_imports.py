@@ -1,17 +1,22 @@
-"""Importing the package loads only the scipy modules it uses.
+"""Importing the package loads only the modules that a call runs.
 
 The benchmark's setup time counts interpreter start through `import
 lvdoe`.  The optimizer loads scipy's compiled LAPACK extension alone on its
-first factorization, never the scipy.linalg package; the package, and the
-power-flow oracle with the commands that run only the oracle, load no
-LAPACK and no scipy package at all, and no path loads numpy.ma.  The
-extension took about 15-20 ms and 2.5 MB; importing scipy.linalg on top of
-it, about 160 ms and 21.5 MB more, and scipy.sparse, scipy.special,
-scipy.optimize or scipy.stats about 10, 40, 220 and 850 ms more, on a
-2-core machine.  Each test runs in a fresh interpreter, so that no other
-test's imports count.
+first factorization, by path, never the scipy.linalg package nor even the
+scipy package; the package, and the power-flow oracle with the commands
+that run only the oracle, load no LAPACK and no scipy package at all, and
+no path loads numpy.ma.  The extension took about 15-20 ms and 2.5 MB;
+importing scipy.linalg on top of it, about 160 ms and 21.5 MB more, and
+scipy.sparse, scipy.special, scipy.optimize or scipy.stats about 10, 40,
+220 and 850 ms more, on a 2-core machine.  After numpy, hashlib (which
+loads OpenSSL) added 3.6 MB, the scipy package (scipy/__init__.py, 23
+modules) 1.3 MB and about 8 ms, and argparse 0.3 MB; no library call loads
+them, only hashing `lvdoe solve`'s inputs loads hashlib and only `main`
+argparse.  Each test runs in a fresh interpreter, so that no other test's
+imports count.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +27,10 @@ ROOT = Path(__file__).resolve().parents[1]
 HEAVY = ("scipy.sparse", "scipy.optimize", "scipy.special", "scipy.stats")
 # What importing scipy.linalg would load beyond the LAPACK extension.
 LINALG = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py")
+# What no library call needs: hashlib (OpenSSL), the scipy package and
+# argparse.  Only hashing `lvdoe solve`'s inputs loads hashlib, and only
+# `main` argparse.
+CLI_ONLY = ("hashlib", "_hashlib", "scipy", "argparse")
 
 # The oracle's paths, then one optimizer solve and one `lvdoe solve`;
 # prints which LINALG and HEAVY packages were loaded before and after them.
@@ -87,6 +96,39 @@ def test_oracle_paths_never_load_scipy_linalg():
     assert out["after_cli"] == []
     # np.unique without a return_* flag, and so np.setdiff1d, would load numpy.ma (numpy 2.4).
     assert out["numpy_ma"] == [False, False]
+
+
+# The library's calls, then emit_results without and with inputs; prints
+# which of the modules that only a command line run needs were loaded.
+LIBRARY_SCRIPT = f"""
+import json, sys, tempfile
+from pathlib import Path
+import lvdoe, lvdoe.cli
+from lvdoe import load_network, nlp, oracle
+from lvdoe.phasecalc import ALL_LIMITS
+net = sys.argv[1]
+case = load_network(net)
+oracle.doe_bisection(case, case.generators[0].id, ALL_LIMITS, 12)
+assert oracle.validate(case, oracle.InjectionSet.from_case(case), 12, ALL_LIMITS).ok
+result = lvdoe.cli.run_scenario(case, nlp.ScenarioSpec(5), starts=1)
+out = Path(tempfile.mkdtemp())
+lvdoe.cli.emit_results(result, out / "library")
+loaded = {{m: m in sys.modules for m in {CLI_ONLY + ("scipy.linalg._flapack",)!r}}}
+lvdoe.cli.emit_results(result, out / "solve", inputs=[Path(net)])
+manifests = [json.loads((out / d / "manifest.json").read_text()) for d in ("library", "solve")]
+import scipy
+print(json.dumps({{"loaded": loaded, "inputs": [m["inputs"] for m in manifests],
+                  "scipy": [m["libraries"]["scipy"] for m in manifests], "scipy_version": scipy.__version__}}))
+"""
+
+
+def test_library_calls_load_no_hashlib_scipy_package_or_argparse():
+    net = ROOT / "src" / "lvdoe" / "fixtures" / "synth2.json"
+    out = json.loads(run_fresh(LIBRARY_SCRIPT, str(net)))
+    assert out["loaded"] == {**dict.fromkeys(CLI_ONLY, False), "scipy.linalg._flapack": True}
+    digest = hashlib.sha256(net.read_bytes()).hexdigest()
+    assert out["inputs"] == [[], [{"path": str(net), "sha256": digest}]]
+    assert out["scipy"] == [out["scipy_version"]] * 2
 
 
 # One stage of feeder_hr solved on the LAPACK extension alone, then

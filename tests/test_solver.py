@@ -343,6 +343,17 @@ class TestLdlt:
             solve(build_problem(synth2, ScenarioSpec(5), 0))
         assert f"scipy {scipy.__version__}" in str(err.value)
 
+    def test_missing_scipy_raises_import_error(self, monkeypatch, synth2):
+        import importlib.util
+
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: None)
+        solver._lapack.cache_clear()
+        solver.scipy_version.cache_clear()
+        with pytest.raises(ImportError, match="scipy"):
+            solve(build_problem(synth2, ScenarioSpec(5), 0))
+        with pytest.raises(ImportError, match="scipy"):
+            solver.scipy_version()
+
 
 class TestSolve:
     def test_single_binding_constraint_matches_bisection(self):
